@@ -641,6 +641,23 @@ func BenchmarkEngineMillionCycleTyped(b *testing.B) {
 	}
 }
 
+// BenchmarkHomogeneityExact times one exact Theorem 3.2 scan of
+// C(H_2(64), S): 262,144 vertices, every radius-1 ordered ball
+// classified (the homog-cayley pass of the repository benchmark).
+func BenchmarkHomogeneityExact(b *testing.B) {
+	c, err := homog.Search(1, 1, homog.SearchOptions{Seed: 42})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const m = 64
+	n := int(group.H(c.Level, m).Order().Int64())
+	for b.Loop() {
+		if _, err := c.HomogeneityExact(m, n); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkHomogeneitySample(b *testing.B) {
 	c, err := homog.Search(1, 1, homog.SearchOptions{Seed: 42})
 	if err != nil {

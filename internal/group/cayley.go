@@ -2,9 +2,11 @@ package group
 
 import (
 	"fmt"
+	"math/big"
 	"strconv"
 
 	"repro/internal/digraph"
+	"repro/internal/graph"
 )
 
 // Cayley is the Cayley graph C(G, S) of a family member with respect to
@@ -95,6 +97,50 @@ func (c *Cayley) In(v string) []digraph.ArcTo[string] {
 		in[l] = digraph.ArcTo[string]{To: EncodeElem(buf), Label: l}
 	}
 	return in
+}
+
+// OrderedHost builds the ordered Cayley graph (H, <) of a finite
+// family by integer index: vertex v is the element with odometer
+// number v, its CSR row lists v·s_ℓ and v·s_ℓ^{-1} for every generator,
+// and rank[v] is its position in the restricted U-order, in closed
+// form (see urank). graph.FromCSR sorts the rows and rejects
+// self-loops and parallel pairs, which a simple graph cannot hold; a
+// parallel pair is a 2-cycle, which a girth certificate excludes. The
+// arc slots are counted before anything is allocated, so a group past
+// the int32 CSR capacity is an error, not a wrapped index.
+func (c *Cayley) OrderedHost() (*graph.Graph, []int, error) {
+	f := c.fam
+	if !f.Finite() {
+		return nil, nil, fmt.Errorf("group: OrderedHost of the infinite family %v", f)
+	}
+	deg := 2 * len(c.gens)
+	order := f.Order()
+	if slots := new(big.Int).Mul(order, big.NewInt(int64(deg))); slots.Cmp(big.NewInt(graph.FlatCapacity)) > 0 {
+		return nil, nil, fmt.Errorf("group: C(%v, S) needs %v arc slots, past the flat-CSR int32 capacity %d",
+			f, slots, int64(graph.FlatCapacity))
+	}
+	n := int(order.Int64())
+	off := make([]int32, n+1)
+	nbr := make([]int32, n*deg)
+	rank := make([]int, n)
+	e, buf := f.Identity(), f.Identity()
+	for v := range n {
+		row := nbr[v*deg : (v+1)*deg]
+		for l := range c.gens {
+			f.mul(buf, e, c.gens[l], f.Level)
+			row[2*l] = int32(f.index(buf))
+			f.mul(buf, e, c.invs[l], f.Level)
+			row[2*l+1] = int32(f.index(buf))
+		}
+		off[v+1] = int32((v + 1) * deg)
+		rank[v] = f.urank(e, f.Level)
+		f.next(e)
+	}
+	g, err := graph.FromCSR(off, nbr)
+	if err != nil {
+		return nil, nil, fmt.Errorf("group: C(%v, S) is not a simple graph: %w", f, err)
+	}
+	return g, rank, nil
 }
 
 // EncodeElem renders a tuple as a comma-separated string. Digits are

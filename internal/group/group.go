@@ -250,6 +250,61 @@ func (f Family) Positive(w Elem) bool {
 	return false
 }
 
+// index returns the odometer number Σ e[j]·Mod^j of an element of a
+// finite family (coordinate 0 least significant), its vertex number in
+// OrderedHost.
+func (f Family) index(e Elem) int {
+	v := 0
+	for j := len(e) - 1; j >= 0; j-- {
+		v = v*f.Mod + e[j]
+	}
+	return v
+}
+
+// next advances e to its successor in odometer order (coordinate 0
+// fastest), the order index numbers.
+func (f Family) next(e Elem) {
+	for j := range e {
+		if e[j]++; e[j] < f.Mod {
+			return
+		}
+		e[j] = 0
+	}
+}
+
+// urank returns the position of e, a tuple of the given level with
+// coordinates in [0, Mod), within the cube [0, Mod)^d ordered by the
+// U-order restricted to it (Section 5.2): the position that sorting
+// the cube with U(level).Less gives, computed without a comparison. For
+// a = (x_a, y_a | z_a) and b = (x_b, y_b | z_b),
+//
+//	a⁻¹b = (y_a⁻¹y_b, x_a⁻¹x_b | z_b − z_a)  if z_a is odd,
+//	a⁻¹b = (x_a⁻¹x_b, y_a⁻¹y_b | z_b − z_a)  if z_a is even,
+//
+// and the positive cone reads the last coordinate first, so a < b
+// compares z as an integer, then x before y when z is odd and y before
+// x when z is even (z_a = z_b shares one parity), recursing down to
+// level 1. With d′ = 2^(level−1) − 1 the rank is the mixed-radix
+// number
+//
+//	rank(x, y | z) = z·Mod^(2d′) + rank(x)·Mod^(d′) + rank(y)  (z odd)
+//	rank(x, y | z) = z·Mod^(2d′) + rank(y)·Mod^(d′) + rank(x)  (z even)
+func (f Family) urank(e Elem, level int) int {
+	if level == 1 {
+		return e[0]
+	}
+	d := 1<<(level-1) - 1
+	x, y, z := e[:d], e[d:2*d], e[2*d]
+	if !odd(z) {
+		x, y = y, x
+	}
+	block := 1
+	for range d {
+		block *= f.Mod
+	}
+	return (z*block+f.urank(x, level-1))*block + f.urank(y, level-1)
+}
+
 // String returns e.g. "U_3", "H_3(mod 8)", or "W_4".
 func (f Family) String() string {
 	switch f.Mod {

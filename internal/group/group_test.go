@@ -2,6 +2,7 @@ package group
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -217,6 +218,26 @@ func TestNewCayleyValidation(t *testing.T) {
 	}
 }
 
+// TestOrderedHostRejects: the integer build refuses what a simple CSR
+// graph cannot hold (an involution's arc pair v·s = v·s⁻¹ is a
+// parallel pair) and the infinite family.
+func TestOrderedHostRejects(t *testing.T) {
+	inv, err := NewCayley(W(2), []Elem{{1, 0, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := inv.OrderedHost(); err == nil {
+		t.Error("involution generator (parallel pair) accepted")
+	}
+	u, err := NewCayley(U(2), []Elem{{0, 1, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := u.OrderedHost(); err == nil {
+		t.Error("infinite family accepted")
+	}
+}
+
 func TestCayleyArcsConsistent(t *testing.T) {
 	f := W(3)
 	rng := rand.New(rand.NewSource(5))
@@ -322,6 +343,54 @@ func TestCayleyBallGrowth(t *testing.T) {
 		for _, x := range e {
 			if x < -r || x > r {
 				t.Fatalf("ball element %v outside [-%d,%d]^d", e, r, r)
+			}
+		}
+	}
+}
+
+// TestURankMatchesLessSort pins the closed-form rank to its
+// definition: sorting the cube [0, m)^d with U(level).Less puts every
+// element at position urank, urank is a bijection onto [0, m^d), and
+// index numbers the odometer enumeration 0, 1, 2, ….
+func TestURankMatchesLessSort(t *testing.T) {
+	for level := 1; level <= 3; level++ {
+		for _, m := range []int{2, 4, 6} {
+			h, u := H(level, m), U(level)
+			n := int(h.Order().Int64())
+			if n > 300_000 {
+				continue
+			}
+			elems := make([]Elem, n)
+			e := h.Identity()
+			for i := range elems {
+				elems[i] = e.Clone()
+				for j := range e {
+					if e[j]++; e[j] < m {
+						break
+					}
+					e[j] = 0
+				}
+			}
+			perm := make([]int, n)
+			for i := range perm {
+				perm[i] = i
+			}
+			sort.Slice(perm, func(a, b int) bool { return u.Less(elems[perm[a]], elems[perm[b]]) })
+			seen := make([]bool, n)
+			for i, e := range elems {
+				if got := h.index(e); got != i {
+					t.Fatalf("%v: index(%v) = %d, want odometer number %d", h, e, got, i)
+				}
+				r := h.urank(e, level)
+				if r < 0 || r >= n || seen[r] {
+					t.Fatalf("%v: urank(%v) = %d repeats or leaves [0, %d)", h, e, r, n)
+				}
+				seen[r] = true
+			}
+			for pos, i := range perm {
+				if got := h.urank(elems[i], level); got != pos {
+					t.Fatalf("%v: urank(%v) = %d, U.Less sort puts it at %d", h, elems[i], got, pos)
+				}
 			}
 		}
 	}

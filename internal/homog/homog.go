@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"repro/internal/digraph"
@@ -410,12 +409,17 @@ type ExactReport struct {
 
 // HomogeneityExact scans every element of H(m) (feasible only when
 // m^d <= maxNodes), classifying each vertex's ordered r-neighbourhood.
-// The scan rides the ball-sweep engine: the finite Cayley graph is
-// materialised once, its underlying undirected host and the restricted
-// U-order (as a Rank) are handed to order.SweepMeasureInto, and the
-// worker-local tallies merge into counts keyed by interned *Ball —
-// identical to the sequential per-element classification at every
-// parallelism level.
+// The scan rides the ball-sweep engine on integer indices:
+// Cayley.OrderedHost builds C(H(m), S) straight into CSR form, vertex v
+// being the element with odometer number v and its row {v·s_ℓ, v·s_ℓ⁻¹}
+// coming from allocation-free products, and gives each vertex its
+// position in the restricted U-order in closed form, so neither a node
+// string nor a comparison sort is involved. order.SweepMeasureInto then counts every element's
+// canonical ordered ball through worker-local sweepers and tallies
+// into one shared interner, identical at every parallelism level; τ*
+// occupancy is one lookup of the interned τ* representative in the
+// merged counts. A group whose 2|S|·m^d arc slots exceed the int32
+// CSR capacity is rejected before anything is allocated.
 func (c *Construction) HomogeneityExact(m, maxNodes int) (*ExactReport, error) {
 	fam, err := group.NewFamily(c.Level, m)
 	if err != nil {
@@ -426,65 +430,22 @@ func (c *Construction) HomogeneityExact(m, maxNodes int) (*ExactReport, error) {
 		return nil, fmt.Errorf("homog: |H| = %v exceeds scan budget %d", total, maxNodes)
 	}
 	n := int(total.Int64())
-	tauBall, err := c.TauStarBall()
+	cay, err := c.HCayley(m)
 	if err != nil {
 		return nil, err
 	}
-	cay, err := c.HCayley(m)
+	// Every element is a vertex — C(H, S) may be disconnected when S
+	// does not generate.
+	und, rank, err := cay.OrderedHost()
+	if err != nil {
+		return nil, fmt.Errorf("homog: %w", err)
+	}
+	tauBall, err := c.TauStarBall()
 	if err != nil {
 		return nil, err
 	}
 	in := order.NewInterner()
 	tauBall = in.Canon(tauBall)
-	// Enumerate Z_m^d by odometer.
-	elems := make([]group.Elem, n)
-	nodes := make([]string, n)
-	e := make(group.Elem, fam.Dim())
-	for i := 0; i < n; i++ {
-		elems[i] = append(group.Elem(nil), e...)
-		nodes[i] = cay.Node(elems[i])
-		for j := 0; j < len(e); j++ {
-			e[j]++
-			if e[j] < m {
-				break
-			}
-			e[j] = 0
-		}
-	}
-	// The whole finite graph fits the scan budget, so materialise it
-	// once and hand the scan to the layered ball-sweep engine: the
-	// underlying undirected host is built wholesale, the restricted
-	// U-order becomes a Rank, and SweepMeasureInto counts every
-	// element's canonical ordered ball through worker-local sweepers
-	// and tallies into one shared interner — τ* occupancy is then one
-	// lookup of the interned τ* representative in the merged counts.
-	// Every element is a start vertex — C(H, S) may be disconnected
-	// when S does not generate.
-	md, mNodes, _, err := digraph.Materialize[string](cay, nodes, n)
-	if err != nil {
-		return nil, fmt.Errorf("homog: materialise C(H(%d), S): %w", m, err)
-	}
-	und, err := md.Underlying()
-	if err != nil {
-		// A parallel pair in the underlying graph is a 2-cycle, which
-		// the girth certificate excludes; reaching this indicates a
-		// degenerate generator set.
-		return nil, fmt.Errorf("homog: C(H(%d), S): %w", m, err)
-	}
-	mElems := make([]group.Elem, len(mNodes))
-	for i, s := range mNodes {
-		mElems[i] = cay.Elem(s)
-	}
-	u := group.U(c.Level)
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(a, b int) bool { return u.Less(mElems[perm[a]], mElems[perm[b]]) })
-	rank := make(order.Rank, n)
-	for pos, v := range perm {
-		rank[v] = pos
-	}
 	hm := order.SweepMeasureInto(in, und, rank, c.R)
 	girth := digraph.UndirectedGirth[string](cay, []string{cay.Node(fam.Identity())}, 2*c.R+2)
 	return &ExactReport{

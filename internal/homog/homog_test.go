@@ -2,10 +2,15 @@ package homog
 
 import (
 	"math/rand"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/digraph"
+	"repro/internal/graph"
 	"repro/internal/group"
+	"repro/internal/par"
 	"repro/internal/view"
 )
 
@@ -207,6 +212,47 @@ func TestHomogeneityExactRejectsHuge(t *testing.T) {
 	c := mustSearch(t, 2, 1)
 	if _, err := c.HomogeneityExact(100, 1000); err == nil {
 		t.Error("oversized scan accepted")
+	}
+}
+
+// TestHomogeneityExactRejectsPastFlatCapacity: a scan budget past the
+// int32 CSR capacity must not reach the build. At level 2, m = 1300
+// gives 1300^3 > 2^31 − 1 vertices; the error must name the capacity
+// and come before any per-vertex allocation.
+func TestHomogeneityExactRejectsPastFlatCapacity(t *testing.T) {
+	c := mustSearch(t, 1, 1)
+	if c.Level != 2 {
+		t.Fatalf("construction at level %d, want 2", c.Level)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := c.HomogeneityExact(1300, 1<<62)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), strconv.Itoa(graph.FlatCapacity)) {
+		t.Fatalf("HomogeneityExact(1300, 1<<62) = %v, want an error naming the capacity %d", err, graph.FlatCapacity)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("rejection allocated %d bytes", got)
+	}
+}
+
+// TestHomogeneityExactAllocsFlatInM pins the integer build: the
+// per-pass allocation count does not grow with the number of vertices
+// (a pass at m = 32 has 8x the vertices of one at m = 16).
+func TestHomogeneityExactAllocsFlatInM(t *testing.T) {
+	c := mustSearch(t, 1, 1)
+	old := par.Set(1)
+	defer par.Set(old)
+	allocs := func(m int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := c.HomogeneityExact(m, 1<<15); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(16), allocs(32)
+	if large > small+16 {
+		t.Errorf("a pass allocates %v objects at m=32 against %v at m=16", large, small)
 	}
 }
 

@@ -70,7 +70,7 @@ func TestMulNodesOverflow(t *testing.T) {
 	}
 	for _, dims := range [][]int{
 		{100000, 100000},
-		{46341, 46341}, // 46341^2 = 2147488281, just past 2^31-1
+		{46341, 46341},                       // 46341^2 = 2147488281, just past 2^31-1
 		{1 << 20, 1 << 20, 1 << 20, 1 << 20}, // would overflow int64 without the prefix check
 	} {
 		if _, err := mulNodes(dims); err == nil {
