@@ -641,6 +641,59 @@ func BenchmarkEngineMillionCycleTyped(b *testing.B) {
 	}
 }
 
+// BenchmarkColeVishkinCycle64K times one whole Cole–Vishkin MIS run on
+// a 65,536-node directed cycle with seeded ids at two workers, through
+// the flat typed engine clean (flat) and under lossy:p=0.05 (lossy),
+// and through the sharded engine at P=2 (sharded) — the engine runs of
+// the repository benchmark's rounds workload, for CPU profiles. Not
+// CI-gated.
+func BenchmarkColeVishkinCycle64K(b *testing.B) {
+	defer par.Set(par.Set(2))
+	const desc = "dcycle:65536"
+	hh, err := host.Parse(desc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := &model.Host{D: hh.D, G: hh.G}
+	n := int64(h.G.N())
+	idf := model.SeededIDs(n, 1)
+	ids := make([]int, n)
+	for v := range ids {
+		ids[v] = idf(int64(v))
+	}
+	sched := model.MustParseProfile("lossy:p=0.05").New(h, 1)
+	e := model.NewWordEngine(h)
+	src, err := host.ParseShard(desc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	se, err := model.NewShardedEngine(src, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("flat", func(b *testing.B) {
+		for b.Loop() {
+			if _, err := algorithms.ColeVishkinMISOn(e, h, ids); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("lossy", func(b *testing.B) {
+		for b.Loop() {
+			if _, err := algorithms.ColeVishkinMISFaultyOn(e, h, ids, sched); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("sharded", func(b *testing.B) {
+		for b.Loop() {
+			if _, err := algorithms.ColeVishkinMISSharded(se, idf, int(n-1)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkHomogeneityExact times one exact Theorem 3.2 scan of
 // C(H_2(64), S): 262,144 vertices, every radius-1 ordered ball
 // classified (the homog-cayley pass of the repository benchmark).

@@ -297,8 +297,10 @@ func (e *Engine) fail(v int, err error) {
 }
 
 // Outbox routes one node's outgoing messages straight into the next
-// round's arena. Each worker owns one Outbox for the whole run; the
-// engine repoints it at the current node before every Step.
+// round's arena. Each worker owns one Outbox for the whole run
+// (allocated by newLanes, cache lines apart from every other
+// worker's); the engine repoints it at the current node before every
+// Step.
 type Outbox struct {
 	e    *Engine
 	v    int32
@@ -306,24 +308,12 @@ type Outbox struct {
 	want int64 // stamp marking next-round messages
 
 	// round and prof contextualise error strings (prof is "" on clean
-	// runs; see errf), and the counters accumulate this worker's
-	// fault events for the run's FaultReport.
-	round     int
-	prof      string
-	dropped   int64
-	duped     int64
-	reordered int64
-	downSteps int64
+	// runs; see errf).
+	round int
+	prof  string
 
-	// Per-worker inbox-compaction scratch, pre-sized by the run from
-	// the plane's max in-degree (fault scratch at twice that, so every
-	// delivery duplicating still fits): wdense serves the typed clean
-	// path, fdense/fwdense the untyped/typed faulty paths. The clean
-	// untyped path compacts into the engine's global dense arena
-	// instead (its per-node regions are disjoint by construction).
-	wdense  []WordMsg
-	fdense  []Msg
-	fwdense []WordMsg
+	// This worker's fault counters and inbox-compaction scratch.
+	lane
 }
 
 // errf builds a run error carrying the round number and, on faulty
@@ -477,22 +467,16 @@ func (e *Engine) runStates(ids []int, algo EngineAlgo, maxRounds int, sched Sche
 			return nil, 0, nil, err
 		}
 	}
-	step, prep := e.stepAny(algo), noScratch
+	step := e.stepAny(algo)
 	if sched != nil {
 		step = e.stepAnyFaulty(algo, sched)
-		prep = func(ob *Outbox) { ob.fdense = make([]Msg, 2*int(e.maxSlots)) }
 	}
-	rounds, rep, err := e.runCore(step, prep, sched, maxRounds)
+	rounds, rep, err := e.runCore(step, false, sched, maxRounds)
 	if err != nil {
 		return nil, 0, nil, err
 	}
 	return e.states, rounds, rep, nil
 }
-
-// noScratch is the prep hook of paths that need no per-worker
-// compaction scratch (the clean untyped path compacts into the
-// engine's global dense arena).
-func noScratch(*Outbox) {}
 
 // stepAny is the clean untyped step: compact the node's live slots
 // into its disjoint region of the global dense arena, then Step. The
@@ -571,9 +555,10 @@ func (e *Engine) stepAnyFaulty(algo EngineAlgo, sched Schedule) func(int, *Outbo
 // removal), persistent workers with dynamic chunk handoff, the
 // per-round barrier, error surfacing, and fault-report assembly. step
 // performs one node's round (compaction, fate draws and the
-// algorithm's Step all live in the caller's closure); prep pre-sizes
-// each Outbox's per-worker scratch before the first round.
-func (e *Engine) runCore(step func(int, *Outbox), prep func(*Outbox), sched Schedule, maxRounds int) (int, *FaultReport, error) {
+// algorithm's Step all live in the caller's closure); typed says
+// whether step takes the typed path, which sizes each worker's
+// inbox-compaction scratch (newLanes).
+func (e *Engine) runCore(step func(int, *Outbox), typed bool, sched Schedule, maxRounds int) (int, *FaultReport, error) {
 	// A restored snapshot (snapshot.go) shifts the start round and
 	// seeds the fault counters; the worklist is then rebuilt from the
 	// restored bitsets instead of the schedule's round-0 fates, and
@@ -667,11 +652,10 @@ func (e *Engine) runCore(step func(int, *Outbox), prep func(*Outbox), sched Sche
 	defer par.Release(workers)
 	// Outboxes live outside the goroutines (master's is last) so the
 	// per-worker fault counters are collectable after the run.
-	obs := make([]*Outbox, workers+1)
-	for w := range obs {
-		obs[w] = &Outbox{e: e, prof: prof}
-		prep(obs[w])
-	}
+	obs, lanes := newLanes(workers+1, e.maxSlots, typed, sched != nil, func(ob *Outbox) *lane {
+		ob.e, ob.prof = e, prof
+		return &ob.lane
+	})
 	start := make([]chan struct{}, workers)
 	for w := range start {
 		start[w] = make(chan struct{}, 1)
@@ -755,7 +739,7 @@ func (e *Engine) runCore(step func(int, *Outbox), prep func(*Outbox), sched Sche
 		// right at the cancellation point). The idle cost is one nil
 		// check; a finished run (empty worklist) never checkpoints.
 		if e.ck != nil && len(active) > 0 && e.ck.due(round+1) {
-			if err := e.snapshotAt(round+1, base, sched, obs); err != nil {
+			if err := e.snapshotAt(round+1, base, sched, lanes); err != nil {
 				return 0, nil, err
 			}
 		}
@@ -769,19 +753,9 @@ func (e *Engine) runCore(step func(int, *Outbox), prep func(*Outbox), sched Sche
 	}
 	var rep *FaultReport
 	if sched != nil {
-		rep = &FaultReport{
-			Profile:    prof,
-			Dropped:    e.repBase.Dropped,
-			Duplicated: e.repBase.Duplicated,
-			Reordered:  e.repBase.Reordered,
-			DownSteps:  e.repBase.DownSteps,
-		}
-		for _, ob := range obs {
-			rep.Dropped += ob.dropped
-			rep.Duplicated += ob.duped
-			rep.Reordered += ob.reordered
-			rep.DownSteps += ob.downSteps
-		}
+		r := sumFaults(e.repBase, lanes)
+		r.Profile = prof
+		rep = &r
 		rep.Crashed = append([]bool(nil), e.crashed...)
 		for _, c := range rep.Crashed {
 			if c {

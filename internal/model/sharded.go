@@ -451,8 +451,9 @@ func (se *ShardedEngine) VisitStates(fn func(v int64, state uint64)) {
 
 // ShardOutbox routes one node's outgoing words into the next round's
 // arena (local destinations) or the shard's exchange staging (remote
-// destinations). Each worker owns one for the whole run; the engine
-// repoints it at the current shard and node.
+// destinations). Each worker owns one for the whole run (allocated by
+// newLanes, as on the flat engine); the engine repoints it at the
+// current shard and node.
 type ShardOutbox struct {
 	se   *ShardedEngine
 	sh   *shard
@@ -463,13 +464,8 @@ type ShardOutbox struct {
 	round int
 	prof  string
 
-	dropped   int64
-	duped     int64
-	reordered int64
-	downSteps int64
-
-	wdense  []WordMsg
-	fwdense []WordMsg
+	// This worker's fault counters and inbox-compaction scratch.
+	lane
 }
 
 func (ob *ShardOutbox) errf(format string, args ...any) error {
@@ -694,13 +690,10 @@ func (se *ShardedEngine) run(ids IDFunc, algo ShardedWordAlgo, maxRounds int, sc
 		workers = par.Reserve(min(par.N()-1, p-1))
 	}
 	defer par.Release(workers)
-	obs := make([]*ShardOutbox, workers+1)
-	for w := range obs {
-		obs[w] = &ShardOutbox{se: se, prof: prof, wdense: make([]WordMsg, se.maxSlots)}
-		if sched != nil {
-			obs[w].fwdense = make([]WordMsg, 2*int(se.maxSlots))
-		}
-	}
+	obs, lanes := newLanes(workers+1, se.maxSlots, true, sched != nil, func(ob *ShardOutbox) *lane {
+		ob.se, ob.prof = se, prof
+		return &ob.lane
+	})
 	start := make([]chan struct{}, workers)
 	for w := range start {
 		start[w] = make(chan struct{}, 1)
@@ -791,13 +784,8 @@ func (se *ShardedEngine) run(ids IDFunc, algo ShardedWordAlgo, maxRounds int, sc
 	}
 	var rep *FaultReport
 	if sched != nil {
-		rep = &FaultReport{Profile: prof}
-		for _, ob := range obs {
-			rep.Dropped += ob.dropped
-			rep.Duplicated += ob.duped
-			rep.Reordered += ob.reordered
-			rep.DownSteps += ob.downSteps
-		}
+		r := sumFaults(FaultReport{Profile: prof}, lanes)
+		rep = &r
 		rep.Crashed = make([]bool, se.nTotal)
 		for _, sh := range se.shards {
 			copy(rep.Crashed[sh.lo:sh.hi], sh.crashed)

@@ -261,7 +261,7 @@ func (te *TypedEngine[S]) WithCheckpoints(ck *Checkpointer) *TypedEngine[S] {
 // and hands it to the checkpointer's sink. It runs on the master
 // goroutine between rounds (after the barrier's wg.Wait and worklist
 // compaction), so every field it reads is quiescent.
-func (e *Engine) snapshotAt(nextRound int, base int64, sched Schedule, obs []*Outbox) error {
+func (e *Engine) snapshotAt(nextRound int, base int64, sched Schedule, lanes []*lane) error {
 	snap := &Snapshot{
 		Typed:  e.ckTyped,
 		Faulty: sched != nil,
@@ -272,16 +272,8 @@ func (e *Engine) snapshotAt(nextRound int, base int64, sched Schedule, obs []*Ou
 	}
 	if sched != nil {
 		snap.Crashed = append([]bool(nil), e.crashed...)
-		snap.Dropped = e.repBase.Dropped
-		snap.Duplicated = e.repBase.Duplicated
-		snap.Reordered = e.repBase.Reordered
-		snap.DownSteps = e.repBase.DownSteps
-		for _, ob := range obs {
-			snap.Dropped += ob.dropped
-			snap.Duplicated += ob.duped
-			snap.Reordered += ob.reordered
-			snap.DownSteps += ob.downSteps
-		}
+		f := sumFaults(e.repBase, lanes)
+		snap.Dropped, snap.Duplicated, snap.Reordered, snap.DownSteps = f.Dropped, f.Duplicated, f.Reordered, f.DownSteps
 	}
 	// Messages for round nextRound live in arena nextRound&1, stamped
 	// base+nextRound+1 (the writing round's want was curWant+1).

@@ -176,12 +176,10 @@ func (te *TypedEngine[S]) runStates(ids []int, algo TypedAlgo[S], maxRounds int,
 		}
 	}
 	step := te.stepTyped(algo)
-	prep := func(ob *Outbox) { ob.wdense = make([]WordMsg, e.maxSlots) }
 	if sched != nil {
 		step = te.stepTypedFaulty(algo, sched)
-		prep = func(ob *Outbox) { ob.fwdense = make([]WordMsg, 2*int(e.maxSlots)) }
 	}
-	rounds, rep, err := e.runCore(step, prep, sched, maxRounds)
+	rounds, rep, err := e.runCore(step, true, sched, maxRounds)
 	if err != nil {
 		return nil, 0, nil, err
 	}

@@ -5,7 +5,11 @@ Modes:
 
   record  <bench-output> <out.json>
       Parse `go test -bench` output (possibly -count repeated) and
-      write {"benchmarks": {name: {"ns_op": min, "B_op":, "allocs_op":}}}.
+      write {"machine": {...}, "benchmarks": {name: {"ns_op": min,
+      "B_op":, "allocs_op":}}}. The machine record holds goos, goarch
+      and cpu from the `go test` header and GOMAXPROCS from the `-N`
+      suffix of the benchmark names (no suffix means 1; a run over
+      several -cpu values records the sorted list).
 
   check   <bench-output> <baseline.json> [--threshold 0.25]
       Compare the run against the committed baseline. Raw ns/op is
@@ -26,6 +30,9 @@ Modes:
       measured ns/op worse than the baseline machine's, never
       spuriously better, so the gate stays sound (merely
       conservative). Exit 1 on any regression.
+      It prints the baseline's and the run's machine records first
+      ("unrecorded" for a baseline without one); they inform, the
+      ratios alone decide.
 
 Watched benchmarks (the CSR/interner/sweep/round-engine hot paths the
 repo promises not to regress): ViewEncode, CanonicalBall,
@@ -78,44 +85,70 @@ WATCHED = [
 ]
 
 LINE = re.compile(
-    r"(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op"
+    r"(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+([\d.]+) ns/op"
     r"(?:\s+(\d+) B/op\s+(\d+) allocs/op)?"
 )
+HEADER = re.compile(r"(goos|goarch|cpu): (.+)")
 
 
 def parse(path):
-    """Parse bench output; repeated -count lines keep the minimum ns/op."""
+    """Parse bench output into (machine, rows); repeated -count lines
+    keep the minimum ns/op."""
     rows = {}
+    machine = {}
+    procs = set()
     with open(path) as f:
         for line in f:
+            h = HEADER.match(line)
+            if h:
+                machine.setdefault(h.group(1), h.group(2).strip())
+                continue
             m = LINE.match(line)
             if not m:
                 continue
             name = m.group(1)
-            ns = float(m.group(3))
+            procs.add(int(m.group(2) or 1))
+            ns = float(m.group(4))
             row = rows.setdefault(
                 name,
                 {
                     "ns_op": ns,
-                    "B_op": int(m.group(4)) if m.group(4) else None,
-                    "allocs_op": int(m.group(5)) if m.group(5) else None,
+                    "B_op": int(m.group(5)) if m.group(5) else None,
+                    "allocs_op": int(m.group(6)) if m.group(6) else None,
                 },
             )
             row["ns_op"] = min(row["ns_op"], ns)
-    return rows
+    if procs:
+        procs = sorted(procs)
+        machine["gomaxprocs"] = procs[0] if len(procs) == 1 else procs
+    return machine, rows
+
+
+def describe(machine):
+    """One line for a machine record, or "unrecorded"."""
+    if not machine:
+        return "unrecorded"
+    return " ".join(
+        f"{k}={machine[k]}"
+        for k in ("goos", "goarch", "cpu", "gomaxprocs")
+        if k in machine
+    )
 
 
 def record(bench_path, out_path):
-    rows = parse(bench_path)
+    machine, rows = parse(bench_path)
     if not rows:
         sys.exit(f"benchdelta: no benchmark lines in {bench_path}")
-    json.dump({"benchmarks": rows}, open(out_path, "w"), indent=2)
-    print(f"benchdelta: recorded {len(rows)} benchmarks to {out_path}")
+    json.dump({"machine": machine, "benchmarks": rows}, open(out_path, "w"), indent=2)
+    print(f"benchdelta: recorded {len(rows)} benchmarks to {out_path} ({describe(machine)})")
 
 
 def check(bench_path, baseline_path, threshold):
-    cur = parse(bench_path)
-    base = json.load(open(baseline_path))["benchmarks"]
+    cur_machine, cur = parse(bench_path)
+    baseline = json.load(open(baseline_path))
+    base = baseline["benchmarks"]
+    print(f"benchdelta: baseline machine: {describe(baseline.get('machine'))}")
+    print(f"benchdelta: run machine: {describe(cur_machine)}")
     shared = sorted(set(cur) & set(base))
     if not shared:
         sys.exit("benchdelta: no shared benchmarks between run and baseline")
