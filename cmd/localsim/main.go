@@ -84,6 +84,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -96,11 +97,10 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/digraph"
 	"repro/internal/graph"
-	"repro/internal/host"
 	"repro/internal/model"
 	"repro/internal/order"
 	"repro/internal/problems"
-	"repro/internal/view"
+	"repro/internal/workload"
 )
 
 // maxRmax caps the homogeneity radius sweep (see cmd/experiments).
@@ -139,13 +139,13 @@ func main() {
 	d := flag.Int("d", 3, "degree for -graph regular")
 	seed := flag.Int64("seed", 1, "seed for random graphs and identifiers")
 	rmax := flag.Int("rmax", 0, "also print the per-radius homogeneity table for radii 1..rmax (one layered sweep; unset = off)")
-	algo := flag.String("algo", "", "scale mode: run this engine workload (cole-vishkin|matching|gather|flood) at -n / -host, skipping exact optima")
+	algo := flag.String("algo", "", "scale mode: run this engine workload at -n / -host, skipping exact optima (an unknown name lists the workloads)")
 	faults := flag.String("faults", "", "scale mode: run under this fault profile (e.g. lossy:p=0.05, crash:f=100,by=8); unknown descriptors list the grammar")
-	rounds := flag.Int("rounds", 0, "scale mode: flood horizon in rounds (flood only; default n)")
+	rounds := flag.Int("rounds", 0, "scale mode: horizon in rounds of a horizon workload (flood; default n)")
 	ckptDir := flag.String("checkpoint", "", "scale mode: snapshot the engine into this directory (word-lane workloads)")
 	ckptEvery := flag.Int("checkpoint-every", 64, "scale mode: rounds between snapshots (with -checkpoint)")
 	resume := flag.Bool("resume", false, "scale mode: resume from the latest valid snapshot in -checkpoint")
-	shards := flag.Int("shards", 0, "scale mode: run cole-vishkin/matching on the sharded engine with this many shards (implicit host generation; hosts may exceed the flat int32 capacity)")
+	shards := flag.Int("shards", 0, "scale mode: run on the sharded engine with this many shards (implicit host generation; hosts may exceed the flat int32 capacity)")
 	flag.Parse()
 	rmaxSet := false
 	flag.Visit(func(f *flag.Flag) {
@@ -156,16 +156,8 @@ func main() {
 	if rmaxSet && (*rmax < 1 || *rmax > maxRmax) {
 		exitWith(usagef("-rmax %d out of range (valid radii: 1..%d)", *rmax, maxRmax))
 	}
-	var prof *model.Profile
-	if *faults != "" {
-		if *algo == "" {
-			exitWith(usagef("-faults needs -algo (fault schedules run on the engine's message plane; scale mode only)"))
-		}
-		var err error
-		prof, err = model.ParseProfile(*faults)
-		if err != nil {
-			exitWith(usageError{err})
-		}
+	if *faults != "" && *algo == "" {
+		exitWith(usagef("-faults needs -algo (fault schedules run on the engine's message plane; scale mode only)"))
 	}
 	if *ckptDir == "" {
 		if *resume {
@@ -181,25 +173,16 @@ func main() {
 		if *ckptEvery < 1 {
 			exitWith(usagef("-checkpoint-every %d out of range (want >= 1)", *ckptEvery))
 		}
-	}
-	if *shards != 0 {
-		if *algo == "" {
-			exitWith(usagef("-shards needs -algo (the sharded engine runs scale-mode workloads only)"))
-		}
-		if *shards < 1 {
-			exitWith(usagef("-shards %d out of range (want >= 1)", *shards))
-		}
-		if *ckptDir != "" {
+		if *shards != 0 {
 			exitWith(usagef("-checkpoint does not support -shards (the sharded plane has no snapshot codec yet)"))
 		}
-		if err := runScaleSharded(*algo, *hostDesc, *n, *seed, *shards, prof); err != nil {
-			exitWith(err)
-		}
-		return
+	}
+	if *shards != 0 && *algo == "" {
+		exitWith(usagef("-shards needs -algo (the sharded engine runs scale-mode workloads only)"))
 	}
 	if *algo != "" {
-		ck := ckptSpec{dir: *ckptDir, every: *ckptEvery, resume: *resume}
-		if err := runScale(*algo, *hostDesc, *n, *seed, *rmax, *rounds, prof, ck); err != nil {
+		spec := workload.Spec{Algo: *algo, Host: *hostDesc, Seed: *seed, Faults: *faults, Rmax: *rmax, Rounds: *rounds, Shards: *shards}
+		if err := runScale(spec, *n, *ckptDir, *ckptEvery, *resume); err != nil {
 			exitWith(err)
 		}
 		return
@@ -209,348 +192,93 @@ func main() {
 	}
 }
 
-// resolveHost parses a registry descriptor into a model host (using
-// the family's own labelling when it has one).
-func resolveHost(hostDesc string) (*model.Host, string, error) {
-	rh, err := host.Parse(hostDesc)
+// openCheckpoints opens the -checkpoint store: every snapshot is
+// written to dir and reported on stderr, and with -resume the latest
+// valid one restarts the run.
+func openCheckpoints(dir string, every int, resume bool) (workload.Arm, error) {
+	store, err := ckpt.NewStore(dir, "localsim")
 	if err != nil {
-		return nil, "", usageError{err}
+		return workload.Arm{}, err
 	}
-	if rh.D != nil {
-		return &model.Host{D: rh.D, G: rh.G}, rh.Desc, nil
-	}
-	return model.HostFromGraph(rh.G), rh.Desc, nil
-}
-
-// scaleWorkloads is the registry of engine scale-mode workloads; an
-// unknown -algo value lists it, in the same self-repairing usage
-// style as the host registry and the fault-profile grammar.
-var scaleWorkloads = []struct{ name, doc string }{
-	{"cole-vishkin", "ID-model MIS on the directed n-cycle (typed word-lane engine)"},
-	{"matching", "one round of §6.5 randomized mutual proposals (typed word-lane engine)"},
-	{"gather", "full-information view gathering, radius -rmax or 2"},
-	{"flood", "FloodMax leader election for -rounds rounds (long-horizon; checkpointable)"},
-}
-
-// ckptSpec carries the -checkpoint/-checkpoint-every/-resume flags into
-// scale mode.
-type ckptSpec struct {
-	dir    string
-	every  int
-	resume bool
-}
-
-// engine builds the scale-mode word engine: plain when -checkpoint is
-// unset, snapshotting into the store every ck.every rounds when set,
-// and resuming from the latest valid snapshot with -resume. Gather has
-// no word-lane codec, so it rejects -checkpoint.
-func (ck ckptSpec) engine(h *model.Host) (*model.WordEngine, error) {
-	e := model.TypedOn[uint64](model.NewEngine(h))
-	if ck.dir == "" {
-		return e, nil
-	}
-	store, err := ckpt.NewStore(ck.dir, "localsim")
-	if err != nil {
-		return nil, err
-	}
-	e = e.WithCheckpoints(&model.Checkpointer{Every: ck.every, Sink: func(s *model.Snapshot) error {
+	arm := workload.Arm{Checkpointer: &model.Checkpointer{Every: every, Sink: func(s *model.Snapshot) error {
 		name, err := store.Write(uint64(s.Round), model.SnapshotKind, s.Encode())
 		if err == nil {
 			fmt.Fprintf(os.Stderr, "localsim: checkpoint round %d -> %s\n", s.Round, name)
 		}
 		return err
-	}})
-	if !ck.resume {
-		return e, nil
+	}}}
+	if !resume {
+		return arm, nil
 	}
 	seq, payload, ok, err := store.LatestValid(model.SnapshotKind)
 	if err != nil {
-		return nil, err
+		return arm, err
 	}
 	if !ok {
-		fmt.Fprintf(os.Stderr, "localsim: no valid snapshot in %s, starting fresh\n", ck.dir)
-		return e, nil
+		fmt.Fprintf(os.Stderr, "localsim: no valid snapshot in %s, starting fresh\n", dir)
+		return arm, nil
 	}
-	snap, err := model.DecodeSnapshot(payload)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot decode: %w", err)
+	if arm.Resume, err = model.DecodeSnapshot(payload); err != nil {
+		return arm, fmt.Errorf("snapshot decode: %w", err)
 	}
 	fmt.Fprintf(os.Stderr, "localsim: resuming from round %d\n", seq)
-	return e.Resume(snap), nil
-}
-
-// describeScaleWorkloads renders the workload registry as a usage
-// listing, appended to unknown -algo errors.
-func describeScaleWorkloads() string {
-	var sb strings.Builder
-	sb.WriteString("scale workloads:\n")
-	for _, w := range scaleWorkloads {
-		fmt.Fprintf(&sb, "  %-14s %s\n", w.name, w.doc)
-	}
-	return sb.String()
+	return arm, nil
 }
 
 // runScale is the engine scale mode: workloads that stay linear in the
 // host size, so -n 1000000 is a routine run. Exact optima and global
-// ratio reporting are skipped; feasibility is still verified in full.
-// With a fault profile the workload runs on the faulty message plane
-// instead, and the report swaps the feasibility guarantee for the
-// injected-fault counts and the survivor-safety checks.
-func runScale(algo, hostDesc string, n int, seed int64, rmax, rounds int, prof *model.Profile, ck ckptSpec) error {
-	known := false
-	for _, w := range scaleWorkloads {
-		if w.name == algo {
-			known = true
-			break
+// ratio reporting are skipped; a clean flat run's solution is still
+// checked feasible in full. -n synthesizes the workload's host family
+// at n nodes; -rounds defaults to the host size.
+func runScale(spec workload.Spec, n int, ckptDir string, ckptEvery int, resume bool) error {
+	w, ok := workload.Lookup(spec.Algo)
+	if !ok {
+		return usagef("unknown scale workload %q\nscale %s", spec.Algo, workload.Describe())
+	}
+	if spec.Host == "" {
+		spec.Host = fmt.Sprintf("%s:%d", w.Family, n)
+	}
+	if !w.Radius {
+		spec.Rmax = 0 // -rmax is also a classic-mode flag
+	}
+	var arm workload.Arm
+	if ckptDir != "" {
+		if !w.Checkpointable {
+			return usagef("-checkpoint does not support %s (its state has no word-lane snapshot codec)", spec.Algo)
+		}
+		var err error
+		if arm, err = openCheckpoints(ckptDir, ckptEvery, resume); err != nil {
+			return err
 		}
 	}
-	if !known {
-		return usagef("unknown scale workload %q\n%s", algo, describeScaleWorkloads())
-	}
-	if ck.dir != "" && algo == "gather" {
-		return usagef("-checkpoint does not support gather (untyped view state has no snapshot codec)")
-	}
-	if rounds != 0 && algo != "flood" {
-		return usagef("-rounds is the flood horizon; %s derives its own round count", algo)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var (
-		h    *model.Host
-		desc string
-		err  error
-	)
-	switch {
-	case hostDesc != "":
-		h, desc, err = resolveHost(hostDesc)
-	case algo == "cole-vishkin":
-		desc = "dcycle"
-		h, err = buildHost("dcycle", n, 0, rng)
-	default:
-		desc = "cycle"
-		h, err = buildHost("cycle", n, 0, rng)
+	start := time.Now()
+	res, err := workload.Run(context.Background(), spec, arm)
+	if inv := (*workload.Invalid)(nil); errors.As(err, &inv) {
+		return usageError{err}
 	}
 	if err != nil {
 		return err
 	}
-	n = h.G.N()
-	var sched model.Schedule
-	if prof != nil {
-		sched = prof.New(h, seed)
-		fmt.Printf("scale mode: %s on %s (n=%d, m=%d) under faults %s\n", algo, desc, n, h.G.M(), prof.Desc)
-	} else {
-		fmt.Printf("scale mode: %s on %s (n=%d, m=%d)\n", algo, desc, n, h.G.M())
-	}
-	start := time.Now()
-	switch algo {
-	case "flood":
-		if rounds < 1 {
-			rounds = n
-		}
-		ids := rng.Perm(8 * n)[:n]
-		e, err := ck.engine(h)
-		if err != nil {
-			return err
-		}
-		var res *algorithms.FloodMaxResult
-		if prof != nil {
-			res, err = algorithms.FloodMaxFaultyOn(e, h, ids, rounds, sched)
-		} else {
-			res, err = algorithms.FloodMaxOn(e, h, ids, rounds)
-		}
-		if err != nil {
-			return err
-		}
-		if prof != nil {
-			fmt.Printf("rounds: %d   leader: %d   converged@: %d   crashed: %d   dropped: %d   wall: %s\n",
-				res.Rounds, res.Leader, res.Converged, res.Report.NumCrashed, res.Report.Dropped,
-				time.Since(start).Round(time.Millisecond))
-		} else {
-			fmt.Printf("rounds: %d   leader: %d   converged@: %d   wall: %s\n",
-				res.Rounds, res.Leader, res.Converged, time.Since(start).Round(time.Millisecond))
-		}
-	case "cole-vishkin":
-		if !h.D.IsRegularDigraph(1) {
-			return fmt.Errorf("cole-vishkin needs a consistently oriented cycle host (out- and in-degree 1)")
-		}
-		ids := rng.Perm(8 * n)[:n]
-		e, err := ck.engine(h)
-		if err != nil {
-			return err
-		}
-		if prof != nil {
-			res, err := algorithms.ColeVishkinMISFaultyOn(e, h, ids, sched)
-			if err != nil {
-				return err
-			}
-			rep := res.Report
-			fmt.Printf("rounds: %d   |MIS| = %d   crashed: %d   dropped: %d   violations: %d   uncovered: %d   wall: %s\n",
-				res.Rounds, res.MIS.Size(), rep.NumCrashed, rep.Dropped,
-				res.Violations, res.Uncovered, time.Since(start).Round(time.Millisecond))
-			return nil
-		}
-		res, err := algorithms.ColeVishkinMISOn(e, h, ids)
-		if err != nil {
-			return err
-		}
-		if err := (problems.MaxIndependentSet{}).Feasible(h.G, res.MIS); err != nil {
+	wall := time.Since(start).Round(time.Millisecond)
+	line := res.Text()
+	if res.Solution != nil {
+		if err := w.Problem.Feasible(res.Flat.G, res.Solution); err != nil {
 			return fmt.Errorf("solution infeasible: %w", err)
 		}
-		fmt.Printf("rounds: %d   |MIS| = %d   |MIS|/n = %.4f   feasible: yes   wall: %s\n",
-			res.Rounds, res.MIS.Size(), float64(res.MIS.Size())/float64(n), time.Since(start).Round(time.Millisecond))
-	case "matching":
-		e, err := ck.engine(h)
-		if err != nil {
-			return err
-		}
-		if prof != nil {
-			res, err := algorithms.RandomizedMatchingFaultyOn(e, h, rng, sched)
-			if err != nil {
-				return err
-			}
-			rep := res.Report
-			fmt.Printf("rounds: 2   |M| = %d   crashed: %d   dropped: %d   conflicts: %d   wall: %s\n",
-				res.Matching.Size(), rep.NumCrashed, rep.Dropped, res.Conflicts,
-				time.Since(start).Round(time.Millisecond))
-			return nil
-		}
-		sol, err := algorithms.RandomizedMatchingOn(e, h, rng)
-		if err != nil {
-			return err
-		}
-		if err := (problems.MaxMatching{}).Feasible(h.G, sol); err != nil {
-			return fmt.Errorf("solution infeasible: %w", err)
-		}
-		fmt.Printf("rounds: 2   |M| = %d   |M|/n = %.4f   feasible: yes   wall: %s\n",
-			sol.Size(), float64(sol.Size())/float64(n), time.Since(start).Round(time.Millisecond))
-	case "gather":
-		r := 2
-		if rmax >= 1 {
-			r = rmax
-		}
-		if prof != nil {
-			states, rounds, rep, err := model.RunRoundsStatesFaulty(h, nil, model.GatherViews(r), r+2+256, sched)
-			if err != nil {
-				return err
-			}
-			types := map[*view.Tree]bool{}
-			for v, st := range states {
-				if rep.CrashedNode(v) {
-					continue
-				}
-				types[st.(*model.GatherState).Tree] = true
-			}
-			fmt.Printf("rounds: %d   radius-%d view types: %d   crashed: %d   dropped: %d   wall: %s\n",
-				rounds, r, len(types), rep.NumCrashed, rep.Dropped, time.Since(start).Round(time.Millisecond))
-			return nil
-		}
-		states, rounds, err := model.RunRoundsStates(h, nil, model.GatherViews(r), r+2)
-		if err != nil {
-			return err
-		}
-		types := map[*view.Tree]bool{}
-		for _, st := range states {
-			types[st.(*model.GatherState).Tree] = true
-		}
-		fmt.Printf("rounds: %d   radius-%d view types: %d   wall: %s\n",
-			rounds, r, len(types), time.Since(start).Round(time.Millisecond))
+		line += "   feasible: yes"
 	}
-	return nil
-}
-
-// runScaleSharded is the sharded scale mode: cole-vishkin and matching
-// on model.ShardedEngine, with the host generated shard-locally from an
-// implicit source when the family has one (so descriptors past the flat
-// int32 capacity — dcycle:100000000 and beyond — run in bounded resident
-// memory) and adapted from the materialised registry host otherwise.
-// Fault schedules keep global (seed, round, slot) coordinates, so a
-// sharded faulty run degrades byte-identically to the flat engine; they
-// need a materialisable host, since the profile constructor does.
-func runScaleSharded(algo, hostDesc string, n int, seed int64, shards int, prof *model.Profile) error {
-	if algo != "cole-vishkin" && algo != "matching" {
-		return usagef("-shards supports cole-vishkin and matching only (got %q)", algo)
-	}
-	if hostDesc == "" {
-		fam := "cycle"
-		if algo == "cole-vishkin" {
-			fam = "dcycle"
-		}
-		hostDesc = fmt.Sprintf("%s:%d", fam, n)
-	}
-	src, err := host.ParseShard(hostDesc)
-	if err != nil {
-		// Not an implicit family: any materialisable registry host
-		// still runs sharded through the adapter source.
-		h, desc, herr := resolveHost(hostDesc)
-		if herr != nil {
-			return usagef("%v\n(no implicit shard source either: %v)", herr, err)
-		}
-		src, hostDesc = model.SourceOf(h), desc
-	}
-	var sched model.Schedule
-	if prof != nil {
-		h, err := model.MaterializeSource(src)
-		if err != nil {
-			return fmt.Errorf("-faults with -shards needs a materialisable host (fault schedules hash global coordinates from a flat host): %w", err)
-		}
-		sched = prof.New(h, seed)
-		fmt.Printf("sharded scale mode: %s on %s (n=%d, P=%d) under faults %s\n", algo, hostDesc, src.N(), shards, prof.Desc)
+	if res.Sharded != nil {
+		fmt.Printf("sharded scale mode: %s on %s (n=%d, P=%d)", res.Algo, res.Host, res.N, res.Sharded.P)
 	} else {
-		fmt.Printf("sharded scale mode: %s on %s (n=%d, P=%d)\n", algo, hostDesc, src.N(), shards)
+		fmt.Printf("scale mode: %s on %s (n=%d, m=%d)", res.Algo, res.Host, res.N, res.Flat.G.M())
 	}
-	se, err := model.NewShardedEngine(src, shards)
-	if err != nil {
-		return err
+	if spec.Faults != "" {
+		fmt.Printf(" under faults %s", spec.Faults)
 	}
-	start := time.Now()
-	nTotal := src.N()
-	switch algo {
-	case "cole-vishkin":
-		idf := model.SeededIDs(nTotal, seed)
-		maxID := int(nTotal - 1)
-		var res *algorithms.ShardedCVResult
-		if sched != nil {
-			res, err = algorithms.ColeVishkinMISShardedFaulty(se, idf, maxID, sched)
-		} else {
-			res, err = algorithms.ColeVishkinMISSharded(se, idf, maxID)
-		}
-		if err != nil {
-			return err
-		}
-		if sched != nil {
-			rep := res.Report
-			fmt.Printf("rounds: %d   |MIS| = %d   crashed: %d   dropped: %d   violations: %d   uncovered: %d   wall: %s\n",
-				res.Rounds, res.MISSize, rep.NumCrashed, rep.Dropped,
-				res.Violations, res.Uncovered, time.Since(start).Round(time.Millisecond))
-		} else {
-			fmt.Printf("rounds: %d   |MIS| = %d   |MIS|/n = %.4f   feasible: yes   wall: %s\n",
-				res.Rounds, res.MISSize, float64(res.MISSize)/float64(nTotal), time.Since(start).Round(time.Millisecond))
-		}
-	case "matching":
-		rng := rand.New(rand.NewSource(seed))
-		var res *algorithms.ShardedMatchingResult
-		if sched != nil {
-			res, err = algorithms.RandomizedMatchingShardedFaulty(se, rng, sched)
-		} else {
-			res, err = algorithms.RandomizedMatchingSharded(se, rng)
-		}
-		if err != nil {
-			return err
-		}
-		if sched != nil {
-			rep := res.Report
-			fmt.Printf("rounds: 2   |M| = %d   crashed: %d   dropped: %d   conflicts: %d   wall: %s\n",
-				res.Matched, rep.NumCrashed, rep.Dropped, res.Conflicts, time.Since(start).Round(time.Millisecond))
-		} else {
-			fmt.Printf("rounds: 2   |M| = %d   |M|/n = %.4f   conflicts: %d   wall: %s\n",
-				res.Matched, float64(res.Matched)/float64(nTotal), res.Conflicts, time.Since(start).Round(time.Millisecond))
-		}
+	fmt.Printf("\n%s   wall: %s\n", line, wall)
+	if sh := res.Sharded; sh != nil {
+		fmt.Printf("shards: %d   cross-shard arcs: %d   exchanged words: %d\n", sh.P, sh.CrossArcs, sh.ExchangedWords)
 	}
-	var xout, xvol int64
-	for _, st := range se.Stats() {
-		xout += st.ExchangeOut
-		xvol += st.Exchanged
-	}
-	fmt.Printf("shards: %d   cross-shard arcs: %d   exchanged words: %d\n", shards, xout, xvol)
 	return nil
 }
 
@@ -568,7 +296,9 @@ func run(algName, graphName, hostDesc string, n, d int, seed int64, rmax int) er
 		err error
 	)
 	if hostDesc != "" {
-		h, graphName, err = resolveHost(hostDesc)
+		if h, graphName, err = workload.ResolveHost(hostDesc); err != nil {
+			err = usageError{err}
+		}
 	} else {
 		h, err = buildHost(graphName, n, d, rng)
 	}

@@ -57,8 +57,8 @@ func ColeVishkinMIS(h *model.Host, ids []int) (*ColeVishkinResult, error) {
 }
 
 // coleVishkinOn is ColeVishkinMIS on a caller-provided engine, so the
-// service layer can arm the engine with a cancellation context (see
-// ColeVishkinMISCtx) and repeated trials can reuse one message plane.
+// caller can arm the engine (see ColeVishkinMISOn) and repeated trials
+// can reuse one message plane.
 func coleVishkinOn(e *model.WordEngine, h *model.Host, ids []int) (*ColeVishkinResult, error) {
 	steps, last, err := cvPlan(h, ids)
 	if err != nil {

@@ -1,7 +1,6 @@
 package algorithms
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/model"
@@ -82,11 +81,6 @@ func FloodMax(h *model.Host, ids []int, rounds int) (*FloodMaxResult, error) {
 	return FloodMaxOn(model.NewWordEngine(h), h, ids, rounds)
 }
 
-// FloodMaxCtx is FloodMax under cooperative cancellation.
-func FloodMaxCtx(ctx context.Context, h *model.Host, ids []int, rounds int) (*FloodMaxResult, error) {
-	return FloodMaxOn(wordEngineCtx(ctx, h), h, ids, rounds)
-}
-
 // FloodMaxOn runs the flood on a caller-provided engine, so the job
 // runner can arm it with a cancellation context, a Checkpointer and a
 // resume snapshot before handing it over.
@@ -106,12 +100,6 @@ func FloodMaxOn(e *model.WordEngine, h *model.Host, ids []int, rounds int) (*Flo
 		}
 	}
 	return res, nil
-}
-
-// FloodMaxFaultyCtx is FloodMaxFaultyOn on a fresh context-armed
-// engine.
-func FloodMaxFaultyCtx(ctx context.Context, h *model.Host, ids []int, rounds int, sched model.Schedule) (*FloodMaxResult, error) {
-	return FloodMaxFaultyOn(wordEngineCtx(ctx, h), h, ids, rounds, sched)
 }
 
 // FloodMaxFaultyOn is FloodMaxOn under a fault schedule: crashed

@@ -11,12 +11,10 @@ import (
 // word engine, so the caller controls how the engine is armed —
 // model.Engine.WithContext for cancellation, WithCheckpoints for
 // barrier snapshots, Resume to continue an interrupted run — and can
-// reuse one warmed message plane across attempts. The job subsystem
-// (internal/job) is the primary caller: a durable job builds an
-// engine, arms checkpointing into its on-disk store, optionally arms
-// a resume snapshot recovered after a crash, and hands the engine
-// here. The Ctx variants in ctx.go remain the one-shot convenience
-// form.
+// reuse one warmed message plane across attempts. The workload
+// registry (internal/workload) is the caller: it arms the engine with
+// the surface's context, checkpointer and resume snapshot and hands
+// it here.
 
 // ColeVishkinMISOn is ColeVishkinMIS on a caller-provided engine.
 func ColeVishkinMISOn(e *model.WordEngine, h *model.Host, ids []int) (*ColeVishkinResult, error) {
@@ -29,9 +27,9 @@ func ColeVishkinMISFaultyOn(e *model.WordEngine, h *model.Host, ids []int, sched
 	return coleVishkinFaultyOn(e, h, ids, sched)
 }
 
-// RandomizedMatchingOn is RandomizedMatchingCtx's core on a
-// caller-provided engine (error-returning: an armed context can abort
-// the run mid-protocol).
+// RandomizedMatchingOn is RandomizedMatching on a caller-provided
+// engine (error-returning: an armed context can abort the run
+// mid-protocol).
 func RandomizedMatchingOn(e *model.WordEngine, h *model.Host, rng *rand.Rand) (*model.Solution, error) {
 	return randomizedMatchingErr(e, h, rng)
 }

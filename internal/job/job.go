@@ -23,6 +23,7 @@ import (
 	"repro/internal/host"
 	"repro/internal/model"
 	"repro/internal/problems"
+	"repro/internal/workload"
 )
 
 // State is a job's lifecycle position. Transitions: Pending → Running
@@ -73,7 +74,8 @@ type Spec struct {
 	Kind string `json:"kind"`
 	// Host is a host-registry descriptor (host.Parse grammar).
 	Host string `json:"host"`
-	// Algo names the run workload (cole-vishkin, matching, gather).
+	// Algo names the run workload (a registered engine workload
+	// without a horizon; see internal/workload).
 	Algo string `json:"algo,omitempty"`
 	// Seed derives all job randomness (ids, rng); default 1.
 	Seed int64 `json:"seed,omitempty"`
@@ -103,16 +105,17 @@ type Spec struct {
 // Validate checks the spec fully at submission time, so every error a
 // runner hits later is transient by construction and safe to retry.
 func (s *Spec) Validate() error {
+	ws, engine := s.workload()
 	switch s.Kind {
 	case "flood":
 		if s.Rounds < 1 {
 			return fmt.Errorf("job: flood needs rounds >= 1 (got %d)", s.Rounds)
 		}
 	case "run":
-		switch s.Algo {
-		case "cole-vishkin", "matching", "gather":
-		default:
-			return fmt.Errorf("job: unknown run workload %q (want cole-vishkin, matching or gather)", s.Algo)
+		// The run kind takes the workloads without a horizon; a horizon
+		// workload is its own kind.
+		if w, ok := workload.Lookup(s.Algo); ok && w.Horizon {
+			return fmt.Errorf("job: %s is a job kind of its own, not a run workload", s.Algo)
 		}
 	case "measure":
 		if s.Rmax < 1 {
@@ -135,11 +138,13 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("job: missing host descriptor\n%s", host.Describe())
 	}
 	rh, err := host.Parse(s.Host)
+	if err == nil && engine {
+		if err = ws.Validate(); err == nil {
+			err = ws.CheckHost(rh.D)
+		}
+	}
 	if err != nil {
 		return fmt.Errorf("job: %w", err)
-	}
-	if s.Kind == "run" && s.Algo == "cole-vishkin" && (rh.D == nil || !rh.D.IsRegularDigraph(1)) {
-		return fmt.Errorf("job: cole-vishkin needs a consistently oriented cycle host (e.g. dcycle:<n>)")
 	}
 	if s.Faults != "" {
 		if _, err := model.ParseProfile(s.Faults); err != nil {
@@ -147,6 +152,25 @@ func (s *Spec) Validate() error {
 		}
 	}
 	return nil
+}
+
+// workload maps the engine kinds onto the workload registry: run names
+// its workload in Algo, flood is the workload of its own name. Fields
+// a kind does not use are dropped, as they always were ignored; the
+// seed default is applied here because it is part of the job id.
+func (s *Spec) workload() (workload.Spec, bool) {
+	ws := workload.Spec{Algo: s.Algo, Host: s.Host, Seed: s.seed(), Faults: s.Faults}
+	switch s.Kind {
+	case "run":
+		if w, ok := workload.Lookup(s.Algo); ok && w.Radius {
+			ws.Rmax = s.Rmax
+		}
+	case "flood":
+		ws.Algo, ws.Rounds = s.Kind, s.Rounds
+	default:
+		return ws, false
+	}
+	return ws, true
 }
 
 // canonical is the hashed encoding: JSON with the struct's fixed field

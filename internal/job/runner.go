@@ -4,23 +4,20 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"strconv"
 	"sync"
 
-	"repro/internal/algorithms"
 	"repro/internal/ckpt"
 	"repro/internal/core"
-	"repro/internal/host"
 	"repro/internal/model"
 	"repro/internal/order"
 	"repro/internal/problems"
-	"repro/internal/view"
+	"repro/internal/workload"
 )
 
 // This file is the workload layer of the job subsystem: each runner
-// resolves a validated spec into the repo's engine entry points (the
-// On variants, so the runner controls engine arming), wires the
+// hands a validated spec to its computation (the engine kinds to the
+// workload registry, measure and certify to their sweeps), wires the
 // checkpoint cadence into the job's on-disk store, arms a resume
 // snapshot when the store holds one, and renders a deterministic JSON
 // result. Result bytes are a pure function of the spec — no
@@ -80,41 +77,6 @@ func (a *attempt) engineCheckpointer(total int) *model.Checkpointer {
 	return ck
 }
 
-// wordEngine builds the context-armed word engine for an engine job,
-// with checkpointing into the store and resume from the latest valid
-// snapshot when one exists. Corrupt or truncated snapshot files fail
-// the container hash and are skipped by LatestValid, falling back to
-// the previous checkpoint (or a fresh start).
-func (a *attempt) wordEngine(h *model.Host, total int) (*model.WordEngine, error) {
-	e := model.TypedOn[uint64](model.NewEngine(h).WithContext(a.ctx))
-	if a.every < 0 {
-		return e, nil
-	}
-	e = e.WithCheckpoints(a.engineCheckpointer(total))
-	_, payload, ok, err := a.store.LatestValid(model.SnapshotKind)
-	if err != nil || !ok {
-		return e, err
-	}
-	snap, err := model.DecodeSnapshot(payload)
-	if err != nil {
-		return nil, fmt.Errorf("job: checkpoint decode: %w", err)
-	}
-	return e.Resume(snap), nil
-}
-
-// resolveHost parses the descriptor into an engine host (identical to
-// the synchronous /v1/run path).
-func resolveHost(desc string) (*model.Host, string, error) {
-	rh, err := host.Parse(desc)
-	if err != nil {
-		return nil, "", err
-	}
-	if rh.D != nil {
-		return &model.Host{D: rh.D, G: rh.G}, rh.Desc, nil
-	}
-	return model.HostFromGraph(rh.G), rh.Desc, nil
-}
-
 // seed normalises the spec seed (0 means 1, matching canonical()).
 func (s *Spec) seed() int64 {
 	if s.Seed == 0 {
@@ -123,16 +85,17 @@ func (s *Spec) seed() int64 {
 	return s.Seed
 }
 
-// schedule builds the fault schedule, or nil for clean runs.
-func (s *Spec) schedule(h *model.Host) (model.Schedule, string, error) {
-	if s.Faults == "" {
-		return nil, "", nil
+// runSpec dispatches a validated spec to its workload runner.
+func runSpec(a *attempt, spec Spec) ([]byte, error) {
+	switch spec.Kind {
+	case "flood", "run":
+		return runEngine(a, spec)
+	case "measure":
+		return runMeasure(a, spec)
+	case "certify":
+		return runCertify(a, spec)
 	}
-	prof, err := model.ParseProfile(s.Faults)
-	if err != nil {
-		return nil, "", err
-	}
-	return prof.New(h, s.seed()), prof.Desc, nil
+	return nil, fmt.Errorf("job: unknown kind %q", spec.Kind)
 }
 
 // faultSummary is the fault block of job results (present only on
@@ -148,28 +111,6 @@ type faultSummary struct {
 	Conflicts  int    `json:"conflicts,omitempty"`
 }
 
-func summarise(profile string, rep *model.FaultReport) *faultSummary {
-	return &faultSummary{
-		Profile: profile, Crashed: rep.NumCrashed,
-		Dropped: rep.Dropped, Duplicated: rep.Duplicated, Reordered: rep.Reordered,
-	}
-}
-
-// runSpec dispatches a validated spec to its workload runner.
-func runSpec(a *attempt, spec Spec) ([]byte, error) {
-	switch spec.Kind {
-	case "flood":
-		return runFlood(a, spec)
-	case "run":
-		return runEngineWorkload(a, spec)
-	case "measure":
-		return runMeasure(a, spec)
-	case "certify":
-		return runCertify(a, spec)
-	}
-	return nil, fmt.Errorf("job: unknown kind %q", spec.Kind)
-}
-
 // floodResult is the result body of flood jobs.
 type floodResult struct {
 	Kind      string        `json:"kind"`
@@ -181,43 +122,6 @@ type floodResult struct {
 	Leader    int           `json:"leader"`
 	Converged int           `json:"converged"`
 	Faults    *faultSummary `json:"faults,omitempty"`
-}
-
-// runFlood is the long-horizon crash-drill workload: FloodMax for the
-// spec's horizon, checkpointing every cadence rounds.
-func runFlood(a *attempt, spec Spec) ([]byte, error) {
-	h, desc, err := resolveHost(spec.Host)
-	if err != nil {
-		return nil, err
-	}
-	n := h.G.N()
-	ids := rand.New(rand.NewSource(spec.seed())).Perm(8 * n)[:n]
-	sched, prof, err := spec.schedule(h)
-	if err != nil {
-		return nil, err
-	}
-	e, err := a.wordEngine(h, spec.Rounds)
-	if err != nil {
-		return nil, err
-	}
-	var res *algorithms.FloodMaxResult
-	if sched != nil {
-		res, err = algorithms.FloodMaxFaultyOn(e, h, ids, spec.Rounds, sched)
-	} else {
-		res, err = algorithms.FloodMaxOn(e, h, ids, spec.Rounds)
-	}
-	if err != nil {
-		return nil, err
-	}
-	out := floodResult{
-		Kind: "flood", Host: desc, N: n, Seed: spec.seed(), Horizon: spec.Rounds,
-		Rounds: res.Rounds, Leader: res.Leader, Converged: res.Converged,
-	}
-	if res.Report != nil {
-		out.Faults = summarise(prof, res.Report)
-	}
-	a.progress(spec.Rounds, spec.Rounds)
-	return json.Marshal(&out)
 }
 
 // runResult is the result body of run jobs (mirrors /v1/run).
@@ -232,101 +136,43 @@ type runResult struct {
 	Faults *faultSummary `json:"faults,omitempty"`
 }
 
-// gatherFaultSlack mirrors the synchronous run path.
-const gatherFaultSlack = 256
-
-// runEngineWorkload runs the /v1/run workloads as durable jobs. The
-// word-lane workloads (cole-vishkin, matching) checkpoint and resume
-// through the engine's default uint64 codec; gather's untyped view
-// state has no codec, so gather jobs restart from scratch after a
-// crash instead of resuming.
-func runEngineWorkload(a *attempt, spec Spec) ([]byte, error) {
-	h, desc, err := resolveHost(spec.Host)
-	if err != nil {
-		return nil, err
-	}
-	n := h.G.N()
-	rng := rand.New(rand.NewSource(spec.seed()))
-	sched, prof, err := spec.schedule(h)
-	if err != nil {
-		return nil, err
-	}
-	out := runResult{Kind: "run", Host: desc, Algo: spec.Algo, N: n, Seed: spec.seed()}
-	switch spec.Algo {
-	case "cole-vishkin":
-		ids := rng.Perm(8 * n)[:n]
-		e, err := a.wordEngine(h, 0)
+// runEngine runs the engine kinds through the workload registry. A
+// checkpointable workload snapshots into the job's store and resumes
+// from the latest valid snapshot there; corrupt or truncated files
+// fail the container hash and LatestValid skips them, falling back to
+// the previous checkpoint or a fresh start. Gather's untyped view
+// state has no codec, so gather jobs restart from scratch instead.
+func runEngine(a *attempt, spec Spec) ([]byte, error) {
+	ws, _ := spec.workload()
+	var arm workload.Arm
+	if w, _ := workload.Lookup(ws.Algo); w.Checkpointable && a.every >= 0 {
+		arm.Checkpointer = a.engineCheckpointer(ws.Rounds)
+		_, payload, ok, err := a.store.LatestValid(model.SnapshotKind)
 		if err != nil {
 			return nil, err
 		}
-		if sched != nil {
-			res, err := algorithms.ColeVishkinMISFaultyOn(e, h, ids, sched)
-			if err != nil {
-				return nil, err
+		if ok {
+			if arm.Resume, err = model.DecodeSnapshot(payload); err != nil {
+				return nil, fmt.Errorf("job: checkpoint decode: %w", err)
 			}
-			out.Rounds, out.Size = res.Rounds, res.MIS.Size()
-			out.Faults = summarise(prof, res.Report)
-			out.Faults.Violations, out.Faults.Uncovered = res.Violations, res.Uncovered
-		} else {
-			res, err := algorithms.ColeVishkinMISOn(e, h, ids)
-			if err != nil {
-				return nil, err
-			}
-			out.Rounds, out.Size = res.Rounds, res.MIS.Size()
 		}
-	case "matching":
-		e, err := a.wordEngine(h, 0)
-		if err != nil {
-			return nil, err
-		}
-		if sched != nil {
-			res, err := algorithms.RandomizedMatchingFaultyOn(e, h, rng, sched)
-			if err != nil {
-				return nil, err
-			}
-			out.Rounds, out.Size = 2, res.Matching.Size()
-			out.Faults = summarise(prof, res.Report)
-			out.Faults.Conflicts = res.Conflicts
-		} else {
-			sol, err := algorithms.RandomizedMatchingOn(e, h, rng)
-			if err != nil {
-				return nil, err
-			}
-			out.Rounds, out.Size = 2, sol.Size()
-		}
-	case "gather":
-		r := spec.Rmax
-		if r < 1 {
-			r = 2
-		}
-		types := map[*view.Tree]bool{}
-		if sched != nil {
-			states, rounds, rep, err := model.RunRoundsStatesFaultyCtx(a.ctx, h, nil, model.GatherViews(r), r+2+gatherFaultSlack, sched)
-			if err != nil {
-				return nil, err
-			}
-			for v, st := range states {
-				if rep.CrashedNode(v) {
-					continue
-				}
-				types[st.(*model.GatherState).Tree] = true
-			}
-			out.Rounds, out.Size = rounds, len(types)
-			out.Faults = summarise(prof, rep)
-		} else {
-			states, rounds, err := model.RunRoundsStatesCtx(a.ctx, h, nil, model.GatherViews(r), r+2)
-			if err != nil {
-				return nil, err
-			}
-			for _, st := range states {
-				types[st.(*model.GatherState).Tree] = true
-			}
-			out.Rounds, out.Size = rounds, len(types)
-		}
-	default:
-		return nil, fmt.Errorf("job: unknown run workload %q", spec.Algo)
 	}
-	return json.Marshal(&out)
+	res, err := workload.Run(a.ctx, ws, arm)
+	if err != nil {
+		return nil, err
+	}
+	var faults *faultSummary
+	if f := res.Faults; f != nil {
+		faults = &faultSummary{Profile: ws.Faults, Crashed: f.NumCrashed, Dropped: f.Dropped, Duplicated: f.Duplicated,
+			Reordered: f.Reordered, Violations: res.Violations, Uncovered: res.Uncovered, Conflicts: res.Conflicts}
+	}
+	if spec.Kind == "flood" {
+		a.progress(ws.Rounds, ws.Rounds)
+		return json.Marshal(&floodResult{Kind: spec.Kind, Host: res.Host, N: res.N, Seed: res.Seed, Horizon: ws.Rounds,
+			Rounds: res.Rounds, Leader: res.Leader, Converged: res.Size, Faults: faults})
+	}
+	return json.Marshal(&runResult{Kind: spec.Kind, Host: res.Host, Algo: res.Algo, N: res.N, Seed: res.Seed,
+		Rounds: res.Rounds, Size: res.Size, Faults: faults})
 }
 
 // measureResult is the result body of measure jobs (mirrors
@@ -349,7 +195,7 @@ type radiusEntry struct {
 }
 
 func runMeasure(a *attempt, spec Spec) ([]byte, error) {
-	h, desc, err := resolveHost(spec.Host)
+	h, desc, err := workload.ResolveHost(spec.Host)
 	if err != nil {
 		return nil, err
 	}
@@ -382,7 +228,7 @@ type certifyResult struct {
 // interned-catalogue checkpoints, resuming the cursor from the latest
 // valid snapshot instead of restarting the enumeration.
 func runCertify(a *attempt, spec Spec) ([]byte, error) {
-	h, desc, err := resolveHost(spec.Host)
+	h, desc, err := workload.ResolveHost(spec.Host)
 	if err != nil {
 		return nil, err
 	}

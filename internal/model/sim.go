@@ -81,8 +81,9 @@ func RunRoundsStatesCtx(ctx context.Context, h *Host, ids []int, algo RoundAlgo,
 	return NewEngine(h).WithContext(ctx).RunStates(ids, algo.engine(), maxRounds)
 }
 
-// RunRoundsStatesFaultyCtx is RunRoundsStatesFaulty under cooperative
-// cancellation; see RunRoundsStatesCtx.
+// RunRoundsStatesFaultyCtx is RunRoundsFaulty exposing the final
+// per-node states, under cooperative cancellation (see
+// RunRoundsStatesCtx).
 func RunRoundsStatesFaultyCtx(ctx context.Context, h *Host, ids []int, algo RoundAlgo, maxRounds int, sched Schedule) ([]any, int, *FaultReport, error) {
 	return NewEngine(h).WithContext(ctx).RunStatesFaulty(ids, algo.engine(), maxRounds, sched)
 }
@@ -105,12 +106,6 @@ func RunRoundsFaulty(h *Host, ids []int, algo RoundAlgo, maxRounds int, sched Sc
 		outs[v] = algo.Out(st)
 	}
 	return outs, rounds, rep, nil
-}
-
-// RunRoundsStatesFaulty is RunRoundsFaulty exposing the final
-// per-node states instead of outputs.
-func RunRoundsStatesFaulty(h *Host, ids []int, algo RoundAlgo, maxRounds int, sched Schedule) ([]any, int, *FaultReport, error) {
-	return NewEngine(h).RunStatesFaulty(ids, algo.engine(), maxRounds, sched)
 }
 
 // RunRoundsReference is the retained sequential reference loop: per-

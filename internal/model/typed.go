@@ -332,12 +332,6 @@ func RunRoundsTyped[S any](h *Host, ids []int, algo TypedAlgo[S], maxRounds int)
 	return NewTypedEngine[S](h).Run(ids, algo, maxRounds)
 }
 
-// RunRoundsStatesTyped is RunRoundsTyped exposing the final state
-// column instead of outputs.
-func RunRoundsStatesTyped[S any](h *Host, ids []int, algo TypedAlgo[S], maxRounds int) ([]S, int, error) {
-	return NewTypedEngine[S](h).RunStates(ids, algo, maxRounds)
-}
-
 // RunRoundsTypedFaulty is RunRoundsTyped under a fault schedule — the
 // typed twin of RunRoundsFaulty (nil schedule runs clean; crashed
 // nodes' outputs are extracted from the last state they reached).
@@ -351,12 +345,6 @@ func RunRoundsTypedFaulty[S any](h *Host, ids []int, algo TypedAlgo[S], maxRound
 		outs[v] = algo.Out(&col[v])
 	}
 	return outs, rounds, rep, nil
-}
-
-// RunRoundsStatesTypedFaulty is RunRoundsTypedFaulty exposing the
-// final state column instead of outputs.
-func RunRoundsStatesTypedFaulty[S any](h *Host, ids []int, algo TypedAlgo[S], maxRounds int, sched Schedule) ([]S, int, *FaultReport, error) {
-	return NewTypedEngine[S](h).RunStatesFaulty(ids, algo, maxRounds, sched)
 }
 
 // gatherTypedState is the per-node state of the typed gather: the

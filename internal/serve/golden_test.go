@@ -84,3 +84,22 @@ func TestWorkloadsGolden(t *testing.T) {
 	rr := do(t, New(Config{}), "/v1/workloads")
 	checkGolden(t, "workloads", append(rr.Body.Bytes(), '\n'))
 }
+
+// TestRunFloodGolden pins the flood bodies of /v1/run: size is the
+// number of converged nodes. The clean and lossy tuples equal the
+// flood job results of internal/job's golden (cycle:32, seed 7,
+// horizon 64).
+func TestRunFloodGolden(t *testing.T) {
+	var out bytes.Buffer
+	for _, target := range []string{
+		"/v1/run?algo=flood&n=32&seed=7&rounds=64",
+		"/v1/run?algo=flood&host=cycle:32&seed=7&rounds=64",
+		"/v1/run?algo=flood&n=32&seed=7&rounds=64&faults=lossy:p=0.1",
+		"/v1/run?algo=flood&host=torus:8x8&rounds=3",
+		"/v1/run?algo=flood&host=torus:8x8&rounds=20&faults=crash:f=4,by=2",
+	} {
+		rr := do(t, New(Config{}), target)
+		fmt.Fprintf(&out, "GET %s\n%d %s\n", target, rr.Code, bytes.TrimRight(rr.Body.Bytes(), "\n"))
+	}
+	checkGolden(t, "run-flood", out.Bytes())
+}

@@ -17,6 +17,7 @@ type queryParams struct {
 	n        string
 	seed     string
 	rmax     string
+	rounds   string
 	shards   string
 	deadline string
 	// unknown is the first unrecognised parameter name, for the strict
@@ -55,6 +56,8 @@ func parseQuery(raw string) queryParams {
 			q.seed = v
 		case "rmax":
 			q.rmax = v
+		case "rounds":
+			q.rounds = v
 		case "shards":
 			q.shards = v
 		case "deadline_ms":

@@ -43,6 +43,7 @@ import (
 	"repro/internal/job"
 	"repro/internal/model"
 	"repro/internal/par"
+	"repro/internal/workload"
 )
 
 // Config sizes the server. Zero values take the defaults noted.
@@ -209,7 +210,7 @@ const endpoints = `endpoints:
   GET    /v1/profiles                      fault-profile grammar (JSON)
   GET    /v1/workloads                     run-endpoint workload registry (JSON)
   GET    /v1/measure?host=D&rmax=R         layered homogeneity sweep [deadline_ms=N]
-  GET    /v1/run?algo=A&host=D|n=N         engine workload [seed=S] [faults=P] [rmax=R] [shards=K] [deadline_ms=N]
+  GET    /v1/run?algo=A&host=D|n=N         engine workload [seed=S] [faults=P] [rmax=R] [rounds=R] [shards=K] [deadline_ms=N]
   POST   /v1/jobs                          submit a durable job (JSON spec body)
   GET    /v1/jobs                          list jobs + state gauge
   GET    /v1/jobs/{id}                     job status and progress
@@ -252,7 +253,7 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) {
 	case "/v1/profiles":
 		s.writeJSONValue(w, map[string]string{"grammar": model.DescribeProfiles()})
 	case "/v1/workloads":
-		s.writeJSONValue(w, workloads)
+		s.handleWorkloads(w)
 	case "/v1/measure":
 		s.handleMeasure(w, r)
 	case "/v1/run":
@@ -323,14 +324,24 @@ func (s *Server) handleHosts(w http.ResponseWriter) {
 	s.writeJSONValue(w, out)
 }
 
+// handleWorkloads renders the engine-workload registry.
+func (s *Server) handleWorkloads(w http.ResponseWriter) {
+	type wl struct{ Name, Doc string }
+	var out []wl
+	for _, r := range workload.Registry() {
+		out = append(out, wl{r.Name, r.Doc})
+	}
+	s.writeJSONValue(w, out)
+}
+
 // handleMeasure serves /v1/measure: validate, probe the cache, and
 // only on a miss parse the host and run the cancellable sweep.
 func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	q := parseQuery(r.URL.RawQuery)
-	if q.unknown != "" || q.algo != "" || q.n != "" || q.seed != "" || q.faults != "" || q.shards != "" {
+	if q.unknown != "" || q.algo != "" || q.n != "" || q.seed != "" || q.faults != "" || q.rounds != "" || q.shards != "" {
 		bad := q.unknown
 		if bad == "" {
-			bad = "algo/n/seed/faults/shards"
+			bad = "algo/n/seed/faults/rounds/shards"
 		}
 		s.badRequest(w, "unknown parameter %q (measure takes host, rmax, deadline_ms)", bad)
 		return
@@ -377,17 +388,15 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRun serves /v1/run. The host is either an explicit
-// descriptor or synthesized from n= (the directed cycle for
-// cole-vishkin — its natural host — and the port-numbered cycle
-// otherwise), matching cmd/localsim's scale mode.
+// descriptor or synthesized from n= in the workload's own family (the
+// directed cycle for cole-vishkin, the port-numbered cycle otherwise),
+// matching cmd/localsim's scale mode. Validation happens before the
+// cache probe, so the hit path neither parses a descriptor nor
+// allocates.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	q := parseQuery(r.URL.RawQuery)
 	if q.unknown != "" {
-		s.badRequest(w, "unknown parameter %q (run takes algo, host, n, seed, faults, rmax, deadline_ms)", q.unknown)
-		return
-	}
-	if !knownWorkload(q.algo) {
-		s.badRequest(w, "unknown workload %q\n%s", q.algo, describeWorkloads())
+		s.badRequest(w, "unknown parameter %q (run takes algo, host, n, seed, faults, rmax, rounds, shards, deadline_ms)", q.unknown)
 		return
 	}
 	if (q.host == "") == (q.n == "") {
@@ -403,40 +412,47 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	seed := int64(1)
+	spec := workload.Spec{Algo: q.algo, Seed: 1, Faults: q.faults}
 	if q.seed != "" {
 		var ok bool
-		seed, ok = atoi64Q(q.seed)
+		spec.Seed, ok = atoi64Q(q.seed)
 		if !ok {
 			s.badRequest(w, "seed %q is not an integer", q.seed)
 			return
 		}
 	}
-	rmax := 0
 	if q.rmax != "" {
-		if q.algo != "gather" {
-			s.badRequest(w, "rmax only applies to the gather workload")
-			return
-		}
 		var ok bool
-		rmax, ok = atoiQ(q.rmax)
-		if !ok || rmax < 1 || rmax > s.cfg.MaxRmax {
+		spec.Rmax, ok = atoiQ(q.rmax)
+		if !ok || spec.Rmax < 1 || spec.Rmax > s.cfg.MaxRmax {
 			s.badRequest(w, "rmax %q out of range (valid radii: 1..%d)", q.rmax, s.cfg.MaxRmax)
 			return
 		}
 	}
-	shards := 0
-	if q.shards != "" {
-		if q.algo != "cole-vishkin" && q.algo != "matching" {
-			s.badRequest(w, "shards supports the cole-vishkin and matching workloads only")
+	if q.rounds != "" {
+		var ok bool
+		spec.Rounds, ok = atoiQ(q.rounds)
+		if !ok || spec.Rounds < 1 {
+			s.badRequest(w, "rounds %q out of range (need an integer >= 1)", q.rounds)
 			return
 		}
+	}
+	if q.shards != "" {
 		var ok bool
-		shards, ok = atoiQ(q.shards)
-		if !ok || shards < 1 {
+		spec.Shards, ok = atoiQ(q.shards)
+		if !ok || spec.Shards < 1 {
 			s.badRequest(w, "shards %q out of range (need an integer >= 1)", q.shards)
 			return
 		}
+	}
+	if err := spec.Validate(); err != nil {
+		s.badRequest(w, "%v", err)
+		return
+	}
+	wl, _ := workload.Lookup(q.algo)
+	if wl.Horizon && spec.Rounds == 0 {
+		s.badRequest(w, "%s needs rounds=R, its horizon (R >= 1)", q.algo)
+		return
 	}
 	deadline, ok := s.parseDeadline(q.deadline)
 	if !ok {
@@ -451,27 +467,30 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	b = append(b, keySep)
 	if q.host != "" {
 		b = append(b, q.host...)
-	} else if q.algo == "cole-vishkin" {
-		b = append(b, "dcycle:"...)
-		b = strconv.AppendInt(b, int64(n), 10)
 	} else {
-		b = append(b, "cycle:"...)
+		b = append(b, wl.Family...)
+		b = append(b, ':')
 		b = strconv.AppendInt(b, int64(n), 10)
 	}
 	hostEnd := len(b)
 	b = append(b, keySep, keySep)
-	b = strconv.AppendInt(b, int64(rmax), 10)
+	b = strconv.AppendInt(b, int64(spec.Rmax), 10)
 	b = append(b, keySep)
 	b = append(b, q.algo...)
 	b = append(b, keySep)
-	b = strconv.AppendInt(b, seed, 10)
+	b = strconv.AppendInt(b, spec.Seed, 10)
 	b = append(b, keySep)
 	b = append(b, q.faults...)
-	if shards > 0 {
+	if spec.Shards > 0 {
 		// Sharded responses carry a shards block, so they key
 		// separately from the flat spelling of the same tuple.
 		b = append(b, keySep)
-		b = strconv.AppendInt(b, int64(shards), 10)
+		b = strconv.AppendInt(b, int64(spec.Shards), 10)
+	}
+	if spec.Rounds > 0 {
+		// Only horizon workloads take rounds, so no other key changes.
+		b = append(b, keySep, 'r')
+		b = strconv.AppendInt(b, int64(spec.Rounds), 10)
 	}
 	h := hashKey(b)
 	if body := s.cache.get(h, b); body != nil {
@@ -482,15 +501,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := string(b)
-	hostDesc := key[len("run")+1 : hostEnd]
+	spec.Host = key[len("run")+1 : hostEnd]
 	*bp = b
 	keyPool.Put(bp)
-	algo, faults := q.algo, q.faults
 	s.compute(w, r, h, key, deadline, func(ctx context.Context) ([]byte, error) {
-		if shards > 0 {
-			return s.computeRunSharded(ctx, hostDesc, algo, seed, faults, shards)
-		}
-		return computeRun(ctx, hostDesc, algo, seed, faults, rmax)
+		return s.computeRun(ctx, spec)
 	})
 }
 

@@ -21,14 +21,16 @@ type shardGauges struct {
 	last      map[string]any
 }
 
-// track registers a running sharded engine under its host descriptor.
-func (g *shardGauges) track(se *model.ShardedEngine, host string) {
+// track registers a running sharded engine under its host descriptor
+// and returns the deregistration (workload.Arm's Track hook).
+func (g *shardGauges) track(se *model.ShardedEngine, host string) (done func(completed bool)) {
 	g.mu.Lock()
 	if g.live == nil {
 		g.live = map[*model.ShardedEngine]string{}
 	}
 	g.live[se] = host
 	g.mu.Unlock()
+	return func(completed bool) { g.finish(se, host, completed) }
 }
 
 // finish deregisters the engine; a completed run also folds its

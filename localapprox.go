@@ -315,21 +315,16 @@ var (
 	RunAllExperiments    = experiments.RunAll
 )
 
-// Deadline-aware entry points: the *Ctx twins of the engine runners,
-// the scale-mode algorithms and the layered sweep thread a
-// context.Context into the round loop and the sweep loop, where it is
-// polled cooperatively — a cancelled run stops at the next round
-// barrier (sweep: the next vertex batch), releases its workers and
-// returns the wrapped context error. The non-Ctx names above are the
-// same code with no context armed.
+// Deadline-aware entry points: the *Ctx twins of the engine runners
+// and the layered sweep thread a context.Context into the round loop
+// and the sweep loop, where it is polled cooperatively — a cancelled
+// run stops at the next round barrier (sweep: the next vertex batch),
+// releases its workers and returns the wrapped context error. The
+// non-Ctx names above are the same code with no context armed.
 var (
-	RunRoundsCtx                = model.RunRoundsStatesCtx
-	RunRoundsFaultyCtx          = model.RunRoundsStatesFaultyCtx
-	SweepMeasureAllCtx          = order.SweepMeasureAllCtx
-	ColeVishkinCtx              = algorithms.ColeVishkinMISCtx
-	ColeVishkinFaultyCtx        = algorithms.ColeVishkinMISFaultyCtx
-	RandomizedMatchingCtx       = algorithms.RandomizedMatchingCtx
-	RandomizedMatchingFaultyCtx = algorithms.RandomizedMatchingFaultyCtx
+	RunRoundsCtx       = model.RunRoundsStatesCtx
+	RunRoundsFaultyCtx = model.RunRoundsStatesFaultyCtx
+	SweepMeasureAllCtx = order.SweepMeasureAllCtx
 )
 
 // The service layer (DESIGN.md §10): NewServer builds the handler
