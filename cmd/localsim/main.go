@@ -21,58 +21,57 @@
 // vc-packing (round-based PO), id-greedy-eds, id-nonmin-vc,
 // oi-smallest-eds, oi-nonmin-vc, cole-vishkin (directed cycles only).
 //
-// -algo switches to SCALE MODE: the named workload runs through the
-// batched round engine (model.Engine) on a host of -n nodes (or
-// -host), reporting rounds, solution size and wall time, and skipping
-// the exact optimum — the only super-linear step — so million-node
-// runs finish in seconds:
+// -algo switches to SCALE MODE: the named engine workload runs through
+// the round engines on a host of -n nodes (or -host), reporting rounds,
+// solution size and wall time (host construction included), and
+// skipping the exact optimum — the only super-linear step — so
+// million-node runs finish in seconds:
 //
 //	localsim -algo cole-vishkin -n 1000000
 //	localsim -algo matching -host torus:1000x1000
 //	localsim -algo gather -n 100000 -rmax 3
 //
-// Scale-mode workloads: cole-vishkin (ID MIS on the directed n-cycle,
+// The workloads are internal/workload's registry, the one localapproxd
+// serves on /v1/run and runs as durable jobs: cole-vishkin (ID MIS,
 // typed word-lane engine), matching (one round of §6.5 randomized
-// mutual proposals, typed word-lane engine), gather (full-information
-// view gathering, radius -rmax or 2). An unknown -algo value lists
-// the workload registry, like -host and -faults.
+// mutual proposals), gather (full-information view gathering, radius
+// -rmax or 2) and flood (FloodMax leader election for -rounds rounds,
+// default n). An unknown -algo value lists the registry, like -host and
+// -faults. -n synthesizes the workload's own host family — dcycle:N
+// for cole-vishkin, cycle:N otherwise — and the header names that
+// descriptor. A clean flat run's solution is checked feasible in full.
 //
-// -faults runs the scale-mode workload under a fault schedule
-// (internal/model profiles): messages dropped/duplicated/reordered
-// and nodes crashed or churned, deterministically in -seed, with the
-// injected-fault counts and survivor-safety checks reported instead
-// of the clean feasibility guarantee:
+// -faults runs the workload under a fault schedule (internal/model
+// profiles): messages dropped/duplicated/reordered and nodes crashed or
+// churned, deterministically in -seed, with the injected-fault counts
+// and survivor-safety checks reported instead of the clean feasibility
+// guarantee:
 //
 //	localsim -algo cole-vishkin -n 100000 -faults lossy:p=0.05
 //	localsim -algo matching -host torus:400x250 -faults crash:f=100,by=8
 //
-// An unknown -faults descriptor lists the valid profile grammar, and
-// -faults without -algo is rejected (fault schedules run on the
-// engine's message plane only).
-//
-// -checkpoint DIR makes scale-mode word-lane workloads (cole-vishkin,
-// matching, flood) snapshot the engine into DIR every -checkpoint-every
-// rounds (content-addressed, hash-verified files), and -resume restarts
-// an interrupted run from the latest valid snapshot in DIR instead of
-// from round 0 — the same durable format the localapproxd job
-// subsystem uses, so results are byte-for-byte what the uninterrupted
-// run would have printed:
+// -checkpoint DIR makes a checkpointable workload (word-lane state:
+// cole-vishkin, matching, flood) snapshot the engine into DIR every
+// -checkpoint-every rounds (content-addressed, hash-verified files, one
+// stderr line each), and -resume restarts an interrupted run from the
+// latest valid snapshot in DIR instead of from round 0 — the durable
+// format of the localapproxd jobs, so results are byte-for-byte what
+// the uninterrupted run would have printed. flood is the long-horizon
+// workload built for this: each round is cheap, there are many, and
+// convergence is checkable at any prefix:
 //
 //	localsim -algo flood -n 4096 -rounds 5000 -checkpoint /tmp/ck
 //	localsim -algo flood -n 4096 -rounds 5000 -checkpoint /tmp/ck -resume
 //
-// flood (FloodMax leader election for -rounds rounds) is the
-// long-horizon workload built for this: each round is cheap, there are
-// many of them, and convergence is checkable at any prefix.
-//
-// -shards P runs cole-vishkin or matching on the sharded engine
-// (model.ShardedEngine, DESIGN.md §12): the host is partitioned into P
-// contiguous shards, each with its own CSR slice, word-lane arenas and
-// workers, and cross-shard arcs drain through a compact exchange buffer
-// at the round barrier. Implicit shard-capable families (cycle, dcycle,
-// torus, shift-regular) generate their topology shard-locally, so
-// descriptors past the flat int32 capacity run in bounded resident
-// memory:
+// -shards P runs a workload with a sharded port (cole-vishkin,
+// matching) on model.ShardedEngine (DESIGN.md §12): the host is
+// partitioned into P contiguous shards, each with its own CSR slice,
+// word-lane arenas and workers, and cross-shard arcs drain through a
+// compact exchange buffer at the round barrier. Implicit shard-capable
+// families (cycle, dcycle, torus, shift-regular) generate their
+// topology shard-locally, so descriptors past the flat int32 capacity
+// run in bounded resident memory; other registry hosts are
+// materialised and adapted:
 //
 //	localsim -algo cole-vishkin -host dcycle:100000000 -shards 16
 //	localsim -algo matching -host cycle:100000000 -shards 16
@@ -81,6 +80,10 @@
 // P=1 sharded output is byte-identical to the flat engine; fault
 // coordinates stay global, so faulty sharded runs degrade identically
 // too (they need a materialisable host for the schedule constructor).
+//
+// Usage mistakes exit 2 with the relevant listing — among them all the
+// registry rejects before running, cole-vishkin on a host that is not
+// an oriented cycle included; a failed run exits 1.
 package main
 
 import (
@@ -260,7 +263,7 @@ func runScale(spec workload.Spec, n int, ckptDir string, ckptEvery int, resume b
 		return err
 	}
 	wall := time.Since(start).Round(time.Millisecond)
-	line := res.Text()
+	line := w.Text(res)
 	if res.Solution != nil {
 		if err := w.Problem.Feasible(res.Flat.G, res.Solution); err != nil {
 			return fmt.Errorf("solution infeasible: %w", err)
@@ -268,9 +271,9 @@ func runScale(spec workload.Spec, n int, ckptDir string, ckptEvery int, resume b
 		line += "   feasible: yes"
 	}
 	if res.Sharded != nil {
-		fmt.Printf("sharded scale mode: %s on %s (n=%d, P=%d)", res.Algo, res.Host, res.N, res.Sharded.P)
+		fmt.Printf("sharded scale mode: %s on %s (n=%d, P=%d)", spec.Algo, spec.Host, res.N, res.Sharded.P)
 	} else {
-		fmt.Printf("scale mode: %s on %s (n=%d, m=%d)", res.Algo, res.Host, res.N, res.Flat.G.M())
+		fmt.Printf("scale mode: %s on %s (n=%d, m=%d)", spec.Algo, spec.Host, res.N, res.Flat.G.M())
 	}
 	if spec.Faults != "" {
 		fmt.Printf(" under faults %s", spec.Faults)
@@ -296,7 +299,8 @@ func run(algName, graphName, hostDesc string, n, d int, seed int64, rmax int) er
 		err error
 	)
 	if hostDesc != "" {
-		if h, graphName, err = workload.ResolveHost(hostDesc); err != nil {
+		graphName = hostDesc
+		if h, err = workload.ResolveHost(hostDesc); err != nil {
 			err = usageError{err}
 		}
 	} else {

@@ -168,10 +168,10 @@ func runEngine(a *attempt, spec Spec) ([]byte, error) {
 	}
 	if spec.Kind == "flood" {
 		a.progress(ws.Rounds, ws.Rounds)
-		return json.Marshal(&floodResult{Kind: spec.Kind, Host: res.Host, N: res.N, Seed: res.Seed, Horizon: ws.Rounds,
+		return json.Marshal(&floodResult{Kind: spec.Kind, Host: ws.Host, N: res.N, Seed: ws.Seed, Horizon: ws.Rounds,
 			Rounds: res.Rounds, Leader: res.Leader, Converged: res.Size, Faults: faults})
 	}
-	return json.Marshal(&runResult{Kind: spec.Kind, Host: res.Host, Algo: res.Algo, N: res.N, Seed: res.Seed,
+	return json.Marshal(&runResult{Kind: spec.Kind, Host: ws.Host, Algo: ws.Algo, N: res.N, Seed: ws.Seed,
 		Rounds: res.Rounds, Size: res.Size, Faults: faults})
 }
 
@@ -195,7 +195,7 @@ type radiusEntry struct {
 }
 
 func runMeasure(a *attempt, spec Spec) ([]byte, error) {
-	h, desc, err := workload.ResolveHost(spec.Host)
+	h, err := workload.ResolveHost(spec.Host)
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +203,7 @@ func runMeasure(a *attempt, spec Spec) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := measureResult{Kind: "measure", Host: desc, N: h.G.N(), M: h.G.M(), Rmax: spec.Rmax}
+	out := measureResult{Kind: "measure", Host: spec.Host, N: h.G.N(), M: h.G.M(), Rmax: spec.Rmax}
 	for r, hm := range homs {
 		out.Radii = append(out.Radii, radiusEntry{R: r + 1, Alpha: hm.Alpha, Types: len(hm.Counts), Majority: hm.Count})
 	}
@@ -228,7 +228,7 @@ type certifyResult struct {
 // interned-catalogue checkpoints, resuming the cursor from the latest
 // valid snapshot instead of restarting the enumeration.
 func runCertify(a *attempt, spec Spec) ([]byte, error) {
-	h, desc, err := workload.ResolveHost(spec.Host)
+	h, err := workload.ResolveHost(spec.Host)
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +261,7 @@ func runCertify(a *attempt, spec Spec) ([]byte, error) {
 		return nil, err
 	}
 	out := certifyResult{
-		Kind: "certify", Host: desc, Problem: p.Name(), Radius: spec.Radius,
+		Kind: "certify", Host: spec.Host, Problem: p.Name(), Radius: spec.Radius,
 		Types: lb.Types, Algorithms: lb.Algorithms, FeasibleCount: lb.FeasibleCount,
 		BestRatio: strconv.FormatFloat(lb.BestRatio, 'g', -1, 64), Optimum: lb.Optimum,
 	}

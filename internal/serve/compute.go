@@ -98,7 +98,7 @@ func (s *Server) computeRun(ctx context.Context, spec workload.Spec) ([]byte, er
 	if err != nil {
 		return nil, err
 	}
-	resp := runResponse{Host: res.Host, Algo: res.Algo, N: res.N, Seed: res.Seed, Rounds: res.Rounds, Size: res.Size,
+	resp := runResponse{Host: spec.Host, Algo: spec.Algo, N: res.N, Seed: spec.Seed, Rounds: res.Rounds, Size: res.Size,
 		Sharded: (*shardedResult)(res.Sharded)}
 	if f := res.Faults; f != nil {
 		resp.Faults = &faultResult{Profile: spec.Faults, Crashed: f.NumCrashed, Dropped: f.Dropped, Duplicated: f.Duplicated,

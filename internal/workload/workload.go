@@ -202,10 +202,7 @@ type Arm struct {
 
 // Result is a run's outcome in the terms the surfaces report.
 type Result struct {
-	Algo string
-	Host string // the resolved descriptor
-	N    int
-	Seed int64
+	N int // nodes
 	// Rounds counts the rounds executed. Size is the workload's
 	// measure: |MIS|, |M|, distinct radius-Radius view types, or the
 	// nodes that learned flood's Leader.
@@ -227,10 +224,9 @@ type Sharded struct {
 	CrossArcs, ExchangedWords int64
 }
 
-// Text renders r as one report line (cmd/localsim's): rounds, the
-// workload's measure, and a faulty run's tallies.
-func (r *Result) Text() string {
-	w, _ := Lookup(r.Algo)
+// Text renders a result of w as one report line (cmd/localsim's):
+// rounds, the workload's measure, and a faulty run's tallies.
+func (w *Workload) Text(r *Result) string {
 	return fmt.Sprintf("rounds: %d   %s", r.Rounds, w.text(r))
 }
 
@@ -253,7 +249,7 @@ func Run(ctx context.Context, s Spec, arm Arm) (*Result, error) {
 	if s.Shards > 0 {
 		return r.sharded(w, prof)
 	}
-	h, desc, err := ResolveHost(s.Host)
+	h, err := ResolveHost(s.Host)
 	if err == nil {
 		err = s.CheckHost(h.D)
 	}
@@ -264,7 +260,7 @@ func Run(ctx context.Context, s Spec, arm Arm) (*Result, error) {
 	if prof != nil {
 		r.sched = prof.New(h, s.Seed)
 	}
-	res := &Result{Algo: s.Algo, Host: desc, N: h.G.N(), Seed: s.Seed, Flat: h}
+	res := &Result{N: h.G.N(), Flat: h}
 	if err := w.flat(r, res); err != nil {
 		return nil, err
 	}
@@ -273,15 +269,15 @@ func Run(ctx context.Context, s Spec, arm Arm) (*Result, error) {
 
 // ResolveHost parses a descriptor into an engine host, numbering the
 // ports of a plain graph family.
-func ResolveHost(desc string) (*model.Host, string, error) {
+func ResolveHost(desc string) (*model.Host, error) {
 	rh, err := host.Parse(desc)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	if rh.D != nil {
-		return &model.Host{D: rh.D, G: rh.G}, rh.Desc, nil
+		return &model.Host{D: rh.D, G: rh.G}, nil
 	}
-	return model.HostFromGraph(rh.G), rh.Desc, nil
+	return model.HostFromGraph(rh.G), nil
 }
 
 // run is what a workload's run functions draw on: h and rng on the
@@ -302,14 +298,14 @@ type run struct {
 // schedules hash global coordinates from a flat host, so faulty
 // sharded runs need a materialisable one.
 func (r *run) sharded(w *Workload, prof *model.Profile) (*Result, error) {
-	s, desc := r.spec, r.spec.Host
+	s := r.spec
 	src, err := host.ParseShard(s.Host)
 	if err != nil {
-		h, hdesc, herr := ResolveHost(s.Host)
+		h, herr := ResolveHost(s.Host)
 		if herr != nil {
 			return nil, &Invalid{fmt.Errorf("%w\n(no implicit shard source either: %v)", herr, err)}
 		}
-		src, desc = model.SourceOf(h), hdesc
+		src = model.SourceOf(h)
 	}
 	if prof != nil {
 		mh, err := model.MaterializeSource(src)
@@ -324,10 +320,10 @@ func (r *run) sharded(w *Workload, prof *model.Profile) (*Result, error) {
 	r.se.WithContext(r.ctx)
 	completed := false
 	if r.arm.Track != nil {
-		done := r.arm.Track(r.se, desc)
+		done := r.arm.Track(r.se, s.Host)
 		defer func() { done(completed) }()
 	}
-	res := &Result{Algo: s.Algo, Host: desc, N: int(src.N()), Seed: s.Seed, Sharded: &Sharded{P: s.Shards}}
+	res := &Result{N: int(src.N()), Sharded: &Sharded{P: s.Shards}}
 	if err := w.sharded(r, res); err != nil {
 		return nil, err
 	}

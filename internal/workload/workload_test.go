@@ -74,7 +74,7 @@ func TestRunInvalid(t *testing.T) {
 // flatHost resolves a descriptor the way Run does.
 func flatHost(t *testing.T, desc string) *model.Host {
 	t.Helper()
-	h, _, err := ResolveHost(desc)
+	h, err := ResolveHost(desc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func direct(t *testing.T, s Spec) Result {
 	t.Helper()
 	h := flatHost(t, s.Host)
 	sched := schedule(t, s.Faults, h, s.Seed)
-	want := Result{Algo: s.Algo, Host: s.Host, N: h.G.N(), Seed: s.Seed}
+	want := Result{N: h.G.N()}
 	switch s.Algo {
 	case "cole-vishkin":
 		if sched == nil {
@@ -200,7 +200,7 @@ func directSharded(t *testing.T, s Spec) Result {
 		t.Fatal(err)
 	}
 	n := src.N()
-	want := Result{Algo: s.Algo, Host: s.Host, N: int(n), Seed: s.Seed, Sharded: &Sharded{P: s.Shards}}
+	want := Result{N: int(n), Sharded: &Sharded{P: s.Shards}}
 	var rep *model.FaultReport
 	switch s.Algo {
 	case "cole-vishkin":
@@ -382,22 +382,24 @@ func TestRunTrack(t *testing.T) {
 func TestText(t *testing.T) {
 	f := &model.FaultReport{NumCrashed: 1, Dropped: 2}
 	for _, tc := range []struct {
+		algo string
 		r    Result
 		want string
 	}{
-		{Result{Algo: "cole-vishkin", Rounds: 12, Size: 5, N: 10}, "rounds: 12   |MIS| = 5   |MIS|/n = 0.5000"},
-		{Result{Algo: "cole-vishkin", Rounds: 12, Size: 5, N: 10, Sharded: &Sharded{}}, "rounds: 12   |MIS| = 5   |MIS|/n = 0.5000   feasible: yes"},
-		{Result{Algo: "cole-vishkin", Rounds: 12, Size: 5, Faults: f, Violations: 3, Uncovered: 4}, "rounds: 12   |MIS| = 5   crashed: 1   dropped: 2   violations: 3   uncovered: 4"},
-		{Result{Algo: "matching", Rounds: 2, Size: 3, N: 12}, "rounds: 2   |M| = 3   |M|/n = 0.2500"},
-		{Result{Algo: "matching", Rounds: 2, Size: 3, N: 12, Sharded: &Sharded{}}, "rounds: 2   |M| = 3   |M|/n = 0.2500   conflicts: 0"},
-		{Result{Algo: "matching", Rounds: 2, Size: 3, Faults: f}, "rounds: 2   |M| = 3   crashed: 1   dropped: 2   conflicts: 0"},
-		{Result{Algo: "gather", Rounds: 3, Radius: 2, Size: 7}, "rounds: 3   radius-2 view types: 7"},
-		{Result{Algo: "gather", Rounds: 3, Radius: 2, Size: 7, Faults: f}, "rounds: 3   radius-2 view types: 7   crashed: 1   dropped: 2"},
-		{Result{Algo: "flood", Rounds: 9, Leader: 40, Size: 8}, "rounds: 9   leader: 40   converged@: 8"},
-		{Result{Algo: "flood", Rounds: 9, Leader: 40, Size: 8, Faults: f}, "rounds: 9   leader: 40   converged@: 8   crashed: 1   dropped: 2"},
+		{"cole-vishkin", Result{Rounds: 12, Size: 5, N: 10}, "rounds: 12   |MIS| = 5   |MIS|/n = 0.5000"},
+		{"cole-vishkin", Result{Rounds: 12, Size: 5, N: 10, Sharded: &Sharded{}}, "rounds: 12   |MIS| = 5   |MIS|/n = 0.5000   feasible: yes"},
+		{"cole-vishkin", Result{Rounds: 12, Size: 5, Faults: f, Violations: 3, Uncovered: 4}, "rounds: 12   |MIS| = 5   crashed: 1   dropped: 2   violations: 3   uncovered: 4"},
+		{"matching", Result{Rounds: 2, Size: 3, N: 12}, "rounds: 2   |M| = 3   |M|/n = 0.2500"},
+		{"matching", Result{Rounds: 2, Size: 3, N: 12, Sharded: &Sharded{}}, "rounds: 2   |M| = 3   |M|/n = 0.2500   conflicts: 0"},
+		{"matching", Result{Rounds: 2, Size: 3, Faults: f}, "rounds: 2   |M| = 3   crashed: 1   dropped: 2   conflicts: 0"},
+		{"gather", Result{Rounds: 3, Radius: 2, Size: 7}, "rounds: 3   radius-2 view types: 7"},
+		{"gather", Result{Rounds: 3, Radius: 2, Size: 7, Faults: f}, "rounds: 3   radius-2 view types: 7   crashed: 1   dropped: 2"},
+		{"flood", Result{Rounds: 9, Leader: 40, Size: 8}, "rounds: 9   leader: 40   converged@: 8"},
+		{"flood", Result{Rounds: 9, Leader: 40, Size: 8, Faults: f}, "rounds: 9   leader: 40   converged@: 8   crashed: 1   dropped: 2"},
 	} {
-		if got := tc.r.Text(); got != tc.want {
-			t.Errorf("Text() = %q, want %q", got, tc.want)
+		w, _ := Lookup(tc.algo)
+		if got := w.Text(&tc.r); got != tc.want {
+			t.Errorf("%s: Text = %q, want %q", tc.algo, got, tc.want)
 		}
 	}
 }
