@@ -81,9 +81,9 @@ func FloodMax(h *model.Host, ids []int, rounds int) (*FloodMaxResult, error) {
 	return FloodMaxOn(model.NewWordEngine(h), h, ids, rounds)
 }
 
-// FloodMaxOn runs the flood on a caller-provided engine, so the job
-// runner can arm it with a cancellation context, a Checkpointer and a
-// resume snapshot before handing it over.
+// FloodMaxOn runs the flood on a caller-provided engine, so the caller
+// (internal/workload) can arm it with a cancellation context, a
+// Checkpointer and a resume snapshot before handing it over.
 func FloodMaxOn(e *model.WordEngine, h *model.Host, ids []int, rounds int) (*FloodMaxResult, error) {
 	leader, err := floodPlan(h, ids, rounds)
 	if err != nil {

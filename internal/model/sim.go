@@ -76,7 +76,7 @@ func RunRoundsStates(h *Host, ids []int, algo RoundAlgo, maxRounds int) ([]any, 
 // cancellation (Engine.WithContext): the run aborts between rounds
 // once ctx is cancelled or past its deadline, returning an error that
 // wraps ctx.Err() and handing every reserved worker back to the
-// par budget. This is the service layer's deadline hook.
+// par budget. The gather workload (internal/workload) runs through it.
 func RunRoundsStatesCtx(ctx context.Context, h *Host, ids []int, algo RoundAlgo, maxRounds int) ([]any, int, error) {
 	return NewEngine(h).WithContext(ctx).RunStates(ids, algo.engine(), maxRounds)
 }
