@@ -1,7 +1,9 @@
 package digraph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -31,36 +33,86 @@ func OrientBySmaller(graph.Edge) bool { return true }
 
 // FromPorts equips g with the canonical port numbering (the i-th
 // neighbour of u is Neighbors(u)[i-1]) and the given orientation, and
-// returns the resulting L-digraph with a compact label alphabet.
-// If orient is nil, OrientBySmaller is used.
+// returns the resulting L-digraph with a compact label alphabet:
+// labels are numbered by first occurrence over the edges in the
+// lexicographic order g.Edges() lists them. If orient is nil,
+// OrientBySmaller is used.
+//
+// The CSR arrays are written directly in one counting pass over g's
+// rows (labels, directions and out-/in-degrees) and one fill pass,
+// after which each row is sorted by label. A port numbering is always
+// a proper labelling — the out-labels of u differ in their first port,
+// the in-labels of v in their second — so no arc needs checking.
 func FromPorts(g *graph.Graph, orient Orientation) *Ported {
 	if orient == nil {
 		orient = OrientBySmaller
 	}
-	type arcRec struct {
-		u, v int
-		pl   PortLabel
-	}
-	arcs := make([]arcRec, 0, g.M())
-	labelIdx := make(map[PortLabel]int)
+	n := g.N()
+	// lower[w] counts the neighbours of w below the row being walked.
+	// They lead w's sorted row and are met in increasing order, so when
+	// the walk reaches the edge {u, w} with u < w, lower[w] is u's index
+	// in w's row; once the walk reaches u, lower[u] is where u's row
+	// passes u.
+	lower := make([]int32, n)
+	// codes holds each edge's label<<1, plus 1 when it is directed from
+	// the larger endpoint; labels stay below m < 2^30, so codes fit.
+	codes := make([]int32, 0, g.M())
+	outOff, inOff := make([]int32, n+1), make([]int32, n+1)
+	labelIdx := make(map[PortLabel]int32)
 	var labels []PortLabel
-	for _, e := range g.Edges() {
-		u, v := e.U, e.V
-		if !orient(e) {
-			u, v = v, u
+	for u := 0; u < n; u++ {
+		row := g.Neighbors(u)
+		for i := lower[u]; i < int32(len(row)); i++ {
+			w := int(row[i])
+			pl, tail, head, back := PortLabel{I: int(i) + 1, J: int(lower[w]) + 1}, u, w, int32(0)
+			lower[w]++
+			if !orient(graph.Edge{U: u, V: w}) {
+				pl, tail, head, back = PortLabel{I: pl.J, J: pl.I}, w, u, 1
+			}
+			l, ok := labelIdx[pl]
+			if !ok {
+				l = int32(len(labels))
+				labelIdx[pl] = l
+				labels = append(labels, pl)
+			}
+			codes = append(codes, l<<1|back)
+			outOff[tail+1]++
+			inOff[head+1]++
 		}
-		pl := PortLabel{I: g.NeighborIndex(u, v) + 1, J: g.NeighborIndex(v, u) + 1}
-		if _, ok := labelIdx[pl]; !ok {
-			labelIdx[pl] = len(labels)
-			labels = append(labels, pl)
+	}
+	for v := 0; v < n; v++ {
+		outOff[v+1] += outOff[v]
+		inOff[v+1] += inOff[v]
+	}
+	// Fill: outOff[v] and inOff[v] serve as row v's cursors, so
+	// afterwards they hold the rows' ends; shifting each offset array up
+	// one place restores the starts.
+	out, in := make([]Arc, outOff[n]), make([]Arc, inOff[n])
+	k := 0
+	for u := 0; u < n; u++ {
+		for _, w32 := range g.Neighbors(u)[lower[u]:] {
+			tail, head, c := u, int(w32), codes[k]
+			k++
+			if c&1 != 0 {
+				tail, head = head, tail
+			}
+			out[outOff[tail]] = Arc{To: head, Label: int(c >> 1)}
+			outOff[tail]++
+			in[inOff[head]] = Arc{To: tail, Label: int(c >> 1)}
+			inOff[head]++
 		}
-		arcs = append(arcs, arcRec{u: u, v: v, pl: pl})
 	}
-	b := NewBuilder(g.N(), len(labels))
-	for _, a := range arcs {
-		b.MustAddArc(a.u, a.v, labelIdx[a.pl])
+	for _, off := range [][]int32{outOff, inOff} {
+		copy(off[1:], off[:n])
+		off[0] = 0
 	}
-	return &Ported{D: b.Build(), Labels: labels, Host: g}
+	byLabel := func(a, b Arc) int { return cmp.Compare(a.Label, b.Label) }
+	for v := 0; v < n; v++ {
+		slices.SortFunc(out[outOff[v]:outOff[v+1]], byLabel)
+		slices.SortFunc(in[inOff[v]:inOff[v+1]], byLabel)
+	}
+	d := &Digraph{n: n, alphabet: len(labels), outOff: outOff, inOff: inOff, out: out, in: in}
+	return &Ported{D: d, Labels: labels, Host: g}
 }
 
 // EulerianOrientation orients the edges of a graph whose vertices all
