@@ -31,11 +31,15 @@ import (
 // round r iff its stamp equals the run's base tick + r + 1, so
 // neither arena is ever zeroed, not even between runs.
 //
-// Payload lanes. The any-payload arenas (buf) are the general plane;
-// typed runs (see TypedEngine) carry fixed-width payloads in a
-// parallel uint64 word lane (wbuf) that shares the same slots, stamps,
-// routing and letter order — allocated lazily on the first typed
-// attachment, so purely untyped engines never pay for it.
+// Payload lanes. Untyped runs carry any payloads in the boxed lane
+// (the Msg arenas buf, with the dense inbox arena, the NodeInfo letter
+// arena and the state column); typed runs (see TypedEngine) carry
+// fixed-width payloads in a parallel uint64 word lane (wbuf). Both
+// share the same slots, stamps, routing and letter order, and each is
+// allocated on its first use — the word lane on the first typed
+// attachment, the boxed lane on the first untyped run — so an engine
+// pays only for the lanes it runs. A send on the other lane is a run
+// error.
 //
 // Worklist. Halted nodes leave the active list and cost nothing: each
 // round is a worker-sharded sweep of the active list only (dynamic
@@ -72,17 +76,20 @@ type Engine struct {
 	// Init time so a run performs no per-node letter allocation.
 	// Handed-out slices are shared: algorithms must treat them as
 	// read-only, which every RoundAlgo/EngineAlgo in the repo does.
+	// Boxed lane: nil until the first untyped run.
 	info []view.Letter
 
-	// Message plane: double-buffered arenas with monotone stamps. wbuf
-	// is the typed word lane (parallel to buf, stamps shared), nil
-	// until the first TypedOn attachment.
+	// Message plane: double-buffered arenas with monotone stamps. buf
+	// is the boxed lane, nil until the first untyped run; wbuf is the
+	// typed word lane, nil until the first TypedOn attachment. The
+	// stamps are shared.
 	buf   [2][]Msg
 	wbuf  [2][]uint64
 	stamp [2][]int64
 	tick  int64
 
-	// Run state, reused across runs.
+	// Run state, reused across runs. states and dense are boxed-lane
+	// arrays, nil until the first untyped run.
 	states  []any
 	halted  []bool
 	active  []int32
@@ -181,9 +188,13 @@ func (a RoundAlgo) engine() EngineAlgo {
 	}
 }
 
-// NewEngine sizes a message plane for the host: one slot per incident
-// (arc, direction) pair, plus the dense-inbox arena, state, halt and
-// worklist arrays. Everything is allocated here; runs reuse it all.
+// NewEngine sizes the part of a message plane both payload lanes
+// share: one slot per incident (arc, direction) pair with its letter,
+// routing and two stamp arenas (36 B per slot), plus the halt,
+// worklist and error columns. Each lane's own arrays come with its
+// first use: the word lane on the first typed attachment
+// (ensureWordLane), the boxed lane on the first untyped run
+// (ensureAnyPlane). Runs reuse everything.
 func NewEngine(h *Host) *Engine {
 	n := h.G.N()
 	e := &Engine{h: h, n: n}
@@ -204,7 +215,9 @@ func NewEngine(h *Host) *Engine {
 	e.letters = make([]view.Letter, total)
 	e.dest = make([]int32, total)
 	for v := 0; v < n; v++ {
-		// Merge the label-sorted out- and in-rows into letter order.
+		// Merge the label-sorted out- and in-rows into letter order;
+		// dest holds each slot's far endpoint until every row is
+		// lettered.
 		outs, ins := h.D.Out(v), h.D.In(v)
 		i, j := 0, 0
 		for s := e.off[v]; s < e.off[v+1]; s++ {
@@ -212,43 +225,20 @@ func NewEngine(h *Host) *Engine {
 				(j >= len(ins) || outs[i].Label <= ins[j].Label)
 			if takeOut {
 				e.letters[s] = view.Letter{Label: outs[i].Label}
+				e.dest[s] = int32(outs[i].To)
 				i++
 			} else {
 				e.letters[s] = view.Letter{Label: ins[j].Label, In: true}
+				e.dest[s] = int32(ins[j].To)
 				j++
 			}
 		}
 	}
-	for v := 0; v < n; v++ {
-		for s := e.off[v]; s < e.off[v+1]; s++ {
-			l := e.letters[s]
-			u, _ := resolveLetter(h, v, l)
-			e.dest[s] = e.slot(u, l.Inv())
-		}
+	for s, u := range e.dest {
+		e.dest[s] = e.slot(int(u), e.letters[s].Inv())
 	}
-	e.info = make([]view.Letter, total)
-	for v := 0; v < n; v++ {
-		s := e.off[v]
-		for _, a := range h.D.Out(v) {
-			e.info[s] = view.Letter{Label: a.Label}
-			s++
-		}
-		for _, a := range h.D.In(v) {
-			e.info[s] = view.Letter{Label: a.Label, In: true}
-			s++
-		}
-	}
-	for a := 0; a < 2; a++ {
-		e.buf[a] = make([]Msg, total)
-		e.stamp[a] = make([]int64, total)
-		for s := range e.buf[a] {
-			// A slot's arrival letter never changes; senders only
-			// write Data and the stamp.
-			e.buf[a][s].L = e.letters[s]
-		}
-	}
-	e.dense = make([]Msg, total)
-	e.states = make([]any, n)
+	e.stamp[0] = make([]int64, total)
+	e.stamp[1] = make([]int64, total)
 	e.halted = make([]bool, n)
 	e.active = make([]int32, 0, n)
 	e.spare = make([]int32, 0, n)
@@ -258,7 +248,7 @@ func NewEngine(h *Host) *Engine {
 }
 
 // ensureWordLane allocates the typed payload lanes (8 bytes per slot;
-// stamps, routing and letter order are shared with the any lane) on
+// stamps, routing and letter order are shared with the boxed lane) on
 // the first typed attachment.
 func (e *Engine) ensureWordLane() {
 	if e.wbuf[0] == nil {
@@ -266,6 +256,41 @@ func (e *Engine) ensureWordLane() {
 		e.wbuf[0] = make([]uint64, total)
 		e.wbuf[1] = make([]uint64, total)
 	}
+}
+
+// ensureAnyPlane builds the boxed lane on the first untyped run: the
+// two Msg arenas with every slot's arrival letter written in, the
+// dense inbox arena, the NodeInfo letter arena and the state column
+// (112 B per slot and 16 B per node, mostly pointer words the garbage
+// collector scans). Stamps already in use by typed runs stay below the
+// tick, so the fresh arenas never read a stale message.
+func (e *Engine) ensureAnyPlane() {
+	if e.buf[0] != nil {
+		return
+	}
+	total := len(e.letters)
+	for a := range e.buf {
+		e.buf[a] = make([]Msg, total)
+		for s := range e.buf[a] {
+			// A slot's arrival letter never changes; senders only
+			// write Data and the stamp.
+			e.buf[a][s].L = e.letters[s]
+		}
+	}
+	e.dense = make([]Msg, total)
+	e.info = make([]view.Letter, total)
+	for v := 0; v < e.n; v++ {
+		s := e.off[v]
+		for _, a := range e.h.D.Out(v) {
+			e.info[s] = view.Letter{Label: a.Label}
+			s++
+		}
+		for _, a := range e.h.D.In(v) {
+			e.info[s] = view.Letter{Label: a.Label, In: true}
+			s++
+		}
+	}
+	e.states = make([]any, e.n)
 }
 
 // slot returns the index of v's slot for letter l, or off[v+1] when v
@@ -311,6 +336,9 @@ type Outbox struct {
 	// runs; see errf).
 	round int
 	prof  string
+	// typed is the run's payload lane: SendWord and BroadcastWord are
+	// errors on an untyped run, Send on a typed one.
+	typed bool
 
 	// This worker's fault counters and inbox-compaction scratch.
 	lane
@@ -327,11 +355,16 @@ func (ob *Outbox) errf(format string, args ...any) error {
 }
 
 // Send emits a message on the arc named l at the sending node, to be
-// delivered next round. Sends on absent letters and second sends on
-// one letter in the same round are errors (reported by the run).
+// delivered next round. Sends on absent letters, second sends on one
+// letter in the same round and sends during a typed run are errors
+// (reported by the run).
 func (ob *Outbox) Send(l view.Letter, data any) {
 	e := ob.e
 	v := int(ob.v)
+	if ob.typed {
+		e.fail(v, ob.errf("node %d sent on the boxed lane during a typed run", v))
+		return
+	}
 	s := e.slot(v, l)
 	if s == e.off[v+1] {
 		e.fail(v, ob.errf("node %d sent on absent letter %v", v, l))
@@ -350,12 +383,17 @@ func (ob *Outbox) Send(l view.Letter, data any) {
 // SendWord emits the payload word w on the sender's local incident
 // slot (the letter-sorted index: typed info.Letters[slot] names the
 // arc) — the typed lane's analogue of Send, with the same contract:
-// sends on absent slots and second sends on one slot in the same
-// round are errors reported by the run. Unlike Send there is no
-// letter lookup at all; the slot index addresses the plane directly.
+// sends on absent slots, second sends on one slot in the same round
+// and sends during an untyped run are errors reported by the run.
+// Unlike Send there is no letter lookup at all; the slot index
+// addresses the plane directly.
 func (ob *Outbox) SendWord(slot int, w uint64) {
 	e := ob.e
 	v := int(ob.v)
+	if !ob.typed {
+		e.fail(v, ob.errf("node %d sent on the word lane during an untyped run", v))
+		return
+	}
 	lo, hi := e.off[v], e.off[v+1]
 	if slot < 0 || int32(slot) >= hi-lo {
 		e.fail(v, ob.errf("node %d sent on absent slot %d (node has %d)", v, slot, hi-lo))
@@ -375,10 +413,15 @@ func (ob *Outbox) SendWord(slot int, w uint64) {
 // the whole-row fast path of the typed lane: one pass over the
 // sender's slot row, no per-letter lookup and no double-send
 // bookkeeping (it overwrites anything already sent this round on
-// those slots; a second BroadcastWord in one Step simply wins).
+// those slots; a second BroadcastWord in one Step simply wins). Like
+// SendWord it is an error during an untyped run.
 func (ob *Outbox) BroadcastWord(w uint64) {
 	e := ob.e
 	v := int(ob.v)
+	if !ob.typed {
+		e.fail(v, ob.errf("node %d sent on the word lane during an untyped run", v))
+		return
+	}
 	nb := e.wbuf[ob.nxt]
 	st := e.stamp[ob.nxt]
 	want := ob.want
@@ -438,6 +481,7 @@ func (e *Engine) runStates(ids []int, algo EngineAlgo, maxRounds int, sched Sche
 	if ids != nil && len(ids) != e.n {
 		return nil, 0, nil, fmt.Errorf("model: RunRounds: %d ids for %d nodes", len(ids), e.n)
 	}
+	e.ensureAnyPlane()
 	for v := 0; v < e.n; v++ {
 		info := NodeInfo{ID: -1, Letters: e.info[e.off[v]:e.off[v+1]:e.off[v+1]]}
 		if ids != nil {
@@ -653,7 +697,7 @@ func (e *Engine) runCore(step func(int, *Outbox), typed bool, sched Schedule, ma
 	// Outboxes live outside the goroutines (master's is last) so the
 	// per-worker fault counters are collectable after the run.
 	obs, lanes := newLanes(workers+1, e.maxSlots, typed, sched != nil, func(ob *Outbox) *lane {
-		ob.e, ob.prof = e, prof
+		ob.e, ob.prof, ob.typed = e, prof, typed
 		return &ob.lane
 	})
 	start := make([]chan struct{}, workers)

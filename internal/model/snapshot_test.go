@@ -247,6 +247,53 @@ func TestSnapshotResumeTyped(t *testing.T) {
 	}
 }
 
+// TestSnapshotResumeUntypedAfterTyped: an untyped snapshot resumes on
+// an engine that has only run typed, so the resume builds the boxed
+// lane and restores pending payloads into it on a plane whose stamps
+// and tick the typed run has moved. Clean and faulty, the resumed run
+// ends exactly as the uninterrupted one.
+func TestSnapshotResumeUntypedAfterTyped(t *testing.T) {
+	defer par.Set(par.Set(4))
+	for _, prof := range []string{"", "lossy:p=0.2"} {
+		for name, h := range snapHosts() {
+			n := h.G.N()
+			ids := rand.New(rand.NewSource(int64(n))).Perm(4 * n)[:n]
+			var sched Schedule
+			if prof != "" {
+				sched = MustParseProfile(prof).New(h, 99)
+			}
+			control := map[int][]byte{}
+			states1, rounds1, rep1, err := NewEngine(h).WithCheckpoints(snapSink(control)).RunStatesFaulty(ids, snapFloodAlgo(), 64, sched)
+			if err != nil {
+				t.Fatalf("%s/%s: control: %v", name, prof, err)
+			}
+			sum1 := untypedSummary(states1)
+			for k, payload := range control {
+				snap, err := DecodeSnapshot(payload)
+				if err != nil {
+					t.Fatalf("%s/%s: decode round %d: %v", name, prof, k, err)
+				}
+				te := NewWordEngine(h)
+				if _, _, _, err := te.RunStatesFaulty(ids, snapWordAlgo(), 64, sched); err != nil {
+					t.Fatalf("%s/%s: typed run: %v", name, prof, err)
+				}
+				e := te.Engine()
+				if e.buf[0] != nil {
+					t.Fatalf("%s/%s: the typed run built the boxed lane", name, prof)
+				}
+				states2, rounds2, rep2, err := e.Resume(snap).RunStatesFaulty(ids, snapFloodAlgo(), 64, sched)
+				if err != nil {
+					t.Fatalf("%s/%s: resume from %d: %v", name, prof, k, err)
+				}
+				if rounds2 != rounds1 || !reflect.DeepEqual(untypedSummary(states2), sum1) || !reflect.DeepEqual(rep1, rep2) {
+					t.Errorf("%s/%s: resume from %d after a typed run: rounds %d (control %d), states or fault report differ",
+						name, prof, k, rounds2, rounds1)
+				}
+			}
+		}
+	}
+}
+
 // TestSnapshotRequestNowCancel is the watchdog pattern: RequestNow
 // then cancel captures a checkpoint at the very barrier the
 // cancellation lands on, and resuming it completes with the control

@@ -1,8 +1,10 @@
 package model
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -339,30 +341,167 @@ func TestTypedSteadyStateAllocs(t *testing.T) {
 // TestTypedUntypedPlaneSharing: typed and untyped runs alternate on
 // ONE message plane — the monotone stamp discipline keeps the lanes
 // from ever reading each other's leftovers, so every run matches a
-// fresh engine byte for byte.
+// fresh engine byte for byte. Both orders are pinned: untyped first on
+// a TypedOn-attached engine, and typed first on a fresh typed engine,
+// whose first untyped run builds the boxed lane mid-life over stamps
+// the typed run has already written.
 func TestTypedUntypedPlaneSharing(t *testing.T) {
 	h := HostFromGraph(graph.Petersen())
-	e := NewEngine(h)
-	te := TypedOn[floodTypedState](e)
 	rng := rand.New(rand.NewSource(3))
 	ids := rng.Perm(40)[:10]
 	wantU, wantRounds, err := RunRounds(h, ids, floodMaxAlgo(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, typedFirst := range []bool{false, true} {
+		te := TypedOn[floodTypedState](NewEngine(h))
+		if typedFirst {
+			te = NewTypedEngine[floodTypedState](h)
+		}
+		e := te.Engine()
+		lanes := []bool{false, true}
+		if typedFirst {
+			lanes = []bool{true, false}
+		}
+		for i := 0; i < 3; i++ {
+			for _, typed := range lanes {
+				var outs []Output
+				var rounds int
+				var err error
+				if typed {
+					outs, rounds, err = te.Run(ids, floodTypedAlgo(), 16)
+				} else {
+					outs, rounds, err = e.Run(ids, floodMaxAlgo().engine(), 16)
+				}
+				if err != nil {
+					t.Fatalf("typedFirst=%v iteration %d typed=%v: %v", typedFirst, i, typed, err)
+				}
+				if rounds != wantRounds || !reflect.DeepEqual(outs, wantU) {
+					t.Fatalf("typedFirst=%v iteration %d typed=%v: alternating lanes diverged from fresh run", typedFirst, i, typed)
+				}
+				if i == 0 && typed && typedFirst && e.buf[0] != nil {
+					t.Fatalf("a typed run built the boxed lane")
+				}
+			}
+		}
+	}
+}
+
+// TestCrossLaneSendFails: a send on the lane the run does not use is a
+// run error carrying the round, on faulty runs the profile, the node
+// and the lane — on a plain engine (no word lane), on a TypedOn-attached
+// engine (the untyped run builds the boxed lane beside a word lane) and
+// on a typed engine whose boxed lane was never built — clean and
+// faulty. The engine then runs both lanes correctly.
+func TestCrossLaneSendFails(t *testing.T) {
+	h := HostFromGraph(graph.Petersen())
+	ids := rand.New(rand.NewSource(3)).Perm(40)[:10]
+	wantOuts, wantRounds, err := RunRounds(h, ids, floodMaxAlgo(), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Node 3 misuses a lane in round 1; every node halts after round 2.
+	untyped := func(send func(*Outbox)) EngineAlgo {
+		return EngineAlgo{
+			Init: func(NodeInfo) any { return nil },
+			Step: func(st any, r int, _ []Msg, out *Outbox) (any, bool) {
+				if r == 1 && out.v == 3 {
+					send(out)
+				}
+				return st, r >= 2
+			},
+			Out: func(any) Output { return Output{} },
+		}
+	}
+	typed := func(send func(*Outbox)) WordAlgo {
+		return WordAlgo{
+			Init: func(int, NodeInfo) uint64 { return 0 },
+			Step: func(_ *uint64, r int, _ []WordMsg, out *Outbox) bool {
+				if r == 1 && out.v == 3 {
+					send(out)
+				}
+				return r >= 2
+			},
+			Out: func(*uint64) Output { return Output{} },
+		}
+	}
+	broadcast := func(ob *Outbox) { ob.BroadcastWord(7) }
+	sendWord := func(ob *Outbox) { ob.SendWord(0, 7) }
+	send := func(ob *Outbox) { ob.Send(ob.e.letters[ob.e.off[ob.v]], 7) }
+	cases := []struct {
+		name          string
+		attach, typed bool
+		send          func(*Outbox)
+	}{
+		{"untyped BroadcastWord", false, false, broadcast},
+		{"untyped SendWord", false, false, sendWord},
+		{"attached untyped BroadcastWord", true, false, broadcast},
+		{"attached untyped SendWord", true, false, sendWord},
+		{"typed Send", true, true, send},
+	}
+	for _, prof := range []string{"", "lossy:p=0"} {
+		var sched Schedule
+		prefix := "model: round 1: "
+		if prof != "" {
+			sched = MustParseProfile(prof).New(h, 1)
+			prefix = "model: round 1 [" + prof + "]: "
+		}
+		for _, c := range cases {
+			name := c.name + " " + prof
+			e := NewEngine(h)
+			if c.attach {
+				TypedOn[uint64](e)
+			}
+			var err error
+			want := prefix + "node 3 sent on the word lane during an untyped run"
+			if c.typed {
+				_, _, _, err = TypedOn[uint64](e).RunStatesFaulty(ids, typed(c.send), 8, sched)
+				want = prefix + "node 3 sent on the boxed lane during a typed run"
+			} else {
+				_, _, _, err = e.RunStatesFaulty(ids, untyped(c.send), 8, sched)
+			}
+			if err == nil || err.Error() != want {
+				t.Errorf("%s: error %v, want %q", name, err, want)
+			}
+			outs, rounds, err := e.Run(ids, floodMaxAlgo().engine(), 16)
+			if err != nil || rounds != wantRounds || !reflect.DeepEqual(outs, wantOuts) {
+				t.Errorf("%s: untyped run after the error diverged (err %v)", name, err)
+			}
+			outs, rounds, err = TypedOn[floodTypedState](e).Run(ids, floodTypedAlgo(), 16)
+			if err != nil || rounds != wantRounds || !reflect.DeepEqual(outs, wantOuts) {
+				t.Errorf("%s: typed run after the error diverged (err %v)", name, err)
+			}
+		}
+	}
+}
+
+// TestWordEngineBytesPerSlot: a typed-only engine allocates the shared
+// plane and the word lane, never the boxed lane. On torus:64x64
+// (16,384 slots) that is 52 B per slot plus the per-node columns,
+// about 61 B per slot in all; the boxed lane would add 112 B per slot
+// and 16 B per node on top.
+func TestWordEngineBytesPerSlot(t *testing.T) {
+	h := HostFromGraph(graph.Torus(64, 64))
+	slots := 0
+	for v := 0; v < h.G.N(); v++ {
+		slots += len(h.D.Out(v)) + len(h.D.In(v))
+	}
+	least := uint64(math.MaxUint64)
+	var te *WordEngine
 	for i := 0; i < 3; i++ {
-		outsU, roundsU, err := e.Run(ids, floodMaxAlgo().engine(), 16)
-		if err != nil {
-			t.Fatalf("iteration %d untyped: %v", i, err)
-		}
-		outsT, roundsT, err := te.Run(ids, floodTypedAlgo(), 16)
-		if err != nil {
-			t.Fatalf("iteration %d typed: %v", i, err)
-		}
-		if roundsU != wantRounds || roundsT != wantRounds ||
-			!reflect.DeepEqual(outsU, wantU) || !reflect.DeepEqual(outsT, wantU) {
-			t.Fatalf("iteration %d: alternating lanes diverged from fresh run", i)
-		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		te = NewWordEngine(h)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	per := float64(least) / float64(slots)
+	t.Logf("NewWordEngine: %.1f B per slot (%d B for %d slots)", per, least, slots)
+	if per > 72 {
+		t.Errorf("NewWordEngine allocates %.1f B per slot, want at most 72", per)
+	}
+	if e := te.Engine(); e.buf[0] != nil || e.dense != nil || e.info != nil || e.states != nil {
+		t.Error("NewWordEngine built the boxed lane")
 	}
 }
 
