@@ -694,6 +694,20 @@ func BenchmarkColeVishkinCycle64K(b *testing.B) {
 	})
 }
 
+// BenchmarkHostEngineBuild times the set-up of a flat typed run on the
+// 256x256 torus, the rounds workload's matching host: the port
+// numbering (model.HostFromGraph) plus the typed engine
+// (model.NewWordEngine). Not CI-gated; run with -benchmem.
+func BenchmarkHostEngineBuild(b *testing.B) {
+	th, err := host.Parse("torus:256x256")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for b.Loop() {
+		model.NewWordEngine(model.HostFromGraph(th.G))
+	}
+}
+
 // BenchmarkHomogeneityExact times one exact Theorem 3.2 scan of
 // C(H_2(64), S): 262,144 vertices, every radius-1 ordered ball
 // classified (the homog-cayley pass of the repository benchmark).

@@ -7,9 +7,11 @@ Modes:
       Parse `go test -bench` output (possibly -count repeated) and
       write {"machine": {...}, "benchmarks": {name: {"ns_op": min,
       "B_op":, "allocs_op":}}}. The machine record holds goos, goarch
-      and cpu from the `go test` header and GOMAXPROCS from the `-N`
+      and cpu from the `go test` header, GOMAXPROCS from the `-N`
       suffix of the benchmark names (no suffix means 1; a run over
-      several -cpu values records the sorted list).
+      several -cpu values records the sorted list), and the recording
+      machine's core count (os.cpu_count()) and Go version (`go env
+      GOVERSION`, "unknown" when that fails).
 
   check   <bench-output> <baseline.json> [--threshold 0.25]
       Compare the run against the committed baseline. Raw ns/op is
@@ -30,9 +32,9 @@ Modes:
       measured ns/op worse than the baseline machine's, never
       spuriously better, so the gate stays sound (merely
       conservative). Exit 1 on any regression.
-      It prints the baseline's and the run's machine records first
-      ("unrecorded" for a baseline without one); they inform, the
-      ratios alone decide.
+      It prints the baseline's and the run's machine records first,
+      cores and Go version included ("unrecorded" for a baseline
+      without one); they inform, the ratios alone decide.
 
 Watched benchmarks (the CSR/interner/sweep/round-engine hot paths the
 repo promises not to regress): ViewEncode, CanonicalBall,
@@ -61,8 +63,10 @@ local-heavy traffic, the long-shift circulant at P=8 prices the
 counting-sorted cross-shard exchange drain).
 """
 import json
+import os
 import re
 import statistics
+import subprocess
 import sys
 
 WATCHED = [
@@ -124,19 +128,37 @@ def parse(path):
     return machine, rows
 
 
+def go_version():
+    """The local toolchain's `go env GOVERSION`, or "unknown"."""
+    try:
+        out = subprocess.run(
+            ["go", "env", "GOVERSION"], capture_output=True, text=True, check=True
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return out or "unknown"
+
+
+def local_machine(machine):
+    """machine plus this machine's core count and Go version: the parts
+    of the record the `go test` output does not carry."""
+    return {**machine, "cores": os.cpu_count(), "go_version": go_version()}
+
+
 def describe(machine):
     """One line for a machine record, or "unrecorded"."""
     if not machine:
         return "unrecorded"
     return " ".join(
         f"{k}={machine[k]}"
-        for k in ("goos", "goarch", "cpu", "gomaxprocs")
+        for k in ("goos", "goarch", "cpu", "cores", "gomaxprocs", "go_version")
         if k in machine
     )
 
 
 def record(bench_path, out_path):
     machine, rows = parse(bench_path)
+    machine = local_machine(machine)
     if not rows:
         sys.exit(f"benchdelta: no benchmark lines in {bench_path}")
     json.dump({"machine": machine, "benchmarks": rows}, open(out_path, "w"), indent=2)
@@ -145,6 +167,7 @@ def record(bench_path, out_path):
 
 def check(bench_path, baseline_path, threshold):
     cur_machine, cur = parse(bench_path)
+    cur_machine = local_machine(cur_machine)
     baseline = json.load(open(baseline_path))
     base = baseline["benchmarks"]
     print(f"benchdelta: baseline machine: {describe(baseline.get('machine'))}")
