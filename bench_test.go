@@ -708,6 +708,22 @@ func BenchmarkHostEngineBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkHostParse times host.Parse on the four families built from
+// their shard sources, at 65,536 nodes each: the counting-pass
+// digraph.FromSource (dcycle, shift-regular) and digraph.UnderlyingOf
+// (cycle, torus). Not CI-gated; run with -benchmem.
+func BenchmarkHostParse(b *testing.B) {
+	for _, desc := range []string{"dcycle:65536", "cycle:65536", "torus:256x256", "shift-regular:d=4,n=65536,seed=1"} {
+		b.Run(desc, func(b *testing.B) {
+			for b.Loop() {
+				if _, err := host.Parse(desc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkHomogeneityExact times one exact Theorem 3.2 scan of
 // C(H_2(64), S): 262,144 vertices, every radius-1 ordered ball
 // classified (the homog-cayley pass of the repository benchmark).

@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/digraph"
 	"repro/internal/graph"
+	"repro/internal/host"
 	"repro/internal/model"
 	"repro/internal/order"
 	"repro/internal/view"
@@ -61,13 +61,14 @@ func Models() (*Table, error) {
 	return t, nil
 }
 
-// directedCycle builds the consistently oriented n-cycle host.
+// directedCycle resolves the consistently oriented n-cycle host
+// (the registry's dcycle:<n>).
 func directedCycle(n int) (*model.Host, error) {
-	b := digraph.NewBuilder(n, 1)
-	for i := 0; i < n; i++ {
-		b.MustAddArc(i, (i+1)%n, 0)
+	h, err := host.Parse(fmt.Sprintf("dcycle:%d", n))
+	if err != nil {
+		return nil, err
 	}
-	return model.NewHost(b.Build())
+	return &model.Host{D: h.D, G: h.G}, nil
 }
 
 func yn(b bool) string {

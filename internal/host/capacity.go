@@ -30,6 +30,15 @@ func checkFlat(nodes, arcs int64) error {
 	return nil
 }
 
+// fitsFlat is checkFlat for a family that is built both flat and
+// implicitly from one Source: it checks only when p builds a flat host.
+func (p *Params) fitsFlat(nodes, arcs int64) error {
+	if !p.flat {
+		return nil
+	}
+	return checkFlat(nodes, arcs)
+}
+
 // mulNodes multiplies dimension factors in 64 bits, stopping with a
 // capacity error the moment the running product leaves flat-CSR range
 // (so torus:100000x100000 fails fast instead of overflowing).

@@ -25,41 +25,6 @@ func plain(build func(p *Params) (*graph.Graph, error)) func(p *Params) (*Host, 
 
 func init() {
 	Register(Family{
-		Name: "cycle", Syntax: "cycle:<n>", Doc: "the n-cycle (n >= 3)",
-		Build: plain(func(p *Params) (*graph.Graph, error) {
-			n, err := p.Int("n", 12)
-			if err != nil || n < 3 {
-				return nil, orErr(err, "need n >= 3")
-			}
-			if err := checkFlat(int64(n), 2*int64(n)); err != nil {
-				return nil, err
-			}
-			return graph.Cycle(n), nil
-		}),
-	})
-	Register(Family{
-		Name: "dcycle", Syntax: "dcycle:<n>", Doc: "the consistently oriented directed n-cycle (n >= 3)",
-		Build: func(p *Params) (*Host, error) {
-			n, err := p.Int("n", 12)
-			if err != nil || n < 3 {
-				return nil, orErr(err, "need n >= 3")
-			}
-			if err := checkFlat(int64(n), 2*int64(n)); err != nil {
-				return nil, err
-			}
-			b := digraph.NewBuilder(n, 1)
-			for i := 0; i < n; i++ {
-				b.MustAddArc(i, (i+1)%n, 0)
-			}
-			d := b.Build()
-			g, err := d.Underlying()
-			if err != nil {
-				return nil, err
-			}
-			return &Host{G: g, D: d}, nil
-		},
-	})
-	Register(Family{
 		Name: "path", Syntax: "path:<n>", Doc: "the path on n vertices",
 		Build: plain(func(p *Params) (*graph.Graph, error) {
 			n, err := p.Int("n", 12)
@@ -130,28 +95,6 @@ func init() {
 		}),
 	})
 	Register(Family{
-		Name: "torus", Syntax: "torus:<s1>x<s2>[x<s3>...]", Doc: "toroidal grid, every side >= 3",
-		Build: plain(func(p *Params) (*graph.Graph, error) {
-			dims, err := p.Dims("dims", []int{6, 6})
-			if err != nil {
-				return nil, err
-			}
-			for _, s := range dims {
-				if s < 3 {
-					return nil, fmt.Errorf("side %d < 3", s)
-				}
-			}
-			n, err := mulNodes(dims)
-			if err != nil {
-				return nil, err
-			}
-			if err := checkFlat(n, 2*int64(len(dims))*n); err != nil {
-				return nil, err
-			}
-			return graph.Torus(dims...), nil
-		}),
-	})
-	Register(Family{
 		Name: "hypercube", Syntax: "hypercube:<k>", Doc: "the k-dimensional hypercube",
 		Build: plain(func(p *Params) (*graph.Graph, error) {
 			k, err := p.Int("k", 4)
@@ -208,44 +151,6 @@ func init() {
 		}),
 	})
 	Register(Family{
-		Name:   "shift-regular",
-		Syntax: "shift-regular:d=<d>,n=<n>,seed=<s>",
-		Doc:    "d-regular circulant on d/2 seeded distinct shifts (shard-generable stand-in for random-regular)",
-		Build: func(p *Params) (*Host, error) {
-			d, err := p.Int("d", 4)
-			if err != nil {
-				return nil, err
-			}
-			n, err := p.Int("n", 16)
-			if err != nil {
-				return nil, err
-			}
-			seed, err := p.Int64("seed", 1)
-			if err != nil {
-				return nil, err
-			}
-			if err := checkFlat(int64(n), int64(n)*int64(d)); err != nil {
-				return nil, err
-			}
-			shifts, err := shiftRegularShifts(n, d, seed)
-			if err != nil {
-				return nil, err
-			}
-			b := digraph.NewBuilder(n, len(shifts))
-			for v := 0; v < n; v++ {
-				for j, s := range shifts {
-					b.MustAddArc(v, (v+s)%n, j)
-				}
-			}
-			dg := b.Build()
-			g, err := dg.Underlying()
-			if err != nil {
-				return nil, err
-			}
-			return &Host{G: g, D: dg}, nil
-		},
-	})
-	Register(Family{
 		Name: "margulis-expander", Syntax: "margulis-expander:n=<n>", Doc: "Margulis/Gabber-Galil expander on Z_n x Z_n (degree <= 8)",
 		Build: plain(func(p *Params) (*graph.Graph, error) {
 			n, err := p.Int("n", 8)
@@ -267,49 +172,6 @@ func init() {
 		Doc:    "cyclic l-lift of a base host (seed=0: single twisted arc; else random shifts)",
 		Build:  buildLift,
 	})
-}
-
-// shiftRegularShifts derives the d/2 distinct shifts of the
-// shift-regular family from (n, d, seed): a splitmix64 stream with
-// rejection over [1, (n-1)/2], sorted ascending so shift index j is
-// the family's canonical arc label. The implicit shard source
-// (shards.go) re-derives exactly the same shifts, so the materialised
-// and generated hosts agree arc for arc.
-func shiftRegularShifts(n, d int, seed int64) ([]int, error) {
-	if d < 2 || d%2 != 0 {
-		return nil, fmt.Errorf("need even d >= 2")
-	}
-	half := (n - 1) / 2
-	if n < 3 || d/2 > half {
-		return nil, fmt.Errorf("need d/2 <= (n-1)/2 distinct shifts, have d=%d n=%d", d, n)
-	}
-	shifts := make([]int, 0, d/2)
-	seen := make(map[int]bool, d/2)
-	x := uint64(seed)
-	limit := 64*(d+16) + 8*half // coupon-collector slack even when d/2 == half
-	for draws := 0; len(shifts) < d/2; draws++ {
-		if draws > limit {
-			return nil, fmt.Errorf("shift derivation for n=%d d=%d seed=%d did not converge", n, d, seed)
-		}
-		x = splitmix64(x)
-		s := int(x%uint64(half)) + 1
-		if seen[s] {
-			continue
-		}
-		seen[s] = true
-		shifts = append(shifts, s)
-	}
-	slices.Sort(shifts)
-	return shifts, nil
-}
-
-// splitmix64 is the standard SplitMix64 finaliser, the same mixer the
-// fault scheduler builds its coordinate hashes from.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // orErr returns err when non-nil, else a new error with the message.

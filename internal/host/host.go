@@ -12,8 +12,8 @@
 // ("lift:cycle:9,l=3"); a nested descriptor may therefore contain ':'
 // but not ','. List-valued arguments use '+' ("circulant:24,1+3").
 //
-// The registry is populated by families.go at init time; callers may
-// Register additional families (names are unique).
+// The registry is populated by families.go and shards.go at init
+// time; callers may Register additional families (names are unique).
 package host
 
 import (
@@ -51,6 +51,9 @@ type Family struct {
 	Doc string
 	// Build constructs the host from parsed arguments.
 	Build func(p *Params) (*Host, error)
+	// Source, when set, generates the host implicitly for ParseShard;
+	// such a family's Build materialises the same source (shards.go).
+	Source func(p *Params) (digraph.Source, error)
 }
 
 var (
@@ -94,12 +97,17 @@ func Describe() string {
 	return sb.String()
 }
 
+// splitDesc splits a descriptor into its family name and arguments.
+func splitDesc(desc string) (name, rest string) {
+	if i := strings.IndexByte(desc, ':'); i >= 0 {
+		return desc[:i], desc[i+1:]
+	}
+	return desc, ""
+}
+
 // Parse resolves a descriptor into a Host.
 func Parse(desc string) (*Host, error) {
-	name, rest := desc, ""
-	if i := strings.IndexByte(desc, ':'); i >= 0 {
-		name, rest = desc[:i], desc[i+1:]
-	}
+	name, rest := splitDesc(desc)
 	regMu.RLock()
 	f, ok := registry[name]
 	regMu.RUnlock()
@@ -136,6 +144,9 @@ type Params struct {
 	kv     map[string]string
 	usedKV map[string]bool
 	posUse int
+	// flat is set when the arguments build a flat host, whose size
+	// must fit the int32 CSR substrate; implicit sources need not.
+	flat bool
 }
 
 func parseParams(rest string) (*Params, error) {

@@ -2,69 +2,103 @@ package host
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strings"
-	"sync"
 
 	"repro/internal/digraph"
 )
 
-// This file is the implicit side of the registry: shard sources
-// generate a family's host node by node under digraph.Source, so a
-// 10^8-node host never materialises. Sources must agree with their
-// materialised siblings — cycle and dcycle reproduce the canonical
-// digraph.FromPorts / registry labelling exactly (pinned by
-// differential tests); torus carries its own canonical
-// dimension-indexed labelling (FromPorts compact labels depend on a
-// global first-encounter order no local rule can reproduce), and
-// shift-regular is registered in both forms from one shift
-// derivation, so implicit and materialised agree arc for arc.
+// The families here generate their host node by node under
+// digraph.Source. ParseShard returns the source as is, so a 10^8-node
+// host never materialises; Parse builds the flat host from the same
+// source in one counting pass: digraph.FromSource for the labelled
+// families (D is the source's digraph), digraph.UnderlyingOf for the
+// plain ones (D nil). The torus source's dimension-indexed labels are
+// not FromPorts' compact ones, which depend on a global first-encounter
+// order no local rule reproduces, so the flat torus stays plain.
 
-var (
-	shardMu  sync.RWMutex
-	shardReg = map[string]func(p *Params) (digraph.Source, error){}
-)
+func init() {
+	Register(Family{
+		Name: "cycle", Syntax: "cycle:<n>", Doc: "the n-cycle (n >= 3)",
+		Source: parseCycle, Build: unlabelled(parseCycle),
+	})
+	Register(Family{
+		Name: "dcycle", Syntax: "dcycle:<n>", Doc: "the consistently oriented directed n-cycle (n >= 3)",
+		Source: parseDcycle, Build: labelled(parseDcycle),
+	})
+	Register(Family{
+		Name: "torus", Syntax: "torus:<s1>x<s2>[x<s3>...]", Doc: "toroidal grid, every side >= 3",
+		Source: parseTorus, Build: unlabelled(parseTorus),
+	})
+	Register(Family{
+		Name:   "shift-regular",
+		Syntax: "shift-regular:d=<d>,n=<n>,seed=<s>",
+		Doc:    "d-regular circulant on d/2 seeded distinct shifts (shard-generable stand-in for random-regular)",
+		Source: parseShiftRegular, Build: labelled(parseShiftRegular),
+	})
+}
 
-// RegisterShard adds an implicit shard-source builder for a family
-// name; duplicate names panic.
-func RegisterShard(name string, build func(p *Params) (digraph.Source, error)) {
-	if name == "" || build == nil {
-		panic("host: RegisterShard needs a name and a build func")
+// labelled derives a labelled family's Build from its Source: D is the
+// digraph the source generates, G its underlying graph.
+func labelled(source func(*Params) (digraph.Source, error)) func(*Params) (*Host, error) {
+	return func(p *Params) (*Host, error) {
+		p.flat = true
+		src, err := source(p)
+		if err != nil {
+			return nil, err
+		}
+		d, err := digraph.FromSource(src)
+		if err != nil {
+			return nil, err
+		}
+		g, err := d.Underlying()
+		if err != nil {
+			return nil, err
+		}
+		return &Host{G: g, D: d}, nil
 	}
-	shardMu.Lock()
-	defer shardMu.Unlock()
-	if _, dup := shardReg[name]; dup {
-		panic(fmt.Sprintf("host: shard family %q registered twice", name))
+}
+
+// unlabelled derives a plain family's Build from its Source: G is the
+// source's underlying graph and D is left nil.
+func unlabelled(source func(*Params) (digraph.Source, error)) func(*Params) (*Host, error) {
+	return func(p *Params) (*Host, error) {
+		p.flat = true
+		src, err := source(p)
+		if err != nil {
+			return nil, err
+		}
+		g, err := digraph.UnderlyingOf(src)
+		if err != nil {
+			return nil, err
+		}
+		return &Host{G: g}, nil
 	}
-	shardReg[name] = build
 }
 
 // ShardFamilies returns the names of the families that can generate
-// shard-locally, sorted — the escape hatch the flat-capacity errors
-// point at.
+// shard-locally (those with a Source), sorted — the escape hatch the
+// flat-capacity errors point at.
 func ShardFamilies() []string {
-	shardMu.RLock()
-	defer shardMu.RUnlock()
-	out := make([]string, 0, len(shardReg))
-	for name := range shardReg {
-		out = append(out, name)
+	var out []string
+	for _, f := range Families() {
+		if f.Source != nil {
+			out = append(out, f.Name)
+		}
 	}
-	sort.Strings(out)
 	return out
 }
 
 // ParseShard resolves a descriptor into an implicit shard source.
-// The grammar is exactly Parse's; only families with a registered
-// source resolve (ShardFamilies lists them).
+// The grammar is exactly Parse's; only families with a Source
+// resolve (ShardFamilies lists them).
 func ParseShard(desc string) (digraph.Source, error) {
-	name, rest := desc, ""
-	if i := strings.IndexByte(desc, ':'); i >= 0 {
-		name, rest = desc[:i], desc[i+1:]
-	}
-	shardMu.RLock()
-	build, ok := shardReg[name]
-	shardMu.RUnlock()
-	if !ok {
+	name, rest := splitDesc(desc)
+	regMu.RLock()
+	f := registry[name]
+	regMu.RUnlock()
+	if f.Source == nil {
 		return nil, fmt.Errorf("host: family %q has no implicit shard source (shard-capable families: %s)",
 			name, strings.Join(ShardFamilies(), ", "))
 	}
@@ -72,7 +106,7 @@ func ParseShard(desc string) (digraph.Source, error) {
 	if err != nil {
 		return nil, fmt.Errorf("host: descriptor %q: %w", desc, err)
 	}
-	src, err := build(p)
+	src, err := f.Source(p)
 	if err != nil {
 		return nil, fmt.Errorf("host: %s: %w", desc, err)
 	}
@@ -82,59 +116,71 @@ func ParseShard(desc string) (digraph.Source, error) {
 	return src, nil
 }
 
-func init() {
-	RegisterShard("cycle", func(p *Params) (digraph.Source, error) {
-		n, err := p.Int64("n", 12)
-		if err != nil || n < 3 {
-			return nil, orErr(err, "need n >= 3")
+func parseCycle(p *Params) (digraph.Source, error) {
+	n, err := p.Int64("n", 12)
+	if err != nil || n < 3 {
+		return nil, orErr(err, "need n >= 3")
+	}
+	if err := p.fitsFlat(n, 2*n); err != nil {
+		return nil, err
+	}
+	return cycleSource{n: n}, nil
+}
+
+func parseDcycle(p *Params) (digraph.Source, error) {
+	n, err := p.Int64("n", 12)
+	if err != nil || n < 3 {
+		return nil, orErr(err, "need n >= 3")
+	}
+	if err := p.fitsFlat(n, 2*n); err != nil {
+		return nil, err
+	}
+	return dcycleSource{n: n}, nil
+}
+
+func parseTorus(p *Params) (digraph.Source, error) {
+	dims, err := p.Dims("dims", []int{6, 6})
+	if err != nil {
+		return nil, err
+	}
+	for _, s := range dims {
+		if s < 3 {
+			return nil, fmt.Errorf("side %d < 3", s)
 		}
-		return cycleSource{n: n}, nil
-	})
-	RegisterShard("dcycle", func(p *Params) (digraph.Source, error) {
-		n, err := p.Int64("n", 12)
-		if err != nil || n < 3 {
-			return nil, orErr(err, "need n >= 3")
-		}
-		return dcycleSource{n: n}, nil
-	})
-	RegisterShard("torus", func(p *Params) (digraph.Source, error) {
-		dims, err := p.Dims("dims", []int{6, 6})
+	}
+	if p.flat {
+		n, err := mulNodes(dims)
 		if err != nil {
 			return nil, err
 		}
-		for _, s := range dims {
-			if s < 3 {
-				return nil, fmt.Errorf("side %d < 3", s)
-			}
-		}
-		return newTorusSource(dims), nil
-	})
-	RegisterShard("shift-regular", func(p *Params) (digraph.Source, error) {
-		d, err := p.Int("d", 4)
-		if err != nil {
+		if err := checkFlat(n, 2*int64(len(dims))*n); err != nil {
 			return nil, err
 		}
-		n, err := p.Int64("n", 16)
-		if err != nil {
-			return nil, err
-		}
-		seed, err := p.Int64("seed", 1)
-		if err != nil {
-			return nil, err
-		}
-		if n > int64(int(^uint(0)>>1)) {
-			return nil, fmt.Errorf("n=%d out of range", n)
-		}
-		shifts, err := shiftRegularShifts(int(n), d, seed)
-		if err != nil {
-			return nil, err
-		}
-		s64 := make([]int64, len(shifts))
-		for i, s := range shifts {
-			s64[i] = int64(s)
-		}
-		return shiftSource{n: n, shifts: s64}, nil
-	})
+	}
+	return newTorusSource(dims)
+}
+
+func parseShiftRegular(p *Params) (digraph.Source, error) {
+	d, err := p.Int("d", 4)
+	if err != nil {
+		return nil, err
+	}
+	n, err := p.Int("n", 16)
+	if err != nil {
+		return nil, err
+	}
+	seed, err := p.Int64("seed", 1)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.fitsFlat(int64(n), int64(n)*int64(d)); err != nil {
+		return nil, err
+	}
+	shifts, err := shiftRegularShifts(n, d, seed)
+	if err != nil {
+		return nil, err
+	}
+	return shiftSource{n: int64(n), shifts: shifts}, nil
 }
 
 // cycleSource generates the undirected n-cycle with exactly the
@@ -183,7 +229,8 @@ func (c cycleSource) AppendArcs(v int64, out, in []digraph.SourceArc) ([]digraph
 
 // dcycleSource generates the consistently oriented directed n-cycle
 // with the registry's labelling: every arc i -> i+1 mod n carries
-// label 0.
+// label 0. The ends wrap by comparison, not by v - 1 + n, which
+// overflows int64 for n past math.MaxInt64/2.
 type dcycleSource struct{ n int64 }
 
 func (c dcycleSource) N() int64                { return c.n }
@@ -191,8 +238,15 @@ func (c dcycleSource) Alphabet() int           { return 1 }
 func (c dcycleSource) Degree(int64) (int, int) { return 1, 1 }
 
 func (c dcycleSource) AppendArcs(v int64, out, in []digraph.SourceArc) ([]digraph.SourceArc, []digraph.SourceArc) {
-	out = append(out, digraph.SourceArc{To: (v + 1) % c.n, Label: 0})
-	in = append(in, digraph.SourceArc{To: (v - 1 + c.n) % c.n, Label: 0})
+	next, prev := v+1, v-1
+	if next == c.n {
+		next = 0
+	}
+	if v == 0 {
+		prev = c.n - 1
+	}
+	out = append(out, digraph.SourceArc{To: next, Label: 0})
+	in = append(in, digraph.SourceArc{To: prev, Label: 0})
 	return out, in
 }
 
@@ -210,10 +264,16 @@ type torusSource struct {
 	n      int64
 }
 
-func newTorusSource(dims []int) torusSource {
+// newTorusSource lays out the torus with the given sides (each >= 3).
+// Node ids are int64, so a node count past math.MaxInt64 is an error:
+// a wrapped count would name endpoints outside [0, N).
+func newTorusSource(dims []int) (digraph.Source, error) {
 	k := len(dims)
 	t := torusSource{dims: make([]int64, k), stride: make([]int64, k), n: 1}
 	for i, s := range dims {
+		if t.n > math.MaxInt64/int64(s) {
+			return nil, fmt.Errorf("node count (the product of the sides) exceeds %d", int64(math.MaxInt64))
+		}
 		t.dims[i] = int64(s)
 		t.n *= int64(s)
 	}
@@ -222,7 +282,7 @@ func newTorusSource(dims []int) torusSource {
 		t.stride[e] = st
 		st *= t.dims[e]
 	}
-	return t
+	return t, nil
 }
 
 func (t torusSource) N() int64      { return t.n }
@@ -235,8 +295,13 @@ func (t torusSource) AppendArcs(v int64, out, in []digraph.SourceArc) ([]digraph
 	for e := range t.dims {
 		s, st := t.dims[e], t.stride[e]
 		c := (v / st) % s
-		fwd := v + (((c+1)%s)-c)*st
-		bwd := v + (((c-1+s)%s)-c)*st
+		fwd, bwd := v+st, v-st
+		if c == s-1 {
+			fwd = v - (s-1)*st
+		}
+		if c == 0 {
+			bwd = v + (s-1)*st
+		}
 		out = append(out, digraph.SourceArc{To: fwd, Label: e})
 		in = append(in, digraph.SourceArc{To: bwd, Label: e})
 	}
@@ -244,8 +309,7 @@ func (t torusSource) AppendArcs(v int64, out, in []digraph.SourceArc) ([]digraph
 }
 
 // shiftSource generates the shift-regular circulant implicitly: the
-// out-arc labelled j goes to v + shifts[j] mod n, mirroring the
-// materialised family's builder loop exactly.
+// out-arc labelled j goes to v + shifts[j] mod n.
 type shiftSource struct {
 	n      int64
 	shifts []int64
@@ -263,4 +327,45 @@ func (c shiftSource) AppendArcs(v int64, out, in []digraph.SourceArc) ([]digraph
 		in = append(in, digraph.SourceArc{To: (v - s + c.n) % c.n, Label: j})
 	}
 	return out, in
+}
+
+// shiftRegularShifts derives the d/2 distinct shifts of the
+// shift-regular family from (n, d, seed): a splitmix64 stream with
+// rejection over [1, (n-1)/2], sorted ascending so shift index j is
+// the family's canonical arc label.
+func shiftRegularShifts(n, d int, seed int64) ([]int64, error) {
+	if d < 2 || d%2 != 0 {
+		return nil, fmt.Errorf("need even d >= 2")
+	}
+	half := (n - 1) / 2
+	if n < 3 || d/2 > half {
+		return nil, fmt.Errorf("need d/2 <= (n-1)/2 distinct shifts, have d=%d n=%d", d, n)
+	}
+	shifts := make([]int64, 0, d/2)
+	seen := make(map[int64]bool, d/2)
+	x := uint64(seed)
+	limit := 64*(d+16) + 8*half // coupon-collector slack even when d/2 == half
+	for draws := 0; len(shifts) < d/2; draws++ {
+		if draws > limit {
+			return nil, fmt.Errorf("shift derivation for n=%d d=%d seed=%d did not converge", n, d, seed)
+		}
+		x = splitmix64(x)
+		s := int64(x%uint64(half)) + 1
+		if seen[s] {
+			continue
+		}
+		seen[s] = true
+		shifts = append(shifts, s)
+	}
+	slices.Sort(shifts)
+	return shifts, nil
+}
+
+// splitmix64 is the standard SplitMix64 finaliser, the same mixer the
+// fault scheduler builds its coordinate hashes from.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }

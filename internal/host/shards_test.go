@@ -2,7 +2,9 @@ package host
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -171,8 +173,45 @@ func TestCycleSourceMatchesFromPorts(t *testing.T) {
 	}
 }
 
+// dcycleReference builds the dcycle:<n> host arc by arc through
+// digraph.Builder, independently of the source the family builds
+// from: the reference the registry and the source are checked against.
+func dcycleReference(n int) *Host {
+	b := digraph.NewBuilder(n, 1)
+	for i := 0; i < n; i++ {
+		b.MustAddArc(i, (i+1)%n, 0)
+	}
+	return referenceHost(b.Build())
+}
+
+// shiftRegularReference builds the shift-regular:d=<d>,n=<n>,seed=<s>
+// host arc by arc through digraph.Builder from the family's shift
+// derivation.
+func shiftRegularReference(t *testing.T, d, n int, seed int64) *Host {
+	t.Helper()
+	shifts, err := shiftRegularShifts(n, d, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := digraph.NewBuilder(n, len(shifts))
+	for v := 0; v < n; v++ {
+		for j, s := range shifts {
+			b.MustAddArc(v, (v+int(s))%n, j)
+		}
+	}
+	return referenceHost(b.Build())
+}
+
+func referenceHost(d *digraph.Digraph) *Host {
+	g, err := d.Underlying()
+	if err != nil {
+		panic(err)
+	}
+	return &Host{G: g, D: d}
+}
+
 // TestDcycleSourceMatchesRegistry: the implicit oriented cycle equals
-// the materialised registry family.
+// the registry's labelling, built arc by arc (dcycleReference).
 func TestDcycleSourceMatchesRegistry(t *testing.T) {
 	for _, n := range []int{3, 7, 12} {
 		desc := fmt.Sprintf("dcycle:%d", n)
@@ -184,19 +223,19 @@ func TestDcycleSourceMatchesRegistry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameDigraph(t, desc, got.D, MustParse(desc).D)
+		sameDigraph(t, desc, got.D, dcycleReference(n).D)
 	}
 }
 
-// TestShiftRegularSourceMatchesRegistry: one shift derivation feeds
-// both registrations, so implicit and materialised shift-regular
-// hosts agree arc for arc.
+// TestShiftRegularSourceMatchesRegistry: the implicit shift-regular
+// host agrees arc for arc with the family's shifts added one arc at a
+// time (shiftRegularReference).
 func TestShiftRegularSourceMatchesRegistry(t *testing.T) {
-	for _, desc := range []string{
-		"shift-regular:d=4,n=16,seed=7",
-		"shift-regular:d=6,n=31,seed=3",
-		"shift-regular:d=2,n=5,seed=1",
-	} {
+	for _, c := range []struct {
+		d, n int
+		seed int64
+	}{{4, 16, 7}, {6, 31, 3}, {2, 5, 1}} {
+		desc := fmt.Sprintf("shift-regular:d=%d,n=%d,seed=%d", c.d, c.n, c.seed)
 		src, err := ParseShard(desc)
 		if err != nil {
 			t.Fatal(err)
@@ -205,16 +244,16 @@ func TestShiftRegularSourceMatchesRegistry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameDigraph(t, desc, got.D, MustParse(desc).D)
+		sameDigraph(t, desc, got.D, shiftRegularReference(t, c.d, c.n, c.seed).D)
 	}
 }
 
 // TestTorusSourceUnderlyingMatchesRegistry: the implicit torus
 // carries its own dimension-indexed labelling, but its underlying
-// graph must be exactly the registry torus — same row-major ids,
-// same edges.
+// graph must be exactly graph.Torus — same row-major ids, same edges.
 func TestTorusSourceUnderlyingMatchesRegistry(t *testing.T) {
-	for _, desc := range []string{"torus:4x4", "torus:3x4x5", "torus:3x3"} {
+	for _, dims := range [][]int{{4, 4}, {3, 4, 5}, {3, 3}} {
+		desc := "torus:" + joinDims(dims)
 		src, err := ParseShard(desc)
 		if err != nil {
 			t.Fatal(err)
@@ -223,7 +262,7 @@ func TestTorusSourceUnderlyingMatchesRegistry(t *testing.T) {
 		if err != nil {
 			t.Fatalf("materialize %s: %v", desc, err)
 		}
-		want := MustParse(desc).G
+		want := graph.Torus(dims...)
 		if got.G.N() != want.N() {
 			t.Fatalf("%s: n = %d, want %d", desc, got.G.N(), want.N())
 		}
@@ -231,6 +270,120 @@ func TestTorusSourceUnderlyingMatchesRegistry(t *testing.T) {
 			if !slices.Equal(got.G.Neighbors(v), want.Neighbors(v)) {
 				t.Fatalf("%s: node %d neighbours %v, want %v", desc, v, got.G.Neighbors(v), want.Neighbors(v))
 			}
+		}
+	}
+}
+
+func joinDims(dims []int) string {
+	parts := make([]string, len(dims))
+	for i, s := range dims {
+		parts[i] = strconv.Itoa(s)
+	}
+	return strings.Join(parts, "x")
+}
+
+// TestParseMatchesBuilderReference: the families Parse builds from
+// their source come out array for array equal to the hosts built edge
+// by edge or arc by arc — graph.Cycle and graph.Torus for the plain
+// families (D nil), digraph.Builder loops for the labelled ones — at
+// small sizes and at 65,536 nodes.
+func TestParseMatchesBuilderReference(t *testing.T) {
+	cases := map[string]*Host{}
+	for _, n := range []int{3, 4, 65536} {
+		cases[fmt.Sprintf("cycle:%d", n)] = &Host{G: graph.Cycle(n)}
+	}
+	for _, n := range []int{3, 65536} {
+		cases[fmt.Sprintf("dcycle:%d", n)] = dcycleReference(n)
+	}
+	for _, dims := range [][]int{{3, 3}, {4, 4}, {3, 4, 5}, {256, 256}} {
+		cases["torus:"+joinDims(dims)] = &Host{G: graph.Torus(dims...)}
+	}
+	for _, c := range []struct {
+		d, n int
+		seed int64
+	}{{2, 5, 1}, {6, 31, 3}, {4, 65536, 1}} {
+		cases[fmt.Sprintf("shift-regular:d=%d,n=%d,seed=%d", c.d, c.n, c.seed)] = shiftRegularReference(t, c.d, c.n, c.seed)
+	}
+	for desc, want := range cases {
+		h, err := Parse(desc)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", desc, err)
+		}
+		if !reflect.DeepEqual(h.G, want.G) {
+			t.Errorf("%s: G differs from the reference", desc)
+		}
+		if !reflect.DeepEqual(h.D, want.D) {
+			t.Errorf("%s: D differs from the reference (nil: %v, want nil: %v)", desc, h.D == nil, want.D == nil)
+		}
+	}
+}
+
+// TestParseShardRejectsWrappingTorus: a torus whose side product is
+// past math.MaxInt64 has no int64 node ids, so the shard source
+// refuses it instead of wrapping its node count (to 0, to a negative
+// number, or to 2^33+1 with endpoints outside [0, N)). No engine is
+// built: ParseShard alone must fail.
+func TestParseShardRejectsWrappingTorus(t *testing.T) {
+	for _, desc := range []string{
+		"torus:65536x65536x65536x65536",
+		"torus:3037000500x3037000500",
+		"torus:4294967297x4294967297",
+	} {
+		src, err := ParseShard(desc)
+		if err == nil {
+			t.Errorf("ParseShard(%q) accepted, N() = %d", desc, src.N())
+			continue
+		}
+		if !strings.Contains(err.Error(), "exceeds 9223372036854775807") {
+			t.Errorf("ParseShard(%q) = %v", desc, err)
+		}
+	}
+	// Just below the bound the source exists and its arcs stay inside.
+	src, err := ParseShard("torus:3037000499x3037000499")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkEndpoints(t, src, 0, 1, src.N()/2, src.N()-1)
+}
+
+// TestParseShardDcycleEnds: the largest directed cycle's arcs at and
+// near both ends name nodes inside [0, N).
+func TestParseShardDcycleEnds(t *testing.T) {
+	src, err := ParseShard("dcycle:9223372036854775807")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := src.N()
+	checkEndpoints(t, src, 0, 1, 2, n/2, n-2, n-1)
+	out, in := src.AppendArcs(n-1, nil, nil)
+	if out[0].To != 0 || in[0].To != n-2 {
+		t.Fatalf("node %d: out %v, in %v", n-1, out, in)
+	}
+}
+
+func checkEndpoints(t *testing.T, src digraph.Source, nodes ...int64) {
+	t.Helper()
+	for _, v := range nodes {
+		out, in := src.AppendArcs(v, nil, nil)
+		for _, a := range append(out, in...) {
+			if a.To < 0 || a.To >= src.N() {
+				t.Errorf("node %d: arc endpoint %d outside [0,%d)", v, a.To, src.N())
+			}
+		}
+	}
+}
+
+// TestParseSourcedAllocs: building a sourced family is a handful of
+// array allocations, not one per node or arc.
+func TestParseSourcedAllocs(t *testing.T) {
+	for _, desc := range []string{"torus:64x64", "dcycle:4096"} {
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := Parse(desc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 32 {
+			t.Errorf("Parse(%q): %.0f allocations, want at most 32", desc, allocs)
 		}
 	}
 }

@@ -965,29 +965,19 @@ func sortShardArcs(arcs []ShardArc) {
 	sort.Slice(arcs, func(i, j int) bool { return arcs[i].Label < arcs[j].Label })
 }
 
-// MaterializeSource builds the flat host a ShardSource generates —
-// the bridge the implicit-vs-materialised differential tests and the
-// unsharded comparison runs use. Only hosts within the int32 flat
-// capacity can come back out; giant sources stay implicit.
+// MaterializeSource builds the flat host a ShardSource generates
+// (digraph.FromSource, then NewHost) — the bridge the
+// implicit-vs-materialised differential tests and the unsharded
+// comparison runs use. Only hosts within the int32 flat capacity can
+// come back out; giant sources stay implicit.
 func MaterializeSource(src ShardSource) (*Host, error) {
 	n := src.N()
 	if n > math.MaxInt32 {
 		return nil, fmt.Errorf("model: source has %d nodes, past the flat-CSR capacity %d: host exceeds flat-CSR capacity, use shards", n, int64(math.MaxInt32))
 	}
-	b := digraph.NewBuilder(int(n), src.Alphabet())
-	var out, in []ShardArc
-	for v := int64(0); v < n; v++ {
-		out, in = src.AppendArcs(v, out[:0], in[:0])
-		for _, a := range out {
-			if err := b.AddArc(int(v), int(a.To), a.Label); err != nil {
-				return nil, fmt.Errorf("model: materialize: %w", err)
-			}
-		}
-	}
-	d := b.Build()
-	g, err := d.Underlying()
+	d, err := digraph.FromSource(src)
 	if err != nil {
 		return nil, fmt.Errorf("model: materialize: %w", err)
 	}
-	return &Host{G: g, D: d}, nil
+	return NewHost(d)
 }

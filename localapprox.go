@@ -235,7 +235,6 @@ var (
 	SeededIDs                       = model.SeededIDs
 	ParseShardHost                  = host.ParseShard
 	ShardHostFamilies               = host.ShardFamilies
-	RegisterShardFamily             = host.RegisterShard
 	ColeVishkinSharded              = algorithms.ColeVishkinMISSharded
 	ColeVishkinShardedFaulty        = algorithms.ColeVishkinMISShardedFaulty
 	RandomizedMatchingSharded       = algorithms.RandomizedMatchingSharded
