@@ -28,6 +28,7 @@ import (
 	"repro/internal/problems"
 	"repro/internal/solve"
 	"repro/internal/view"
+	"repro/internal/workload"
 )
 
 func benchExperiment(b *testing.B, run func() (*experiments.Table, error)) {
@@ -692,6 +693,26 @@ func BenchmarkColeVishkinCycle64K(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkFloodCycle64K times one 512-round FloodMax run on a
+// 65,536-node cycle with seeded ids at two workers through the flat
+// typed engine — the engine path of the service workload's durable
+// flood jobs, beside BenchmarkColeVishkinCycle64K. Not CI-gated.
+func BenchmarkFloodCycle64K(b *testing.B) {
+	defer par.Set(par.Set(2))
+	h, err := workload.ResolveHost("cycle:65536")
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := h.G.N()
+	ids := model.PermPrefix(rand.New(rand.NewSource(1)), 8*n, n)
+	e := model.NewWordEngine(h)
+	for b.Loop() {
+		if _, err := algorithms.FloodMaxOn(e, h, ids, 512); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkHostEngineBuild times the set-up of a flat typed run on the

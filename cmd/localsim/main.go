@@ -309,7 +309,7 @@ func run(algName, graphName, hostDesc string, n, d int, seed int64, rmax int) er
 	if err != nil {
 		return err
 	}
-	ids := rng.Perm(8 * h.G.N())[:h.G.N()]
+	ids := model.PermPrefix(rng, 8*h.G.N(), h.G.N())
 	rank := order.Identity(h.G.N())
 
 	var (

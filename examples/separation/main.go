@@ -31,7 +31,7 @@ func main() {
 	fmt.Printf("%8s  %18s  %12s\n", "n", "CV rounds (ID)", "MIS valid?")
 	for _, n := range []int{8, 32, 128, 512, 2048} {
 		h := directedCycle(n)
-		ids := rng.Perm(8 * n)[:n]
+		ids := model.PermPrefix(rng, 8*n, n)
 		res, err := algorithms.ColeVishkinMIS(h, ids)
 		if err != nil {
 			log.Fatal(err)

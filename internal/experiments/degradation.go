@@ -56,7 +56,7 @@ func degradation(cvN int, cvProfiles []string, matchHosts, matchProfiles []strin
 	if err != nil {
 		return nil, err
 	}
-	ids := rand.New(rand.NewSource(seed)).Perm(8 * cvN)[:cvN]
+	ids := model.PermPrefix(rand.New(rand.NewSource(seed)), 8*cvN, cvN)
 	for _, desc := range cvProfiles {
 		prof, err := model.ParseProfile(desc)
 		if err != nil {

@@ -70,7 +70,7 @@ func ModelsOn(h *host.Host, _ int) (*Table, error) {
 	mh := modelHost(h)
 	n := mh.G.N()
 	rng := rand.New(rand.NewSource(1))
-	ids := rng.Perm(8 * n)[:n]
+	ids := model.PermPrefix(rng, 8*n, n)
 	rank, err := order.FromIDs(ids)
 	if err != nil {
 		return nil, err
@@ -248,7 +248,7 @@ func RoundsOn(h *host.Host, _ int) (*Table, error) {
 	}
 	rng := rand.New(rand.NewSource(16))
 	if h.D != nil && h.D.IsRegularDigraph(1) {
-		ids := rng.Perm(8 * n)[:n]
+		ids := model.PermPrefix(rng, 8*n, n)
 		res, err := algorithms.ColeVishkinMIS(mh, ids)
 		if err != nil {
 			return nil, err

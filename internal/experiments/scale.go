@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/algorithms"
 	"repro/internal/host"
+	"repro/internal/model"
 	"repro/internal/problems"
 )
 
@@ -40,7 +41,7 @@ func scaleRounds(cvSizes []int, matchHosts []string) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ids := rng.Perm(8 * n)[:n]
+		ids := model.PermPrefix(rng, 8*n, n)
 		res, err := algorithms.ColeVishkinMIS(h, ids)
 		if err != nil {
 			return nil, err

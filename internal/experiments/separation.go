@@ -35,7 +35,7 @@ func Separation() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ids := rng.Perm(8 * n)[:n]
+		ids := model.PermPrefix(rng, 8*n, n)
 		maxID := 0
 		for _, id := range ids {
 			if id > maxID {

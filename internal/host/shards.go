@@ -309,7 +309,9 @@ func (t torusSource) AppendArcs(v int64, out, in []digraph.SourceArc) ([]digraph
 }
 
 // shiftSource generates the shift-regular circulant implicitly: the
-// out-arc labelled j goes to v + shifts[j] mod n.
+// out-arc labelled j goes to v + shifts[j] mod n. The ends wrap by
+// comparison, as the dcycle source's do: v + s and v - s + n overflow
+// int64 for n past math.MaxInt64/2.
 type shiftSource struct {
 	n      int64
 	shifts []int64
@@ -323,8 +325,15 @@ func (c shiftSource) Degree(int64) (int, int) {
 
 func (c shiftSource) AppendArcs(v int64, out, in []digraph.SourceArc) ([]digraph.SourceArc, []digraph.SourceArc) {
 	for j, s := range c.shifts {
-		out = append(out, digraph.SourceArc{To: (v + s) % c.n, Label: j})
-		in = append(in, digraph.SourceArc{To: (v - s + c.n) % c.n, Label: j})
+		fwd, bwd := v+s, v-s
+		if v >= c.n-s {
+			fwd = v - (c.n - s)
+		}
+		if v < s {
+			bwd = v + (c.n - s)
+		}
+		out = append(out, digraph.SourceArc{To: fwd, Label: j})
+		in = append(in, digraph.SourceArc{To: bwd, Label: j})
 	}
 	return out, in
 }
@@ -344,7 +353,13 @@ func shiftRegularShifts(n, d int, seed int64) ([]int64, error) {
 	shifts := make([]int64, 0, d/2)
 	seen := make(map[int64]bool, d/2)
 	x := uint64(seed)
-	limit := 64*(d+16) + 8*half // coupon-collector slack even when d/2 == half
+	// Coupon-collector slack even when d/2 == half. The sum would
+	// overflow for n past about 2.3*10^18; there d/2 distinct shifts out
+	// of half take a handful of draws, and the bound saturates instead.
+	limit := math.MaxInt
+	if d < math.MaxInt/128 && half < math.MaxInt/16 {
+		limit = 64*(d+16) + 8*half
+	}
 	for draws := 0; len(shifts) < d/2; draws++ {
 		if draws > limit {
 			return nil, fmt.Errorf("shift derivation for n=%d d=%d seed=%d did not converge", n, d, seed)

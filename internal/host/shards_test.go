@@ -2,6 +2,8 @@ package host
 
 import (
 	"fmt"
+	"math"
+	"math/big"
 	"reflect"
 	"slices"
 	"strconv"
@@ -358,6 +360,43 @@ func TestParseShardDcycleEnds(t *testing.T) {
 	out, in := src.AppendArcs(n-1, nil, nil)
 	if out[0].To != 0 || in[0].To != n-2 {
 		t.Fatalf("node %d: out %v, in %v", n-1, out, in)
+	}
+}
+
+// TestParseShardShiftRegularHuge: shift-regular sources past 2.3*10^18
+// nodes resolve (the draw bound saturates instead of overflowing), and
+// at and near both ends each arc is v +- shift mod n computed exactly,
+// inside [0, N), with the far end's arc of the same label leading back.
+func TestParseShardShiftRegularHuge(t *testing.T) {
+	for _, n := range []int64{4000000000000000000, math.MaxInt64} {
+		desc := fmt.Sprintf("shift-regular:d=4,n=%d,seed=1", n)
+		src, err := ParseShard(desc)
+		if err != nil {
+			t.Fatalf("ParseShard(%q): %v", desc, err)
+		}
+		if src.N() != n {
+			t.Fatalf("%s: N() = %d", desc, src.N())
+		}
+		nodes := []int64{0, 1, n / 2, n - 2, n - 1}
+		checkEndpoints(t, src, nodes...)
+		shifts := src.(shiftSource).shifts
+		bn := big.NewInt(n)
+		for _, v := range nodes {
+			out, in := src.AppendArcs(v, nil, nil)
+			for j, s := range shifts {
+				if s < 1 || s > (n-1)/2 {
+					t.Fatalf("%s: shift %d outside [1, (n-1)/2]", desc, s)
+				}
+				fwd := new(big.Int).Mod(new(big.Int).Add(big.NewInt(v), big.NewInt(s)), bn).Int64()
+				bwd := new(big.Int).Mod(new(big.Int).Sub(big.NewInt(v), big.NewInt(s)), bn).Int64()
+				if out[j] != (digraph.SourceArc{To: fwd, Label: j}) || in[j] != (digraph.SourceArc{To: bwd, Label: j}) {
+					t.Errorf("%s node %d label %d: out %v in %v, want to %d from %d", desc, v, j, out[j], in[j], fwd, bwd)
+				}
+				if _, back := src.AppendArcs(fwd, nil, nil); back[j].To != v {
+					t.Errorf("%s: in-arc %d at %d comes from %d, not %d", desc, j, fwd, back[j].To, v)
+				}
+			}
+		}
 	}
 }
 

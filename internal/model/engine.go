@@ -32,21 +32,27 @@ import (
 // neither arena is ever zeroed, not even between runs.
 //
 // Payload lanes. Untyped runs carry any payloads in the boxed lane
-// (the Msg arenas buf, with the dense inbox arena, the NodeInfo letter
-// arena and the state column); typed runs (see TypedEngine) carry
-// fixed-width payloads in a parallel uint64 word lane (wbuf). Both
-// share the same slots, stamps, routing and letter order, and each is
-// allocated on its first use — the word lane on the first typed
-// attachment, the boxed lane on the first untyped run — so an engine
-// pays only for the lanes it runs. A send on the other lane is a run
-// error.
+// (the Msg arenas buf with their own stamp arenas, the dense inbox
+// arena, the NodeInfo letter arena and the state column); typed runs
+// (see TypedEngine) carry fixed-width payloads in the word lane, whose
+// arenas hold one 16-byte cell per slot — the payload word beside its
+// stamp, so a liveness check, a payload read and a send touch one
+// cache line. Both lanes share the same slots, routing, letter order
+// and tick, and each is allocated on its first use — the word lane on
+// the first typed attachment, the boxed lane on the first untyped run
+// — so an engine pays only for the lanes it runs. A send on the other
+// lane is a run error.
 //
 // Worklist. Halted nodes leave the active list and cost nothing: each
 // round is a worker-sharded sweep of the active list only (dynamic
-// chunk handoff over a shared cursor, par.ForScratch-style), and the
-// workers are persistent for the whole run — spawned once against
+// chunk handoff over a shared cursor, par.ForScratch-style; each
+// claimed chunk goes to the run's step function whole, so the per-run
+// columns and rows are loaded once per chunk, not once per node), and
+// the workers are persistent for the whole run — spawned once against
 // par's global budget (par.Reserve), released at the end — so a
-// steady-state round performs no allocation and no goroutine churn.
+// steady-state round performs no allocation and no goroutine churn. A
+// clean round in which no node halted leaves the list as it was, and
+// the barrier skips its compaction.
 //
 // Determinism. Each node's Step writes only that node's state slot,
 // halt flag, dense-inbox region and outgoing message slots, so
@@ -79,12 +85,12 @@ type Engine struct {
 	// Boxed lane: nil until the first untyped run.
 	info []view.Letter
 
-	// Message plane: double-buffered arenas with monotone stamps. buf
-	// is the boxed lane, nil until the first untyped run; wbuf is the
-	// typed word lane, nil until the first TypedOn attachment. The
-	// stamps are shared.
+	// Message plane: double-buffered arenas with monotone stamps. cells
+	// is the typed word lane (payload and stamp side by side), nil until
+	// the first TypedOn attachment; buf with its stamps is the boxed
+	// lane, nil until the first untyped run. The tick is shared.
+	cells [2][]cell
 	buf   [2][]Msg
-	wbuf  [2][]uint64
 	stamp [2][]int64
 	tick  int64
 
@@ -188,10 +194,17 @@ func (a RoundAlgo) engine() EngineAlgo {
 	}
 }
 
+// cell is one word-lane slot: the payload word and the stamp saying
+// which round, if any, it is live for.
+type cell struct {
+	w     uint64
+	stamp int64
+}
+
 // NewEngine sizes the part of a message plane both payload lanes
-// share: one slot per incident (arc, direction) pair with its letter,
-// routing and two stamp arenas (36 B per slot), plus the halt,
-// worklist and error columns. Each lane's own arrays come with its
+// share: one slot per incident (arc, direction) pair with its letter
+// and routing (20 B per slot), plus the halt, worklist and error
+// columns. Each lane's own arrays, stamps included, come with its
 // first use: the word lane on the first typed attachment
 // (ensureWordLane), the boxed lane on the first untyped run
 // (ensureAnyPlane). Runs reuse everything.
@@ -237,8 +250,6 @@ func NewEngine(h *Host) *Engine {
 	for s, u := range e.dest {
 		e.dest[s] = e.slot(int(u), e.letters[s].Inv())
 	}
-	e.stamp[0] = make([]int64, total)
-	e.stamp[1] = make([]int64, total)
 	e.halted = make([]bool, n)
 	e.active = make([]int32, 0, n)
 	e.spare = make([]int32, 0, n)
@@ -247,29 +258,30 @@ func NewEngine(h *Host) *Engine {
 	return e
 }
 
-// ensureWordLane allocates the typed payload lanes (8 bytes per slot;
-// stamps, routing and letter order are shared with the boxed lane) on
-// the first typed attachment.
+// ensureWordLane allocates the typed word lane's two cell arenas
+// (32 B per slot; routing and letter order are shared with the boxed
+// lane) on the first typed attachment.
 func (e *Engine) ensureWordLane() {
-	if e.wbuf[0] == nil {
+	if e.cells[0] == nil {
 		total := len(e.letters)
-		e.wbuf[0] = make([]uint64, total)
-		e.wbuf[1] = make([]uint64, total)
+		e.cells[0] = make([]cell, total)
+		e.cells[1] = make([]cell, total)
 	}
 }
 
 // ensureAnyPlane builds the boxed lane on the first untyped run: the
-// two Msg arenas with every slot's arrival letter written in, the
-// dense inbox arena, the NodeInfo letter arena and the state column
-// (112 B per slot and 16 B per node, mostly pointer words the garbage
-// collector scans). Stamps already in use by typed runs stay below the
-// tick, so the fresh arenas never read a stale message.
+// two Msg arenas with every slot's arrival letter written in and their
+// two stamp arenas, the dense inbox arena, the NodeInfo letter arena
+// and the state column (128 B per slot and 16 B per node, mostly
+// pointer words the garbage collector scans). The fresh stamps are 0,
+// below every live stamp, so the arenas never read a stale message.
 func (e *Engine) ensureAnyPlane() {
 	if e.buf[0] != nil {
 		return
 	}
 	total := len(e.letters)
 	for a := range e.buf {
+		e.stamp[a] = make([]int64, total)
 		e.buf[a] = make([]Msg, total)
 		for s := range e.buf[a] {
 			// A slot's arrival letter never changes; senders only
@@ -332,6 +344,12 @@ type Outbox struct {
 	nxt  int   // arena written this round
 	want int64 // stamp marking next-round messages
 
+	// The word lane's rows for this run and round: the slot offsets,
+	// the routing and the arena written this round.
+	off  []int32
+	dest []int32
+	next []cell
+
 	// round and prof contextualise error strings (prof is "" on clean
 	// runs; see errf).
 	round int
@@ -342,6 +360,13 @@ type Outbox struct {
 
 	// This worker's fault counters and inbox-compaction scratch.
 	lane
+}
+
+// enter points the outbox at a round that reads arena cur at stamp
+// want: it writes the other arena at stamp want+1.
+func (ob *Outbox) enter(round, cur int, want int64) {
+	ob.nxt, ob.want, ob.round = cur^1, want+1, round
+	ob.next = ob.e.cells[ob.nxt]
 }
 
 // errf builds a run error carrying the round number and, on faulty
@@ -388,25 +413,22 @@ func (ob *Outbox) Send(l view.Letter, data any) {
 // Unlike Send there is no letter lookup at all; the slot index
 // addresses the plane directly.
 func (ob *Outbox) SendWord(slot int, w uint64) {
-	e := ob.e
 	v := int(ob.v)
 	if !ob.typed {
-		e.fail(v, ob.errf("node %d sent on the word lane during an untyped run", v))
+		ob.e.fail(v, ob.errf("node %d sent on the word lane during an untyped run", v))
 		return
 	}
-	lo, hi := e.off[v], e.off[v+1]
+	lo, hi := ob.off[v], ob.off[v+1]
 	if slot < 0 || int32(slot) >= hi-lo {
-		e.fail(v, ob.errf("node %d sent on absent slot %d (node has %d)", v, slot, hi-lo))
+		ob.e.fail(v, ob.errf("node %d sent on absent slot %d (node has %d)", v, slot, hi-lo))
 		return
 	}
-	d := e.dest[lo+int32(slot)]
-	st := e.stamp[ob.nxt]
-	if st[d] == ob.want {
-		e.fail(v, ob.errf("node %d sent twice on slot %d", v, slot))
+	c := &ob.next[ob.dest[lo+int32(slot)]]
+	if c.stamp == ob.want {
+		ob.e.fail(v, ob.errf("node %d sent twice on slot %d", v, slot))
 		return
 	}
-	e.wbuf[ob.nxt][d] = w
-	st[d] = ob.want
+	*c = cell{w: w, stamp: ob.want}
 }
 
 // BroadcastWord emits w on every incident slot of the sending node —
@@ -416,19 +438,14 @@ func (ob *Outbox) SendWord(slot int, w uint64) {
 // those slots; a second BroadcastWord in one Step simply wins). Like
 // SendWord it is an error during an untyped run.
 func (ob *Outbox) BroadcastWord(w uint64) {
-	e := ob.e
-	v := int(ob.v)
+	v := ob.v
 	if !ob.typed {
-		e.fail(v, ob.errf("node %d sent on the word lane during an untyped run", v))
+		ob.e.fail(int(v), ob.errf("node %d sent on the word lane during an untyped run", v))
 		return
 	}
-	nb := e.wbuf[ob.nxt]
-	st := e.stamp[ob.nxt]
-	want := ob.want
-	for s := e.off[v]; s < e.off[v+1]; s++ {
-		d := e.dest[s]
-		nb[d] = w
-		st[d] = want
+	next, c := ob.next, cell{w: w, stamp: ob.want}
+	for _, d := range ob.dest[ob.off[v]:ob.off[v+1]] {
+		next[d] = c
 	}
 }
 
@@ -507,7 +524,7 @@ func (e *Engine) runStates(ids []int, algo EngineAlgo, maxRounds int, sched Sche
 	if snap := e.resume; snap != nil {
 		e.resume = nil
 		if err := e.restoreUntyped(snap, algo, sched != nil); err != nil {
-			e.failedResume(snap)
+			e.failedResume(snap, false)
 			return nil, 0, nil, err
 		}
 	}
@@ -522,28 +539,37 @@ func (e *Engine) runStates(ids []int, algo EngineAlgo, maxRounds int, sched Sche
 	return e.states, rounds, rep, nil
 }
 
-// stepAny is the clean untyped step: compact the node's live slots
-// into its disjoint region of the global dense arena, then Step. The
-// current round's arena and stamp are recovered from the Outbox (the
-// next-round arena is nxt^1 and next-round stamps are want, so this
-// round reads arena nxt^1 at stamp want-1).
-func (e *Engine) stepAny(algo EngineAlgo) func(int, *Outbox) {
-	return func(v int, ob *Outbox) {
-		lo, hi := e.off[v], e.off[v+1]
+// stepAny is the clean untyped step over one chunk of the worklist:
+// compact each node's live slots into its disjoint region of the
+// global dense arena, then Step. The current round's arena and stamp
+// are recovered from the Outbox (the next-round arena is nxt^1 and
+// next-round stamps are want, so this round reads arena nxt^1 at stamp
+// want-1).
+func (e *Engine) stepAny(algo EngineAlgo) func([]int32, *Outbox) {
+	step := algo.Step
+	return func(chunk []int32, ob *Outbox) {
+		off, states, halted, dense := e.off, e.states, e.halted, e.dense
 		cur, want := ob.nxt^1, ob.want-1
-		st := e.stamp[cur]
-		buf := e.buf[cur]
-		k := lo
-		for s := lo; s < hi; s++ {
-			if st[s] == want {
-				e.dense[k] = buf[s]
-				k++
+		st, buf := e.stamp[cur], e.buf[cur]
+		round, halts := ob.round, int64(0)
+		for _, v := range chunk {
+			lo, hi := off[v], off[v+1]
+			k := lo
+			for s := lo; s < hi; s++ {
+				if st[s] == want {
+					dense[k] = buf[s]
+					k++
+				}
+			}
+			ob.v = v
+			ns, done := step(states[v], round, dense[lo:k], ob)
+			states[v] = ns
+			halted[v] = done
+			if done {
+				halts++
 			}
 		}
-		ob.v = int32(v)
-		ns, done := algo.Step(e.states[v], ob.round, e.dense[lo:k], ob)
-		e.states[v] = ns
-		e.halted[v] = done
+		ob.halts += halts
 	}
 }
 
@@ -551,46 +577,48 @@ func (e *Engine) stepAny(algo EngineAlgo) func(int, *Outbox) {
 // plane and the receiver: liveness gating, per-delivery fates
 // (compacted into the worker's double-width fdense scratch so
 // duplicates fit), and adversarial inbox permutation.
-func (e *Engine) stepAnyFaulty(algo EngineAlgo, sched Schedule) func(int, *Outbox) {
-	return func(v int, ob *Outbox) {
-		round := ob.round
-		switch sched.State(round, int32(v)) {
-		case StateDown:
-			ob.downSteps++
-			return
-		case StateCrashed:
-			return
-		}
-		lo, hi := e.off[v], e.off[v+1]
+func (e *Engine) stepAnyFaulty(algo EngineAlgo, sched Schedule) func([]int32, *Outbox) {
+	step := algo.Step
+	return func(chunk []int32, ob *Outbox) {
+		off, states, halted, fd := e.off, e.states, e.halted, ob.fdense
 		cur, want := ob.nxt^1, ob.want-1
-		st := e.stamp[cur]
-		buf := e.buf[cur]
-		k := 0
-		for s := lo; s < hi; s++ {
-			if st[s] != want {
+		st, buf := e.stamp[cur], e.buf[cur]
+		round := ob.round
+		for _, v := range chunk {
+			switch sched.State(round, v) {
+			case StateDown:
+				ob.downSteps++
+				continue
+			case StateCrashed:
 				continue
 			}
-			switch sched.Fate(round, s) {
-			case Drop:
-				ob.dropped++
-				continue
-			case Duplicate:
-				ob.duped++
-				ob.fdense[k] = buf[s]
+			k := 0
+			for s := off[v]; s < off[v+1]; s++ {
+				if st[s] != want {
+					continue
+				}
+				switch sched.Fate(round, s) {
+				case Drop:
+					ob.dropped++
+					continue
+				case Duplicate:
+					ob.duped++
+					fd[k] = buf[s]
+					k++
+				}
+				fd[k] = buf[s]
 				k++
 			}
-			ob.fdense[k] = buf[s]
-			k++
+			inbox := fd[:k]
+			if seed := sched.Reorder(round, v); seed != 0 && len(inbox) > 1 {
+				shuffleMsgs(inbox, seed)
+				ob.reordered++
+			}
+			ob.v = v
+			ns, done := step(states[v], round, inbox, ob)
+			states[v] = ns
+			halted[v] = done
 		}
-		inbox := ob.fdense[:k]
-		if seed := sched.Reorder(round, int32(v)); seed != 0 && len(inbox) > 1 {
-			shuffleMsgs(inbox, seed)
-			ob.reordered++
-		}
-		ob.v = int32(v)
-		ns, done := algo.Step(e.states[v], round, inbox, ob)
-		e.states[v] = ns
-		e.halted[v] = done
 	}
 }
 
@@ -598,11 +626,12 @@ func (e *Engine) stepAnyFaulty(algo EngineAlgo, sched Schedule) func(int, *Outbo
 // paths: active-worklist management (including schedule-driven crash
 // removal), persistent workers with dynamic chunk handoff, the
 // per-round barrier, error surfacing, and fault-report assembly. step
-// performs one node's round (compaction, fate draws and the
-// algorithm's Step all live in the caller's closure); typed says
-// whether step takes the typed path, which sizes each worker's
-// inbox-compaction scratch (newLanes).
-func (e *Engine) runCore(step func(int, *Outbox), typed bool, sched Schedule, maxRounds int) (int, *FaultReport, error) {
+// performs the round of one chunk of the worklist (compaction, fate
+// draws and the algorithm's Step all live in the caller's closure;
+// clean steps add the nodes that halted to the worker's lane.halts);
+// typed says whether step takes the typed path, which sizes each
+// worker's inbox-compaction scratch (newLanes).
+func (e *Engine) runCore(step func([]int32, *Outbox), typed bool, sched Schedule, maxRounds int) (int, *FaultReport, error) {
 	// A restored snapshot (snapshot.go) shifts the start round and
 	// seeds the fault counters; the worklist is then rebuilt from the
 	// restored bitsets instead of the schedule's round-0 fates, and
@@ -681,9 +710,7 @@ func (e *Engine) runCore(step func(int, *Outbox), typed bool, sched Schedule, ma
 			if hi > int64(len(active)) {
 				hi = int64(len(active))
 			}
-			for _, v := range active[lo:hi] {
-				step(int(v), ob)
-			}
+			step(active[lo:hi], ob)
 		}
 	}
 
@@ -698,6 +725,7 @@ func (e *Engine) runCore(step func(int, *Outbox), typed bool, sched Schedule, ma
 	// per-worker fault counters are collectable after the run.
 	obs, lanes := newLanes(workers+1, e.maxSlots, typed, sched != nil, func(ob *Outbox) *lane {
 		ob.e, ob.prof, ob.typed = e, prof, typed
+		ob.off, ob.dest = e.off, e.dest
 		return &ob.lane
 	})
 	start := make([]chan struct{}, workers)
@@ -705,9 +733,7 @@ func (e *Engine) runCore(step func(int, *Outbox), typed bool, sched Schedule, ma
 		start[w] = make(chan struct{}, 1)
 		go func(ch chan struct{}, ob *Outbox) {
 			for range ch {
-				ob.nxt = curArena ^ 1
-				ob.want = curWant + 1
-				ob.round = round
+				ob.enter(round, curArena, curWant)
 				roundWork(ob)
 				wg.Done()
 			}
@@ -738,9 +764,7 @@ func (e *Engine) runCore(step func(int, *Outbox), typed bool, sched Schedule, ma
 		for _, ch := range start {
 			ch <- struct{}{}
 		}
-		masterOb.nxt = curArena ^ 1
-		masterOb.want = curWant + 1
-		masterOb.round = round
+		masterOb.enter(round, curArena, curWant)
 		roundWork(masterOb)
 		wg.Wait()
 		if panicked != nil {
@@ -755,9 +779,10 @@ func (e *Engine) runCore(step func(int, *Outbox), typed bool, sched Schedule, ma
 		}
 		// Compact the active worklist; the spare buffer flips roles so
 		// neither list is reallocated. On the faulty path nodes whose
-		// crash round has arrived leave the worklist permanently.
-		nxt := e.spare[:0]
+		// crash round has arrived leave the worklist permanently; on the
+		// clean path a round in which no node halted leaves it as it was.
 		if sched != nil {
+			nxt := e.spare[:0]
 			for _, v := range active {
 				if e.halted[v] {
 					continue
@@ -768,15 +793,16 @@ func (e *Engine) runCore(step func(int, *Outbox), typed bool, sched Schedule, ma
 				}
 				nxt = append(nxt, v)
 			}
-		} else {
+			e.spare, active = active[:0], nxt
+		} else if takeHalts(lanes) > 0 {
+			nxt := e.spare[:0]
 			for _, v := range active {
 				if !e.halted[v] {
 					nxt = append(nxt, v)
 				}
 			}
+			e.spare, active = active[:0], nxt
 		}
-		e.spare = active[:0]
-		active = nxt
 		// Barrier checkpoint: after compaction (so crashes landing at
 		// round+1 are in the bitsets) and before the next round's
 		// cancellation poll (so RequestNow-then-cancel captures state

@@ -17,13 +17,15 @@ import "unsafe"
 const laneGuard = 128
 
 // lane is the per-worker run state both outboxes embed: the fault
-// counters summed into the run's FaultReport (sumFaults) and the
+// counters summed into the run's FaultReport (sumFaults), the count of
+// nodes seen halting on clean runs (takeHalts) and the
 // inbox-compaction scratch attached by newLanes.
 type lane struct {
 	dropped   int64
 	duped     int64
 	reordered int64
 	downSteps int64
+	halts     int64
 
 	// wdense serves the typed clean paths, fwdense the typed faulty
 	// paths and fdense the flat engine's untyped faulty path. The
@@ -92,4 +94,16 @@ func sumFaults(base FaultReport, lanes []*lane) FaultReport {
 		base.DownSteps += l.downSteps
 	}
 	return base
+}
+
+// takeHalts returns how many nodes the lanes' workers saw halt since
+// the last call and resets the counts. The flat engine's barrier calls
+// it on clean runs: 0 means the worklist is unchanged.
+func takeHalts(lanes []*lane) int64 {
+	n := int64(0)
+	for _, l := range lanes {
+		n += l.halts
+		l.halts = 0
+	}
+	return n
 }

@@ -19,14 +19,14 @@ import (
 // contiguous plane should hold — run with per-shard bounded memory.
 //
 // Each shard owns a contiguous global node range, its own slot plane
-// (off/dest/arenas/stamps, exactly the Engine layout restricted to the
-// range) and its own state column. Arcs whose endpoints live in
-// different shards are resolved at construction into a compact
-// exchange buffer: the sender's dest entry is the complement (^xi) of
-// an index into its shard's staging arrays, and at the round barrier
-// each destination shard drains every staging range aimed at it —
-// the same CONS/GOSSIP boundary shape cometbft draws between the
-// consensus state machine and the gossip plane.
+// (off/dest and two cell arenas, exactly the Engine's word-lane layout
+// restricted to the range) and its own state column. Arcs whose
+// endpoints live in different shards are resolved at construction
+// into a compact exchange buffer: the sender's dest entry is the
+// complement (^xi) of an index into its shard's staging cells, and at
+// the round barrier each destination shard drains every staging range
+// aimed at it — the same CONS/GOSSIP boundary shape cometbft draws
+// between the consensus state machine and the gossip plane.
 //
 // Determinism. Slot numbering concatenates the per-node letter-sorted
 // slot rows in global node order, so a node's slots, its inbox order
@@ -115,7 +115,7 @@ type ShardedWordAlgo struct {
 }
 
 // shard is one partition of the sharded plane: a contiguous global
-// node range with its own CSR slot layout, double-buffered word
+// node range with its own CSR slot layout, double-buffered cell
 // arenas, state column, worklist and outgoing exchange staging.
 type shard struct {
 	lo, hi   int64 // global node range [lo, hi)
@@ -125,22 +125,23 @@ type shard struct {
 	off  []int32 // local slot offsets, len n+1
 	dest []int32 // >= 0: local destination slot; < 0: ^x staging index
 
-	wbuf  [2][]uint64
-	stamp [2][]int64
+	cells [2][]cell
 
 	col    []uint64
 	halted []bool
 	active []int32
 	spare  []int32
+	// halts counts the nodes that halted in the last clean step phase;
+	// drainAndCompact leaves the worklist as it is when it is 0.
+	halts int
 
 	// Exchange staging, grouped by destination shard: entries
 	// xoff[d]:xoff[d+1] go to shard d. xdst holds destination-local
-	// slot indices; xw/xstamp carry the staged word and its round
-	// stamp (monotone, like the arenas — never cleared).
+	// slot indices; xcells carry the staged word and its round stamp
+	// (monotone, like the arenas — never cleared).
 	xoff   []int32
 	xdst   []int32
-	xw     []uint64
-	xstamp []int64
+	xcells []cell
 
 	// crashed marks permanently crashed nodes on faulty runs (lazily
 	// allocated, as on the flat plane).
@@ -267,8 +268,7 @@ func NewShardedEngine(src ShardSource, p int) (*ShardedEngine, error) {
 			sh.xoff[d+1] += sh.xoff[d]
 		}
 		sh.xdst = make([]int32, len(cross))
-		sh.xw = make([]uint64, len(cross))
-		sh.xstamp = make([]int64, len(cross))
+		sh.xcells = make([]cell, len(cross))
 		fill := make([]int32, p)
 		copy(fill, sh.xoff[:p])
 		for _, x := range cross {
@@ -277,9 +277,8 @@ func NewShardedEngine(src ShardSource, p int) (*ShardedEngine, error) {
 			sh.xdst[xi] = x.dslot
 			sh.dest[x.slot] = ^xi
 		}
-		for a := 0; a < 2; a++ {
-			sh.wbuf[a] = make([]uint64, total)
-			sh.stamp[a] = make([]int64, total)
+		for a := range sh.cells {
+			sh.cells[a] = make([]cell, total)
 		}
 		sh.col = make([]uint64, sh.n)
 		sh.halted = make([]bool, sh.n)
@@ -461,6 +460,13 @@ type ShardOutbox struct {
 	nxt  int
 	want int64
 
+	// The current shard's rows for this round: slot offsets, routing,
+	// the arena written this round and the outgoing staging cells.
+	off   []int32
+	dest  []int32
+	next  []cell
+	stage []cell
+
 	round int
 	prof  string
 
@@ -491,48 +497,34 @@ func (sh *shard) fail(se *ShardedEngine, v int32, err error) {
 // error strings (with global node ids), remote slots staged instead
 // of written.
 func (ob *ShardOutbox) SendWord(slot int, w uint64) {
-	sh := ob.sh
 	v := ob.v
-	lo, hi := sh.off[v], sh.off[v+1]
+	lo, hi := ob.off[v], ob.off[v+1]
 	if slot < 0 || int32(slot) >= hi-lo {
-		sh.fail(ob.se, v, ob.errf("node %d sent on absent slot %d (node has %d)", sh.lo+int64(v), slot, hi-lo))
+		ob.sh.fail(ob.se, v, ob.errf("node %d sent on absent slot %d (node has %d)", ob.sh.lo+int64(v), slot, hi-lo))
 		return
 	}
-	d := sh.dest[lo+int32(slot)]
-	if d >= 0 {
-		st := sh.stamp[ob.nxt]
-		if st[d] == ob.want {
-			sh.fail(ob.se, v, ob.errf("node %d sent twice on slot %d", sh.lo+int64(v), slot))
-			return
-		}
-		sh.wbuf[ob.nxt][d] = w
-		st[d] = ob.want
+	var c *cell
+	if d := ob.dest[lo+int32(slot)]; d >= 0 {
+		c = &ob.next[d]
+	} else {
+		c = &ob.stage[^d]
+	}
+	if c.stamp == ob.want {
+		ob.sh.fail(ob.se, v, ob.errf("node %d sent twice on slot %d", ob.sh.lo+int64(v), slot))
 		return
 	}
-	xi := ^d
-	if sh.xstamp[xi] == ob.want {
-		sh.fail(ob.se, v, ob.errf("node %d sent twice on slot %d", sh.lo+int64(v), slot))
-		return
-	}
-	sh.xw[xi] = w
-	sh.xstamp[xi] = ob.want
+	*c = cell{w: w, stamp: ob.want}
 }
 
 // BroadcastWord is Outbox.BroadcastWord on the sharded plane: one
 // pass over the slot row, unchecked overwrite.
 func (ob *ShardOutbox) BroadcastWord(w uint64) {
-	sh := ob.sh
-	want := ob.want
-	nb := sh.wbuf[ob.nxt]
-	st := sh.stamp[ob.nxt]
-	for s := sh.off[ob.v]; s < sh.off[ob.v+1]; s++ {
-		if d := sh.dest[s]; d >= 0 {
-			nb[d] = w
-			st[d] = want
+	next, stage, c := ob.next, ob.stage, cell{w: w, stamp: ob.want}
+	for _, d := range ob.dest[ob.off[ob.v]:ob.off[ob.v+1]] {
+		if d >= 0 {
+			next[d] = c
 		} else {
-			xi := ^d
-			sh.xw[xi] = w
-			sh.xstamp[xi] = want
+			stage[^d] = c
 		}
 	}
 }
@@ -675,10 +667,9 @@ func (se *ShardedEngine) run(ids IDFunc, algo ShardedWordAlgo, maxRounds int, sc
 			}
 			sh := se.shards[i]
 			if phase == 0 {
-				ob.sh = sh
-				for _, v := range sh.active {
-					step(sh, v, ob)
-				}
+				ob.sh, ob.off, ob.dest = sh, sh.off, sh.dest
+				ob.next, ob.stage = sh.cells[ob.nxt], sh.xcells
+				step(sh, ob)
 			} else {
 				se.drainAndCompact(int(i), round, curArena, curWant, sched)
 			}
@@ -699,9 +690,7 @@ func (se *ShardedEngine) run(ids IDFunc, algo ShardedWordAlgo, maxRounds int, sc
 		start[w] = make(chan struct{}, 1)
 		go func(ch chan struct{}, ob *ShardOutbox) {
 			for range ch {
-				ob.nxt = curArena ^ 1
-				ob.want = curWant + 1
-				ob.round = round
+				ob.nxt, ob.want, ob.round = curArena^1, curWant+1, round
 				phaseWork(ob)
 				wg.Done()
 			}
@@ -721,9 +710,7 @@ func (se *ShardedEngine) run(ids IDFunc, algo ShardedWordAlgo, maxRounds int, sc
 		for _, ch := range start {
 			ch <- struct{}{}
 		}
-		masterOb.nxt = curArena ^ 1
-		masterOb.want = curWant + 1
-		masterOb.round = round
+		masterOb.nxt, masterOb.want, masterOb.round = curArena^1, curWant+1, round
 		phaseWork(masterOb)
 		wg.Wait()
 	}
@@ -799,70 +786,83 @@ func (se *ShardedEngine) run(ids IDFunc, algo ShardedWordAlgo, maxRounds int, sc
 	return round, rep, nil
 }
 
-// stepClean is the clean sharded step: compact the node's live slots
-// into the worker's scratch in slot (letter) order, then Step.
-func (se *ShardedEngine) stepClean(algo ShardedWordAlgo) func(*shard, int32, *ShardOutbox) {
-	return func(sh *shard, v int32, ob *ShardOutbox) {
-		lo, hi := sh.off[v], sh.off[v+1]
-		cur, want := ob.nxt^1, ob.want-1
-		st := sh.stamp[cur]
-		wb := sh.wbuf[cur]
-		wd := ob.wdense
-		k := 0
-		for s := lo; s < hi; s++ {
-			if st[s] == want {
-				wd[k] = WordMsg{W: wb[s], Slot: s - lo}
-				k++
+// stepClean is the clean sharded step over a shard's worklist:
+// compact each node's live slots into the worker's scratch in slot
+// (letter) order, then Step; the shard's halt count feeds the
+// barrier's compaction skip.
+func (se *ShardedEngine) stepClean(algo ShardedWordAlgo) func(*shard, *ShardOutbox) {
+	step := algo.Step
+	return func(sh *shard, ob *ShardOutbox) {
+		off, col, halted, wd := sh.off, sh.col, sh.halted, ob.wdense
+		cur, want := sh.cells[ob.nxt^1], ob.want-1
+		round, halts := ob.round, 0
+		for _, v := range sh.active {
+			row := cur[off[v]:off[v+1]]
+			k := 0
+			for i := range row {
+				if row[i].stamp == want {
+					wd[k] = WordMsg{W: row[i].w, Slot: int32(i)}
+					k++
+				}
+			}
+			ob.v = v
+			done := step(&col[v], round, wd[:k], ob)
+			halted[v] = done
+			if done {
+				halts++
 			}
 		}
-		ob.v = v
-		sh.halted[v] = algo.Step(&sh.col[v], ob.round, wd[:k], ob)
+		sh.halts = halts
 	}
 }
 
 // stepFaulty interposes the schedule with global coordinates: node
 // states and reorders by global node id, per-delivery fates by global
 // slot index — bit-for-bit the hashes the flat faulty path draws.
-func (se *ShardedEngine) stepFaulty(algo ShardedWordAlgo, sched Schedule) func(*shard, int32, *ShardOutbox) {
-	return func(sh *shard, v int32, ob *ShardOutbox) {
+func (se *ShardedEngine) stepFaulty(algo ShardedWordAlgo, sched Schedule) func(*shard, *ShardOutbox) {
+	step := algo.Step
+	return func(sh *shard, ob *ShardOutbox) {
+		off, col, halted, fd := sh.off, sh.col, sh.halted, ob.fwdense
+		cur, want := sh.cells[ob.nxt^1], ob.want-1
 		round := ob.round
-		gv := int32(sh.lo + int64(v))
-		switch sched.State(round, gv) {
-		case StateDown:
-			ob.downSteps++
-			return
-		case StateCrashed:
-			return
-		}
-		lo, hi := sh.off[v], sh.off[v+1]
-		cur, want := ob.nxt^1, ob.want-1
-		st := sh.stamp[cur]
-		wb := sh.wbuf[cur]
-		fd := ob.fwdense
-		k := 0
-		for s := lo; s < hi; s++ {
-			if st[s] != want {
+		for _, v := range sh.active {
+			gv := int32(sh.lo + int64(v))
+			switch sched.State(round, gv) {
+			case StateDown:
+				ob.downSteps++
+				continue
+			case StateCrashed:
 				continue
 			}
-			switch sched.Fate(round, int32(sh.slotBase+int64(s))) {
-			case Drop:
-				ob.dropped++
-				continue
-			case Duplicate:
-				ob.duped++
-				fd[k] = WordMsg{W: wb[s], Slot: s - lo}
+			lo := off[v]
+			row := cur[lo:off[v+1]]
+			gs := sh.slotBase + int64(lo)
+			k := 0
+			for i := range row {
+				if row[i].stamp != want {
+					continue
+				}
+				m := WordMsg{W: row[i].w, Slot: int32(i)}
+				switch sched.Fate(round, int32(gs+int64(i))) {
+				case Drop:
+					ob.dropped++
+					continue
+				case Duplicate:
+					ob.duped++
+					fd[k] = m
+					k++
+				}
+				fd[k] = m
 				k++
 			}
-			fd[k] = WordMsg{W: wb[s], Slot: s - lo}
-			k++
+			inbox := fd[:k]
+			if seed := sched.Reorder(round, gv); seed != 0 && len(inbox) > 1 {
+				shuffleWordMsgs(inbox, seed)
+				ob.reordered++
+			}
+			ob.v = v
+			halted[v] = step(&col[v], round, inbox, ob)
 		}
-		inbox := fd[:k]
-		if seed := sched.Reorder(round, gv); seed != 0 && len(inbox) > 1 {
-			shuffleWordMsgs(inbox, seed)
-			ob.reordered++
-		}
-		ob.v = v
-		sh.halted[v] = algo.Step(&sh.col[v], round, inbox, ob)
 	}
 }
 
@@ -870,29 +870,29 @@ func (se *ShardedEngine) stepFaulty(algo ShardedWordAlgo, sched Schedule) func(*
 // every staged word aimed at d out of the source shards' exchange
 // buffers into d's next-round arena, then compact d's worklist
 // (halted nodes leave; on faulty runs nodes whose crash round arrived
-// leave for good). Each destination slot is written by exactly one
+// leave for good; on clean runs a shard where no node halted keeps its
+// list as it is). Each destination slot is written by exactly one
 // staging entry, so destination-parallel draining is race-free.
 func (se *ShardedEngine) drainAndCompact(d, round, curArena int, curWant int64, sched Schedule) {
 	dst := se.shards[d]
-	nxt := curArena ^ 1
+	cells := dst.cells[curArena^1]
 	want := curWant + 1
-	wb := dst.wbuf[nxt]
-	st := dst.stamp[nxt]
 	delivered := int64(0)
 	for _, src := range se.shards {
 		xs, xe := src.xoff[d], src.xoff[d+1]
-		for xi := xs; xi < xe; xi++ {
-			if src.xstamp[xi] != want {
-				continue
+		xdst := src.xdst[xs:xe]
+		for i, c := range src.xcells[xs:xe] {
+			if c.stamp == want {
+				cells[xdst[i]] = c
+				delivered++
 			}
-			ds := src.xdst[xi]
-			wb[ds] = src.xw[xi]
-			st[ds] = want
-			delivered++
 		}
 	}
 	if delivered > 0 {
 		dst.exchanged.Add(delivered)
+	}
+	if sched == nil && dst.halts == 0 {
+		return
 	}
 	nxtList := dst.spare[:0]
 	if sched != nil {

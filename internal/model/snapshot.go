@@ -159,13 +159,24 @@ func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 	if np > uint64(s.Slots) {
 		return nil, fmt.Errorf("model: snapshot pending count %d exceeds %d slots", np, s.Slots)
 	}
+	// Every pending slot takes at least one delta byte, and on typed
+	// snapshots eight more for its word: a count the remaining bytes
+	// cannot hold is rejected before anything is sized from it.
+	per := uint64(1)
+	if s.Typed {
+		per = 9
+	}
+	if np > uint64(r.Len())/per {
+		return nil, fmt.Errorf("model: snapshot pending count %d exceeds what its %d remaining bytes can hold", np, r.Len())
+	}
 	s.Pending = make([]int32, np)
 	prev := int64(0)
 	for i := range s.Pending {
-		prev += int64(r.Uvarint())
-		if prev >= int64(s.Slots) {
-			return nil, fmt.Errorf("model: snapshot pending slot %d out of range", prev)
+		d := r.Uvarint()
+		if d >= uint64(s.Slots) || prev+int64(d) >= int64(s.Slots) {
+			return nil, fmt.Errorf("model: snapshot pending slot %d+%d out of range", prev, d)
 		}
+		prev += int64(d)
 		s.Pending[i] = int32(prev)
 	}
 	if s.Typed {
@@ -279,18 +290,22 @@ func (e *Engine) snapshotAt(nextRound int, base int64, sched Schedule, lanes []*
 	// base+nextRound+1 (the writing round's want was curWant+1).
 	arena := nextRound & 1
 	want := base + int64(nextRound) + 1
-	st := e.stamp[arena]
-	for s := range st {
-		if st[s] != want {
-			continue
+	if e.ckTyped {
+		for s, c := range e.cells[arena] {
+			if c.stamp == want {
+				snap.Pending = append(snap.Pending, int32(s))
+				snap.Words = append(snap.Words, c.w)
+			}
 		}
-		snap.Pending = append(snap.Pending, int32(s))
-		if e.ckTyped {
-			snap.Words = append(snap.Words, e.wbuf[arena][s])
-		} else {
+	} else {
+		for s, st := range e.stamp[arena] {
+			if st != want {
+				continue
+			}
 			if e.ckEncData == nil {
 				return fmt.Errorf("model: checkpoint at round %d: algorithm has pending messages but no EncodeData codec", nextRound)
 			}
+			snap.Pending = append(snap.Pending, int32(s))
 			snap.Data = e.ckEncData(snap.Data, e.buf[arena][s].Data)
 		}
 	}
@@ -306,9 +321,10 @@ func (e *Engine) snapshotAt(nextRound int, base int64, sched Schedule, lanes []*
 
 // restoreCommon validates a snapshot against the run being started and
 // restores the plane-level state every path shares: halt/crash
-// bitsets, pending-slot stamps (re-based on this engine's tick), the
-// resume round and the fault-counter bases. Payload and state-column
-// restoration stay with the typed/untyped callers.
+// bitsets, pending-slot stamps on the run's lane (re-based on this
+// engine's tick), the resume round and the fault-counter bases.
+// Payload and state-column restoration stay with the typed/untyped
+// callers.
 func (e *Engine) restoreCommon(snap *Snapshot, typed, faulty bool) error {
 	if snap.consumed {
 		return fmt.Errorf("model: resume: snapshot already resumed (double resume rejected)")
@@ -337,11 +353,7 @@ func (e *Engine) restoreCommon(snap *Snapshot, typed, faulty bool) error {
 		}
 		copy(e.crashed, snap.Crashed)
 	}
-	arena := snap.Round & 1
-	want := e.tick + int64(snap.Round) + 1
-	for _, s := range snap.Pending {
-		e.stamp[arena][s] = want
-	}
+	e.setPendingStamps(snap, typed, e.tick+int64(snap.Round)+1)
 	e.resumeFrom = snap.Round
 	e.repBase = FaultReport{
 		Dropped:    snap.Dropped,
@@ -359,20 +371,31 @@ func planeName(typed bool) string {
 	return "untyped"
 }
 
-// failedResume rolls back a partially applied restore so the engine
-// is safe for ordinary runs again: the resume cursor and report bases
-// are cleared and any restored stamps are zeroed (0 is never a live
-// want, which is base+round+1 >= 1).
-func (e *Engine) failedResume(snap *Snapshot) {
-	e.resumeFrom = -1
-	e.repBase = FaultReport{}
+// setPendingStamps writes stamp into the snapshot's pending slots of
+// arena snap.Round&1 on the typed or the boxed lane. Slots past the
+// plane, or a lane not built yet, are skipped: failedResume also runs
+// for snapshots restoreCommon rejected as belonging to another plane.
+func (e *Engine) setPendingStamps(snap *Snapshot, typed bool, stamp int64) {
 	arena := snap.Round & 1
-	st := e.stamp[arena]
+	cells, st := e.cells[arena], e.stamp[arena]
 	for _, s := range snap.Pending {
-		if int(s) < len(st) {
-			st[s] = 0
+		switch {
+		case typed && int(s) < len(cells):
+			cells[s].stamp = stamp
+		case !typed && int(s) < len(st):
+			st[s] = stamp
 		}
 	}
+}
+
+// failedResume rolls back a partially applied restore so the engine
+// is safe for ordinary runs again: the resume cursor and report bases
+// are cleared and any stamps restored on the run's lane are zeroed (0
+// is never a live want, which is base+round+1 >= 1).
+func (e *Engine) failedResume(snap *Snapshot, typed bool) {
+	e.resumeFrom = -1
+	e.repBase = FaultReport{}
+	e.setPendingStamps(snap, typed, 0)
 }
 
 // restoreUntyped restores an untyped run from snap: the shared plane

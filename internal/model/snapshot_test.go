@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"repro/internal/ckpt"
 	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/view"
@@ -435,6 +437,63 @@ func TestSnapshotDecodeCorrupt(t *testing.T) {
 	if _, err := DecodeSnapshot(bad); err == nil {
 		t.Error("wrong version decoded")
 	}
+}
+
+// FuzzDecodeSnapshot: DecodeSnapshot never panics; a payload it
+// accepts re-encodes to bytes that decode to the same snapshot; and it
+// allocates within a small multiple of the payload's size, so a count
+// the payload claims but cannot hold is rejected before anything is
+// sized from it. The bound is 32 B per payload byte plus 64 KiB: the
+// halt and crash bitsets take 8 B per byte each, the pending slots at
+// most 4 B per delta byte and their words 8 B per 9 bytes.
+func FuzzDecodeSnapshot(f *testing.F) {
+	typed := &Snapshot{
+		Typed: true, Faulty: true, N: 5, Slots: 12, Round: 9,
+		Halted:  []bool{true, false, true, false, true},
+		Crashed: []bool{false, true, false, false, false},
+		Dropped: 3, Duplicated: 1, Reordered: 4, DownSteps: 1,
+		Pending: []int32{0, 3, 11},
+		Words:   []uint64{7, 8, 9},
+		States:  []byte{1, 2, 3, 4},
+	}
+	untyped := &Snapshot{
+		N: 3, Slots: 6, Round: 2,
+		Halted:  []bool{false, false, true},
+		Pending: []int32{2, 5},
+		Data:    []byte{9, 9},
+		States:  []byte{1},
+	}
+	f.Add(typed.Encode())
+	f.Add(untyped.Encode())
+	// An 11-byte typed payload claiming 2^20 pending slots of 2^20.
+	var claim ckpt.Writer
+	claim.Uvarint(snapshotVersion)
+	claim.Bool(true)
+	claim.Bool(false)
+	claim.Uvarint(0)
+	claim.Uvarint(1 << 20)
+	claim.Uvarint(0)
+	claim.Uvarint(1 << 20)
+	f.Add(claim.Bytes())
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := DecodeSnapshot(payload)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 32*uint64(len(payload))+64<<10 {
+			t.Fatalf("decoding %d bytes allocated %d bytes", len(payload), grew)
+		}
+		if err != nil {
+			return
+		}
+		again, err := DecodeSnapshot(s.Encode())
+		if err != nil {
+			t.Fatalf("re-encoded snapshot rejected: %v", err)
+		}
+		if !reflect.DeepEqual(again, s) {
+			t.Fatalf("round trip mismatch:\n  in  %+v\n  out %+v", s, again)
+		}
+	})
 }
 
 // TestSnapshotCheckpointIdleAllocs: an armed checkpointer whose

@@ -10,12 +10,12 @@ import (
 // This file is the typed columnar path of the round engine: states
 // live in a contiguous []S column owned by the TypedEngine (no
 // interface boxing, no per-node pointer chase) and message payloads
-// travel in the Engine's fixed-width uint64 word lane, parallel to the
-// any-payload arenas and sharing their slots, stamps, routing,
-// letter-sort order, worklist and fault hashing. Msg.Data remains the
-// supported slow path for unbounded payloads (GatherViews); the typed
-// gather below shows how a pointer-shaped payload rides the word lane
-// anyway, as a column handle.
+// travel in the Engine's fixed-width word lane (one {word, stamp} cell
+// per slot), beside the any-payload arenas and sharing their slots,
+// routing, letter-sort order, worklist and fault hashing. Msg.Data
+// remains the supported slow path for unbounded payloads
+// (GatherViews); the typed gather below shows how a pointer-shaped
+// payload rides the word lane anyway, as a column handle.
 
 // WordMsg is one inbox entry of the typed message plane: the payload
 // word plus the receiver-local incident-slot index of the arrival arc
@@ -171,7 +171,7 @@ func (te *TypedEngine[S]) runStates(ids []int, algo TypedAlgo[S], maxRounds int,
 	if snap := e.resume; snap != nil {
 		e.resume = nil
 		if err := te.restoreTyped(snap, algo, sched != nil); err != nil {
-			e.failedResume(snap)
+			e.failedResume(snap, true)
 			return nil, 0, nil, err
 		}
 	}
@@ -249,31 +249,38 @@ func (te *TypedEngine[S]) restoreTyped(snap *Snapshot, algo TypedAlgo[S], faulty
 	}
 	arena := snap.Round & 1
 	for i, s := range snap.Pending {
-		e.wbuf[arena][s] = snap.Words[i]
+		e.cells[arena][s].w = snap.Words[i]
 	}
 	return nil
 }
 
-// stepTyped is the clean typed step: compact the node's live word
-// slots into the worker's scratch (tagged with their local slot
-// indices), then Step against the state column in place.
-func (te *TypedEngine[S]) stepTyped(algo TypedAlgo[S]) func(int, *Outbox) {
-	e := te.e
-	return func(v int, ob *Outbox) {
-		lo, hi := e.off[v], e.off[v+1]
-		cur, want := ob.nxt^1, ob.want-1
-		st := e.stamp[cur]
-		wb := e.wbuf[cur]
-		wd := ob.wdense
-		k := 0
-		for s := lo; s < hi; s++ {
-			if st[s] == want {
-				wd[k] = WordMsg{W: wb[s], Slot: s - lo}
-				k++
+// stepTyped is the clean typed step over one chunk of the worklist:
+// compact each node's live word slots into the worker's scratch
+// (tagged with their local slot indices), then Step against the state
+// column in place.
+func (te *TypedEngine[S]) stepTyped(algo TypedAlgo[S]) func([]int32, *Outbox) {
+	e, step := te.e, algo.Step
+	return func(chunk []int32, ob *Outbox) {
+		off, col, halted, wd := e.off, te.col, e.halted, ob.wdense
+		cur, want := e.cells[ob.nxt^1], ob.want-1
+		round, halts := ob.round, int64(0)
+		for _, v := range chunk {
+			row := cur[off[v]:off[v+1]]
+			k := 0
+			for i := range row {
+				if row[i].stamp == want {
+					wd[k] = WordMsg{W: row[i].w, Slot: int32(i)}
+					k++
+				}
+			}
+			ob.v = v
+			done := step(&col[v], round, wd[:k], ob)
+			halted[v] = done
+			if done {
+				halts++
 			}
 		}
-		ob.v = int32(v)
-		e.halted[v] = algo.Step(&te.col[v], ob.round, wd[:k], ob)
+		ob.halts += halts
 	}
 }
 
@@ -282,46 +289,48 @@ func (te *TypedEngine[S]) stepTyped(algo TypedAlgo[S]) func(int, *Outbox) {
 // the hashes the untyped faulty path draws, so typed and untyped runs
 // of one algorithm under one schedule see the same delivered,
 // duplicated and reordered messages.
-func (te *TypedEngine[S]) stepTypedFaulty(algo TypedAlgo[S], sched Schedule) func(int, *Outbox) {
-	e := te.e
-	return func(v int, ob *Outbox) {
+func (te *TypedEngine[S]) stepTypedFaulty(algo TypedAlgo[S], sched Schedule) func([]int32, *Outbox) {
+	e, step := te.e, algo.Step
+	return func(chunk []int32, ob *Outbox) {
+		off, col, halted, fd := e.off, te.col, e.halted, ob.fwdense
+		cur, want := e.cells[ob.nxt^1], ob.want-1
 		round := ob.round
-		switch sched.State(round, int32(v)) {
-		case StateDown:
-			ob.downSteps++
-			return
-		case StateCrashed:
-			return
-		}
-		lo, hi := e.off[v], e.off[v+1]
-		cur, want := ob.nxt^1, ob.want-1
-		st := e.stamp[cur]
-		wb := e.wbuf[cur]
-		fd := ob.fwdense
-		k := 0
-		for s := lo; s < hi; s++ {
-			if st[s] != want {
+		for _, v := range chunk {
+			switch sched.State(round, v) {
+			case StateDown:
+				ob.downSteps++
+				continue
+			case StateCrashed:
 				continue
 			}
-			switch sched.Fate(round, s) {
-			case Drop:
-				ob.dropped++
-				continue
-			case Duplicate:
-				ob.duped++
-				fd[k] = WordMsg{W: wb[s], Slot: s - lo}
+			lo := off[v]
+			row := cur[lo:off[v+1]]
+			k := 0
+			for i := range row {
+				if row[i].stamp != want {
+					continue
+				}
+				m := WordMsg{W: row[i].w, Slot: int32(i)}
+				switch sched.Fate(round, lo+int32(i)) {
+				case Drop:
+					ob.dropped++
+					continue
+				case Duplicate:
+					ob.duped++
+					fd[k] = m
+					k++
+				}
+				fd[k] = m
 				k++
 			}
-			fd[k] = WordMsg{W: wb[s], Slot: s - lo}
-			k++
+			inbox := fd[:k]
+			if seed := sched.Reorder(round, v); seed != 0 && len(inbox) > 1 {
+				shuffleWordMsgs(inbox, seed)
+				ob.reordered++
+			}
+			ob.v = v
+			halted[v] = step(&col[v], round, inbox, ob)
 		}
-		inbox := fd[:k]
-		if seed := sched.Reorder(round, int32(v)); seed != 0 && len(inbox) > 1 {
-			shuffleWordMsgs(inbox, seed)
-			ob.reordered++
-		}
-		ob.v = int32(v)
-		e.halted[v] = algo.Step(&te.col[v], round, inbox, ob)
 	}
 }
 

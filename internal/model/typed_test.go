@@ -476,10 +476,10 @@ func TestCrossLaneSendFails(t *testing.T) {
 }
 
 // TestWordEngineBytesPerSlot: a typed-only engine allocates the shared
-// plane and the word lane, never the boxed lane. On torus:64x64
-// (16,384 slots) that is 52 B per slot plus the per-node columns,
-// about 61 B per slot in all; the boxed lane would add 112 B per slot
-// and 16 B per node on top.
+// plane and the word lane's cell arenas, never the boxed lane or its
+// stamps. On torus:64x64 (16,384 slots) that is 52 B per slot plus the
+// per-node columns, about 61 B per slot in all; the boxed lane would
+// add 128 B per slot and 16 B per node on top.
 func TestWordEngineBytesPerSlot(t *testing.T) {
 	h := HostFromGraph(graph.Torus(64, 64))
 	slots := 0
@@ -502,6 +502,9 @@ func TestWordEngineBytesPerSlot(t *testing.T) {
 	}
 	if e := te.Engine(); e.buf[0] != nil || e.dense != nil || e.info != nil || e.states != nil {
 		t.Error("NewWordEngine built the boxed lane")
+	}
+	if e := te.Engine(); e.stamp[0] != nil || e.stamp[1] != nil {
+		t.Error("NewWordEngine built the boxed lane's stamps")
 	}
 }
 

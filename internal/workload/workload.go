@@ -338,7 +338,7 @@ func (r *run) sharded(w *Workload, prof *model.Profile) (*Result, error) {
 // ids draws the ID-model identifiers: a seeded injection into [0, 8n).
 func (r *run) ids() []int {
 	n := r.h.G.N()
-	return r.rng.Perm(8 * n)[:n]
+	return model.PermPrefix(r.rng, 8*n, n)
 }
 
 // wordEngine builds the flat word-lane engine, armed with the run's
