@@ -211,134 +211,16 @@ func BenchmarkCanonicalBallParallel(b *testing.B) {
 
 // --- round engine (model.Engine) ---
 
-// benchPulse is the steady-state round workload: every node
-// broadcasts a pre-boxed payload on all its letters each round, for a
-// caller-chosen number of rounds. One benchmark op is ONE ROUND: the
-// whole measured region is a single engine run of b.N rounds, so
-// per-run setup (Init, worker spawn) amortises to zero and allocs/op
-// is the genuine steady-state per-round allocation count.
-type benchPulse struct {
-	letters []view.Letter
-	left    int
-}
+// The steady-state round workload: every node broadcasts on all its
+// slots each round, for a caller-chosen number of rounds. One
+// benchmark op is ONE ROUND: the whole measured region is a single
+// engine run of b.N rounds, so per-run setup (Init, worker spawn)
+// amortises to zero and allocs/op is the genuine steady-state
+// per-round allocation count.
 
-// benchPulseAlgo is the engine-native form: states are pre-allocated
-// and handed out by the sequential Init; Step sends its own state
-// pointer, so a steady-state round performs no allocation at all.
-func benchPulseAlgo(states []benchPulse, rounds int) model.EngineAlgo {
-	next := 0
-	return model.EngineAlgo{
-		Init: func(info model.NodeInfo) any {
-			s := &states[next]
-			next++
-			s.letters = info.Letters
-			s.left = rounds
-			return s
-		},
-		Step: func(state any, round int, inbox []model.Msg, out *model.Outbox) (any, bool) {
-			s := state.(*benchPulse)
-			if s.left == 0 {
-				return s, true
-			}
-			s.left--
-			for _, l := range s.letters {
-				out.Send(l, s)
-			}
-			return s, false
-		},
-		Out: func(any) model.Output { return model.Output{} },
-	}
-}
-
-// benchPulseRoundAlgo is the identical workload in the classical
-// slice-returning form, for the retained reference loop.
-func benchPulseRoundAlgo(states []benchPulse, rounds int) model.RoundAlgo {
-	next := 0
-	return model.RoundAlgo{
-		Init: func(info model.NodeInfo) any {
-			s := &states[next]
-			next++
-			s.letters = info.Letters
-			s.left = rounds
-			return s
-		},
-		Step: func(state any, round int, inbox []model.Msg) (any, []model.Msg, bool) {
-			s := state.(*benchPulse)
-			if s.left == 0 {
-				return s, nil, true
-			}
-			s.left--
-			out := make([]model.Msg, 0, len(s.letters))
-			for _, l := range s.letters {
-				out = append(out, model.Msg{L: l, Data: s})
-			}
-			return s, out, false
-		},
-		Out: func(any) model.Output { return model.Output{} },
-	}
-}
-
-// benchTorusEngine caches the 4096-node torus host and its engine
-// across the benchmark's calibration calls.
-var benchTorusEngine struct {
-	sync.Once
-	h      *model.Host
-	e      *model.Engine
-	states []benchPulse
-}
-
-func torusEngine() (*model.Host, *model.Engine, []benchPulse) {
-	benchTorusEngine.Do(func() {
-		benchTorusEngine.h = model.HostFromGraph(graph.Torus(64, 64))
-		benchTorusEngine.e = model.NewEngine(benchTorusEngine.h)
-		benchTorusEngine.states = make([]benchPulse, 4096)
-	})
-	return benchTorusEngine.h, benchTorusEngine.e, benchTorusEngine.states
-}
-
-func BenchmarkRunRounds(b *testing.B) {
-	// The engine on the 4096-node torus at parallelism 8, measured per
-	// round. CI-gated against BENCH_ci.json in ns/op and allocs/op:
-	// steady-state rounds must stay at 0 allocs/op. par.Set(8) fixes
-	// the worker count whatever the runner's core count; on smaller
-	// machines the workers timeshare, which only makes the measured
-	// ns/op conservative.
-	defer par.Set(par.Set(8))
-	_, e, states := torusEngine()
-	if _, _, err := e.RunStates(nil, benchPulseAlgo(states, 4), 8); err != nil {
-		b.Fatal(err) // warm-up: arenas, letter slices, worklists
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	if _, _, err := e.RunStates(nil, benchPulseAlgo(states, b.N), b.N+2); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkRunRoundsFaulty(b *testing.B) {
-	// The identical 4096-node torus workload through the faulty step
-	// path under lossy:p=0.05 — prices the per-slot fate draws and the
-	// dense-inbox recompaction relative to BenchmarkRunRounds.
-	// CI-gated against BENCH_ci.json: fates are pure functions of
-	// (seed, round, slot), so after the warm-up run sizes the fault
-	// arena a steady-state round stays at 0 allocs/op.
-	defer par.Set(par.Set(8))
-	h, e, states := torusEngine()
-	sched := model.MustParseProfile("lossy:p=0.05").New(h, 11)
-	if _, _, _, err := e.RunStatesFaulty(nil, benchPulseAlgo(states, 4), 8, sched); err != nil {
-		b.Fatal(err) // warm-up: fault arena, crashed bitmap
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	if _, _, _, err := e.RunStatesFaulty(nil, benchPulseAlgo(states, b.N), b.N+2, sched); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// benchPulseWordAlgo is benchPulse on the typed word lane: the
+// benchPulseWordAlgo is the workload on the word lane: the
 // remaining-round counter IS the uint64 state, and the per-round
-// broadcast is one word written across the slot row — the same
-// message traffic as benchPulseAlgo with the boxing gone.
+// broadcast is one word written across the slot row.
 func benchPulseWordAlgo(rounds int) model.WordAlgo {
 	return model.WordAlgo{
 		Init: func(v int, info model.NodeInfo) uint64 { return uint64(rounds) },
@@ -354,9 +236,8 @@ func benchPulseWordAlgo(rounds int) model.WordAlgo {
 	}
 }
 
-// benchTorusWordEngine caches the typed twin of benchTorusEngine,
-// sharing nothing with it so the two benchmarks never warm each
-// other's arenas.
+// benchTorusWordEngine caches the 4096-node torus host and its word
+// engine across the benchmarks' calibration calls.
 var benchTorusWordEngine struct {
 	sync.Once
 	h *model.Host
@@ -372,13 +253,13 @@ func torusWordEngine() (*model.Host, *model.WordEngine) {
 }
 
 func BenchmarkRunRoundsTyped(b *testing.B) {
-	// BenchmarkRunRounds through the typed word lane: same 4096-node
-	// torus, same parallelism 8, same per-round message traffic, with
-	// states and payloads in contiguous uint64 columns instead of
-	// boxed interfaces. CI-gated against BENCH_ci.json in ns/op and
-	// allocs/op (steady-state rounds must stay at 0 allocs/op); the
-	// ratio to BenchmarkRunRounds is the typed plane's speedup,
-	// recorded in BENCH_pr7.json.
+	// The engine on the 4096-node torus at parallelism 8, measured per
+	// round, with states and payloads in contiguous uint64 columns.
+	// CI-gated against BENCH_ci.json in ns/op and allocs/op:
+	// steady-state rounds must stay at 0 allocs/op. par.Set(8) fixes
+	// the worker count whatever the runner's core count; on smaller
+	// machines the workers timeshare, which only makes the measured
+	// ns/op conservative.
 	defer par.Set(par.Set(8))
 	_, e := torusWordEngine()
 	if _, _, err := e.RunStates(nil, benchPulseWordAlgo(4), 8); err != nil {
@@ -392,10 +273,11 @@ func BenchmarkRunRoundsTyped(b *testing.B) {
 }
 
 func BenchmarkRunRoundsTypedFaulty(b *testing.B) {
-	// The typed workload through the faulty step path under the same
-	// lossy:p=0.05 schedule as BenchmarkRunRoundsFaulty — prices the
-	// per-slot fate draws on the word lane. CI-gated: steady-state
-	// faulty typed rounds must stay at 0 allocs/op.
+	// The same workload through the faulty step path under
+	// lossy:p=0.05 — prices the per-slot fate draws and the inbox
+	// recompaction. CI-gated: fates are pure functions of (seed,
+	// round, slot), so after the warm-up run sizes the fault scratch a
+	// steady-state faulty round stays at 0 allocs/op.
 	defer par.Set(par.Set(8))
 	h, e := torusWordEngine()
 	sched := model.MustParseProfile("lossy:p=0.05").New(h, 11)
@@ -547,71 +429,52 @@ func BenchmarkShardedExchange(b *testing.B) {
 	}
 }
 
+// benchPulse is the workload's state on the specification loop.
+type benchPulse struct {
+	letters []view.Letter
+	left    int
+}
+
+// benchPulseRoundAlgo is the workload in the classical slice-returning
+// form: states are pre-allocated and handed out by the sequential
+// Init, and Step sends its own state pointer on every letter.
+func benchPulseRoundAlgo(states []benchPulse, rounds int) model.RoundAlgo {
+	next := 0
+	return model.RoundAlgo{
+		Init: func(info model.NodeInfo) any {
+			s := &states[next]
+			next++
+			s.letters = info.Letters
+			s.left = rounds
+			return s
+		},
+		Step: func(state any, round int, inbox []model.Msg) (any, []model.Msg, bool) {
+			s := state.(*benchPulse)
+			if s.left == 0 {
+				return s, nil, true
+			}
+			s.left--
+			out := make([]model.Msg, 0, len(s.letters))
+			for _, l := range s.letters {
+				out = append(out, model.Msg{L: l, Data: s})
+			}
+			return s, out, false
+		},
+		Out: func(any) model.Output { return model.Output{} },
+	}
+}
+
 func BenchmarkRunRoundsReference(b *testing.B) {
-	// The identical per-round workload through the retained reference
-	// loop (append-built [][]Msg inboxes, every node visited every
-	// round) — the denominator of the engine's speedup, recorded in
-	// BENCH_pr5.json.
+	// The identical per-round workload through the sequential
+	// specification loop RunRoundsStates (append-built [][]Msg
+	// inboxes, every node visited every round) — the denominator of
+	// the engine's speedup, recorded in BENCH_pr5.json.
 	defer par.Set(par.Set(8))
-	h, _, states := torusEngine()
+	h, _ := torusWordEngine()
+	states := make([]benchPulse, h.G.N())
 	b.ReportAllocs()
 	b.ResetTimer()
-	if _, _, err := model.RunRoundsReference(h, nil, benchPulseRoundAlgo(states, b.N), b.N+2); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// benchMillionEngine caches the 10^6-node cycle engine (the E16-scale
-// message plane) across calibration calls, including one persistent
-// algo value whose closures never reallocate between runs.
-var benchMillionEngine struct {
-	sync.Once
-	e      *model.Engine
-	states []benchPulse
-	algo   model.EngineAlgo
-	next   int
-	rounds int
-}
-
-func BenchmarkEngineMillionCycle(b *testing.B) {
-	// One round on a million-node cycle: the scale assertion of the
-	// operational layer. After the warm-up run the arena is sized and
-	// every state exists, so steady-state rounds report 0 allocs/op.
-	m := &benchMillionEngine
-	m.Do(func() {
-		h := model.HostFromGraph(graph.Cycle(1_000_000))
-		m.e = model.NewEngine(h)
-		m.states = make([]benchPulse, 1_000_000)
-		m.algo = model.EngineAlgo{
-			Init: func(info model.NodeInfo) any {
-				s := &m.states[m.next]
-				m.next++
-				s.letters = info.Letters
-				s.left = m.rounds
-				return s
-			},
-			Step: func(state any, round int, inbox []model.Msg, out *model.Outbox) (any, bool) {
-				s := state.(*benchPulse)
-				if s.left == 0 {
-					return s, true
-				}
-				s.left--
-				for _, l := range s.letters {
-					out.Send(l, s)
-				}
-				return s, false
-			},
-			Out: func(any) model.Output { return model.Output{} },
-		}
-	})
-	m.next, m.rounds = 0, 2
-	if _, _, err := m.e.RunStates(nil, m.algo, 4); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	m.next, m.rounds = 0, b.N
-	if _, _, err := m.e.RunStates(nil, m.algo, b.N+2); err != nil {
+	if _, _, err := model.RunRoundsStates(h, nil, benchPulseRoundAlgo(states, b.N), b.N+2); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -623,11 +486,10 @@ var benchMillionWordEngine struct {
 }
 
 func BenchmarkEngineMillionCycleTyped(b *testing.B) {
-	// BenchmarkEngineMillionCycle on the typed word lane: a million
-	// uint64 states in one column and one word per slot, against a
-	// million boxed *benchPulse states and interface payloads on the
-	// untyped plane — the B/op and ns/op gap is the columnar layout's
-	// win at scale. CI-gated against BENCH_ci.json.
+	// One round on a million-node cycle: the scale assertion of the
+	// operational layer, a million uint64 states in one column and one
+	// word per slot. CI-gated against BENCH_ci.json in ns/op; the op
+	// carries 1/b.N of the run's set-up, so allocs/op is not gated.
 	m := &benchMillionWordEngine
 	m.Do(func() {
 		m.e = model.NewWordEngine(model.HostFromGraph(graph.Cycle(1_000_000)))

@@ -49,9 +49,9 @@ const (
 // standard in the LOCAL model, the nodes know the identifier space
 // bound (poly(n)) and hence the reduction-step horizon S.
 //
-// Execution goes through the typed word-lane engine; the untyped
-// RoundAlgo formulation survives as the reference the differential
-// tests pin this path against, byte for byte.
+// Execution goes through the typed word-lane engine; the RoundAlgo
+// formulation survives as the specification the differential tests
+// pin this path against, byte for byte.
 func ColeVishkinMIS(h *model.Host, ids []int) (*ColeVishkinResult, error) {
 	return coleVishkinOn(model.NewWordEngine(h), h, ids)
 }
@@ -121,7 +121,7 @@ func cvPlan(h *model.Host, ids []int) (steps, last int, err error) {
 // the predecessor comes from one XOR and one trailing-zero count
 // (guarded to 0 on equal colours, which on a clean run never happens
 // but under faults — a dropped colour replaced by the zero word — is
-// exactly the untyped reference's behaviour). A dropped message
+// exactly the RoundAlgo specification's behaviour). A dropped message
 // leaves the zero word in its place and a node transiently down
 // resumes mid-schedule — both degrade the colouring rather than crash
 // it, which is what the fault experiments measure. Halting is
@@ -246,8 +246,8 @@ func cvFreeColor(a, b uint64) uint64 {
 	return 0 // unreachable: two values cannot block three colours
 }
 
-// freeColor is cvFreeColor on ints, retained for the untyped
-// reference formulation exercised by the differential tests.
+// freeColor is cvFreeColor on ints, retained for the RoundAlgo
+// specification exercised by the differential tests.
 func freeColor(a, b int) int {
 	for c := 0; c <= 2; c++ {
 		if c != a && c != b {

@@ -41,8 +41,8 @@ func dcycleHost(t testing.TB, n int) *model.Host {
 	return h
 }
 
-// cvState and cvMsg are the boxed state and payload of the untyped
-// reference formulation: the production pipeline packs both into one
+// cvState and cvMsg are the boxed state and payload of the RoundAlgo
+// specification: the production pipeline packs both into one
 // uint64 on the typed word lane (see coleVishkinWordAlgo), and this
 // pair is what the pinning below proves it equivalent to.
 type cvState struct {
@@ -111,7 +111,7 @@ func cvRoundAlgo(maxID int) (model.RoundAlgo, int) {
 
 // TestColeVishkinEngineVsReference pins the engine-native
 // ColeVishkinMIS against the RoundAlgo reference executed by
-// RunRoundsReference: identical MIS, colours and round counts, at
+// RunRoundsStates: identical MIS, colours and round counts, at
 // parallelism 1 and 8.
 func TestColeVishkinEngineVsReference(t *testing.T) {
 	for _, n := range []int{12, 33, 128} {
@@ -125,7 +125,7 @@ func TestColeVishkinEngineVsReference(t *testing.T) {
 			}
 		}
 		algo, last := cvRoundAlgo(maxID)
-		refStates, refRounds, err := model.RunRoundsReference(h, ids, algo, last+2)
+		refStates, refRounds, err := model.RunRoundsStates(h, ids, algo, last+2)
 		if err != nil {
 			t.Fatalf("n=%d: reference: %v", n, err)
 		}
@@ -201,7 +201,7 @@ func TestRandomizedMatchingEngineVsReference(t *testing.T) {
 				},
 				Out: func(any) model.Output { return model.Output{} },
 			}
-			states, _, err := model.RunRoundsReference(h, nil, algo, 3)
+			states, _, err := model.RunRoundsStates(h, nil, algo, 3)
 			if err != nil {
 				t.Fatalf("%s: reference: %v", name, err)
 			}
@@ -237,7 +237,7 @@ func BenchmarkColeVishkinReference1024(b *testing.B) {
 	algo, last := cvRoundAlgo(maxID)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := model.RunRoundsReference(h, ids, algo, last+2); err != nil {
+		if _, _, err := model.RunRoundsStates(h, ids, algo, last+2); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/order"
-	"repro/internal/view"
 )
 
 // oiAsID adapts an OI algorithm to the ID interface: the identified
@@ -189,42 +188,47 @@ func TestMetamorphicCVRoundsMaxID(t *testing.T) {
 	}
 }
 
-// floodRankAlgo is an order-invariant engine workload for the faulty
-// metamorphic legs: every node floods the largest identifier heard
-// for a fixed number of rounds and outputs whether it heard one
-// larger than its own. Both the message pattern and the output depend
-// on identifiers only through their relative order.
-func floodRankAlgo(rounds int) model.RoundAlgo {
-	type st struct {
-		letters []view.Letter
-		id      int
-		best    int
-	}
-	return model.RoundAlgo{
-		Init: func(info model.NodeInfo) any {
-			return &st{letters: info.Letters, id: info.ID, best: info.ID}
+// floodRankShardedAlgo is an order-invariant engine workload for the
+// faulty metamorphic legs, packed into one word for the sharded
+// engine: every node floods the largest identifier heard (bits 32-63;
+// its own id in bits 0-31) for a fixed number of rounds and outputs
+// whether it heard one larger than its own. Both the message pattern
+// and the output depend on identifiers only through their relative
+// order.
+func floodRankShardedAlgo(rounds int) model.ShardedWordAlgo {
+	return model.ShardedWordAlgo{
+		Init: func(v int64, info model.NodeInfo) uint64 {
+			id := uint64(info.ID)
+			return id<<32 | id
 		},
-		Step: func(state any, round int, inbox []model.Msg) (any, []model.Msg, bool) {
-			s := state.(*st)
+		Step: func(s *uint64, round int, inbox []model.WordMsg, out model.WordSender) bool {
+			best := *s >> 32
 			for _, m := range inbox {
-				if v := m.Data.(int); v > s.best {
-					s.best = v
-				}
+				best = max(best, m.W)
 			}
+			*s = best<<32 | *s&0xffffffff
 			if round >= rounds {
-				return s, nil, true
+				return true
 			}
-			out := make([]model.Msg, 0, len(s.letters))
-			for _, l := range s.letters {
-				out = append(out, model.Msg{L: l, Data: s.best})
-			}
-			return s, out, false
+			out.BroadcastWord(best)
+			return false
 		},
-		Out: func(state any) model.Output {
-			s := state.(*st)
-			return model.Output{Member: s.best > s.id}
-		},
+		Out: func(s *uint64) model.Output { return model.Output{Member: *s>>32 > *s&0xffffffff} },
 	}
+}
+
+// runSharded runs a word algorithm on the sharded engine at P=p and
+// returns its outputs, round count and fault report.
+func runSharded(h *model.Host, p int, ids []int, algo model.ShardedWordAlgo, maxRounds int, sched model.Schedule) ([]model.Output, int, *model.FaultReport, error) {
+	se, err := model.NewShardedEngine(model.SourceOf(h), p)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	rounds, rep, err := se.RunFaulty(func(v int64) int { return ids[v] }, algo, maxRounds, sched)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	return se.Outputs(algo), rounds, rep, nil
 }
 
 // TestMetamorphicFaultyOIInvariance is the OI-invariance property on
@@ -232,9 +236,9 @@ func floodRankAlgo(rounds int) model.RoundAlgo {
 // (seed, round, slot/node) — of the topology, never of identifiers —
 // so a faulty execution of an order-invariant workload commutes with
 // rank-preserving relabelings. For every seeded host, two monotone id
-// assignments of one rank produce byte-identical outputs under the
-// same lossy (and churn) schedule. Failures print the reproducer
-// (seed, profile).
+// assignments of one rank produce byte-identical outputs on the
+// sharded engine at P=2 under the same lossy (and churn) schedule.
+// Failures print the reproducer (seed, profile).
 func TestMetamorphicFaultyOIInvariance(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		for _, profile := range []string{"lossy:p=0.15", "churn:p=0.2,window=1"} {
@@ -245,11 +249,11 @@ func TestMetamorphicFaultyOIInvariance(t *testing.T) {
 			ids1 := monotoneIDs(rank, rng)
 			ids2 := monotoneIDs(rank, rng)
 			sched := model.MustParseProfile(profile).New(h, seed)
-			o1, r1, rep1, err := model.RunRoundsFaulty(h, ids1, floodRankAlgo(3), 300, sched)
+			o1, r1, rep1, err := runSharded(h, 2, ids1, floodRankShardedAlgo(3), 300, sched)
 			if err != nil {
 				t.Fatalf("ids1: %v — reproducer (seed %d, profile %q)", err, seed, profile)
 			}
-			o2, r2, rep2, err := model.RunRoundsFaulty(h, ids2, floodRankAlgo(3), 300, sched)
+			o2, r2, rep2, err := runSharded(h, 2, ids2, floodRankShardedAlgo(3), 300, sched)
 			if err != nil {
 				t.Fatalf("ids2: %v — reproducer (seed %d, profile %q)", err, seed, profile)
 			}
@@ -272,17 +276,17 @@ func uniqueInts(xs []int) bool {
 	return true
 }
 
-// floodRankTypedState mirrors floodRankAlgo's boxed state on the
-// typed column: identifiers only matter through their order, and the
-// word lane carries the current best id.
+// floodRankTypedState is floodRankShardedAlgo's packed state unpacked
+// on the typed column: identifiers only matter through their order,
+// and the word lane carries the current best id.
 type floodRankTypedState struct {
 	id   int64
 	best int64
 }
 
-// floodRankTypedAlgo is floodRankAlgo on the typed plane — the same
-// order-invariant flood, states in a contiguous column and payloads
-// on the uint64 word lane.
+// floodRankTypedAlgo is floodRankShardedAlgo on the flat engine's
+// typed column — the same order-invariant flood, states in a
+// contiguous column and payloads on the uint64 word lane.
 func floodRankTypedAlgo(rounds int) model.TypedAlgo[floodRankTypedState] {
 	return model.TypedAlgo[floodRankTypedState]{
 		Init: func(v int, info model.NodeInfo) floodRankTypedState {
@@ -307,11 +311,12 @@ func floodRankTypedAlgo(rounds int) model.TypedAlgo[floodRankTypedState] {
 }
 
 // TestMetamorphicTypedFaultyOIInvariance extends the faulty
-// OI-invariance property to the typed engine, and couples the two
-// lanes: on every seeded host and profile, (a) the typed execution is
-// invariant under rank-preserving relabelings, and (b) the typed and
-// untyped executions of the same workload agree byte for byte —
-// outputs, rounds and fault reports — on every reproducer seed.
+// OI-invariance property to the flat typed engine, and couples it to
+// the sharded reference: on every seeded host and profile, (a) the
+// typed execution is invariant under rank-preserving relabelings, and
+// (b) it agrees byte for byte — outputs, rounds and fault reports —
+// with the packed-word execution of the same workload on the sharded
+// engine at P=1, on every reproducer seed.
 func TestMetamorphicTypedFaultyOIInvariance(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		for _, profile := range []string{"lossy:p=0.15", "churn:p=0.2,window=1"} {
@@ -322,9 +327,9 @@ func TestMetamorphicTypedFaultyOIInvariance(t *testing.T) {
 			ids1 := monotoneIDs(rank, rng)
 			ids2 := monotoneIDs(rank, rng)
 			sched := model.MustParseProfile(profile).New(h, seed)
-			u1, ur1, urep1, err := model.RunRoundsFaulty(h, ids1, floodRankAlgo(3), 300, sched)
+			u1, ur1, urep1, err := runSharded(h, 1, ids1, floodRankShardedAlgo(3), 300, sched)
 			if err != nil {
-				t.Fatalf("untyped ids1: %v — reproducer (seed %d, profile %q)", err, seed, profile)
+				t.Fatalf("sharded ids1: %v — reproducer (seed %d, profile %q)", err, seed, profile)
 			}
 			t1, tr1, trep1, err := model.RunRoundsTypedFaulty(h, ids1, floodRankTypedAlgo(3), 300, sched)
 			if err != nil {
@@ -339,7 +344,7 @@ func TestMetamorphicTypedFaultyOIInvariance(t *testing.T) {
 					n, seed, profile)
 			}
 			if tr1 != ur1 || !reflect.DeepEqual(t1, u1) || !reflect.DeepEqual(trep1, urep1) {
-				t.Errorf("typed and untyped faulty executions disagree on n=%d host — reproducer (seed %d, profile %q)",
+				t.Errorf("typed and sharded faulty executions disagree on n=%d host — reproducer (seed %d, profile %q)",
 					n, seed, profile)
 			}
 		}

@@ -9,12 +9,12 @@ import (
 // This file is the engine-injection surface of the flagship
 // algorithms: each On variant runs its plain twin on a caller-provided
 // word engine, so the caller controls how the engine is armed —
-// model.Engine.WithContext for cancellation, WithCheckpoints for
-// barrier snapshots, Resume to continue an interrupted run — and can
-// reuse one warmed message plane across attempts. The workload
-// registry (internal/workload) is the caller: it arms the engine with
-// the surface's context, checkpointer and resume snapshot and hands
-// it here.
+// model.Engine.WithContext for cancellation, the word engine's
+// WithCheckpoints for barrier snapshots and Resume to continue an
+// interrupted run — and can reuse one warmed message plane across
+// attempts. The workload registry (internal/workload) is the caller:
+// it arms the engine with the surface's context, checkpointer and
+// resume snapshot and hands it here.
 
 // ColeVishkinMISOn is ColeVishkinMIS on a caller-provided engine.
 func ColeVishkinMISOn(e *model.WordEngine, h *model.Host, ids []int) (*ColeVishkinResult, error) {

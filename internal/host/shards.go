@@ -346,6 +346,11 @@ func shiftRegularShifts(n, d int, seed int64) ([]int64, error) {
 	if d < 2 || d%2 != 0 {
 		return nil, fmt.Errorf("need even d >= 2")
 	}
+	// One node's d slots must fit a shard's int32 slot range; checked
+	// before anything is sized from d.
+	if d > math.MaxInt32 {
+		return nil, fmt.Errorf("need d <= %d (one node's slots must fit the int32 slot range), have d=%d", math.MaxInt32, d)
+	}
 	half := (n - 1) / 2
 	if n < 3 || d/2 > half {
 		return nil, fmt.Errorf("need d/2 <= (n-1)/2 distinct shifts, have d=%d n=%d", d, n)

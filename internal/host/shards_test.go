@@ -367,7 +367,13 @@ func TestParseShardDcycleEnds(t *testing.T) {
 // nodes resolve (the draw bound saturates instead of overflowing), and
 // at and near both ends each arc is v +- shift mod n computed exactly,
 // inside [0, N), with the far end's arc of the same label leading back.
+// A degree past the int32 slot range is rejected, naming the bound,
+// before anything is sized from it.
 func TestParseShardShiftRegularHuge(t *testing.T) {
+	const hugeD = "shift-regular:d=1000000000000000000,n=9223372036854775807,seed=1"
+	if _, err := ParseShard(hugeD); err == nil || !strings.Contains(err.Error(), "d <= 2147483647") {
+		t.Errorf("ParseShard(%q): err %v, want the d bound", hugeD, err)
+	}
 	for _, n := range []int64{4000000000000000000, math.MaxInt64} {
 		desc := fmt.Sprintf("shift-regular:d=4,n=%d,seed=1", n)
 		src, err := ParseShard(desc)

@@ -140,8 +140,9 @@ type runResult struct {
 // checkpointable workload snapshots into the job's store and resumes
 // from the latest valid snapshot there; corrupt or truncated files
 // fail the container hash and LatestValid skips them, falling back to
-// the previous checkpoint or a fresh start. Gather's untyped view
-// state has no codec, so gather jobs restart from scratch instead.
+// the previous checkpoint or a fresh start. Gather keeps its view
+// trees in columns outside the state column, which no codec
+// serialises, so gather jobs restart from scratch instead.
 func runEngine(a *attempt, spec Spec) ([]byte, error) {
 	ws, _ := spec.workload()
 	var arm workload.Arm

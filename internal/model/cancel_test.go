@@ -14,10 +14,10 @@ import (
 // neverHalt is a minimal non-halting round algorithm: nodes stay on
 // the active worklist forever, so a run only ends via maxRounds or
 // cancellation.
-var neverHalt = RoundAlgo{
-	Init: func(info NodeInfo) any { return 0 },
-	Step: func(state any, round int, inbox []Msg) (any, []Msg, bool) { return state, nil, false },
-	Out:  func(state any) Output { return Output{} },
+var neverHalt = WordAlgo{
+	Init: func(v int, info NodeInfo) uint64 { return 0 },
+	Step: func(state *uint64, round int, inbox []WordMsg, out *Outbox) bool { return false },
+	Out:  func(state *uint64) Output { return Output{} },
 }
 
 // TestRunCancelledByDeadline pins the cooperative-cancellation
@@ -29,7 +29,7 @@ func TestRunCancelledByDeadline(t *testing.T) {
 	h := HostFromGraph(graph.Torus(16, 16))
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	_, _, err := RunRoundsStatesCtx(ctx, h, nil, neverHalt, 1<<30)
+	_, _, err := TypedOn[uint64](NewEngine(h).WithContext(ctx)).RunStates(nil, neverHalt, 1<<30)
 	if err == nil {
 		t.Fatal("cancelled run returned nil error")
 	}
@@ -46,13 +46,14 @@ func TestRunCancelledByDeadline(t *testing.T) {
 
 // TestRunCancelledFaultyCarriesProfile: the faulty path's
 // cancellation error is stamped with the profile descriptor, like
-// every other faulty-run error.
+// every other faulty-run error; the gather arms its context on the
+// engine it runs.
 func TestRunCancelledFaultyCarriesProfile(t *testing.T) {
 	h := HostFromGraph(graph.Torus(8, 8))
 	prof := MustParseProfile("lossy:p=0.05")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: the run must abort before round 0
-	_, _, _, err := RunRoundsStatesFaultyCtx(ctx, h, nil, neverHalt, 64, prof.New(h, 7))
+	_, _, _, err := RunGather(ctx, h, 2, 64, prof.New(h, 7))
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err=%v, want wrapped context.Canceled", err)
 	}
@@ -68,14 +69,11 @@ func TestRunCancelledFaultyCarriesProfile(t *testing.T) {
 // untouched — runs complete normally and reuse works.
 func TestWithContextNilDisarms(t *testing.T) {
 	h := HostFromGraph(graph.Cycle(12))
-	e := NewEngine(h).WithContext(nil)
-	halt := RoundAlgo{
-		Init: func(info NodeInfo) any { return 0 },
-		Step: func(state any, round int, inbox []Msg) (any, []Msg, bool) { return state, nil, true },
-		Out:  func(state any) Output { return Output{} },
-	}
-	if _, _, err := e.RunStates(nil, halt.engine(), 4); err != nil {
-		t.Fatalf("nil-ctx run failed: %v", err)
+	te := TypedOn[uint64](NewEngine(h).WithContext(nil))
+	for i := 0; i < 2; i++ {
+		if _, _, err := te.RunStates(nil, typedPulseAlgo(2), 4); err != nil {
+			t.Fatalf("nil-ctx run %d failed: %v", i, err)
+		}
 	}
 }
 

@@ -11,10 +11,11 @@ import (
 	"repro/internal/view"
 )
 
-// Engine is the batched worker-parallel round simulator behind
-// RunRounds: the operational analogue of the sweep engine. It sizes a
-// CSR message plane once from the host's arc structure and then
-// executes synchronous rounds with no per-round slice churn at all.
+// Engine is the batched worker-parallel round simulator behind the
+// typed engines (TypedEngine): the operational analogue of the sweep
+// engine. It sizes a CSR message plane once from the host's arc
+// structure and then executes synchronous rounds with no per-round
+// slice churn at all.
 //
 // Layout. Every incident (arc, direction) pair of every node is one
 // slot: node v's slots are off[v]:off[v+1], ordered by the letter
@@ -31,17 +32,11 @@ import (
 // round r iff its stamp equals the run's base tick + r + 1, so
 // neither arena is ever zeroed, not even between runs.
 //
-// Payload lanes. Untyped runs carry any payloads in the boxed lane
-// (the Msg arenas buf with their own stamp arenas, the dense inbox
-// arena, the NodeInfo letter arena and the state column); typed runs
-// (see TypedEngine) carry fixed-width payloads in the word lane, whose
-// arenas hold one 16-byte cell per slot — the payload word beside its
-// stamp, so a liveness check, a payload read and a send touch one
-// cache line. Both lanes share the same slots, routing, letter order
-// and tick, and each is allocated on its first use — the word lane on
-// the first typed attachment, the boxed lane on the first untyped run
-// — so an engine pays only for the lanes it runs. A send on the other
-// lane is a run error.
+// Payloads. Messages are fixed-width words: each arena holds one
+// 16-byte cell per slot — the payload word beside its stamp, so a
+// liveness check, a payload read and a send touch one cache line.
+// Pointer-shaped payloads ride the same lane as column handles (see
+// RunGather).
 //
 // Worklist. Halted nodes leave the active list and cost nothing: each
 // round is a worker-sharded sweep of the active list only (dynamic
@@ -55,18 +50,16 @@ import (
 // the barrier skips its compaction.
 //
 // Determinism. Each node's Step writes only that node's state slot,
-// halt flag, dense-inbox region and outgoing message slots, so
-// parallel and sequential runs are byte-identical; any randomness
-// must be drawn before the run (Init is invoked sequentially in
-// increasing node order for exactly this reason).
+// halt flag and outgoing message slots, so parallel and sequential
+// runs are byte-identical; any randomness must be drawn before the run
+// (Init is invoked sequentially in increasing node order for exactly
+// this reason).
 //
 // An Engine may be reused for any number of runs on its host (arenas
-// warm up once), and typed and untyped runs may alternate on one
-// plane (the monotone stamps keep them from ever reading each other's
-// messages), but a single Engine must not execute two runs
-// concurrently.
+// warm up once), also by typed engines of different state types (the
+// monotone stamps keep runs from ever reading each other's messages),
+// but a single Engine must not execute two runs concurrently.
 type Engine struct {
-	h *Host
 	n int
 
 	// Slot layout (see above).
@@ -77,30 +70,16 @@ type Engine struct {
 	// the bound every per-worker inbox-compaction scratch is pre-sized
 	// from (2x for fault scratch, so duplicated deliveries fit).
 	maxSlots int32
-	// info holds every node's NodeInfo letters (out-arcs then in-arcs,
-	// as lettersOf produces) in one flat arena, sliced per node at
-	// Init time so a run performs no per-node letter allocation.
-	// Handed-out slices are shared: algorithms must treat them as
-	// read-only, which every RoundAlgo/EngineAlgo in the repo does.
-	// Boxed lane: nil until the first untyped run.
-	info []view.Letter
 
-	// Message plane: double-buffered arenas with monotone stamps. cells
-	// is the typed word lane (payload and stamp side by side), nil until
-	// the first TypedOn attachment; buf with its stamps is the boxed
-	// lane, nil until the first untyped run. The tick is shared.
+	// Message plane: double-buffered cell arenas (payload and stamp
+	// side by side) and the tick their stamps are based on.
 	cells [2][]cell
-	buf   [2][]Msg
-	stamp [2][]int64
 	tick  int64
 
-	// Run state, reused across runs. states and dense are boxed-lane
-	// arrays, nil until the first untyped run.
-	states  []any
+	// Run state, reused across runs.
 	halted  []bool
 	active  []int32
 	spare   []int32
-	dense   []Msg
 	errs    []error
 	errFlag atomic.Bool
 
@@ -114,26 +93,24 @@ type Engine struct {
 	ctx context.Context
 
 	// Durability (snapshot.go). ck arms barrier checkpointing; the
-	// ckEnc* closures and ckTyped flag are installed per run by
-	// runStates (they capture the run's codecs and column). resume
-	// holds a snapshot armed for the next run; resumeFrom (-1 when
-	// disarmed) and repBase carry the restored round cursor and
-	// fault-counter bases into runCore.
+	// ckEncStates closure is installed per run by the typed engine (it
+	// captures the run's codec and column). resume holds a snapshot
+	// armed for the next run; resumeFrom (-1 when disarmed) and repBase
+	// carry the restored round cursor and fault-counter bases into
+	// runCore.
 	ck          *Checkpointer
-	ckTyped     bool
 	ckEncStates func(dst []byte) []byte
-	ckEncData   func(dst []byte, data any) []byte
 	resume      *Snapshot
 	resumeFrom  int
 	repBase     FaultReport
 }
 
 // WithContext arms cooperative cancellation for this engine's
-// subsequent runs (typed, untyped, clean and faulty alike — they all
-// share runCore): the round loop polls ctx.Err() once per round
-// barrier, and a cancelled or deadline-expired context aborts the run
-// between rounds with an error wrapping ctx.Err() (so callers can
-// errors.Is against context.DeadlineExceeded). The persistent workers
+// subsequent runs (clean and faulty alike — they share runCore): the
+// round loop polls ctx.Err() once per round barrier, and a cancelled
+// or deadline-expired context aborts the run between rounds with an
+// error wrapping ctx.Err() (so callers can errors.Is against
+// context.DeadlineExceeded). The persistent workers
 // are released and the message-plane tick advanced on that exit path
 // exactly as on any other, so a cancelled run hands its whole worker
 // reservation back mid-run — this is what makes a long-running
@@ -146,54 +123,6 @@ func (e *Engine) WithContext(ctx context.Context) *Engine {
 	return e
 }
 
-// EngineAlgo is the engine-native form of a round algorithm: Step
-// writes its outbox through the Outbox instead of returning a slice,
-// so a non-allocating Step makes the whole round allocation-free.
-// The inbox slice is valid only for the duration of the Step call
-// (it aliases the engine's dense arena); Step must not retain it.
-// At most one message may be sent per letter per round.
-type EngineAlgo struct {
-	// Init returns the initial state. It is called sequentially in
-	// increasing node order, so it may consume a shared RNG or a
-	// pre-drawn per-node table deterministically.
-	Init func(info NodeInfo) any
-	// Step consumes the inbox (in receiver letter order), emits
-	// messages for the next round through out, and returns the new
-	// state and whether the node halts.
-	Step func(state any, round int, inbox []Msg, out *Outbox) (any, bool)
-	// Out extracts the final output from a state.
-	Out func(state any) Output
-
-	// Optional checkpoint codecs (snapshot.go): EncodeState appends a
-	// self-delimiting encoding of a state's dynamic fields and
-	// DecodeState consumes one from the front of src — it receives the
-	// state Init just produced (so static per-node context like letter
-	// slices survives a resume without being serialised) and returns
-	// the state to run with, usually the same one mutated in place.
-	// EncodeData and DecodeData do the same for message payloads.
-	// Required only for checkpointed or resumed runs (the Data pair
-	// only when messages are in flight at a barrier).
-	EncodeState func(dst []byte, state any) []byte
-	DecodeState func(src []byte, state any) (dec any, rest []byte, err error)
-	EncodeData  func(dst []byte, data any) []byte
-	DecodeData  func(src []byte) (data any, rest []byte, err error)
-}
-
-// engine adapts the classical slice-returning RoundAlgo form.
-func (a RoundAlgo) engine() EngineAlgo {
-	return EngineAlgo{
-		Init: a.Init,
-		Step: func(state any, round int, inbox []Msg, out *Outbox) (any, bool) {
-			st, msgs, done := a.Step(state, round, inbox)
-			for _, m := range msgs {
-				out.Send(m.L, m.Data)
-			}
-			return st, done
-		},
-		Out: a.Out,
-	}
-}
-
 // cell is one word-lane slot: the payload word and the stamp saying
 // which round, if any, it is live for.
 type cell struct {
@@ -201,16 +130,13 @@ type cell struct {
 	stamp int64
 }
 
-// NewEngine sizes the part of a message plane both payload lanes
-// share: one slot per incident (arc, direction) pair with its letter
-// and routing (20 B per slot), plus the halt, worklist and error
-// columns. Each lane's own arrays, stamps included, come with its
-// first use: the word lane on the first typed attachment
-// (ensureWordLane), the boxed lane on the first untyped run
-// (ensureAnyPlane). Runs reuse everything.
+// NewEngine sizes a message plane for the host: one slot per incident
+// (arc, direction) pair with its letter and routing (20 B per slot)
+// and its two 16-byte arena cells, plus the halt, worklist and error
+// columns. Runs reuse everything.
 func NewEngine(h *Host) *Engine {
 	n := h.G.N()
-	e := &Engine{h: h, n: n}
+	e := &Engine{n: n}
 	e.off = make([]int32, n+1)
 	slots := int64(0)
 	for v := 0; v < n; v++ {
@@ -250,59 +176,14 @@ func NewEngine(h *Host) *Engine {
 	for s, u := range e.dest {
 		e.dest[s] = e.slot(int(u), e.letters[s].Inv())
 	}
+	e.cells[0] = make([]cell, total)
+	e.cells[1] = make([]cell, total)
 	e.halted = make([]bool, n)
 	e.active = make([]int32, 0, n)
 	e.spare = make([]int32, 0, n)
 	e.errs = make([]error, n)
 	e.resumeFrom = -1
 	return e
-}
-
-// ensureWordLane allocates the typed word lane's two cell arenas
-// (32 B per slot; routing and letter order are shared with the boxed
-// lane) on the first typed attachment.
-func (e *Engine) ensureWordLane() {
-	if e.cells[0] == nil {
-		total := len(e.letters)
-		e.cells[0] = make([]cell, total)
-		e.cells[1] = make([]cell, total)
-	}
-}
-
-// ensureAnyPlane builds the boxed lane on the first untyped run: the
-// two Msg arenas with every slot's arrival letter written in and their
-// two stamp arenas, the dense inbox arena, the NodeInfo letter arena
-// and the state column (128 B per slot and 16 B per node, mostly
-// pointer words the garbage collector scans). The fresh stamps are 0,
-// below every live stamp, so the arenas never read a stale message.
-func (e *Engine) ensureAnyPlane() {
-	if e.buf[0] != nil {
-		return
-	}
-	total := len(e.letters)
-	for a := range e.buf {
-		e.stamp[a] = make([]int64, total)
-		e.buf[a] = make([]Msg, total)
-		for s := range e.buf[a] {
-			// A slot's arrival letter never changes; senders only
-			// write Data and the stamp.
-			e.buf[a][s].L = e.letters[s]
-		}
-	}
-	e.dense = make([]Msg, total)
-	e.info = make([]view.Letter, total)
-	for v := 0; v < e.n; v++ {
-		s := e.off[v]
-		for _, a := range e.h.D.Out(v) {
-			e.info[s] = view.Letter{Label: a.Label}
-			s++
-		}
-		for _, a := range e.h.D.In(v) {
-			e.info[s] = view.Letter{Label: a.Label, In: true}
-			s++
-		}
-	}
-	e.states = make([]any, e.n)
 }
 
 // slot returns the index of v's slot for letter l, or off[v+1] when v
@@ -333,7 +214,7 @@ func (e *Engine) fail(v int, err error) {
 	}
 }
 
-// Outbox routes one node's outgoing messages straight into the next
+// Outbox routes one node's outgoing words straight into the next
 // round's arena. Each worker owns one Outbox for the whole run
 // (allocated by newLanes, cache lines apart from every other
 // worker's); the engine repoints it at the current node before every
@@ -344,8 +225,8 @@ type Outbox struct {
 	nxt  int   // arena written this round
 	want int64 // stamp marking next-round messages
 
-	// The word lane's rows for this run and round: the slot offsets,
-	// the routing and the arena written this round.
+	// The plane's rows for this run and round: the slot offsets, the
+	// routing and the arena written this round.
 	off  []int32
 	dest []int32
 	next []cell
@@ -354,9 +235,6 @@ type Outbox struct {
 	// runs; see errf).
 	round int
 	prof  string
-	// typed is the run's payload lane: SendWord and BroadcastWord are
-	// errors on an untyped run, Send on a typed one.
-	typed bool
 
 	// This worker's fault counters and inbox-compaction scratch.
 	lane
@@ -379,45 +257,14 @@ func (ob *Outbox) errf(format string, args ...any) error {
 	return fmt.Errorf("model: round %d: %s", ob.round, msg)
 }
 
-// Send emits a message on the arc named l at the sending node, to be
-// delivered next round. Sends on absent letters, second sends on one
-// letter in the same round and sends during a typed run are errors
-// (reported by the run).
-func (ob *Outbox) Send(l view.Letter, data any) {
-	e := ob.e
-	v := int(ob.v)
-	if ob.typed {
-		e.fail(v, ob.errf("node %d sent on the boxed lane during a typed run", v))
-		return
-	}
-	s := e.slot(v, l)
-	if s == e.off[v+1] {
-		e.fail(v, ob.errf("node %d sent on absent letter %v", v, l))
-		return
-	}
-	d := ob.e.dest[s]
-	st := e.stamp[ob.nxt]
-	if st[d] == ob.want {
-		e.fail(v, ob.errf("node %d sent twice on letter %v", v, l))
-		return
-	}
-	e.buf[ob.nxt][d].Data = data
-	st[d] = ob.want
-}
-
 // SendWord emits the payload word w on the sender's local incident
-// slot (the letter-sorted index: typed info.Letters[slot] names the
-// arc) — the typed lane's analogue of Send, with the same contract:
-// sends on absent slots, second sends on one slot in the same round
-// and sends during an untyped run are errors reported by the run.
-// Unlike Send there is no letter lookup at all; the slot index
-// addresses the plane directly.
+// slot (the letter-sorted index: info.Letters[slot] names the arc), to
+// be delivered next round. Sends on absent slots and second sends on
+// one slot in the same round are errors reported by the run. There is
+// no letter lookup at all; the slot index addresses the plane
+// directly.
 func (ob *Outbox) SendWord(slot int, w uint64) {
 	v := int(ob.v)
-	if !ob.typed {
-		ob.e.fail(v, ob.errf("node %d sent on the word lane during an untyped run", v))
-		return
-	}
 	lo, hi := ob.off[v], ob.off[v+1]
 	if slot < 0 || int32(slot) >= hi-lo {
 		ob.e.fail(v, ob.errf("node %d sent on absent slot %d (node has %d)", v, slot, hi-lo))
@@ -432,206 +279,26 @@ func (ob *Outbox) SendWord(slot int, w uint64) {
 }
 
 // BroadcastWord emits w on every incident slot of the sending node —
-// the whole-row fast path of the typed lane: one pass over the
-// sender's slot row, no per-letter lookup and no double-send
-// bookkeeping (it overwrites anything already sent this round on
-// those slots; a second BroadcastWord in one Step simply wins). Like
-// SendWord it is an error during an untyped run.
+// the whole-row fast path: one pass over the sender's slot row, no
+// per-slot check and no double-send bookkeeping (it overwrites
+// anything already sent this round on those slots; a second
+// BroadcastWord in one Step simply wins).
 func (ob *Outbox) BroadcastWord(w uint64) {
 	v := ob.v
-	if !ob.typed {
-		ob.e.fail(int(v), ob.errf("node %d sent on the word lane during an untyped run", v))
-		return
-	}
 	next, c := ob.next, cell{w: w, stamp: ob.want}
 	for _, d := range ob.dest[ob.off[v]:ob.off[v+1]] {
 		next[d] = c
 	}
 }
 
-// Run executes an engine algorithm and extracts the per-node outputs.
-func (e *Engine) Run(ids []int, algo EngineAlgo, maxRounds int) ([]Output, int, error) {
-	states, rounds, err := e.RunStates(ids, algo, maxRounds)
-	if err != nil {
-		return nil, 0, err
-	}
-	outs := make([]Output, len(states))
-	for v, st := range states {
-		outs[v] = algo.Out(st)
-	}
-	return outs, rounds, nil
-}
-
-// RunStates executes an engine algorithm on the host and returns the
-// final per-node states and the number of rounds, failing if some
-// node has not halted after maxRounds. The returned slice is owned by
-// the engine and is overwritten by its next run.
-func (e *Engine) RunStates(ids []int, algo EngineAlgo, maxRounds int) ([]any, int, error) {
-	states, rounds, _, err := e.runStates(ids, algo, maxRounds, nil)
-	return states, rounds, err
-}
-
-// RunStatesFaulty is RunStates executing under a fault schedule: the
-// schedule's Fate is applied to every delivery at inbox-compaction
-// time (so drops, duplicates and reorderings happen between
-// Outbox.Send and the receiver's Step), its State gates which nodes
-// step each round (down nodes skip the round silently; crashed nodes
-// leave the worklist for good), and the returned FaultReport counts
-// what actually happened. A nil schedule is the clean profile: the
-// run takes the engine's exact clean path and the report is all-zero.
-// Crashed nodes keep the last state they reached; callers decide how
-// to treat their outputs (FaultReport.CrashedNode).
-func (e *Engine) RunStatesFaulty(ids []int, algo EngineAlgo, maxRounds int, sched Schedule) ([]any, int, *FaultReport, error) {
-	states, rounds, rep, err := e.runStates(ids, algo, maxRounds, sched)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	if rep == nil {
-		rep = &FaultReport{Profile: "clean"}
-	}
-	return states, rounds, rep, nil
-}
-
-// runStates initialises the untyped state column and dispatches the
-// clean or faulty step path into the shared round-loop core.
-func (e *Engine) runStates(ids []int, algo EngineAlgo, maxRounds int, sched Schedule) ([]any, int, *FaultReport, error) {
-	if ids != nil && len(ids) != e.n {
-		return nil, 0, nil, fmt.Errorf("model: RunRounds: %d ids for %d nodes", len(ids), e.n)
-	}
-	e.ensureAnyPlane()
-	for v := 0; v < e.n; v++ {
-		info := NodeInfo{ID: -1, Letters: e.info[e.off[v]:e.off[v+1]:e.off[v+1]]}
-		if ids != nil {
-			info.ID = ids[v]
-		}
-		e.states[v] = algo.Init(info)
-		e.halted[v] = false
-		e.errs[v] = nil
-	}
-	if e.ck != nil {
-		if algo.EncodeState == nil {
-			return nil, 0, nil, fmt.Errorf("model: checkpointing armed but algorithm has no EncodeState codec")
-		}
-		e.ckTyped = false
-		e.ckEncStates = func(dst []byte) []byte {
-			for v := 0; v < e.n; v++ {
-				dst = algo.EncodeState(dst, e.states[v])
-			}
-			return dst
-		}
-		e.ckEncData = algo.EncodeData
-	}
-	if snap := e.resume; snap != nil {
-		e.resume = nil
-		if err := e.restoreUntyped(snap, algo, sched != nil); err != nil {
-			e.failedResume(snap, false)
-			return nil, 0, nil, err
-		}
-	}
-	step := e.stepAny(algo)
-	if sched != nil {
-		step = e.stepAnyFaulty(algo, sched)
-	}
-	rounds, rep, err := e.runCore(step, false, sched, maxRounds)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	return e.states, rounds, rep, nil
-}
-
-// stepAny is the clean untyped step over one chunk of the worklist:
-// compact each node's live slots into its disjoint region of the
-// global dense arena, then Step. The current round's arena and stamp
-// are recovered from the Outbox (the next-round arena is nxt^1 and
-// next-round stamps are want, so this round reads arena nxt^1 at stamp
-// want-1).
-func (e *Engine) stepAny(algo EngineAlgo) func([]int32, *Outbox) {
-	step := algo.Step
-	return func(chunk []int32, ob *Outbox) {
-		off, states, halted, dense := e.off, e.states, e.halted, e.dense
-		cur, want := ob.nxt^1, ob.want-1
-		st, buf := e.stamp[cur], e.buf[cur]
-		round, halts := ob.round, int64(0)
-		for _, v := range chunk {
-			lo, hi := off[v], off[v+1]
-			k := lo
-			for s := lo; s < hi; s++ {
-				if st[s] == want {
-					dense[k] = buf[s]
-					k++
-				}
-			}
-			ob.v = v
-			ns, done := step(states[v], round, dense[lo:k], ob)
-			states[v] = ns
-			halted[v] = done
-			if done {
-				halts++
-			}
-		}
-		ob.halts += halts
-	}
-}
-
-// stepAnyFaulty is stepAny with the schedule interposed between the
-// plane and the receiver: liveness gating, per-delivery fates
-// (compacted into the worker's double-width fdense scratch so
-// duplicates fit), and adversarial inbox permutation.
-func (e *Engine) stepAnyFaulty(algo EngineAlgo, sched Schedule) func([]int32, *Outbox) {
-	step := algo.Step
-	return func(chunk []int32, ob *Outbox) {
-		off, states, halted, fd := e.off, e.states, e.halted, ob.fdense
-		cur, want := ob.nxt^1, ob.want-1
-		st, buf := e.stamp[cur], e.buf[cur]
-		round := ob.round
-		for _, v := range chunk {
-			switch sched.State(round, v) {
-			case StateDown:
-				ob.downSteps++
-				continue
-			case StateCrashed:
-				continue
-			}
-			k := 0
-			for s := off[v]; s < off[v+1]; s++ {
-				if st[s] != want {
-					continue
-				}
-				switch sched.Fate(round, s) {
-				case Drop:
-					ob.dropped++
-					continue
-				case Duplicate:
-					ob.duped++
-					fd[k] = buf[s]
-					k++
-				}
-				fd[k] = buf[s]
-				k++
-			}
-			inbox := fd[:k]
-			if seed := sched.Reorder(round, v); seed != 0 && len(inbox) > 1 {
-				shuffleMsgs(inbox, seed)
-				ob.reordered++
-			}
-			ob.v = v
-			ns, done := step(states[v], round, inbox, ob)
-			states[v] = ns
-			halted[v] = done
-		}
-	}
-}
-
-// runCore is the round-loop machinery shared by the untyped and typed
+// runCore is the round-loop machinery shared by the clean and faulty
 // paths: active-worklist management (including schedule-driven crash
 // removal), persistent workers with dynamic chunk handoff, the
 // per-round barrier, error surfacing, and fault-report assembly. step
 // performs the round of one chunk of the worklist (compaction, fate
 // draws and the algorithm's Step all live in the caller's closure;
-// clean steps add the nodes that halted to the worker's lane.halts);
-// typed says whether step takes the typed path, which sizes each
-// worker's inbox-compaction scratch (newLanes).
-func (e *Engine) runCore(step func([]int32, *Outbox), typed bool, sched Schedule, maxRounds int) (int, *FaultReport, error) {
+// clean steps add the nodes that halted to the worker's lane.halts).
+func (e *Engine) runCore(step func([]int32, *Outbox), sched Schedule, maxRounds int) (int, *FaultReport, error) {
 	// A restored snapshot (snapshot.go) shifts the start round and
 	// seeds the fault counters; the worklist is then rebuilt from the
 	// restored bitsets instead of the schedule's round-0 fates, and
@@ -723,8 +390,8 @@ func (e *Engine) runCore(step func([]int32, *Outbox), typed bool, sched Schedule
 	defer par.Release(workers)
 	// Outboxes live outside the goroutines (master's is last) so the
 	// per-worker fault counters are collectable after the run.
-	obs, lanes := newLanes(workers+1, e.maxSlots, typed, sched != nil, func(ob *Outbox) *lane {
-		ob.e, ob.prof, ob.typed = e, prof, typed
+	obs, lanes := newLanes(workers+1, e.maxSlots, sched != nil, func(ob *Outbox) *lane {
+		ob.e, ob.prof = e, prof
 		ob.off, ob.dest = e.off, e.dest
 		return &ob.lane
 	})

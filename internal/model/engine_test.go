@@ -1,9 +1,11 @@
 package model
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -30,7 +32,9 @@ func engineHosts(t *testing.T) map[string]*Host {
 // floodMaxAlgo is a multi-round RoundAlgo exercising ids, letters and
 // staggered halting: every node floods the largest id it has heard for
 // a node-dependent number of rounds, then reports whether it ever
-// heard an id larger than its own.
+// heard an id larger than its own. The engine tests run its word-lane
+// twins (floodSlotAlgo, floodTypedAlgo) against it on the
+// specification loop.
 func floodMaxAlgo() RoundAlgo {
 	type st struct {
 		letters []view.Letter
@@ -66,25 +70,68 @@ func floodMaxAlgo() RoundAlgo {
 	}
 }
 
-// TestEngineDifferentialFlood pins RunRounds (engine) against
-// RunRoundsReference: outputs and round counts byte-identical on every
-// differential host, at parallelism 1 and 8.
+// referenceOutputs runs a round algorithm on the specification loop
+// and extracts its outputs.
+func referenceOutputs(t *testing.T, h *Host, ids []int, algo RoundAlgo, maxRounds int) ([]Output, int) {
+	t.Helper()
+	states, rounds, err := RunRoundsStates(h, ids, algo, maxRounds)
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	outs := make([]Output, len(states))
+	for v, st := range states {
+		outs[v] = algo.Out(st)
+	}
+	return outs, rounds
+}
+
+// floodSlotState is floodMaxAlgo's state on the word lane, with the
+// node's slot count for per-slot sends.
+type floodSlotState struct {
+	id, best, ticks, slots int32
+}
+
+// floodSlotAlgo is floodMaxAlgo on the word lane with one checked
+// SendWord per slot, where floodTypedAlgo broadcasts: the slot-indexed
+// send must reach exactly the neighbour the letter-addressed send of
+// the specification reaches.
+func floodSlotAlgo() TypedAlgo[floodSlotState] {
+	return TypedAlgo[floodSlotState]{
+		Init: func(v int, info NodeInfo) floodSlotState {
+			id := int32(info.ID)
+			return floodSlotState{id: id, best: id, ticks: 1 + id%4, slots: int32(len(info.Letters))}
+		},
+		Step: func(s *floodSlotState, round int, inbox []WordMsg, out *Outbox) bool {
+			for _, m := range inbox {
+				if v := int32(m.W); v > s.best {
+					s.best = v
+				}
+			}
+			if s.ticks == 0 {
+				return true
+			}
+			s.ticks--
+			for i := 0; i < int(s.slots); i++ {
+				out.SendWord(i, uint64(s.best))
+			}
+			return false
+		},
+		Out: func(s *floodSlotState) Output { return Output{Member: s.best > s.id} },
+	}
+}
+
+// TestEngineDifferentialFlood pins the engine's slot-addressed sends
+// against the specification loop: outputs and round counts
+// byte-identical on every differential host, at parallelism 1 and 8.
 func TestEngineDifferentialFlood(t *testing.T) {
 	for name, h := range engineHosts(t) {
 		n := h.G.N()
 		rng := rand.New(rand.NewSource(int64(n)))
 		ids := rng.Perm(4 * n)[:n]
-		refStates, refRounds, err := RunRoundsReference(h, ids, floodMaxAlgo(), 16)
-		if err != nil {
-			t.Fatalf("%s: reference: %v", name, err)
-		}
-		refOuts := make([]Output, n)
-		for v, st := range refStates {
-			refOuts[v] = floodMaxAlgo().Out(st)
-		}
+		refOuts, refRounds := referenceOutputs(t, h, ids, floodMaxAlgo(), 16)
 		for _, p := range []int{1, 8} {
 			old := par.Set(p)
-			outs, rounds, err := RunRounds(h, ids, floodMaxAlgo(), 16)
+			outs, rounds, err := RunRoundsTyped(h, ids, floodSlotAlgo(), 16)
 			par.Set(old)
 			if err != nil {
 				t.Fatalf("%s p=%d: engine: %v", name, p, err)
@@ -99,28 +146,29 @@ func TestEngineDifferentialFlood(t *testing.T) {
 	}
 }
 
-// TestEngineDifferentialGather pins the engine against the reference
-// on GatherViews: identical interned trees (pointer equality) and
-// identical round counts, across radii and parallelism.
+// TestEngineDifferentialGather pins the word-lane gather against
+// GatherViews on the specification loop: identical interned trees
+// (pointer equality) and identical round counts, across radii and
+// parallelism.
 func TestEngineDifferentialGather(t *testing.T) {
 	for name, h := range engineHosts(t) {
 		for r := 0; r <= 2; r++ {
-			refStates, refRounds, err := RunRoundsReference(h, nil, GatherViews(r), r+2)
+			refStates, refRounds, err := RunRoundsStates(h, nil, GatherViews(r), r+2)
 			if err != nil {
 				t.Fatalf("%s r=%d: reference: %v", name, r, err)
 			}
 			for _, p := range []int{1, 8} {
 				old := par.Set(p)
-				states, rounds, err := RunRoundsStates(h, nil, GatherViews(r), r+2)
+				trees, rounds, rep, err := RunGather(context.Background(), h, r, r+2, nil)
 				par.Set(old)
 				if err != nil {
 					t.Fatalf("%s r=%d p=%d: engine: %v", name, r, p, err)
 				}
-				if rounds != refRounds {
-					t.Fatalf("%s r=%d p=%d: %d rounds, reference %d", name, r, p, rounds, refRounds)
+				if rounds != refRounds || rep != nil {
+					t.Fatalf("%s r=%d p=%d: %d rounds, report %v; reference %d rounds", name, r, p, rounds, rep, refRounds)
 				}
-				for v := range states {
-					if states[v].(*GatherState).Tree != refStates[v].(*GatherState).Tree {
+				for v := range trees {
+					if trees[v] != refStates[v].(*GatherState).Tree {
 						t.Fatalf("%s r=%d p=%d node %d: gathered tree differs", name, r, p, v)
 					}
 				}
@@ -160,130 +208,107 @@ func TestSimulatePORoundsDifferential(t *testing.T) {
 func TestEngineInboxLetterOrder(t *testing.T) {
 	defer par.Set(par.Set(8))
 	h := HostFromGraph(graph.Torus(6, 6))
-	ordered := RoundAlgo{
-		Init: func(info NodeInfo) any { ls := info.Letters; return &ls },
-		Step: func(state any, round int, inbox []Msg) (any, []Msg, bool) {
+	ordered := TypedAlgo[[]view.Letter]{
+		Init: func(v int, info NodeInfo) []view.Letter { return info.Letters },
+		Step: func(ls *[]view.Letter, round int, inbox []WordMsg, out *Outbox) bool {
 			if round == 1 {
 				for i := 1; i < len(inbox); i++ {
-					if !inbox[i-1].L.Less(inbox[i].L) {
-						panic(fmt.Sprintf("inbox out of letter order: %v after %v", inbox[i].L, inbox[i-1].L))
+					if prev, cur := (*ls)[inbox[i-1].Slot], (*ls)[inbox[i].Slot]; !prev.Less(cur) {
+						panic(fmt.Sprintf("inbox out of letter order: %v after %v", cur, prev))
 					}
 				}
-				return state, nil, true
+				return true
 			}
-			out := make([]Msg, 0, 4)
-			for _, l := range *state.(*[]view.Letter) {
-				out = append(out, Msg{L: l, Data: round})
-			}
-			return state, out, false
+			out.BroadcastWord(uint64(round))
+			return false
 		},
-		Out: func(any) Output { return Output{} },
+		Out: func(*[]view.Letter) Output { return Output{} },
 	}
-	if _, _, err := RunRounds(h, nil, ordered, 4); err != nil {
+	if _, _, err := RunRoundsTyped(h, nil, ordered, 4); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestEngineErrorsMatchReference: the error paths produce the
-// reference's exact messages, deterministically.
+// TestEngineErrorsMatchReference: the error paths the engine shares
+// with the specification loop produce its exact messages.
 func TestEngineErrorsMatchReference(t *testing.T) {
 	h := HostFromGraph(graph.Cycle(5))
-	badLetter := RoundAlgo{
-		Init: func(NodeInfo) any { return nil },
-		Step: func(st any, round int, inbox []Msg) (any, []Msg, bool) {
-			return st, []Msg{{L: view.Letter{Label: 99}}}, false
-		},
-		Out: func(any) Output { return Output{} },
-	}
-	_, _, errE := RunRounds(h, nil, badLetter, 3)
-	_, _, errR := RunRoundsReference(h, nil, badLetter, 3)
-	if errE == nil || errR == nil || errE.Error() != errR.Error() {
-		t.Errorf("absent-letter errors differ: %v vs %v", errE, errR)
-	}
-
 	never := RoundAlgo{
 		Init: func(NodeInfo) any { return nil },
 		Step: func(st any, round int, inbox []Msg) (any, []Msg, bool) { return st, nil, false },
 		Out:  func(any) Output { return Output{} },
 	}
-	_, _, errE = RunRounds(h, nil, never, 4)
-	_, _, errR = RunRoundsReference(h, nil, never, 4)
-	if errE == nil || errR == nil || errE.Error() != errR.Error() {
-		t.Errorf("non-halt errors differ: %v vs %v", errE, errR)
+	neverWord := WordAlgo{
+		Init: func(int, NodeInfo) uint64 { return 0 },
+		Step: func(*uint64, int, []WordMsg, *Outbox) bool { return false },
+		Out:  func(*uint64) Output { return Output{} },
 	}
-}
-
-// TestEngineDuplicateSend: the engine's one-message-per-letter
-// contract is enforced with a clear error.
-func TestEngineDuplicateSend(t *testing.T) {
-	h := HostFromGraph(graph.Cycle(4))
-	dup := RoundAlgo{
-		Init: func(info NodeInfo) any { return info.Letters[0] },
-		Step: func(st any, round int, inbox []Msg) (any, []Msg, bool) {
-			l := st.(view.Letter)
-			return st, []Msg{{L: l, Data: 1}, {L: l, Data: 2}}, false
-		},
-		Out: func(any) Output { return Output{} },
-	}
-	if _, _, err := RunRounds(h, nil, dup, 3); err == nil {
-		t.Error("duplicate send accepted")
-	}
-}
-
-// pulseAlgo is the zero-allocation steady-state workload: every node
-// broadcasts a pre-boxed payload on all its letters for a fixed
-// number of rounds. States are pre-allocated and handed out by the
-// sequential Init, so steady-state rounds allocate nothing.
-type pulseState struct {
-	letters []view.Letter
-	left    int
-}
-
-func pulseAlgo(states []pulseState, rounds int) (EngineAlgo, func()) {
-	next := 0
-	reset := func() {
-		next = 0
-		for i := range states {
-			states[i].left = rounds
+	for _, ids := range [][]int{nil, {1, 2}} {
+		_, _, errE := RunRoundsTyped(h, ids, neverWord, 4)
+		_, _, errR := RunRoundsStates(h, ids, never, 4)
+		if errE == nil || errR == nil || errE.Error() != errR.Error() {
+			t.Errorf("ids %v: errors differ: %v vs %v", ids, errE, errR)
 		}
 	}
-	algo := EngineAlgo{
-		Init: func(info NodeInfo) any {
-			s := &states[next]
-			next++
-			s.letters = info.Letters
-			return s
+}
+
+// TestEngineDuplicateSend: the engine's one-message-per-slot contract
+// is enforced with a clear error, clean and faulty.
+func TestEngineDuplicateSend(t *testing.T) {
+	h := HostFromGraph(graph.Cycle(4))
+	dup := WordAlgo{
+		Init: func(int, NodeInfo) uint64 { return 0 },
+		Step: func(st *uint64, round int, inbox []WordMsg, out *Outbox) bool {
+			out.SendWord(1, 1)
+			out.SendWord(1, 2)
+			return false
 		},
-		Step: func(state any, round int, inbox []Msg, out *Outbox) (any, bool) {
-			s := state.(*pulseState)
+		Out: func(*uint64) Output { return Output{} },
+	}
+	for _, sched := range []Schedule{nil, MustParseProfile("lossy:p=0.5").New(h, 1)} {
+		_, _, _, err := RunRoundsTypedFaulty(h, nil, dup, 3, sched)
+		if err == nil || !strings.Contains(err.Error(), "sent twice on slot 1") {
+			t.Errorf("schedule %v: duplicate send error = %v", sched, err)
+		}
+	}
+}
+
+// slotPulse is the zero-allocation steady-state workload on the
+// checked send path: every node sends its remaining round count on
+// each of its slots with SendWord for a fixed number of rounds.
+type slotPulse struct {
+	left, slots int32
+}
+
+func slotPulseAlgo(rounds int) TypedAlgo[slotPulse] {
+	return TypedAlgo[slotPulse]{
+		Init: func(v int, info NodeInfo) slotPulse {
+			return slotPulse{left: int32(rounds), slots: int32(len(info.Letters))}
+		},
+		Step: func(s *slotPulse, round int, inbox []WordMsg, out *Outbox) bool {
 			if s.left == 0 {
-				return s, true
+				return true
 			}
 			s.left--
-			for _, l := range s.letters {
-				out.Send(l, s)
+			for i := 0; i < int(s.slots); i++ {
+				out.SendWord(i, uint64(s.left))
 			}
-			return s, false
+			return false
 		},
-		Out: func(any) Output { return Output{} },
+		Out: func(*slotPulse) Output { return Output{} },
 	}
-	return algo, reset
 }
 
 // TestEngineSteadyStateAllocs: after arena warm-up, a steady-state
-// round allocates nothing. Measured as the allocation difference
-// between a long run and a short run on one engine (per-run setup —
-// Init, letter slices — cancels exactly).
+// round of checked per-slot sends allocates nothing. Measured as the
+// allocation difference between a long run and a short run on one
+// engine (per-run setup — closures, worker scratch — cancels exactly).
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	defer par.Set(par.Set(1))
-	h := HostFromGraph(graph.Cycle(512))
-	e := NewEngine(h)
-	states := make([]pulseState, h.G.N())
+	te := NewTypedEngine[slotPulse](HostFromGraph(graph.Cycle(512)))
 	runFor := func(rounds int) func() {
 		return func() {
-			algo, reset := pulseAlgo(states, rounds)
-			reset()
-			if _, _, err := e.RunStates(nil, algo, rounds+2); err != nil {
+			if _, _, err := te.RunStates(nil, slotPulseAlgo(rounds), rounds+2); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -296,41 +321,41 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestEngineReuseAfterError: a run that fails mid-way (absent letter,
+// TestEngineReuseAfterError: a run that fails mid-way (absent slot,
 // non-halt) must not poison the plane — the tick advances past every
-// stamp the failed run wrote, so the next run on the same engine
-// reads no stale messages.
+// stamp the failed run wrote, so the next run on the same engine, here
+// by a typed engine of another state type, reads no stale messages.
 func TestEngineReuseAfterError(t *testing.T) {
 	h := HostFromGraph(graph.Cycle(6))
 	e := NewEngine(h)
-	bad := RoundAlgo{
-		Init: func(NodeInfo) any { return nil },
-		Step: func(st any, round int, inbox []Msg) (any, []Msg, bool) {
-			return st, []Msg{{L: view.Letter{Label: 99}}}, false
+	bad := WordAlgo{
+		Init: func(int, NodeInfo) uint64 { return 0 },
+		Step: func(st *uint64, round int, inbox []WordMsg, out *Outbox) bool {
+			out.SendWord(99, 1)
+			return false
 		},
-		Out: func(any) Output { return Output{} },
+		Out: func(*uint64) Output { return Output{} },
 	}
-	never := RoundAlgo{
-		Init: func(NodeInfo) any { return nil },
-		Step: func(st any, round int, inbox []Msg) (any, []Msg, bool) {
-			return st, []Msg{{L: view.Letter{Label: 0}}}, false
+	never := WordAlgo{
+		Init: func(int, NodeInfo) uint64 { return 0 },
+		Step: func(st *uint64, round int, inbox []WordMsg, out *Outbox) bool {
+			out.SendWord(0, uint64(round))
+			return false
 		},
-		Out: func(any) Output { return Output{} },
+		Out: func(*uint64) Output { return Output{} },
 	}
 	rng := rand.New(rand.NewSource(9))
 	ids := rng.Perm(24)[:6]
-	want, wantRounds, err := RunRounds(h, ids, floodMaxAlgo(), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, wantRounds := referenceOutputs(t, h, ids, floodMaxAlgo(), 16)
+	words, flood := TypedOn[uint64](e), TypedOn[floodSlotState](e)
 	for i := 0; i < 3; i++ {
-		if _, _, err := e.RunStates(ids, bad.engine(), 4); err == nil {
-			t.Fatal("absent letter accepted")
+		if _, _, err := words.RunStates(ids, bad, 4); err == nil {
+			t.Fatal("absent slot accepted")
 		}
-		if _, _, err := e.RunStates(ids, never.engine(), 4); err == nil {
+		if _, _, err := words.RunStates(ids, never, 4); err == nil {
 			t.Fatal("non-halting run accepted")
 		}
-		outs, rounds, err := e.Run(ids, floodMaxAlgo().engine(), 16)
+		outs, rounds, err := flood.Run(ids, floodSlotAlgo(), 16)
 		if err != nil {
 			t.Fatalf("run after errors: %v", err)
 		}
@@ -341,19 +366,22 @@ func TestEngineReuseAfterError(t *testing.T) {
 }
 
 // TestEngineReuse: one engine executes many runs (stamps are monotone,
-// arenas are never cleared) with results identical to fresh engines.
+// arenas are never cleared) with results identical to fresh engines,
+// also when a typed engine of another state type runs on the same
+// plane between them.
 func TestEngineReuse(t *testing.T) {
 	h := HostFromGraph(graph.Petersen())
 	e := NewEngine(h)
+	flood, pulse := TypedOn[floodTypedState](e), TypedOn[uint64](e)
 	rng := rand.New(rand.NewSource(3))
 	ids := rng.Perm(40)[:10]
 	var first []Output
 	for i := 0; i < 5; i++ {
-		outs, rounds, err := e.Run(ids, floodMaxAlgo().engine(), 16)
+		outs, rounds, err := flood.Run(ids, floodTypedAlgo(), 16)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, freshRounds, err := RunRounds(h, ids, floodMaxAlgo(), 16)
+		fresh, freshRounds, err := RunRoundsTyped(h, ids, floodTypedAlgo(), 16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,6 +392,9 @@ func TestEngineReuse(t *testing.T) {
 			first = append([]Output(nil), outs...)
 		} else if !reflect.DeepEqual(outs, first) {
 			t.Fatalf("run %d differs from run 0", i)
+		}
+		if _, _, err := pulse.RunStates(nil, typedPulseAlgo(i+1), i+3); err != nil {
+			t.Fatalf("interleaved run %d: %v", i, err)
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the fault-injection scheduler layer of the round
-// engine: a Schedule interposed between Outbox.Send and inbox
+// engines: a Schedule interposed between a node's sends and inbox
 // compaction that can drop, duplicate and adversarially reorder
 // messages per (arc, round), crash nodes permanently (crash-stop) or
 // transiently (crash-recover), and churn nodes in and out of the
@@ -197,11 +197,13 @@ func (s *schedule) Fate(round int, slot int32) Fate {
 
 func (s *schedule) State(round int, v int32) NodeState {
 	if s.crashAt != nil {
-		if c := s.crashAt[v]; c >= 0 && int32(round) >= c {
+		// The recover window's end is compared in int64: a crash round
+		// and a window each up to MaxInt32 would overflow int32.
+		if c := int64(s.crashAt[v]); c >= 0 && int64(round) >= c {
 			if s.downFor == 0 {
 				return StateCrashed
 			}
-			if int32(round) < c+s.downFor {
+			if int64(round) < c+int64(s.downFor) {
 				return StateDown
 			}
 		}
@@ -366,11 +368,11 @@ func profileFamilies() []profileFamily {
 				if f < 0 {
 					return nil, fmt.Errorf("crash needs f=<count>")
 				}
-				by, err := p.count("by", 8)
+				by, err := p.rounds("by", 8)
 				if err != nil {
 					return nil, err
 				}
-				rec, err := p.count("recover", 0)
+				rec, err := p.rounds("recover", 0)
 				if err != nil {
 					return nil, err
 				}
@@ -391,7 +393,7 @@ func profileFamilies() []profileFamily {
 				if err != nil {
 					return nil, err
 				}
-				w, err := p.count("window", 4)
+				w, err := p.rounds("window", 4)
 				if err != nil {
 					return nil, err
 				}
@@ -418,7 +420,7 @@ func profileFamilies() []profileFamily {
 				if err != nil {
 					return nil, err
 				}
-				by, err := p.count("by", 8)
+				by, err := p.rounds("by", 8)
 				if err != nil {
 					return nil, err
 				}
@@ -534,7 +536,7 @@ func parseFParams(desc, rest string) (*fparams, error) {
 	return p, nil
 }
 
-// prob reads a probability argument in [0, 1].
+// prob reads a probability argument in [0, 1] (NaN is not one).
 func (p *fparams) prob(name string, def float64) (float64, error) {
 	s, ok := p.kv[name]
 	if !ok {
@@ -542,7 +544,7 @@ func (p *fparams) prob(name string, def float64) (float64, error) {
 	}
 	p.used[name] = true
 	x, err := strconv.ParseFloat(s, 64)
-	if err != nil || x < 0 || x > 1 {
+	if err != nil || !(x >= 0 && x <= 1) {
 		return 0, fmt.Errorf("argument %s=%q is not a probability in [0,1]", name, s)
 	}
 	return x, nil
@@ -562,6 +564,16 @@ func (p *fparams) count(name string, def int) (int, error) {
 	return x, nil
 }
 
+// rounds reads a round-count argument: a count that fits the int32
+// round and crash-round columns of a schedule.
+func (p *fparams) rounds(name string, def int) (int, error) {
+	x, err := p.count(name, def)
+	if err == nil && x > math.MaxInt32 {
+		return 0, fmt.Errorf("argument %s=%d exceeds the round bound %d", name, x, math.MaxInt32)
+	}
+	return x, err
+}
+
 func (p *fparams) unusedErr() error {
 	var bad []string
 	for k := range p.kv {
@@ -576,19 +588,9 @@ func (p *fparams) unusedErr() error {
 	return fmt.Errorf("unused arguments %v", bad)
 }
 
-// shuffleMsgs applies the seeded Fisher–Yates permutation — the
-// adversarial reordering — in place.
-func shuffleMsgs(ms []Msg, seed uint64) {
-	x := seed
-	for i := len(ms) - 1; i > 0; i-- {
-		x = mix(x, uint64(i), 0)
-		ms[i], ms[x%uint64(i+1)] = ms[x%uint64(i+1)], ms[i]
-	}
-}
-
-// shuffleWordMsgs is shuffleMsgs for the typed word lane: the same
-// seed permutes a same-length inbox identically, so typed and untyped
-// runs see their messages in the same adversarial order.
+// shuffleWordMsgs applies the seeded Fisher–Yates permutation — the
+// adversarial reordering — in place. The sharded engine shuffles with
+// it too, so both engines permute an inbox identically.
 func shuffleWordMsgs(ms []WordMsg, seed uint64) {
 	x := seed
 	for i := len(ms) - 1; i > 0; i-- {

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -52,6 +53,11 @@ func TestParseProfile(t *testing.T) {
 		"crash:f=-1",
 		"churn:window=0",
 		"lossy:p",
+		"lossy:p=NaN",
+		"churn:p=0.5,window=4294967296",     // window past the int32 round range
+		"crash:f=2,by=2,recover=4294967296", // recover wraps to 0 in int32
+		"crash:f=2,by=2,recover=2147483648", // recover wraps negative
+		"crash:f=8,by=4294967297",           // crash rounds wrap past int32
 	} {
 		if _, err := ParseProfile(bad); err == nil {
 			t.Errorf("ParseProfile(%q) accepted", bad)
@@ -110,23 +116,36 @@ func TestScheduleDeterminism(t *testing.T) {
 	}
 }
 
-// TestCleanFaultyPinsReference is the satellite differential pin: a
-// RunStatesFaulty run with a nil (clean) schedule produces outputs,
-// round counts and error strings byte-identical to
-// RunRoundsReference, and its report is all-zero.
+// TestCrashRecoverLongWindow: a crash round and a recover window each
+// within the round bound, whose sum is not, keep every victim down
+// from its crash round on instead of wrapping to "up".
+func TestCrashRecoverLongWindow(t *testing.T) {
+	h := HostFromGraph(graph.Cycle(8))
+	s := MustParseProfile("crash:f=8,by=2147483647,recover=2147483647").New(h, 1).(*schedule)
+	for v := int32(0); v < 8; v++ {
+		c := int(s.crashAt[v])
+		if c < 0 {
+			t.Fatalf("node %d: crash round %d", v, c)
+		}
+		if c > 0 && s.State(c-1, v) != StateUp {
+			t.Errorf("node %d up to round %d: state %d, want up", v, c-1, s.State(c-1, v))
+		}
+		if st := s.State(c, v); st != StateDown {
+			t.Errorf("node %d at its crash round %d: state %d, want down", v, c, st)
+		}
+	}
+}
+
+// TestCleanFaultyPinsReference is the differential pin of the clean
+// schedule: a RunStatesFaulty run with a nil schedule produces
+// outputs, round counts and error strings byte-identical to the
+// specification loop, and its report is all-zero.
 func TestCleanFaultyPinsReference(t *testing.T) {
 	for name, h := range engineHosts(t) {
 		n := h.G.N()
 		ids := rand.New(rand.NewSource(int64(n))).Perm(4 * n)[:n]
-		refStates, refRounds, err := RunRoundsReference(h, ids, floodMaxAlgo(), 16)
-		if err != nil {
-			t.Fatalf("%s: reference: %v", name, err)
-		}
-		refOuts := make([]Output, n)
-		for v, st := range refStates {
-			refOuts[v] = floodMaxAlgo().Out(st)
-		}
-		outs, rounds, rep, err := RunRoundsFaulty(h, ids, floodMaxAlgo(), 16, nil)
+		refOuts, refRounds := referenceOutputs(t, h, ids, floodMaxAlgo(), 16)
+		outs, rounds, rep, err := RunRoundsTypedFaulty(h, ids, floodSlotAlgo(), 16, nil)
 		if err != nil {
 			t.Fatalf("%s: faulty-clean: %v", name, err)
 		}
@@ -141,22 +160,21 @@ func TestCleanFaultyPinsReference(t *testing.T) {
 
 	// Error strings: engine (clean schedule) == reference, byte for byte.
 	h := HostFromGraph(graph.Cycle(5))
-	badLetter := RoundAlgo{
+	never := RoundAlgo{
 		Init: func(NodeInfo) any { return nil },
-		Step: func(st any, round int, inbox []Msg) (any, []Msg, bool) {
-			return st, []Msg{{L: view.Letter{Label: 99}}}, false
-		},
-		Out: func(any) Output { return Output{} },
+		Step: func(st any, round int, inbox []Msg) (any, []Msg, bool) { return st, nil, false },
+		Out:  func(any) Output { return Output{} },
 	}
-	_, _, _, errF := RunRoundsFaulty(h, nil, badLetter, 3, nil)
-	_, _, errR := RunRoundsReference(h, nil, badLetter, 3)
+	_, _, _, errF := RunRoundsTypedFaulty(h, nil, typedPulseAlgo(8), 3, nil)
+	_, _, errR := RunRoundsStates(h, nil, never, 3)
 	if errF == nil || errR == nil || errF.Error() != errR.Error() {
-		t.Errorf("absent-letter errors differ: %v vs %v", errF, errR)
+		t.Errorf("non-halt errors differ: %v vs %v", errF, errR)
 	}
 }
 
-// TestErrorFormats asserts the exact error formats: every engine error
-// names the round, and faulty runs append the profile descriptor.
+// TestErrorFormats asserts the exact error formats: every error of a
+// round names the round, and faulty runs append the profile
+// descriptor — on the specification loop and on the engine alike.
 func TestErrorFormats(t *testing.T) {
 	h := HostFromGraph(graph.Cycle(5))
 	badAt := func(round int) RoundAlgo {
@@ -171,16 +189,10 @@ func TestErrorFormats(t *testing.T) {
 			Out: func(any) Output { return Output{} },
 		}
 	}
-	_, _, err := RunRounds(h, nil, badAt(2), 6)
+	_, _, err := RunRoundsStates(h, nil, badAt(2), 6)
 	want := "model: round 2: node 0 sent on absent letter 99"
 	if err == nil || err.Error() != want {
-		t.Errorf("clean absent-letter error = %v, want %q", err, want)
-	}
-	sched := MustParseProfile("lossy:p=0").New(h, 1)
-	_, _, _, err = RunRoundsFaulty(h, nil, badAt(2), 6, sched)
-	want = "model: round 2 [lossy:p=0]: node 0 sent on absent letter 99"
-	if err == nil || err.Error() != want {
-		t.Errorf("faulty absent-letter error = %v, want %q", err, want)
+		t.Errorf("reference absent-letter error = %v, want %q", err, want)
 	}
 
 	never := RoundAlgo{
@@ -188,29 +200,30 @@ func TestErrorFormats(t *testing.T) {
 		Step: func(st any, round int, inbox []Msg) (any, []Msg, bool) { return st, nil, false },
 		Out:  func(any) Output { return Output{} },
 	}
-	_, _, err = RunRounds(h, nil, never, 4)
+	_, _, err = RunRoundsStates(h, nil, never, 4)
 	want = "model: node 0 did not halt within 4 rounds"
 	if err == nil || err.Error() != want {
-		t.Errorf("clean non-halt error = %v, want %q", err, want)
+		t.Errorf("reference non-halt error = %v, want %q", err, want)
 	}
-	_, _, _, err = RunRoundsFaulty(h, nil, never, 4, sched)
+	sched := MustParseProfile("lossy:p=0").New(h, 1)
+	_, _, _, err = RunRoundsTypedFaulty(h, nil, typedPulseAlgo(8), 4, sched)
 	want = "model: node 0 did not halt within 4 rounds [lossy:p=0]"
 	if err == nil || err.Error() != want {
 		t.Errorf("faulty non-halt error = %v, want %q", err, want)
 	}
-
-	dup := RoundAlgo{
-		Init: func(info NodeInfo) any { return info.Letters[0] },
-		Step: func(st any, round int, inbox []Msg) (any, []Msg, bool) {
-			l := st.(view.Letter)
-			return st, []Msg{{L: l, Data: 1}, {L: l, Data: 2}}, false
+	dup := WordAlgo{
+		Init: func(int, NodeInfo) uint64 { return 0 },
+		Step: func(st *uint64, r int, inbox []WordMsg, out *Outbox) bool {
+			out.BroadcastWord(1)
+			out.SendWord(0, 2)
+			return false
 		},
-		Out: func(any) Output { return Output{} },
+		Out: func(*uint64) Output { return Output{} },
 	}
-	_, _, err = RunRounds(h, nil, dup, 3)
-	if err == nil || !strings.HasPrefix(err.Error(), "model: round 0: node ") ||
-		!strings.Contains(err.Error(), "sent twice on letter") {
-		t.Errorf("double-send error lacks round prefix: %v", err)
+	_, _, _, err = RunRoundsTypedFaulty(h, nil, dup, 3, sched)
+	if err == nil || !strings.HasPrefix(err.Error(), "model: round 0 [lossy:p=0]: node ") ||
+		!strings.Contains(err.Error(), "sent twice on slot 0") {
+		t.Errorf("faulty double-send error lacks round and profile: %v", err)
 	}
 }
 
@@ -231,7 +244,7 @@ func TestFaultyDeterministicAcrossWorkers(t *testing.T) {
 		var results [2]result
 		for i, p := range []int{1, 8} {
 			old := par.Set(p)
-			outs, rounds, rep, err := RunRoundsFaulty(h, ids, floodMaxAlgo(), 300, sched)
+			outs, rounds, rep, err := RunRoundsTypedFaulty(h, ids, floodTypedAlgo(), 300, sched)
 			par.Set(old)
 			if err != nil {
 				t.Fatalf("%s p=%d: %v (reproducer: seed=99, profile=%s)", desc, p, err, desc)
@@ -251,7 +264,7 @@ func TestFaultyDeterministicAcrossWorkers(t *testing.T) {
 func TestCrashProfiles(t *testing.T) {
 	h := HostFromGraph(graph.Cycle(64))
 	ids := rand.New(rand.NewSource(5)).Perm(256)[:64]
-	_, _, rep, err := RunRoundsFaulty(h, ids, floodMaxAlgo(), 300, MustParseProfile("crash:f=7,by=3").New(h, 3))
+	_, _, rep, err := RunRoundsTypedFaulty(h, ids, floodTypedAlgo(), 300, MustParseProfile("crash:f=7,by=3").New(h, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +281,7 @@ func TestCrashProfiles(t *testing.T) {
 		t.Errorf("Crashed marks %d nodes, want 7", count)
 	}
 
-	_, _, rep, err = RunRoundsFaulty(h, ids, floodMaxAlgo(), 300, MustParseProfile("crash:f=7,by=3,recover=2").New(h, 3))
+	_, _, rep, err = RunRoundsTypedFaulty(h, ids, floodTypedAlgo(), 300, MustParseProfile("crash:f=7,by=3,recover=2").New(h, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +303,7 @@ func TestFaultCounters(t *testing.T) {
 	run := func(desc string) *FaultReport {
 		t.Helper()
 		sched := MustParseProfile(desc).New(h, 11)
-		_, _, rep, err := RunRoundsFaulty(h, nil, GatherViews(3), 300, sched)
+		_, _, rep, err := RunGather(context.Background(), h, 3, 300, sched)
 		if err != nil {
 			t.Fatalf("%s: %v (reproducer: seed=11, profile=%s)", desc, err, desc)
 		}
@@ -350,48 +363,43 @@ func TestSimulatePORoundsFaulty(t *testing.T) {
 // seed.
 func TestLossyGatherDegrades(t *testing.T) {
 	h := HostFromGraph(graph.Torus(8, 8))
-	sched := MustParseProfile("lossy:p=0.5").New(h, 2)
-	states, _, _, err := NewEngine(h).RunStatesFaulty(nil, GatherViews(2).engine(), 300, sched)
-	if err != nil {
-		t.Fatalf("lossy gather: %v", err)
+	gather := func() []*view.Tree {
+		trees, _, _, err := RunGather(context.Background(), h, 2, 300, MustParseProfile("lossy:p=0.5").New(h, 2))
+		if err != nil {
+			t.Fatalf("lossy gather: %v", err)
+		}
+		return trees
 	}
-	clean, _, err := RunRoundsStates(h, nil, GatherViews(2), 4)
+	trees := gather()
+	clean, err := GatheredTrees(h, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	degraded := 0
-	for v := range states {
-		if states[v].(*GatherState).Tree != clean[v].(*GatherState).Tree {
+	for v := range trees {
+		if trees[v] != clean[v] {
 			degraded++
 		}
 	}
 	if degraded == 0 {
 		t.Error("p=0.5 loss degraded no view at all")
 	}
-	again, _, _, err2 := NewEngine(h).RunStatesFaulty(nil, GatherViews(2).engine(), 300, MustParseProfile("lossy:p=0.5").New(h, 2))
-	if err2 != nil {
-		t.Fatal(err2)
-	}
-	for v := range states {
-		if states[v].(*GatherState).Tree != again[v].(*GatherState).Tree {
+	again := gather()
+	for v := range trees {
+		if trees[v] != again[v] {
 			t.Fatalf("node %d: lossy gather not reproducible from seed", v)
 		}
 	}
 }
 
-// TestEngineSteadyStateAllocsFaultyClean: the scheduler hook is now
-// always installed; a clean-profile run through RunStatesFaulty still
-// allocates nothing per steady-state round.
+// TestEngineSteadyStateAllocsFaultyClean: a clean-profile run through
+// RunStatesFaulty still allocates nothing per steady-state round.
 func TestEngineSteadyStateAllocsFaultyClean(t *testing.T) {
 	defer par.Set(par.Set(1))
-	h := HostFromGraph(graph.Cycle(512))
-	e := NewEngine(h)
-	states := make([]pulseState, h.G.N())
+	te := NewTypedEngine[slotPulse](HostFromGraph(graph.Cycle(512)))
 	runFor := func(rounds int) func() {
 		return func() {
-			algo, reset := pulseAlgo(states, rounds)
-			reset()
-			if _, _, _, err := e.RunStatesFaulty(nil, algo, rounds+2, nil); err != nil {
+			if _, _, _, err := te.RunStatesFaulty(nil, slotPulseAlgo(rounds), rounds+2, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -406,21 +414,18 @@ func TestEngineSteadyStateAllocsFaultyClean(t *testing.T) {
 
 // TestFaultyEngineReuse: one engine alternates clean and faulty runs
 // without cross-contamination — the clean results stay byte-identical
-// to a never-faulted engine.
+// to the specification's.
 func TestFaultyEngineReuse(t *testing.T) {
 	h := HostFromGraph(graph.Petersen())
-	e := NewEngine(h)
+	te := NewTypedEngine[floodTypedState](h)
 	ids := rand.New(rand.NewSource(3)).Perm(40)[:10]
-	want, wantRounds, err := RunRounds(h, ids, floodMaxAlgo(), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, wantRounds := referenceOutputs(t, h, ids, floodMaxAlgo(), 16)
 	sched := MustParseProfile("lossy:p=0.4").New(h, 8)
 	for i := 0; i < 4; i++ {
-		if _, _, _, err := e.RunStatesFaulty(ids, floodMaxAlgo().engine(), 300, sched); err != nil {
+		if _, _, _, err := te.RunStatesFaulty(ids, floodTypedAlgo(), 300, sched); err != nil {
 			t.Fatalf("faulty run %d: %v", i, err)
 		}
-		outs, rounds, err := e.Run(ids, floodMaxAlgo().engine(), 16)
+		outs, rounds, err := te.Run(ids, floodTypedAlgo(), 16)
 		if err != nil {
 			t.Fatalf("clean run %d: %v", i, err)
 		}
@@ -433,33 +438,86 @@ func TestFaultyEngineReuse(t *testing.T) {
 // TestShuffleMsgs: the seeded permutation is deterministic and
 // actually permutes.
 func TestShuffleMsgs(t *testing.T) {
-	mk := func() []Msg {
-		ms := make([]Msg, 8)
+	mk := func() []WordMsg {
+		ms := make([]WordMsg, 8)
 		for i := range ms {
-			ms[i].Data = i
+			ms[i].W = uint64(i)
 		}
 		return ms
 	}
 	a, b := mk(), mk()
-	shuffleMsgs(a, 12345)
-	shuffleMsgs(b, 12345)
+	shuffleWordMsgs(a, 12345)
+	shuffleWordMsgs(b, 12345)
 	if !reflect.DeepEqual(a, b) {
 		t.Error("same seed shuffled differently")
 	}
 	moved := false
 	for i := range a {
-		if a[i].Data.(int) != i {
+		if a[i].W != uint64(i) {
 			moved = true
 		}
 	}
 	if !moved {
 		t.Error("shuffle was the identity for seed 12345")
 	}
-	seen := map[int]bool{}
+	seen := map[uint64]bool{}
 	for _, m := range a {
-		seen[m.Data.(int)] = true
+		seen[m.W] = true
 	}
 	if len(seen) != 8 {
 		t.Errorf("shuffle lost elements: %v", a)
 	}
+}
+
+// FuzzParseProfile: for any descriptor, ParseProfile either fails or
+// returns a profile whose schedule on torus:3x3 answers Fate, State
+// and Reorder for rounds 0-40 at every slot and node without
+// panicking, and two bindings with one seed decide alike everywhere.
+func FuzzParseProfile(f *testing.F) {
+	for _, desc := range []string{
+		"clean",
+		"lossy:p=0.05",
+		"dup+reorder:p=0.25",
+		"crash:f=8,by=16,recover=4",
+		"churn:p=0.1,window=4",
+		"adversarial:p=0.05,f=2,by=8",
+		"churn:p=0.5,window=4294967296",
+		"crash:f=2,by=2,recover=4294967296",
+		"crash:f=2,by=2,recover=2147483648",
+		"crash:f=8,by=4294967297",
+		"crash:f=8,by=2147483647,recover=2147483647",
+		"lossy:p=NaN",
+	} {
+		f.Add(desc)
+	}
+	h := HostFromGraph(graph.Torus(3, 3))
+	n, slots := int32(h.G.N()), planeSlots(h)[h.G.N()]
+	f.Fuzz(func(t *testing.T, desc string) {
+		p, err := ParseProfile(desc)
+		if err != nil {
+			return
+		}
+		a, b := p.New(h, 7), p.New(h, 7)
+		if (a == nil) != (b == nil) {
+			t.Fatalf("%q: one binding is clean, the other not", desc)
+		}
+		if a == nil {
+			return
+		}
+		for round := 0; round <= 40; round++ {
+			for s := int32(0); s < slots; s++ {
+				if fa, fb := a.Fate(round, s), b.Fate(round, s); fa != fb {
+					t.Fatalf("%q: Fate(%d, %d) = %d and %d", desc, round, s, fa, fb)
+				}
+			}
+			for v := int32(0); v < n; v++ {
+				if sa, sb := a.State(round, v), b.State(round, v); sa != sb {
+					t.Fatalf("%q: State(%d, %d) = %d and %d", desc, round, v, sa, sb)
+				}
+				if ra, rb := a.Reorder(round, v), b.Reorder(round, v); ra != rb {
+					t.Fatalf("%q: Reorder(%d, %d) = %d and %d", desc, round, v, ra, rb)
+				}
+			}
+		}
+	})
 }

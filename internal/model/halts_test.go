@@ -69,9 +69,9 @@ func haltWordStep(state *uint64, round int, inbox []WordMsg, out WordSender) boo
 	return false
 }
 
-// haltAnyState is the boxed twin's state: the word and the node's
-// letters in slot (letter) order, so a send on slot i is a send on
-// letters[i].
+// haltAnyState is the specification twin's state: the word and the
+// node's letters in slot (letter) order, so a send on slot i is a send
+// on letters[i].
 type haltAnyState struct {
 	w       uint64
 	letters []view.Letter
@@ -160,10 +160,11 @@ func haltOutcome(words []uint64, rounds int, rep *FaultReport, err error) haltRe
 
 // TestHaltPatternDifferential pins the barrier's compaction skip: the
 // halting-pattern workload gives equal rounds, states, fault reports
-// and error strings on the reference loop, the flat untyped and typed
-// engines and the sharded engine at P = 1, 2 and 8, clean and under
-// lossy:p=0.05, at par 1 and 8 — both with rounds to spare and with a
-// round budget that stops the run while nodes are still live.
+// and error strings on the flat engine and the sharded engine at
+// P = 1, 2 and 8, clean and under lossy:p=0.05, at par 1 and 8 — both
+// with rounds to spare and with a round budget that stops the run
+// while nodes are still live. The reference is the specification loop
+// on clean runs and the sharded engine at P=1 on faulty ones.
 func TestHaltPatternDifferential(t *testing.T) {
 	for desc, h := range shardDiffHosts() {
 		n := h.G.N()
@@ -180,14 +181,13 @@ func TestHaltPatternDifferential(t *testing.T) {
 				}
 				var want haltResult
 				if sched == nil {
-					states, rounds, err := RunRoundsReference(h, ids, haltAnyAlgo(n), budget)
+					states, rounds, err := RunRoundsStates(h, ids, haltAnyAlgo(n), budget)
 					want = haltOutcome(anyWords(states), rounds, nil, err)
 					if err == nil {
 						want.rep.Profile = "clean"
 					}
 				} else {
-					states, rounds, rep, err := NewEngine(h).RunStatesFaulty(ids, haltAnyAlgo(n).engine(), budget, sched)
-					want = haltOutcome(anyWords(states), rounds, rep, err)
+					want = haltSharded(t, h, 1, idf, n, budget, sched)
 				}
 				if budget == haltRounds && (want.err != "" || want.rounds != haltRounds) {
 					t.Fatalf("%s/%s: reference run %v, want %d rounds", desc, prof, want, haltRounds)
@@ -198,23 +198,10 @@ func TestHaltPatternDifferential(t *testing.T) {
 				for _, workers := range []int{1, 8} {
 					old := par.Set(workers)
 					runs := map[string]haltResult{}
-					states, rounds, rep, err := NewEngine(h).RunStatesFaulty(ids, haltAnyAlgo(n).engine(), budget, sched)
-					runs["flat untyped"] = haltOutcome(anyWords(states), rounds, rep, err)
 					col, rounds, rep, err := NewWordEngine(h).RunStatesFaulty(ids, haltTypedAlgo(n), budget, sched)
-					runs["flat typed"] = haltOutcome(col, rounds, rep, err)
+					runs["flat"] = haltOutcome(col, rounds, rep, err)
 					for _, p := range []int{1, 2, 8} {
-						se, err := NewShardedEngine(SourceOf(h), p)
-						if err != nil {
-							par.Set(old)
-							t.Fatal(err)
-						}
-						rounds, rep, err := se.RunFaulty(idf, haltShardedAlgo(n), budget, sched)
-						var words []uint64
-						if err == nil {
-							words = make([]uint64, n)
-							se.VisitStates(func(v int64, st uint64) { words[v] = st })
-						}
-						runs[fmt.Sprintf("sharded P=%d", p)] = haltOutcome(words, rounds, rep, err)
+						runs[fmt.Sprintf("sharded P=%d", p)] = haltSharded(t, h, p, idf, n, budget, sched)
 					}
 					par.Set(old)
 					for name, got := range runs {
@@ -226,6 +213,22 @@ func TestHaltPatternDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// haltSharded runs the workload on the sharded engine at P=p.
+func haltSharded(t *testing.T, h *Host, p int, idf IDFunc, n, budget int, sched Schedule) haltResult {
+	t.Helper()
+	se, err := NewShardedEngine(SourceOf(h), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds, rep, err := se.RunFaulty(idf, haltShardedAlgo(n), budget, sched)
+	var words []uint64
+	if err == nil {
+		words = make([]uint64, n)
+		se.VisitStates(func(v int64, st uint64) { words[v] = st })
+	}
+	return haltOutcome(words, rounds, rep, err)
 }
 
 func anyWords(states []any) []uint64 {

@@ -27,13 +27,8 @@ type lane struct {
 	downSteps int64
 	halts     int64
 
-	// wdense serves the typed clean paths, fwdense the typed faulty
-	// paths and fdense the flat engine's untyped faulty path. The
-	// untyped clean path compacts into the engine's global dense arena
-	// instead (its per-node regions are disjoint by construction).
-	wdense  []WordMsg
-	fwdense []WordMsg
-	fdense  []Msg
+	// dense is the worker's inbox-compaction scratch.
+	dense []WordMsg
 }
 
 // guarded is one worker's outbox between two guards, so that its bytes
@@ -45,43 +40,33 @@ type guarded[O any] struct {
 	_  [laneGuard]byte
 }
 
-// newLanes allocates a run's n worker outboxes and the inbox scratch
-// of the run's path on a plane whose widest slot row is m: m words on
-// the typed clean path, and 2m entries on the faulty paths, so that an
-// inbox in which every delivery is duplicated still fits. The outboxes
-// come from one array of guarded cells and the scratch rows from one
-// backing array (carve). init prepares one outbox and returns the lane
-// embedded in it. newLanes returns the outboxes and their lanes in the
-// same order.
-func newLanes[O any](n int, m int32, typed, faulty bool, init func(*O) *lane) ([]*O, []*lane) {
+// newLanes allocates a run's n worker outboxes and their inbox scratch
+// on a plane whose widest slot row is m: m words on a clean run, and
+// 2m on a faulty one, so that an inbox in which every delivery is
+// duplicated still fits. The outboxes come from one array of guarded
+// cells and the scratch rows from one backing array, with at least
+// laneGuard bytes before, between and after the rows. init prepares
+// one outbox and returns the lane embedded in it. newLanes returns the
+// outboxes and their lanes in the same order.
+func newLanes[O any](n int, m int32, faulty bool, init func(*O) *lane) ([]*O, []*lane) {
 	cells := make([]guarded[O], n)
 	obs, lanes := make([]*O, n), make([]*lane, n)
 	for w := range cells {
 		obs[w] = &cells[w].ob
 		lanes[w] = init(obs[w])
 	}
-	switch {
-	case typed && faulty:
-		carve(lanes, 2*int(m), func(l *lane) *[]WordMsg { return &l.fwdense })
-	case typed:
-		carve(lanes, int(m), func(l *lane) *[]WordMsg { return &l.wdense })
-	case faulty:
-		carve(lanes, 2*int(m), func(l *lane) *[]Msg { return &l.fdense })
+	k := int(m)
+	if faulty {
+		k *= 2
 	}
-	return obs, lanes
-}
-
-// carve sets one scratch row of k entries in every lane (the field row
-// names), all rows cut from one backing array with at least laneGuard
-// bytes before, between and after them and capped at k entries.
-func carve[T any](lanes []*lane, k int, row func(*lane) *[]T) {
-	size := int(unsafe.Sizeof(*new(T)))
+	size := int(unsafe.Sizeof(WordMsg{}))
 	pad := (laneGuard + size - 1) / size
-	buf := make([]T, pad+len(lanes)*(k+pad))
+	buf := make([]WordMsg, pad+n*(k+pad))
 	for w, l := range lanes {
 		lo := pad + w*(k+pad)
-		*row(l) = buf[lo : lo+k : lo+k]
+		l.dense = buf[lo : lo+k : lo+k]
 	}
+	return obs, lanes
 }
 
 // sumFaults returns base plus every lane's fault counters: a run's

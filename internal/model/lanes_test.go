@@ -36,17 +36,15 @@ func TestWorkerLanesIsolated(t *testing.T) {
 		}
 		for _, n := range []int{1, 2, 3, 8} {
 			for _, faulty := range []bool{false, true} {
-				for _, typed := range []bool{false, true} {
-					obs, lanes := newLanes(n, e.maxSlots, typed, faulty, func(ob *Outbox) *lane { return &ob.lane })
-					name := fmt.Sprintf("%s flat typed=%v faulty=%v workers=%d", hc.name, typed, faulty, n)
-					checkLanes(t, name, lanes, hc.maxSlots, typed, faulty, func(w int) (uintptr, uintptr) {
-						return uintptr(unsafe.Pointer(obs[w])), unsafe.Sizeof(*obs[w])
-					})
-				}
-				obs, lanes := newLanes(n, se.maxSlots, true, faulty, func(ob *ShardOutbox) *lane { return &ob.lane })
-				name := fmt.Sprintf("%s sharded faulty=%v workers=%d", hc.name, faulty, n)
-				checkLanes(t, name, lanes, hc.maxSlots, true, faulty, func(w int) (uintptr, uintptr) {
+				obs, lanes := newLanes(n, e.maxSlots, faulty, func(ob *Outbox) *lane { return &ob.lane })
+				name := fmt.Sprintf("%s flat faulty=%v workers=%d", hc.name, faulty, n)
+				checkLanes(t, name, lanes, hc.maxSlots, faulty, func(w int) (uintptr, uintptr) {
 					return uintptr(unsafe.Pointer(obs[w])), unsafe.Sizeof(*obs[w])
+				})
+				sobs, slanes := newLanes(n, se.maxSlots, faulty, func(ob *ShardOutbox) *lane { return &ob.lane })
+				name = fmt.Sprintf("%s sharded faulty=%v workers=%d", hc.name, faulty, n)
+				checkLanes(t, name, slanes, hc.maxSlots, faulty, func(w int) (uintptr, uintptr) {
+					return uintptr(unsafe.Pointer(sobs[w])), unsafe.Sizeof(*sobs[w])
 				})
 			}
 		}
@@ -56,7 +54,7 @@ func TestWorkerLanesIsolated(t *testing.T) {
 // checkLanes asserts the scratch bounds of one run's lanes and that
 // every 128-byte-aligned block touched by a worker's outbox (address
 // and size from outbox) or scratch belongs to that worker alone.
-func checkLanes(t *testing.T, name string, lanes []*lane, m int32, typed, faulty bool, outbox func(w int) (uintptr, uintptr)) {
+func checkLanes(t *testing.T, name string, lanes []*lane, m int32, faulty bool, outbox func(w int) (uintptr, uintptr)) {
 	t.Helper()
 	owner := map[uintptr]int{}
 	claim := func(w int, what string, addr, size uintptr) {
@@ -71,28 +69,15 @@ func checkLanes(t *testing.T, name string, lanes []*lane, m int32, typed, faulty
 	for w, l := range lanes {
 		addr, size := outbox(w)
 		claim(w, "outbox", addr, size)
-		if c := cap(l.wdense); c > 0 {
-			claim(w, "wdense", uintptr(unsafe.Pointer(unsafe.SliceData(l.wdense))), uintptr(c)*unsafe.Sizeof(WordMsg{}))
+		if c := cap(l.dense); c > 0 {
+			claim(w, "dense", uintptr(unsafe.Pointer(unsafe.SliceData(l.dense))), uintptr(c)*unsafe.Sizeof(WordMsg{}))
 		}
-		if c := cap(l.fwdense); c > 0 {
-			claim(w, "fwdense", uintptr(unsafe.Pointer(unsafe.SliceData(l.fwdense))), uintptr(c)*unsafe.Sizeof(WordMsg{}))
+		want := int(m)
+		if faulty {
+			want *= 2
 		}
-		if c := cap(l.fdense); c > 0 {
-			claim(w, "fdense", uintptr(unsafe.Pointer(unsafe.SliceData(l.fdense))), uintptr(c)*unsafe.Sizeof(Msg{}))
-		}
-		switch {
-		case typed && faulty:
-			if len(l.fwdense) < 2*int(m) {
-				t.Errorf("%s: worker %d fwdense has %d entries, want >= %d", name, w, len(l.fwdense), 2*m)
-			}
-		case typed:
-			if len(l.wdense) < int(m) {
-				t.Errorf("%s: worker %d wdense has %d entries, want >= %d", name, w, len(l.wdense), m)
-			}
-		case faulty:
-			if len(l.fdense) < 2*int(m) {
-				t.Errorf("%s: worker %d fdense has %d entries, want >= %d", name, w, len(l.fdense), 2*m)
-			}
+		if len(l.dense) < want {
+			t.Errorf("%s: worker %d dense has %d entries, want >= %d", name, w, len(l.dense), want)
 		}
 	}
 }

@@ -321,8 +321,16 @@ func TestRunRoundsHaltFailure(t *testing.T) {
 		Step: func(st any, round int, inbox []Msg) (any, []Msg, bool) { return st, nil, false },
 		Out:  func(any) Output { return Output{} },
 	}
-	if _, _, err := RunRounds(cycleHost(3), nil, never, 5); err == nil {
-		t.Error("non-halting algorithm accepted")
+	if _, _, err := RunRoundsStates(cycleHost(3), nil, never, 5); err == nil {
+		t.Error("non-halting algorithm accepted by the specification loop")
+	}
+	neverWord := WordAlgo{
+		Init: func(int, NodeInfo) uint64 { return 0 },
+		Step: func(*uint64, int, []WordMsg, *Outbox) bool { return false },
+		Out:  func(*uint64) Output { return Output{} },
+	}
+	if _, _, err := RunRoundsTyped(cycleHost(3), nil, neverWord, 5); err == nil {
+		t.Error("non-halting algorithm accepted by the engine")
 	}
 }
 
@@ -355,21 +363,48 @@ func TestRunRoundsIDsDelivered(t *testing.T) {
 			return Output{Member: state.(map[string]any)["max"].(bool)}
 		},
 	}
+	// The same on the engine: the state word is the id, with bit 32
+	// set once the node knows it is a local maximum.
+	word := WordAlgo{
+		Init: func(v int, info NodeInfo) uint64 { return uint64(info.ID) },
+		Step: func(s *uint64, round int, inbox []WordMsg, out *Outbox) bool {
+			if round == 0 {
+				out.BroadcastWord(*s)
+				return false
+			}
+			mx := uint64(1) << 32
+			for _, m := range inbox {
+				if m.W > *s {
+					mx = 0
+				}
+			}
+			*s |= mx
+			return true
+		},
+		Out: func(s *uint64) Output { return Output{Member: *s>>32 == 1} },
+	}
 	h := cycleHost(6)
 	ids := []int{5, 9, 1, 7, 3, 8}
-	outs, rounds, err := RunRounds(h, ids, algo, 10)
+	states, rounds, err := RunRoundsStates(h, ids, algo, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rounds < 1 {
-		t.Errorf("rounds = %d", rounds)
+	outs, wordRounds, err := RunRoundsTyped(h, ids, word, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rounds < 1 || wordRounds != rounds {
+		t.Errorf("rounds = %d, engine %d", rounds, wordRounds)
 	}
 	// Local maxima of 5,9,1,7,3,8 on the cycle: 9 (beats 5,1), 7
 	// (beats 1,3), 8 (beats 3,5).
 	want := []bool{false, true, false, true, false, true}
 	for v := range want {
+		if got := algo.Out(states[v]).Member; got != want[v] {
+			t.Errorf("node %d: member=%v want %v", v, got, want[v])
+		}
 		if outs[v].Member != want[v] {
-			t.Errorf("node %d: member=%v want %v", v, outs[v].Member, want[v])
+			t.Errorf("node %d on the engine: member=%v want %v", v, outs[v].Member, want[v])
 		}
 	}
 }

@@ -681,7 +681,7 @@ func (se *ShardedEngine) run(ids IDFunc, algo ShardedWordAlgo, maxRounds int, sc
 		workers = par.Reserve(min(par.N()-1, p-1))
 	}
 	defer par.Release(workers)
-	obs, lanes := newLanes(workers+1, se.maxSlots, true, sched != nil, func(ob *ShardOutbox) *lane {
+	obs, lanes := newLanes(workers+1, se.maxSlots, sched != nil, func(ob *ShardOutbox) *lane {
 		ob.se, ob.prof = se, prof
 		return &ob.lane
 	})
@@ -793,7 +793,7 @@ func (se *ShardedEngine) run(ids IDFunc, algo ShardedWordAlgo, maxRounds int, sc
 func (se *ShardedEngine) stepClean(algo ShardedWordAlgo) func(*shard, *ShardOutbox) {
 	step := algo.Step
 	return func(sh *shard, ob *ShardOutbox) {
-		off, col, halted, wd := sh.off, sh.col, sh.halted, ob.wdense
+		off, col, halted, wd := sh.off, sh.col, sh.halted, ob.dense
 		cur, want := sh.cells[ob.nxt^1], ob.want-1
 		round, halts := ob.round, 0
 		for _, v := range sh.active {
@@ -822,7 +822,7 @@ func (se *ShardedEngine) stepClean(algo ShardedWordAlgo) func(*shard, *ShardOutb
 func (se *ShardedEngine) stepFaulty(algo ShardedWordAlgo, sched Schedule) func(*shard, *ShardOutbox) {
 	step := algo.Step
 	return func(sh *shard, ob *ShardOutbox) {
-		off, col, halted, fd := sh.off, sh.col, sh.halted, ob.fwdense
+		off, col, halted, fd := sh.off, sh.col, sh.halted, ob.dense
 		cur, want := sh.cells[ob.nxt^1], ob.want-1
 		round := ob.round
 		for _, v := range sh.active {

@@ -32,7 +32,9 @@ type NodeInfo struct {
 // operational formulation of the LOCAL/PO models. Each round every
 // node updates its state on the messages received, emits messages for
 // the next round, and may halt. A halted node keeps its state and
-// sends nothing further.
+// sends nothing further. RunRoundsStates executes it; it is the
+// specification the round engines (TypedAlgo, ShardedWordAlgo) are
+// differentially tested against.
 type RoundAlgo struct {
 	// Init returns the initial state.
 	Init func(info NodeInfo) any
@@ -43,77 +45,17 @@ type RoundAlgo struct {
 	Out func(state any) Output
 }
 
-// RunRounds executes a round algorithm on the host. In the ID model
-// pass per-node identifiers; pass nil for anonymous (PO) execution.
-// It returns the per-node outputs and the number of rounds executed,
-// failing if some node has not halted after maxRounds.
-//
-// Execution goes through the batched message-plane Engine (worker-
-// parallel, active-set worklist); outputs and round counts are
-// byte-identical to RunRoundsReference, which the differential tests
-// pin down. Two engine-contract differences from the reference loop:
-// the inbox slice handed to Step is only valid during the call, and a
-// node may send at most one message per letter per round.
-func RunRounds(h *Host, ids []int, algo RoundAlgo, maxRounds int) ([]Output, int, error) {
-	states, rounds, err := RunRoundsStates(h, ids, algo, maxRounds)
-	if err != nil {
-		return nil, 0, err
-	}
-	outs := make([]Output, len(states))
-	for v, st := range states {
-		outs[v] = algo.Out(st)
-	}
-	return outs, rounds, nil
-}
-
-// RunRoundsStates is RunRounds exposing the final per-node states
-// instead of outputs.
+// RunRoundsStates executes a round algorithm on the host with the
+// sequential specification loop: per-round append-built inboxes
+// filled in increasing sender order, every node visited every round.
+// In the ID model pass per-node identifiers; pass nil for anonymous
+// (PO) execution. It returns the final per-node states and the number
+// of rounds executed, failing if some node has not halted after
+// maxRounds. It is the executable specification the round engines
+// are differentially tested against (and, unlike them, it permits
+// duplicate sends on one letter and hands out retainable inbox
+// slices).
 func RunRoundsStates(h *Host, ids []int, algo RoundAlgo, maxRounds int) ([]any, int, error) {
-	return NewEngine(h).RunStates(ids, algo.engine(), maxRounds)
-}
-
-// RunRoundsStatesCtx is RunRoundsStates under cooperative
-// cancellation (Engine.WithContext): the run aborts between rounds
-// once ctx is cancelled or past its deadline, returning an error that
-// wraps ctx.Err() and handing every reserved worker back to the
-// par budget. The gather workload (internal/workload) runs through it.
-func RunRoundsStatesCtx(ctx context.Context, h *Host, ids []int, algo RoundAlgo, maxRounds int) ([]any, int, error) {
-	return NewEngine(h).WithContext(ctx).RunStates(ids, algo.engine(), maxRounds)
-}
-
-// RunRoundsStatesFaultyCtx is RunRoundsFaulty exposing the final
-// per-node states, under cooperative cancellation (see
-// RunRoundsStatesCtx).
-func RunRoundsStatesFaultyCtx(ctx context.Context, h *Host, ids []int, algo RoundAlgo, maxRounds int, sched Schedule) ([]any, int, *FaultReport, error) {
-	return NewEngine(h).WithContext(ctx).RunStatesFaulty(ids, algo.engine(), maxRounds, sched)
-}
-
-// RunRoundsFaulty is RunRounds executing under a fault schedule (see
-// Schedule and ParseProfile): messages are dropped, duplicated and
-// reordered and nodes crashed or churned exactly as the schedule
-// decides, deterministically in (host, algo, seed, profile). The
-// FaultReport summarises the injected faults; crashed nodes'
-// outputs are extracted from the last state they reached, and
-// FaultReport.CrashedNode says which those are. A nil schedule runs
-// clean.
-func RunRoundsFaulty(h *Host, ids []int, algo RoundAlgo, maxRounds int, sched Schedule) ([]Output, int, *FaultReport, error) {
-	states, rounds, rep, err := NewEngine(h).RunStatesFaulty(ids, algo.engine(), maxRounds, sched)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	outs := make([]Output, len(states))
-	for v, st := range states {
-		outs[v] = algo.Out(st)
-	}
-	return outs, rounds, rep, nil
-}
-
-// RunRoundsReference is the retained sequential reference loop: per-
-// round append-built inboxes, every node visited every round. It is
-// the executable specification the Engine is differentially tested
-// against (and, unlike the engine, it permits duplicate sends on one
-// letter and hands out retainable inbox slices).
-func RunRoundsReference(h *Host, ids []int, algo RoundAlgo, maxRounds int) ([]any, int, error) {
 	n := h.G.N()
 	if ids != nil && len(ids) != n {
 		return nil, 0, fmt.Errorf("model: RunRounds: %d ids for %d nodes", len(ids), n)
@@ -358,24 +300,13 @@ func SimulatePO(h *Host, alg PO, kind Kind) (*Solution, error) {
 
 // SimulatePORounds is SimulatePO driven end-to-end through the round
 // engine: the radius-r view is gathered by actual message passing
-// (GatherViews executing on the Engine's message plane) and the
-// algorithm's view function is applied to the final states. By
-// equation (1) the result coincides with RunPO and SimulatePO — the
-// operational PO path at engine speed, differentially tested against
-// both.
+// (RunGather on the engine's word lane) and the algorithm's view
+// function is applied to the gathered trees. By equation (1) the
+// result coincides with RunPO and SimulatePO — the operational PO
+// path at engine speed, differentially tested against both.
 func SimulatePORounds(h *Host, alg PO, kind Kind) (*Solution, error) {
-	r := alg.Radius()
-	states, _, err := RunRoundsStates(h, nil, GatherViews(r), r+2)
-	if err != nil {
-		return nil, err
-	}
-	sol := NewSolution(kind, h.G.N())
-	for v, st := range states {
-		if err := applyPOOut(sol, h, v, alg.EvalPO(st.(*GatherState).Tree)); err != nil {
-			return nil, err
-		}
-	}
-	return sol, nil
+	sol, _, err := SimulatePORoundsFaulty(h, alg, kind, nil, alg.Radius()+2)
+	return sol, err
 }
 
 // SimulatePORoundsFaulty is SimulatePORounds under a fault schedule:
@@ -386,19 +317,22 @@ func SimulatePORounds(h *Host, alg PO, kind Kind) (*Solution, error) {
 // selections are simply absent from the solution). maxRounds bounds
 // the run — pass slack beyond Radius()+2 when the schedule can keep
 // nodes transiently down, since a down node halts only at its first
-// up round at or after the gathering radius.
+// up round at or after the gathering radius. A nil schedule runs
+// clean, with the all-zero "clean" report.
 func SimulatePORoundsFaulty(h *Host, alg PO, kind Kind, sched Schedule, maxRounds int) (*Solution, *FaultReport, error) {
-	r := alg.Radius()
-	states, _, rep, err := NewEngine(h).RunStatesFaulty(nil, GatherViews(r).engine(), maxRounds, sched)
+	trees, _, rep, err := RunGather(context.TODO(), h, alg.Radius(), maxRounds, sched)
 	if err != nil {
 		return nil, nil, err
 	}
+	if rep == nil {
+		rep = &FaultReport{Profile: "clean"}
+	}
 	sol := NewSolution(kind, h.G.N())
-	for v, st := range states {
+	for v, t := range trees {
 		if rep.CrashedNode(v) {
 			continue
 		}
-		if err := applyPOOut(sol, h, v, alg.EvalPO(st.(*GatherState).Tree)); err != nil {
+		if err := applyPOOut(sol, h, v, alg.EvalPO(t)); err != nil {
 			return nil, nil, err
 		}
 	}

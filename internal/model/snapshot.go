@@ -29,13 +29,12 @@ import (
 // runs are strictly below its tick, so a restored message can never
 // be confused with a leftover one.
 //
-// Codecs. The engine cannot serialise arbitrary any-typed states or
-// payloads, so checkpointable untyped algorithms carry self-delimiting
-// EncodeState/DecodeState (and EncodeData/DecodeData when they send
-// payloads) on their EngineAlgo; typed algorithms either provide
-// EncodeState/DecodeState on their TypedAlgo or — for the uint64 word
-// instantiation that every packed workload uses — get the fixed-width
-// little-endian default for free.
+// Codecs. Payloads are words and are stored as they are. The engine
+// cannot serialise an arbitrary state type, so checkpointable
+// algorithms either provide self-delimiting EncodeState/DecodeState on
+// their TypedAlgo or — for the uint64 word instantiation that every
+// packed workload uses — get the fixed-width little-endian default for
+// free.
 
 // SnapshotKind is the ckpt container kind of an encoded engine
 // Snapshot.
@@ -46,12 +45,10 @@ const snapshotVersion = 1
 
 // Snapshot is a run's resumable state at a round barrier. It is
 // produced by a Checkpointer sink, serialised with Encode, and
-// consumed (once) by Engine.Resume or TypedEngine.Resume. All fields
-// are deterministic functions of the run's state — no timestamps, no
-// map order — so equal run states encode to equal bytes.
+// consumed (once) by TypedEngine.Resume. All fields are deterministic
+// functions of the run's state — no timestamps, no map order — so
+// equal run states encode to equal bytes.
 type Snapshot struct {
-	// Typed records which plane the run used (word lane vs any lane).
-	Typed bool
 	// Faulty records whether the run executed under a fault schedule.
 	Faulty bool
 	// N and Slots pin the plane geometry the snapshot belongs to.
@@ -72,12 +69,9 @@ type Snapshot struct {
 	Reordered  int64
 	DownSteps  int64
 	// Pending lists the plane slots holding messages for round Round,
-	// in increasing slot order; Words carries their payloads on typed
-	// runs, Data the concatenated self-delimiting encodings on untyped
-	// runs.
+	// in increasing slot order; Words carries their payloads.
 	Pending []int32
 	Words   []uint64
-	Data    []byte
 	// States is the encoded state column (per-node encodings
 	// concatenated in increasing node order).
 	States []byte
@@ -90,10 +84,14 @@ type Snapshot struct {
 
 // Encode serialises the snapshot payload (wrap with ckpt.Encode /
 // store with ckpt.Store under SnapshotKind for the on-disk container).
+// The byte after the version is the plane byte and always says word
+// lane: it keeps encodings, and the content-addressed checkpoint names
+// derived from them, those of the format that also had a boxed-payload
+// lane.
 func (s *Snapshot) Encode() []byte {
 	var w ckpt.Writer
 	w.Uvarint(snapshotVersion)
-	w.Bool(s.Typed)
+	w.Bool(true)
 	w.Bool(s.Faulty)
 	w.Uvarint(uint64(s.N))
 	w.Uvarint(uint64(s.Slots))
@@ -112,12 +110,8 @@ func (s *Snapshot) Encode() []byte {
 		w.Uvarint(uint64(p - prev)) // increasing order: deltas are non-negative
 		prev = p
 	}
-	if s.Typed {
-		for _, wd := range s.Words {
-			w.U64(wd)
-		}
-	} else {
-		w.Blob(s.Data)
+	for _, wd := range s.Words {
+		w.U64(wd)
 	}
 	w.Blob(s.States)
 	return w.Bytes()
@@ -132,8 +126,10 @@ func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 		}
 		return nil, r.Err()
 	}
+	if word := r.Bool(); !word && r.Err() == nil {
+		return nil, fmt.Errorf("model: snapshot is marked for the boxed message lane, which the engine no longer has")
+	}
 	s := &Snapshot{}
-	s.Typed = r.Bool()
 	s.Faulty = r.Bool()
 	s.N = int(r.Uvarint())
 	s.Slots = int(r.Uvarint())
@@ -159,14 +155,10 @@ func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 	if np > uint64(s.Slots) {
 		return nil, fmt.Errorf("model: snapshot pending count %d exceeds %d slots", np, s.Slots)
 	}
-	// Every pending slot takes at least one delta byte, and on typed
-	// snapshots eight more for its word: a count the remaining bytes
-	// cannot hold is rejected before anything is sized from it.
-	per := uint64(1)
-	if s.Typed {
-		per = 9
-	}
-	if np > uint64(r.Len())/per {
+	// Every pending slot takes at least one delta byte and eight more
+	// for its word: a count the remaining bytes cannot hold is rejected
+	// before anything is sized from it.
+	if np > uint64(r.Len())/9 {
 		return nil, fmt.Errorf("model: snapshot pending count %d exceeds what its %d remaining bytes can hold", np, r.Len())
 	}
 	s.Pending = make([]int32, np)
@@ -179,13 +171,9 @@ func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 		prev += int64(d)
 		s.Pending[i] = int32(prev)
 	}
-	if s.Typed {
-		s.Words = make([]uint64, np)
-		for i := range s.Words {
-			s.Words[i] = r.U64()
-		}
-	} else {
-		s.Data = r.Blob()
+	s.Words = make([]uint64, np)
+	for i := range s.Words {
+		s.Words[i] = r.U64()
 	}
 	s.States = r.Blob()
 	if r.Err() != nil {
@@ -198,9 +186,10 @@ func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 }
 
 // Checkpointer arms barrier checkpointing on an engine (see
-// Engine.WithCheckpoints). At each round barrier where a checkpoint is
-// due — every Every rounds, or once after RequestNow — the engine
-// builds a Snapshot and hands it to Sink; a Sink error aborts the run.
+// TypedEngine.WithCheckpoints). At each round barrier where a
+// checkpoint is due — every Every rounds, or once after RequestNow —
+// the engine builds a Snapshot and hands it to Sink; a Sink error
+// aborts the run.
 // The idle cost (a barrier where no checkpoint is due) is one nil/int
 // check, which is what keeps the steady-state round at 0 allocs/op.
 type Checkpointer struct {
@@ -230,39 +219,24 @@ func (ck *Checkpointer) due(nextRound int) bool {
 	return ck.Every > 0 && nextRound%ck.Every == 0
 }
 
-// WithCheckpoints arms barrier checkpointing for this engine's
-// subsequent runs (typed, untyped, clean and faulty alike — the hook
-// lives in runCore). The run errors up front if the algorithm lacks
-// the codecs checkpointing needs. A nil ck disarms. Returns e for
-// chaining.
-func (e *Engine) WithCheckpoints(ck *Checkpointer) *Engine {
-	e.ck = ck
-	return e
-}
-
-// Resume arms the engine to resume its next run from snap instead of
-// starting at round 0: the run's Init pass executes as usual (so
-// callers regenerate ids and pre-drawn randomness exactly as the
-// original run did), then states, halt/crash bitsets, pending
+// Resume arms the typed engine to resume its next run from snap
+// instead of starting at round 0: the run's Init pass executes as
+// usual (so callers regenerate ids and pre-drawn randomness exactly as
+// the original run did), then states, halt/crash bitsets, pending
 // messages and fault counters are restored from the snapshot and the
 // round loop starts at snap.Round. The snapshot must match the run it
-// is applied to (plane geometry, typed/untyped, clean/faulty) and is
-// consumed: resuming one snapshot twice is rejected. Returns e for
-// chaining.
-func (e *Engine) Resume(snap *Snapshot) *Engine {
-	e.resume = snap
-	return e
-}
-
-// Resume is Engine.Resume for a typed engine's next run. Returns te
-// for chaining.
+// is applied to (plane geometry, clean/faulty) and is consumed:
+// resuming one snapshot twice is rejected. Returns te for chaining.
 func (te *TypedEngine[S]) Resume(snap *Snapshot) *TypedEngine[S] {
 	te.e.resume = snap
 	return te
 }
 
-// WithCheckpoints is Engine.WithCheckpoints for a typed engine.
-// Returns te for chaining.
+// WithCheckpoints arms barrier checkpointing for this engine's
+// subsequent runs (clean and faulty alike — the hook lives in
+// runCore). The run errors up front if the algorithm lacks the state
+// codec checkpointing needs. A nil ck disarms. Returns te for
+// chaining.
 func (te *TypedEngine[S]) WithCheckpoints(ck *Checkpointer) *TypedEngine[S] {
 	te.e.ck = ck
 	return te
@@ -274,7 +248,6 @@ func (te *TypedEngine[S]) WithCheckpoints(ck *Checkpointer) *TypedEngine[S] {
 // compaction), so every field it reads is quiescent.
 func (e *Engine) snapshotAt(nextRound int, base int64, sched Schedule, lanes []*lane) error {
 	snap := &Snapshot{
-		Typed:  e.ckTyped,
 		Faulty: sched != nil,
 		N:      e.n,
 		Slots:  len(e.letters),
@@ -290,23 +263,10 @@ func (e *Engine) snapshotAt(nextRound int, base int64, sched Schedule, lanes []*
 	// base+nextRound+1 (the writing round's want was curWant+1).
 	arena := nextRound & 1
 	want := base + int64(nextRound) + 1
-	if e.ckTyped {
-		for s, c := range e.cells[arena] {
-			if c.stamp == want {
-				snap.Pending = append(snap.Pending, int32(s))
-				snap.Words = append(snap.Words, c.w)
-			}
-		}
-	} else {
-		for s, st := range e.stamp[arena] {
-			if st != want {
-				continue
-			}
-			if e.ckEncData == nil {
-				return fmt.Errorf("model: checkpoint at round %d: algorithm has pending messages but no EncodeData codec", nextRound)
-			}
+	for s, c := range e.cells[arena] {
+		if c.stamp == want {
 			snap.Pending = append(snap.Pending, int32(s))
-			snap.Data = e.ckEncData(snap.Data, e.buf[arena][s].Data)
+			snap.Words = append(snap.Words, c.w)
 		}
 	}
 	snap.States = e.ckEncStates(nil)
@@ -320,17 +280,13 @@ func (e *Engine) snapshotAt(nextRound int, base int64, sched Schedule, lanes []*
 }
 
 // restoreCommon validates a snapshot against the run being started and
-// restores the plane-level state every path shares: halt/crash
-// bitsets, pending-slot stamps on the run's lane (re-based on this
-// engine's tick), the resume round and the fault-counter bases.
-// Payload and state-column restoration stay with the typed/untyped
-// callers.
-func (e *Engine) restoreCommon(snap *Snapshot, typed, faulty bool) error {
+// restores the plane-level state: halt/crash bitsets, pending-slot
+// stamps (re-based on this engine's tick), the resume round and the
+// fault-counter bases. Payload and state-column restoration stay with
+// the typed caller.
+func (e *Engine) restoreCommon(snap *Snapshot, faulty bool) error {
 	if snap.consumed {
 		return fmt.Errorf("model: resume: snapshot already resumed (double resume rejected)")
-	}
-	if snap.Typed != typed {
-		return fmt.Errorf("model: resume: snapshot is for the %s plane", planeName(snap.Typed))
 	}
 	if snap.Faulty != faulty {
 		if snap.Faulty {
@@ -353,7 +309,7 @@ func (e *Engine) restoreCommon(snap *Snapshot, typed, faulty bool) error {
 		}
 		copy(e.crashed, snap.Crashed)
 	}
-	e.setPendingStamps(snap, typed, e.tick+int64(snap.Round)+1)
+	e.setPendingStamps(snap, e.tick+int64(snap.Round)+1)
 	e.resumeFrom = snap.Round
 	e.repBase = FaultReport{
 		Dropped:    snap.Dropped,
@@ -364,79 +320,24 @@ func (e *Engine) restoreCommon(snap *Snapshot, typed, faulty bool) error {
 	return nil
 }
 
-func planeName(typed bool) string {
-	if typed {
-		return "typed"
-	}
-	return "untyped"
-}
-
 // setPendingStamps writes stamp into the snapshot's pending slots of
-// arena snap.Round&1 on the typed or the boxed lane. Slots past the
-// plane, or a lane not built yet, are skipped: failedResume also runs
-// for snapshots restoreCommon rejected as belonging to another plane.
-func (e *Engine) setPendingStamps(snap *Snapshot, typed bool, stamp int64) {
-	arena := snap.Round & 1
-	cells, st := e.cells[arena], e.stamp[arena]
+// arena snap.Round&1. Slots past the plane are skipped: failedResume
+// also runs for snapshots restoreCommon rejected for their geometry.
+func (e *Engine) setPendingStamps(snap *Snapshot, stamp int64) {
+	cells := e.cells[snap.Round&1]
 	for _, s := range snap.Pending {
-		switch {
-		case typed && int(s) < len(cells):
+		if int(s) < len(cells) {
 			cells[s].stamp = stamp
-		case !typed && int(s) < len(st):
-			st[s] = stamp
 		}
 	}
 }
 
 // failedResume rolls back a partially applied restore so the engine
 // is safe for ordinary runs again: the resume cursor and report bases
-// are cleared and any stamps restored on the run's lane are zeroed (0
-// is never a live want, which is base+round+1 >= 1).
-func (e *Engine) failedResume(snap *Snapshot, typed bool) {
+// are cleared and any restored stamps are zeroed (0 is never a live
+// want, which is base+round+1 >= 1).
+func (e *Engine) failedResume(snap *Snapshot) {
 	e.resumeFrom = -1
 	e.repBase = FaultReport{}
-	e.setPendingStamps(snap, typed, 0)
-}
-
-// restoreUntyped restores an untyped run from snap: the shared plane
-// state, then the state column and pending payloads through the
-// algorithm's codecs.
-func (e *Engine) restoreUntyped(snap *Snapshot, algo EngineAlgo, faulty bool) error {
-	if algo.DecodeState == nil {
-		return fmt.Errorf("model: resume: algorithm has no DecodeState codec")
-	}
-	if err := e.restoreCommon(snap, false, faulty); err != nil {
-		return err
-	}
-	src := snap.States
-	for v := 0; v < e.n; v++ {
-		st, rest, err := algo.DecodeState(src, e.states[v])
-		if err != nil {
-			return fmt.Errorf("model: resume: state of node %d: %w", v, err)
-		}
-		e.states[v] = st
-		src = rest
-	}
-	if len(src) != 0 {
-		return fmt.Errorf("model: resume: %d trailing state bytes", len(src))
-	}
-	if len(snap.Pending) > 0 {
-		if algo.DecodeData == nil {
-			return fmt.Errorf("model: resume: snapshot has pending messages but algorithm has no DecodeData codec")
-		}
-		arena := snap.Round & 1
-		data := snap.Data
-		for _, s := range snap.Pending {
-			d, rest, err := algo.DecodeData(data)
-			if err != nil {
-				return fmt.Errorf("model: resume: payload for slot %d: %w", s, err)
-			}
-			e.buf[arena][s].Data = d
-			data = rest
-		}
-		if len(data) != 0 {
-			return fmt.Errorf("model: resume: %d trailing payload bytes", len(data))
-		}
-	}
-	return nil
+	e.setPendingStamps(snap, 0)
 }

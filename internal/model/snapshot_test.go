@@ -7,83 +7,64 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/ckpt"
 	"repro/internal/graph"
 	"repro/internal/par"
-	"repro/internal/view"
 )
 
-// snapFloodState is the untyped checkpointable flood state: letters
-// and id are static context reconstructed by Init on resume; best and
-// ticks are the dynamic fields the codec carries.
+// snapFloodState is a checkpointable flood state that is not a word:
+// id is static context reconstructed by Init on resume; best and ticks
+// are the dynamic fields the codec carries.
 type snapFloodState struct {
-	letters []view.Letter
-	id      int
-	best    int
-	ticks   int
+	id    int
+	best  int
+	ticks int
 }
 
-// snapFloodAlgo is floodMaxAlgo in engine-native form with the full
-// checkpoint codec: states carry two varints, messages carry one.
-func snapFloodAlgo() EngineAlgo {
-	return EngineAlgo{
-		Init: func(info NodeInfo) any {
-			return &snapFloodState{letters: info.Letters, id: info.ID, best: info.ID, ticks: 1 + info.ID%4}
+// snapFloodAlgo is floodMaxAlgo on the word lane with a state codec:
+// states carry two varints.
+func snapFloodAlgo() TypedAlgo[snapFloodState] {
+	return TypedAlgo[snapFloodState]{
+		Init: func(v int, info NodeInfo) snapFloodState {
+			return snapFloodState{id: info.ID, best: info.ID, ticks: 1 + info.ID%4}
 		},
-		Step: func(state any, round int, inbox []Msg, out *Outbox) (any, bool) {
-			s := state.(*snapFloodState)
+		Step: func(s *snapFloodState, round int, inbox []WordMsg, out *Outbox) bool {
 			for _, m := range inbox {
-				if v := m.Data.(int); v > s.best {
+				if v := int(m.W); v > s.best {
 					s.best = v
 				}
 			}
 			if s.ticks == 0 {
-				return s, true
+				return true
 			}
 			s.ticks--
-			for _, l := range s.letters {
-				out.Send(l, s.best)
-			}
-			return s, false
+			out.BroadcastWord(uint64(s.best))
+			return false
 		},
-		Out: func(state any) Output {
-			s := state.(*snapFloodState)
-			return Output{Member: s.best > s.id}
-		},
-		EncodeState: func(dst []byte, state any) []byte {
-			s := state.(*snapFloodState)
+		Out: func(s *snapFloodState) Output { return Output{Member: s.best > s.id} },
+		EncodeState: func(dst []byte, s *snapFloodState) []byte {
 			dst = binary.AppendVarint(dst, int64(s.best))
 			return binary.AppendVarint(dst, int64(s.ticks))
 		},
-		DecodeState: func(src []byte, state any) (any, []byte, error) {
-			s := state.(*snapFloodState)
+		DecodeState: func(src []byte, s *snapFloodState) ([]byte, error) {
 			best, n := binary.Varint(src)
 			if n <= 0 {
-				return nil, nil, fmt.Errorf("bad best")
+				return nil, fmt.Errorf("bad best")
 			}
 			ticks, m := binary.Varint(src[n:])
 			if m <= 0 {
-				return nil, nil, fmt.Errorf("bad ticks")
+				return nil, fmt.Errorf("bad ticks")
 			}
 			s.best, s.ticks = int(best), int(ticks)
-			return s, src[n+m:], nil
-		},
-		EncodeData: func(dst []byte, data any) []byte {
-			return binary.AppendVarint(dst, int64(data.(int)))
-		},
-		DecodeData: func(src []byte) (any, []byte, error) {
-			v, n := binary.Varint(src)
-			if n <= 0 {
-				return nil, nil, fmt.Errorf("bad payload")
-			}
-			return int(v), src[n:], nil
+			return src[n+m:], nil
 		},
 	}
 }
 
-// snapWordAlgo is the typed flood twin: state packs best<<8 | ticks
+// snapWordAlgo is the packed flood twin: state packs best<<8 | ticks
 // in one word (so the default uint64 codec applies), messages carry
 // the packed state.
 func snapWordAlgo() WordAlgo {
@@ -128,23 +109,34 @@ func snapSink(dst map[int][]byte) *Checkpointer {
 	}}
 }
 
-// untypedSummary extracts the dynamic fields for comparison.
-func untypedSummary(states []any) [][2]int {
-	out := make([][2]int, len(states))
-	for v, st := range states {
-		s := st.(*snapFloodState)
-		out[v] = [2]int{s.best, s.ticks}
-	}
-	return out
+// boxedPayload encodes a snapshot marked for the boxed message lane
+// (plane byte 0), with its self-delimiting payload blob: the format
+// the engine no longer resumes.
+func boxedPayload() []byte {
+	var w ckpt.Writer
+	w.Uvarint(snapshotVersion)
+	w.Bool(false) // plane: boxed lane
+	w.Bool(false) // clean
+	w.Uvarint(3)  // n
+	w.Uvarint(6)  // slots
+	w.Uvarint(2)  // round
+	w.Bits([]bool{false, false, true})
+	w.Uvarint(2) // pending slots 2 and 5, as deltas
+	w.Uvarint(2)
+	w.Uvarint(3)
+	w.Blob([]byte{9, 9})
+	w.Blob([]byte{1})
+	return w.Bytes()
 }
 
-// TestSnapshotResumeUntyped pins the untyped resume byte-identical:
-// for every host, clean and under two fault profiles, resuming from
-// each checkpoint round reproduces the uninterrupted run's final
-// states, round count, fault report AND every later checkpoint's
-// encoded bytes (content addressing makes that last check equivalent
-// to whole-state equality at every subsequent barrier).
-func TestSnapshotResumeUntyped(t *testing.T) {
+// TestSnapshotResumeCodec pins resume byte-identical for a state that
+// needs the algorithm's codec: for every host, clean and under two
+// fault profiles, resuming from each checkpoint round reproduces the
+// uninterrupted run's final states, round count, fault report AND
+// every later checkpoint's encoded bytes (content addressing makes
+// that last check equivalent to whole-state equality at every
+// subsequent barrier).
+func TestSnapshotResumeCodec(t *testing.T) {
 	defer par.Set(par.Set(4))
 	for _, prof := range []string{"", "lossy:p=0.2", "crash:f=5,by=2"} {
 		for name, h := range snapHosts() {
@@ -155,12 +147,12 @@ func TestSnapshotResumeUntyped(t *testing.T) {
 				sched = MustParseProfile(prof).New(h, 99)
 			}
 			control := map[int][]byte{}
-			e1 := NewEngine(h).WithCheckpoints(snapSink(control))
-			states1, rounds1, rep1, err := e1.RunStatesFaulty(ids, snapFloodAlgo(), 64, sched)
+			e1 := NewTypedEngine[snapFloodState](h).WithCheckpoints(snapSink(control))
+			col1, rounds1, rep1, err := e1.RunStatesFaulty(ids, snapFloodAlgo(), 64, sched)
 			if err != nil {
 				t.Fatalf("%s/%s: control: %v", name, prof, err)
 			}
-			sum1 := untypedSummary(states1)
+			final1 := append([]snapFloodState(nil), col1...)
 			if len(control) == 0 {
 				t.Fatalf("%s/%s: control run took no checkpoints", name, prof)
 			}
@@ -170,15 +162,15 @@ func TestSnapshotResumeUntyped(t *testing.T) {
 					t.Fatalf("%s/%s: decode round %d: %v", name, prof, k, err)
 				}
 				resumed := map[int][]byte{}
-				e2 := NewEngine(h).WithCheckpoints(snapSink(resumed)).Resume(snap)
-				states2, rounds2, rep2, err := e2.RunStatesFaulty(ids, snapFloodAlgo(), 64, sched)
+				e2 := NewTypedEngine[snapFloodState](h).WithCheckpoints(snapSink(resumed)).Resume(snap)
+				col2, rounds2, rep2, err := e2.RunStatesFaulty(ids, snapFloodAlgo(), 64, sched)
 				if err != nil {
 					t.Fatalf("%s/%s: resume from %d: %v", name, prof, k, err)
 				}
 				if rounds2 != rounds1 {
 					t.Errorf("%s/%s: resume from %d: %d rounds (control %d)", name, prof, k, rounds2, rounds1)
 				}
-				if !reflect.DeepEqual(untypedSummary(states2), sum1) {
+				if !reflect.DeepEqual(col2, final1) {
 					t.Errorf("%s/%s: resume from %d: final states differ", name, prof, k)
 				}
 				if !reflect.DeepEqual(rep1, rep2) {
@@ -197,8 +189,8 @@ func TestSnapshotResumeUntyped(t *testing.T) {
 	}
 }
 
-// TestSnapshotResumeTyped is the typed twin, exercising the default
-// uint64 state codec and the word-lane payload path.
+// TestSnapshotResumeTyped is the packed-word twin, exercising the
+// default uint64 state codec.
 func TestSnapshotResumeTyped(t *testing.T) {
 	defer par.Set(par.Set(4))
 	for _, prof := range []string{"", "lossy:p=0.2", "crash:f=5,by=2"} {
@@ -243,53 +235,6 @@ func TestSnapshotResumeTyped(t *testing.T) {
 					if got, ok := resumed[j]; !ok || string(got) != string(want) {
 						t.Errorf("%s/%s: resume from %d: checkpoint at %d not byte-identical", name, prof, k, j)
 					}
-				}
-			}
-		}
-	}
-}
-
-// TestSnapshotResumeUntypedAfterTyped: an untyped snapshot resumes on
-// an engine that has only run typed, so the resume builds the boxed
-// lane and restores pending payloads into it on a plane whose stamps
-// and tick the typed run has moved. Clean and faulty, the resumed run
-// ends exactly as the uninterrupted one.
-func TestSnapshotResumeUntypedAfterTyped(t *testing.T) {
-	defer par.Set(par.Set(4))
-	for _, prof := range []string{"", "lossy:p=0.2"} {
-		for name, h := range snapHosts() {
-			n := h.G.N()
-			ids := rand.New(rand.NewSource(int64(n))).Perm(4 * n)[:n]
-			var sched Schedule
-			if prof != "" {
-				sched = MustParseProfile(prof).New(h, 99)
-			}
-			control := map[int][]byte{}
-			states1, rounds1, rep1, err := NewEngine(h).WithCheckpoints(snapSink(control)).RunStatesFaulty(ids, snapFloodAlgo(), 64, sched)
-			if err != nil {
-				t.Fatalf("%s/%s: control: %v", name, prof, err)
-			}
-			sum1 := untypedSummary(states1)
-			for k, payload := range control {
-				snap, err := DecodeSnapshot(payload)
-				if err != nil {
-					t.Fatalf("%s/%s: decode round %d: %v", name, prof, k, err)
-				}
-				te := NewWordEngine(h)
-				if _, _, _, err := te.RunStatesFaulty(ids, snapWordAlgo(), 64, sched); err != nil {
-					t.Fatalf("%s/%s: typed run: %v", name, prof, err)
-				}
-				e := te.Engine()
-				if e.buf[0] != nil {
-					t.Fatalf("%s/%s: the typed run built the boxed lane", name, prof)
-				}
-				states2, rounds2, rep2, err := e.Resume(snap).RunStatesFaulty(ids, snapFloodAlgo(), 64, sched)
-				if err != nil {
-					t.Fatalf("%s/%s: resume from %d: %v", name, prof, k, err)
-				}
-				if rounds2 != rounds1 || !reflect.DeepEqual(untypedSummary(states2), sum1) || !reflect.DeepEqual(rep1, rep2) {
-					t.Errorf("%s/%s: resume from %d after a typed run: rounds %d (control %d), states or fault report differ",
-						name, prof, k, rounds2, rounds1)
 				}
 			}
 		}
@@ -388,9 +333,9 @@ func TestSnapshotMismatchRejected(t *testing.T) {
 		return snaps[0]
 	}
 
-	// Typed snapshot into an untyped run.
-	if _, _, err := NewEngine(h).Resume(grab()).RunStates(ids, snapFloodAlgo(), 64); err == nil {
-		t.Error("typed snapshot accepted by untyped run")
+	// A snapshot of the boxed message lane.
+	if _, err := DecodeSnapshot(boxedPayload()); err == nil || !strings.Contains(err.Error(), "boxed message lane") {
+		t.Errorf("boxed-lane snapshot: err %v", err)
 	}
 	// Clean snapshot into a faulty run.
 	sched := MustParseProfile("lossy:p=0.2").New(h, 99)
@@ -448,7 +393,7 @@ func TestSnapshotDecodeCorrupt(t *testing.T) {
 // most 4 B per delta byte and their words 8 B per 9 bytes.
 func FuzzDecodeSnapshot(f *testing.F) {
 	typed := &Snapshot{
-		Typed: true, Faulty: true, N: 5, Slots: 12, Round: 9,
+		Faulty: true, N: 5, Slots: 12, Round: 9,
 		Halted:  []bool{true, false, true, false, true},
 		Crashed: []bool{false, true, false, false, false},
 		Dropped: 3, Duplicated: 1, Reordered: 4, DownSteps: 1,
@@ -456,15 +401,8 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		Words:   []uint64{7, 8, 9},
 		States:  []byte{1, 2, 3, 4},
 	}
-	untyped := &Snapshot{
-		N: 3, Slots: 6, Round: 2,
-		Halted:  []bool{false, false, true},
-		Pending: []int32{2, 5},
-		Data:    []byte{9, 9},
-		States:  []byte{1},
-	}
 	f.Add(typed.Encode())
-	f.Add(untyped.Encode())
+	f.Add(boxedPayload())
 	// An 11-byte typed payload claiming 2^20 pending slots of 2^20.
 	var claim ckpt.Writer
 	claim.Uvarint(snapshotVersion)
@@ -501,17 +439,11 @@ func FuzzDecodeSnapshot(f *testing.F) {
 // allocs/op (the acceptance criterion behind the benchdelta gate).
 func TestSnapshotCheckpointIdleAllocs(t *testing.T) {
 	defer par.Set(par.Set(1))
-	h := HostFromGraph(graph.Cycle(512))
-	e := NewEngine(h)
-	e.WithCheckpoints(&Checkpointer{Every: 1 << 30})
-	states := make([]pulseState, h.G.N())
+	te := NewWordEngine(HostFromGraph(graph.Cycle(512)))
+	te.WithCheckpoints(&Checkpointer{Every: 1 << 30})
 	runFor := func(rounds int) func() {
 		return func() {
-			algo, reset := pulseAlgo(states, rounds)
-			algo.EncodeState = func(dst []byte, _ any) []byte { return dst }
-			algo.DecodeState = func(src []byte, st any) (any, []byte, error) { return st, src, nil }
-			reset()
-			if _, _, err := e.RunStates(nil, algo, rounds+2); err != nil {
+			if _, _, err := te.RunStates(nil, typedPulseAlgo(rounds), rounds+2); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -525,10 +457,10 @@ func TestSnapshotCheckpointIdleAllocs(t *testing.T) {
 }
 
 // TestSnapshotEncodeDecodeRoundTrip covers the payload codec field by
-// field, including the faulty counter block.
+// field, including the faulty counter block, and the plane byte every
+// encoding carries.
 func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 	s := &Snapshot{
-		Typed:   true,
 		Faulty:  true,
 		N:       5,
 		Slots:   12,
@@ -540,25 +472,18 @@ func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 		Words:   []uint64{7, 8, 9},
 		States:  []byte{1, 2, 3, 4},
 	}
-	got, err := DecodeSnapshot(s.Encode())
+	payload := s.Encode()
+	if payload[1] != 1 {
+		t.Errorf("plane byte %d, want 1 (word lane)", payload[1])
+	}
+	got, err := DecodeSnapshot(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, s) {
 		t.Fatalf("round trip mismatch:\n  in  %+v\n  out %+v", s, got)
 	}
-	u := &Snapshot{
-		N: 3, Slots: 6, Round: 2,
-		Halted:  []bool{false, false, true},
-		Pending: []int32{2, 5},
-		Data:    []byte{9, 9},
-		States:  []byte{1},
-	}
-	got, err = DecodeSnapshot(u.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, u) {
-		t.Fatalf("untyped round trip mismatch:\n  in  %+v\n  out %+v", u, got)
+	if _, err := DecodeSnapshot(boxedPayload()); err == nil {
+		t.Fatal("boxed-lane payload decoded")
 	}
 }

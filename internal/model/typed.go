@@ -1,6 +1,7 @@
 package model
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 
@@ -11,18 +12,15 @@ import (
 // live in a contiguous []S column owned by the TypedEngine (no
 // interface boxing, no per-node pointer chase) and message payloads
 // travel in the Engine's fixed-width word lane (one {word, stamp} cell
-// per slot), beside the any-payload arenas and sharing their slots,
-// routing, letter-sort order, worklist and fault hashing. Msg.Data
-// remains the supported slow path for unbounded payloads
-// (GatherViews); the typed gather below shows how a pointer-shaped
-// payload rides the word lane anyway, as a column handle.
+// per slot). The gather below shows how a pointer-shaped payload
+// rides the word lane anyway, as a column handle.
 
 // WordMsg is one inbox entry of the typed message plane: the payload
 // word plus the receiver-local incident-slot index of the arrival arc
-// (the position of the arc in the receiver's letter-sorted slot row —
-// the typed analogue of Msg.L; the letter itself is info.Letters[Slot]
-// under the typed Init contract). 16 bytes, pointer-free: compacting a
-// typed inbox is a flat copy the garbage collector never scans.
+// (the position of the arc in the receiver's letter-sorted slot row;
+// the letter itself is info.Letters[Slot] under the typed Init
+// contract). 16 bytes, pointer-free: compacting a typed inbox is a
+// flat copy the garbage collector never scans.
 type WordMsg struct {
 	// W is the payload word.
 	W uint64
@@ -30,9 +28,9 @@ type WordMsg struct {
 	Slot int32
 }
 
-// TypedAlgo is the typed engine-native form of a round algorithm.
-// Contract deltas from EngineAlgo, all in service of the columnar
-// layout:
+// TypedAlgo is the engine-native form of a round algorithm. Contract
+// deltas from the specification form RoundAlgo, all in service of the
+// columnar layout:
 //
 //   - Init receives the node index v (so columnar algorithms can index
 //     pre-drawn per-node tables directly) and info.Letters in the
@@ -41,12 +39,13 @@ type WordMsg struct {
 //   - Step mutates the state in place through *S and returns only the
 //     halt flag. The inbox aliases per-worker scratch and is valid
 //     only during the call.
-//   - Sends go through Outbox.SendWord (one slot, checked like Send)
-//     or Outbox.BroadcastWord (whole slot row, unchecked overwrite).
+//   - Sends go through Outbox.SendWord (one slot, at most one message
+//     per slot per round) or Outbox.BroadcastWord (whole slot row,
+//     unchecked overwrite).
 type TypedAlgo[S any] struct {
 	// Init returns node v's initial state; called sequentially in
 	// increasing node order, so pre-drawn randomness stays
-	// deterministic exactly as on the untyped path.
+	// deterministic.
 	Init func(v int, info NodeInfo) S
 	// Step consumes the inbox (receiver letter order) and returns
 	// whether the node halts.
@@ -72,10 +71,11 @@ type TypedAlgo[S any] struct {
 type WordAlgo = TypedAlgo[uint64]
 
 // TypedEngine couples an Engine's message plane with a columnar state
-// array. The plane is shared: one Engine may alternate typed and
-// untyped runs (the monotone stamp discipline keeps them from ever
-// reading each other's messages), but, exactly like the Engine
-// itself, a TypedEngine must not execute two runs concurrently.
+// array. The plane may be shared: typed engines of different state
+// types may alternate runs on one Engine (the monotone stamp
+// discipline keeps them from ever reading each other's messages), but,
+// exactly like the Engine itself, a TypedEngine must not execute two
+// runs concurrently.
 type TypedEngine[S any] struct {
 	e   *Engine
 	col []S
@@ -92,16 +92,13 @@ func NewTypedEngine[S any](h *Host) *TypedEngine[S] { return TypedOn[S](NewEngin
 func NewWordEngine(h *Host) *WordEngine { return NewTypedEngine[uint64](h) }
 
 // TypedOn attaches a columnar state array to an existing engine,
-// sharing its message plane, worklists and stamps. The word lane is
-// allocated on the first attachment; purely untyped engines never pay
-// for it.
+// sharing its message plane, worklists and stamps.
 func TypedOn[S any](e *Engine) *TypedEngine[S] {
-	e.ensureWordLane()
 	return &TypedEngine[S]{e: e, col: make([]S, e.n)}
 }
 
-// Engine returns the underlying engine, e.g. to alternate typed and
-// untyped runs on one warmed-up plane.
+// Engine returns the underlying engine, e.g. to arm its context or to
+// attach a typed engine of another state type to one warmed-up plane.
 func (te *TypedEngine[S]) Engine() *Engine { return te.e }
 
 // Run executes a typed algorithm and extracts the per-node outputs.
@@ -126,10 +123,18 @@ func (te *TypedEngine[S]) RunStates(ids []int, algo TypedAlgo[S], maxRounds int)
 	return col, rounds, err
 }
 
-// RunStatesFaulty is RunStates under a fault schedule, with exactly
-// the semantics of Engine.RunStatesFaulty: fates are drawn per
-// (round, slot) from the same hashes, so a typed run degrades
-// identically to the untyped run of the same algorithm.
+// RunStatesFaulty is RunStates under a fault schedule: the schedule's
+// Fate is applied to every delivery at inbox-compaction time (so
+// drops, duplicates and reorderings happen between the sender's
+// SendWord or BroadcastWord and the receiver's Step), its State gates
+// which nodes step each round (down nodes skip the round silently;
+// crashed nodes leave the worklist for good), and the returned
+// FaultReport counts what actually happened. Fates are pure hashes of
+// (seed, round, slot), so the sharded engine degrades identically. A
+// nil schedule is the clean profile: the run takes the engine's exact
+// clean path and the report is all-zero. Crashed nodes keep the last
+// state they reached; callers decide how to treat their outputs
+// (FaultReport.CrashedNode).
 func (te *TypedEngine[S]) RunStatesFaulty(ids []int, algo TypedAlgo[S], maxRounds int, sched Schedule) ([]S, int, *FaultReport, error) {
 	col, rounds, rep, err := te.runStates(ids, algo, maxRounds, sched)
 	if err != nil {
@@ -164,14 +169,12 @@ func (te *TypedEngine[S]) runStates(ids []int, algo TypedAlgo[S], maxRounds int,
 		if err != nil {
 			return nil, 0, nil, err
 		}
-		e.ckTyped = true
 		e.ckEncStates = enc
-		e.ckEncData = nil
 	}
 	if snap := e.resume; snap != nil {
 		e.resume = nil
 		if err := te.restoreTyped(snap, algo, sched != nil); err != nil {
-			e.failedResume(snap, true)
+			e.failedResume(snap)
 			return nil, 0, nil, err
 		}
 	}
@@ -179,7 +182,7 @@ func (te *TypedEngine[S]) runStates(ids []int, algo TypedAlgo[S], maxRounds int,
 	if sched != nil {
 		step = te.stepTypedFaulty(algo, sched)
 	}
-	rounds, rep, err := e.runCore(step, true, sched, maxRounds)
+	rounds, rep, err := e.runCore(step, sched, maxRounds)
 	if err != nil {
 		return nil, 0, nil, err
 	}
@@ -220,7 +223,7 @@ func (te *TypedEngine[S]) restoreTyped(snap *Snapshot, algo TypedAlgo[S], faulty
 			return fmt.Errorf("model: resume: typed algorithm has no DecodeState codec")
 		}
 	}
-	if err := e.restoreCommon(snap, true, faulty); err != nil {
+	if err := e.restoreCommon(snap, faulty); err != nil {
 		return err
 	}
 	if algo.DecodeState != nil {
@@ -261,7 +264,7 @@ func (te *TypedEngine[S]) restoreTyped(snap *Snapshot, algo TypedAlgo[S], faulty
 func (te *TypedEngine[S]) stepTyped(algo TypedAlgo[S]) func([]int32, *Outbox) {
 	e, step := te.e, algo.Step
 	return func(chunk []int32, ob *Outbox) {
-		off, col, halted, wd := e.off, te.col, e.halted, ob.wdense
+		off, col, halted, wd := e.off, te.col, e.halted, ob.dense
 		cur, want := e.cells[ob.nxt^1], ob.want-1
 		round, halts := ob.round, int64(0)
 		for _, v := range chunk {
@@ -285,14 +288,14 @@ func (te *TypedEngine[S]) stepTyped(algo TypedAlgo[S]) func([]int32, *Outbox) {
 }
 
 // stepTypedFaulty is stepTyped with the fault schedule interposed:
-// liveness gating and per-(round, slot) fates are drawn from exactly
-// the hashes the untyped faulty path draws, so typed and untyped runs
-// of one algorithm under one schedule see the same delivered,
-// duplicated and reordered messages.
+// liveness gating, per-(round, slot) fates (compacted into the
+// worker's double-width scratch so duplicates fit) and adversarial
+// inbox permutation, drawn from exactly the hashes the sharded engine
+// draws.
 func (te *TypedEngine[S]) stepTypedFaulty(algo TypedAlgo[S], sched Schedule) func([]int32, *Outbox) {
 	e, step := te.e, algo.Step
 	return func(chunk []int32, ob *Outbox) {
-		off, col, halted, fd := e.off, te.col, e.halted, ob.fwdense
+		off, col, halted, fd := e.off, te.col, e.halted, ob.dense
 		cur, want := e.cells[ob.nxt^1], ob.want-1
 		round := ob.round
 		for _, v := range chunk {
@@ -334,16 +337,21 @@ func (te *TypedEngine[S]) stepTypedFaulty(algo TypedAlgo[S], sched Schedule) fun
 	}
 }
 
-// RunRoundsTyped executes a typed round algorithm on the host — the
-// typed twin of RunRounds. Pass ids for the ID model, nil for
-// anonymous execution.
+// RunRoundsTyped executes a typed round algorithm on the host. Pass
+// ids for the ID model, nil for anonymous execution. It returns the
+// per-node outputs and the number of rounds executed, failing if some
+// node has not halted after maxRounds.
 func RunRoundsTyped[S any](h *Host, ids []int, algo TypedAlgo[S], maxRounds int) ([]Output, int, error) {
 	return NewTypedEngine[S](h).Run(ids, algo, maxRounds)
 }
 
-// RunRoundsTypedFaulty is RunRoundsTyped under a fault schedule — the
-// typed twin of RunRoundsFaulty (nil schedule runs clean; crashed
-// nodes' outputs are extracted from the last state they reached).
+// RunRoundsTypedFaulty is RunRoundsTyped under a fault schedule (see
+// Schedule and ParseProfile): messages are dropped, duplicated and
+// reordered and nodes crashed or churned exactly as the schedule
+// decides, deterministically in (host, algo, seed, profile). A nil
+// schedule runs clean; crashed nodes' outputs are extracted from the
+// last state they reached, and FaultReport.CrashedNode says which
+// those are.
 func RunRoundsTypedFaulty[S any](h *Host, ids []int, algo TypedAlgo[S], maxRounds int, sched Schedule) ([]Output, int, *FaultReport, error) {
 	col, rounds, rep, err := NewTypedEngine[S](h).RunStatesFaulty(ids, algo, maxRounds, sched)
 	if err != nil {
@@ -416,53 +424,26 @@ func gatherViewsTyped(n, r int) (TypedAlgo[gatherTypedState], []*view.Tree) {
 			out.BroadcastWord(uint64(st.v))
 			return false
 		},
-		Out: func(*gatherTypedState) Output { return Output{} },
 	}
 	return algo, final
 }
 
-// SimulatePORoundsTyped is SimulatePORounds driven through the typed
-// message plane: the radius-r views are gathered by word-lane message
-// passing (column handles to hash-consed trees) and the algorithm's
-// view function is applied to the final views. By equation (1) the
-// result coincides with RunPO, SimulatePO and SimulatePORounds.
-func SimulatePORoundsTyped(h *Host, alg PO, kind Kind) (*Solution, error) {
-	r := alg.Radius()
-	n := h.G.N()
-	algo, final := gatherViewsTyped(n, r)
-	if _, _, err := NewTypedEngine[gatherTypedState](h).RunStates(nil, algo, r+2); err != nil {
-		return nil, err
-	}
-	sol := NewSolution(kind, n)
-	for v, t := range final {
-		if err := applyPOOut(sol, h, v, alg.EvalPO(t)); err != nil {
-			return nil, err
-		}
-	}
-	return sol, nil
-}
-
-// SimulatePORoundsTypedFaulty is SimulatePORoundsTyped under a fault
-// schedule, with the semantics of SimulatePORoundsFaulty: views are
-// whatever fragments survived the schedule and crashed nodes produce
-// no output. maxRounds bounds the run (pass slack beyond Radius()+2
-// when the schedule can keep nodes transiently down).
-func SimulatePORoundsTypedFaulty(h *Host, alg PO, kind Kind, sched Schedule, maxRounds int) (*Solution, *FaultReport, error) {
-	r := alg.Radius()
-	n := h.G.N()
-	algo, final := gatherViewsTyped(n, r)
-	_, _, rep, err := NewTypedEngine[gatherTypedState](h).RunStatesFaulty(nil, algo, maxRounds, sched)
+// RunGather gathers every node's radius-r view tree by message passing
+// on the word lane (GatherViews' rounds, with tree payloads carried as
+// column handles) and returns the trees, the number of rounds run and,
+// when sched is non-nil, the fault report. Under a schedule each tree
+// is whatever fragments survived it; crashed nodes keep the tree they
+// had assembled when they crashed. maxRounds bounds the run: r+2
+// suffices on a clean run, and a schedule that keeps nodes transiently
+// down needs slack beyond it, since a down node halts only at its
+// first up round at or after r. The run polls ctx at every round
+// barrier.
+func RunGather(ctx context.Context, h *Host, r, maxRounds int, sched Schedule) ([]*view.Tree, int, *FaultReport, error) {
+	algo, final := gatherViewsTyped(h.G.N(), r)
+	te := TypedOn[gatherTypedState](NewEngine(h).WithContext(ctx))
+	_, rounds, rep, err := te.runStates(nil, algo, maxRounds, sched)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, nil, err
 	}
-	sol := NewSolution(kind, n)
-	for v, t := range final {
-		if rep.CrashedNode(v) {
-			continue
-		}
-		if err := applyPOOut(sol, h, v, alg.EvalPO(t)); err != nil {
-			return nil, nil, err
-		}
-	}
-	return sol, rep, nil
+	return final, rounds, rep, nil
 }

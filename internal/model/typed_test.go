@@ -13,17 +13,17 @@ import (
 	"repro/internal/view"
 )
 
-// floodTypedState mirrors floodMaxAlgo's boxed state as a typed
-// column entry (a non-trivial S exercising the generic path).
+// floodTypedState mirrors floodMaxAlgo's state as a typed column
+// entry (a non-trivial S exercising the generic path).
 type floodTypedState struct {
 	id    int32
 	best  int32
 	ticks int32
 }
 
-// floodTypedAlgo is floodMaxAlgo on the typed plane: same staggered
+// floodTypedAlgo is floodMaxAlgo on the word lane: same staggered
 // halting, same flood-the-best-id traffic, with the id riding the
-// word lane. Outputs must match the untyped algorithm byte for byte.
+// word lane. Outputs must match the specification byte for byte.
 func floodTypedAlgo() TypedAlgo[floodTypedState] {
 	return TypedAlgo[floodTypedState]{
 		Init: func(v int, info NodeInfo) floodTypedState {
@@ -49,21 +49,57 @@ func floodTypedAlgo() TypedAlgo[floodTypedState] {
 	}
 }
 
-// TestTypedDifferentialFlood pins the typed engine against both the
-// untyped engine and the sequential reference: identical outputs and
-// round counts on every differential host, at parallelism 1 and 8.
+// floodShardedAlgo is floodTypedAlgo packed into one word for the
+// sharded engine: best in bits 32-63, id in bits 8-31 and the
+// remaining ticks in bits 0-7.
+func floodShardedAlgo() ShardedWordAlgo {
+	return ShardedWordAlgo{
+		Init: func(v int64, info NodeInfo) uint64 {
+			id := uint64(info.ID)
+			return id<<32 | id<<8 | uint64(1+info.ID%4)
+		},
+		Step: func(s *uint64, round int, inbox []WordMsg, out WordSender) bool {
+			best, id, ticks := *s>>32, *s>>8&0xffffff, *s&0xff
+			for _, m := range inbox {
+				best = max(best, m.W)
+			}
+			if ticks == 0 {
+				*s = best<<32 | id<<8
+				return true
+			}
+			*s = best<<32 | id<<8 | (ticks - 1)
+			out.BroadcastWord(best)
+			return false
+		},
+		Out: func(s *uint64) Output { return Output{Member: *s>>32 > *s>>8&0xffffff} },
+	}
+}
+
+// shardedReference runs a word algorithm on the sharded engine at
+// P=1 — the reference for faulty runs of the flat engine, whose fates
+// it draws from the same global coordinates — and returns its
+// outputs, round count and fault report.
+func shardedReference(t *testing.T, h *Host, ids []int, algo ShardedWordAlgo, maxRounds int, sched Schedule) ([]Output, int, *FaultReport) {
+	t.Helper()
+	se, err := NewShardedEngine(SourceOf(h), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds, rep, err := se.RunFaulty(func(v int64) int { return ids[v] }, algo, maxRounds, sched)
+	if err != nil {
+		t.Fatalf("sharded reference: %v", err)
+	}
+	return se.Outputs(algo), rounds, rep
+}
+
+// TestTypedDifferentialFlood pins the typed engine against the
+// specification loop: identical outputs and round counts on every
+// differential host, at parallelism 1 and 8.
 func TestTypedDifferentialFlood(t *testing.T) {
 	for name, h := range engineHosts(t) {
 		n := h.G.N()
 		ids := rand.New(rand.NewSource(int64(n))).Perm(4 * n)[:n]
-		refStates, refRounds, err := RunRoundsReference(h, ids, floodMaxAlgo(), 16)
-		if err != nil {
-			t.Fatalf("%s: reference: %v", name, err)
-		}
-		refOuts := make([]Output, n)
-		for v, st := range refStates {
-			refOuts[v] = floodMaxAlgo().Out(st)
-		}
+		refOuts, refRounds := referenceOutputs(t, h, ids, floodMaxAlgo(), 16)
 		for _, p := range []int{1, 8} {
 			old := par.Set(p)
 			outs, rounds, err := RunRoundsTyped(h, ids, floodTypedAlgo(), 16)
@@ -82,19 +118,17 @@ func TestTypedDifferentialFlood(t *testing.T) {
 }
 
 // TestTypedFaultyMatchesUntyped: under every profile family, the typed
-// run degrades exactly like the untyped run of the same algorithm —
-// same outputs, same round count, same fault report — because fates
-// are hashes of (seed, round, slot) coordinates shared by both lanes.
+// flat run degrades exactly like the packed-word run of the same flood
+// on the sharded engine at P=1 — same outputs, same round count, same
+// fault report — because fates are hashes of (seed, round, slot)
+// coordinates shared by both engines.
 func TestTypedFaultyMatchesUntyped(t *testing.T) {
 	for _, desc := range []string{"lossy:p=0.2", "dup+reorder", "crash:f=6,by=4", "churn:p=0.3,window=2", "adversarial:p=0.1,f=3"} {
 		h := HostFromGraph(graph.Torus(8, 8))
 		n := h.G.N()
 		ids := rand.New(rand.NewSource(1)).Perm(4 * n)[:n]
 		sched := MustParseProfile(desc).New(h, 99)
-		uOuts, uRounds, uRep, err := RunRoundsFaulty(h, ids, floodMaxAlgo(), 300, sched)
-		if err != nil {
-			t.Fatalf("%s: untyped: %v", desc, err)
-		}
+		uOuts, uRounds, uRep := shardedReference(t, h, ids, floodShardedAlgo(), 300, sched)
 		for _, p := range []int{1, 8} {
 			old := par.Set(p)
 			tOuts, tRounds, tRep, err := RunRoundsTypedFaulty(h, ids, floodTypedAlgo(), 300, sched)
@@ -103,10 +137,10 @@ func TestTypedFaultyMatchesUntyped(t *testing.T) {
 				t.Fatalf("%s p=%d: typed: %v", desc, p, err)
 			}
 			if tRounds != uRounds || !reflect.DeepEqual(tOuts, uOuts) {
-				t.Errorf("%s p=%d: typed faulty run differs from untyped (reproducer: seed=99)", desc, p)
+				t.Errorf("%s p=%d: typed faulty run differs from the sharded reference (reproducer: seed=99)", desc, p)
 			}
 			if !reflect.DeepEqual(tRep, uRep) {
-				t.Errorf("%s p=%d: reports differ: typed %+v untyped %+v", desc, p, tRep, uRep)
+				t.Errorf("%s p=%d: reports differ: typed %+v sharded %+v", desc, p, tRep, uRep)
 			}
 		}
 	}
@@ -180,9 +214,9 @@ func TestTypedInboxSlotRouting(t *testing.T) {
 	}
 }
 
-// TestTypedErrorFormats: the typed send contract fails with the same
-// shaped errors as the untyped one — round-stamped, profile-suffixed
-// on faulty runs — plus the ids-length check.
+// TestTypedErrorFormats: the typed send contract fails with
+// round-stamped errors, profile-suffixed on faulty runs, plus the
+// ids-length check.
 func TestTypedErrorFormats(t *testing.T) {
 	h := HostFromGraph(graph.Cycle(5))
 	badAt := func(round int) WordAlgo {
@@ -247,7 +281,8 @@ func TestTypedErrorFormats(t *testing.T) {
 // plane's maxSlots must equal the widest slot row, and a schedule
 // that duplicates every delivery (the worst case the 2x fault scratch
 // is sized for) must run without growing anything — pinned both by
-// the run completing and by the typed/untyped agreement under it.
+// the run completing and by its agreement with the sharded reference
+// under it.
 func TestScratchPreSized(t *testing.T) {
 	for name, h := range engineHosts(t) {
 		e := NewEngine(h)
@@ -268,10 +303,7 @@ func TestScratchPreSized(t *testing.T) {
 	n := h.G.N()
 	ids := rand.New(rand.NewSource(4)).Perm(4 * n)[:n]
 	sched := MustParseProfile("dup+reorder:p=1").New(h, 7)
-	uOuts, _, uRep, err := RunRoundsFaulty(h, ids, floodMaxAlgo(), 300, sched)
-	if err != nil {
-		t.Fatalf("untyped all-duplicate run: %v", err)
-	}
+	uOuts, _, uRep := shardedReference(t, h, ids, floodShardedAlgo(), 300, sched)
 	if uRep.Duplicated == 0 {
 		t.Fatal("p=1 duplication schedule duplicated nothing")
 	}
@@ -280,7 +312,7 @@ func TestScratchPreSized(t *testing.T) {
 		t.Fatalf("typed all-duplicate run: %v", err)
 	}
 	if !reflect.DeepEqual(tOuts, uOuts) || !reflect.DeepEqual(tRep, uRep) {
-		t.Fatal("typed and untyped all-duplicate runs disagree")
+		t.Fatal("flat and sharded all-duplicate runs disagree")
 	}
 }
 
@@ -338,148 +370,10 @@ func TestTypedSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestTypedUntypedPlaneSharing: typed and untyped runs alternate on
-// ONE message plane — the monotone stamp discipline keeps the lanes
-// from ever reading each other's leftovers, so every run matches a
-// fresh engine byte for byte. Both orders are pinned: untyped first on
-// a TypedOn-attached engine, and typed first on a fresh typed engine,
-// whose first untyped run builds the boxed lane mid-life over stamps
-// the typed run has already written.
-func TestTypedUntypedPlaneSharing(t *testing.T) {
-	h := HostFromGraph(graph.Petersen())
-	rng := rand.New(rand.NewSource(3))
-	ids := rng.Perm(40)[:10]
-	wantU, wantRounds, err := RunRounds(h, ids, floodMaxAlgo(), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, typedFirst := range []bool{false, true} {
-		te := TypedOn[floodTypedState](NewEngine(h))
-		if typedFirst {
-			te = NewTypedEngine[floodTypedState](h)
-		}
-		e := te.Engine()
-		lanes := []bool{false, true}
-		if typedFirst {
-			lanes = []bool{true, false}
-		}
-		for i := 0; i < 3; i++ {
-			for _, typed := range lanes {
-				var outs []Output
-				var rounds int
-				var err error
-				if typed {
-					outs, rounds, err = te.Run(ids, floodTypedAlgo(), 16)
-				} else {
-					outs, rounds, err = e.Run(ids, floodMaxAlgo().engine(), 16)
-				}
-				if err != nil {
-					t.Fatalf("typedFirst=%v iteration %d typed=%v: %v", typedFirst, i, typed, err)
-				}
-				if rounds != wantRounds || !reflect.DeepEqual(outs, wantU) {
-					t.Fatalf("typedFirst=%v iteration %d typed=%v: alternating lanes diverged from fresh run", typedFirst, i, typed)
-				}
-				if i == 0 && typed && typedFirst && e.buf[0] != nil {
-					t.Fatalf("a typed run built the boxed lane")
-				}
-			}
-		}
-	}
-}
-
-// TestCrossLaneSendFails: a send on the lane the run does not use is a
-// run error carrying the round, on faulty runs the profile, the node
-// and the lane — on a plain engine (no word lane), on a TypedOn-attached
-// engine (the untyped run builds the boxed lane beside a word lane) and
-// on a typed engine whose boxed lane was never built — clean and
-// faulty. The engine then runs both lanes correctly.
-func TestCrossLaneSendFails(t *testing.T) {
-	h := HostFromGraph(graph.Petersen())
-	ids := rand.New(rand.NewSource(3)).Perm(40)[:10]
-	wantOuts, wantRounds, err := RunRounds(h, ids, floodMaxAlgo(), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Node 3 misuses a lane in round 1; every node halts after round 2.
-	untyped := func(send func(*Outbox)) EngineAlgo {
-		return EngineAlgo{
-			Init: func(NodeInfo) any { return nil },
-			Step: func(st any, r int, _ []Msg, out *Outbox) (any, bool) {
-				if r == 1 && out.v == 3 {
-					send(out)
-				}
-				return st, r >= 2
-			},
-			Out: func(any) Output { return Output{} },
-		}
-	}
-	typed := func(send func(*Outbox)) WordAlgo {
-		return WordAlgo{
-			Init: func(int, NodeInfo) uint64 { return 0 },
-			Step: func(_ *uint64, r int, _ []WordMsg, out *Outbox) bool {
-				if r == 1 && out.v == 3 {
-					send(out)
-				}
-				return r >= 2
-			},
-			Out: func(*uint64) Output { return Output{} },
-		}
-	}
-	broadcast := func(ob *Outbox) { ob.BroadcastWord(7) }
-	sendWord := func(ob *Outbox) { ob.SendWord(0, 7) }
-	send := func(ob *Outbox) { ob.Send(ob.e.letters[ob.e.off[ob.v]], 7) }
-	cases := []struct {
-		name          string
-		attach, typed bool
-		send          func(*Outbox)
-	}{
-		{"untyped BroadcastWord", false, false, broadcast},
-		{"untyped SendWord", false, false, sendWord},
-		{"attached untyped BroadcastWord", true, false, broadcast},
-		{"attached untyped SendWord", true, false, sendWord},
-		{"typed Send", true, true, send},
-	}
-	for _, prof := range []string{"", "lossy:p=0"} {
-		var sched Schedule
-		prefix := "model: round 1: "
-		if prof != "" {
-			sched = MustParseProfile(prof).New(h, 1)
-			prefix = "model: round 1 [" + prof + "]: "
-		}
-		for _, c := range cases {
-			name := c.name + " " + prof
-			e := NewEngine(h)
-			if c.attach {
-				TypedOn[uint64](e)
-			}
-			var err error
-			want := prefix + "node 3 sent on the word lane during an untyped run"
-			if c.typed {
-				_, _, _, err = TypedOn[uint64](e).RunStatesFaulty(ids, typed(c.send), 8, sched)
-				want = prefix + "node 3 sent on the boxed lane during a typed run"
-			} else {
-				_, _, _, err = e.RunStatesFaulty(ids, untyped(c.send), 8, sched)
-			}
-			if err == nil || err.Error() != want {
-				t.Errorf("%s: error %v, want %q", name, err, want)
-			}
-			outs, rounds, err := e.Run(ids, floodMaxAlgo().engine(), 16)
-			if err != nil || rounds != wantRounds || !reflect.DeepEqual(outs, wantOuts) {
-				t.Errorf("%s: untyped run after the error diverged (err %v)", name, err)
-			}
-			outs, rounds, err = TypedOn[floodTypedState](e).Run(ids, floodTypedAlgo(), 16)
-			if err != nil || rounds != wantRounds || !reflect.DeepEqual(outs, wantOuts) {
-				t.Errorf("%s: typed run after the error diverged (err %v)", name, err)
-			}
-		}
-	}
-}
-
-// TestWordEngineBytesPerSlot: a typed-only engine allocates the shared
-// plane and the word lane's cell arenas, never the boxed lane or its
-// stamps. On torus:64x64 (16,384 slots) that is 52 B per slot plus the
-// per-node columns, about 61 B per slot in all; the boxed lane would
-// add 128 B per slot and 16 B per node on top.
+// TestWordEngineBytesPerSlot: a word engine allocates the plane —
+// letters, routing and the two cell arenas — and its per-node
+// columns: on torus:64x64 (16,384 slots) 52 B per slot plus the
+// columns, about 61 B per slot in all.
 func TestWordEngineBytesPerSlot(t *testing.T) {
 	h := HostFromGraph(graph.Torus(64, 64))
 	slots := 0
@@ -487,11 +381,10 @@ func TestWordEngineBytesPerSlot(t *testing.T) {
 		slots += len(h.D.Out(v)) + len(h.D.In(v))
 	}
 	least := uint64(math.MaxUint64)
-	var te *WordEngine
 	for i := 0; i < 3; i++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		te = NewWordEngine(h)
+		NewWordEngine(h)
 		runtime.ReadMemStats(&after)
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
@@ -499,12 +392,6 @@ func TestWordEngineBytesPerSlot(t *testing.T) {
 	t.Logf("NewWordEngine: %.1f B per slot (%d B for %d slots)", per, least, slots)
 	if per > 72 {
 		t.Errorf("NewWordEngine allocates %.1f B per slot, want at most 72", per)
-	}
-	if e := te.Engine(); e.buf[0] != nil || e.dense != nil || e.info != nil || e.states != nil {
-		t.Error("NewWordEngine built the boxed lane")
-	}
-	if e := te.Engine(); e.stamp[0] != nil || e.stamp[1] != nil {
-		t.Error("NewWordEngine built the boxed lane's stamps")
 	}
 }
 
@@ -551,81 +438,83 @@ func TestTypedReuseAfterError(t *testing.T) {
 	}
 }
 
-// TestSimulatePORoundsTypedDifferential: the typed word-lane gather
-// coincides with RunPO and the untyped SimulatePORounds on every
-// differential host — the column-handle encoding of tree payloads is
-// semantically invisible.
-func TestSimulatePORoundsTypedDifferential(t *testing.T) {
-	alg := FuncPO{R: 1, Fn: func(tr *view.Tree) Output {
-		return Output{Member: tr.NumChildren()%2 == 0, Letters: tr.Letters()}
-	}}
-	for name, h := range engineHosts(t) {
-		direct, err := RunPO(h, alg, EdgeKind)
-		if err != nil {
-			t.Fatalf("%s: RunPO: %v", name, err)
-		}
-		for _, p := range []int{1, 8} {
-			old := par.Set(p)
-			sim, err := SimulatePORoundsTyped(h, alg, EdgeKind)
-			par.Set(old)
-			if err != nil {
-				t.Fatalf("%s p=%d: SimulatePORoundsTyped: %v", name, p, err)
-			}
-			if !reflect.DeepEqual(direct.EdgeSet(), sim.EdgeSet()) {
-				t.Fatalf("%s p=%d: typed gather edge sets differ", name, p)
-			}
-		}
-	}
-}
-
-// TestSimulatePORoundsTypedFaulty: under a fault schedule the typed
-// gather degrades exactly like the untyped one — same solution, same
-// report — at parallelism 1 and 8.
+// TestSimulatePORoundsTypedFaulty: under a fault schedule the
+// word-lane gather degrades exactly as the boxed-payload gather it
+// replaced did — same solution, same report — at parallelism 1 and 8.
+// The expected values were recorded from that gather's runs (torus
+// 6x6, seed 13); crashed nodes are absent from the solution.
 func TestSimulatePORoundsTypedFaulty(t *testing.T) {
 	alg := FuncPO{R: 2, Fn: func(tr *view.Tree) Output {
 		return Output{Member: tr.NumChildren()%2 == 0}
 	}}
-	for _, desc := range []string{"lossy:p=0.15", "crash:f=5,by=2", "dup+reorder:p=0.3"} {
+	for _, c := range []struct {
+		desc, members                   string
+		dropped, duped, reordered, down int64
+		crashed                         []int
+	}{
+		{"lossy:p=0.15", "111101010101001111111111101110010111", 43, 0, 0, 0, nil},
+		{"crash:f=5,by=2", "000001001000001001011101101111000011", 0, 0, 0, 0, []int{3, 6, 12, 16, 31}},
+		{"dup+reorder:p=0.3", "111111111111111111111111111111111111", 0, 88, 72, 0, nil},
+	} {
 		h := HostFromGraph(graph.Torus(6, 6))
-		sched := MustParseProfile(desc).New(h, 13)
-		uSol, uRep, err := SimulatePORoundsFaulty(h, alg, VertexKind, sched, 300)
-		if err != nil {
-			t.Fatalf("%s: untyped: %v", desc, err)
+		sched := MustParseProfile(c.desc).New(h, 13)
+		want := &FaultReport{Profile: c.desc, Dropped: c.dropped, Duplicated: c.duped, Reordered: c.reordered,
+			DownSteps: c.down, NumCrashed: len(c.crashed), Crashed: make([]bool, h.G.N())}
+		for _, v := range c.crashed {
+			want.Crashed[v] = true
 		}
 		for _, p := range []int{1, 8} {
 			old := par.Set(p)
-			tSol, tRep, err := SimulatePORoundsTypedFaulty(h, alg, VertexKind, sched, 300)
+			sol, rep, err := SimulatePORoundsFaulty(h, alg, VertexKind, sched, 300)
 			par.Set(old)
 			if err != nil {
-				t.Fatalf("%s p=%d: typed: %v", desc, p, err)
+				t.Fatalf("%s p=%d: %v", c.desc, p, err)
 			}
-			if !reflect.DeepEqual(tSol.Vertices, uSol.Vertices) {
-				t.Errorf("%s p=%d: typed faulty gather solution differs (reproducer: seed=13)", desc, p)
+			members := make([]byte, len(sol.Vertices))
+			for v, in := range sol.Vertices {
+				members[v] = '0'
+				if in {
+					members[v] = '1'
+				}
 			}
-			if !reflect.DeepEqual(tRep, uRep) {
-				t.Errorf("%s p=%d: reports differ", desc, p)
+			if string(members) != c.members {
+				t.Errorf("%s p=%d: solution %s, want %s (reproducer: seed=13)", c.desc, p, members, c.members)
+			}
+			if !reflect.DeepEqual(rep, want) {
+				t.Errorf("%s p=%d: report %+v, want %+v", c.desc, p, rep, want)
 			}
 		}
 	}
 }
 
-// TestShuffleWordMsgsMatches: the typed reorder permutes a same-length
-// inbox exactly like the untyped reorder for every seed.
+// TestShuffleWordMsgsMatches pins the adversarial reorder: for every
+// seed, shuffleWordMsgs permutes an inbox of 1+seed%9 messages exactly
+// as recorded (message i moved to the position of digit i), so faulty
+// runs stay reproducible from their (seed, profile) reproducers.
 func TestShuffleWordMsgsMatches(t *testing.T) {
+	want := []string{
+		"10", "210", "0321", "40321", "452310", "5631204", "61032475", "567803142",
+		"0", "10", "120", "1320", "13024", "204513", "5642301", "04167352", "376145802",
+		"0", "10", "012", "0231", "04123", "324105", "3145602", "06734521", "147620538",
+		"0", "01", "120", "0132", "10423", "231504", "0435261", "12576034", "063284157",
+		"0", "10", "210", "2310", "24013", "243015", "0423165", "61035724", "025473168",
+		"0", "10", "102", "0231", "03241", "230154", "5160342", "01543267", "106382745",
+		"0", "01", "021", "3102", "13402", "510243", "0342615", "25746130", "510387624",
+		"0", "01",
+	}
 	for seed := uint64(1); seed <= 64; seed++ {
 		n := 1 + int(seed)%9
-		ms := make([]Msg, n)
 		ws := make([]WordMsg, n)
-		for i := 0; i < n; i++ {
-			ms[i] = Msg{Data: i}
+		for i := range ws {
 			ws[i] = WordMsg{W: uint64(i)}
 		}
-		shuffleMsgs(ms, seed)
 		shuffleWordMsgs(ws, seed)
-		for i := range ms {
-			if ms[i].Data.(int) != int(ws[i].W) {
-				t.Fatalf("seed %d: permutations diverge at %d", seed, i)
-			}
+		got := make([]byte, n)
+		for i, m := range ws {
+			got[i] = byte('0' + m.W)
+		}
+		if string(got) != want[seed-1] {
+			t.Fatalf("seed %d: permutation %s, want %s", seed, got, want[seed-1])
 		}
 	}
 }

@@ -38,6 +38,7 @@ func TestRunRounds400s(t *testing.T) {
 		{"/v1/run?algo=flood&n=12&rounds=5&shards=2", "shards only applies"},
 		{"/v1/run?algo=flood&n=12&rounds=5&rmax=2", "only applies to the gather"},
 		{"/v1/measure?host=cycle:12&rmax=2&rounds=3", "unknown parameter"},
+		{"/v1/run?algo=cole-vishkin&n=64&faults=churn:window=4294967296", "round bound"},
 	} {
 		rr := do(t, s, tc.target)
 		if rr.Code != http.StatusBadRequest {

@@ -123,25 +123,21 @@ func gatherFlat(r *run, res *Result) error {
 	if res.Radius < 1 {
 		res.Radius = 2
 	}
-	algo := model.GatherViews(res.Radius)
-	var states []any
-	var rep *model.FaultReport
-	var err error
-	if r.sched == nil {
-		states, res.Rounds, err = model.RunRoundsStatesCtx(r.ctx, r.h, nil, algo, res.Radius+2)
-	} else {
-		states, res.Rounds, rep, err = model.RunRoundsStatesFaultyCtx(r.ctx, r.h, nil, algo, res.Radius+2+gatherSlack, r.sched)
+	maxRounds := res.Radius + 2
+	if r.sched != nil {
+		maxRounds += gatherSlack
 	}
+	trees, rounds, rep, err := model.RunGather(r.ctx, r.h, res.Radius, maxRounds, r.sched)
 	if err != nil {
 		return err
 	}
 	types := map[*view.Tree]bool{}
-	for v, st := range states {
-		if rep == nil || !rep.CrashedNode(v) {
-			types[st.(*model.GatherState).Tree] = true
+	for v, t := range trees {
+		if !rep.CrashedNode(v) {
+			types[t] = true
 		}
 	}
-	res.Size, res.Faults = len(types), rep
+	res.Rounds, res.Size, res.Faults = rounds, len(types), rep
 	return nil
 }
 

@@ -139,24 +139,28 @@ func direct(t *testing.T, s Spec) Result {
 			r = 2
 		}
 		want.Radius = r
-		var states []any
-		var rep *model.FaultReport
-		var err error
+		types := map[*view.Tree]bool{}
 		if sched == nil {
-			states, want.Rounds, err = model.RunRoundsStates(h, nil, model.GatherViews(r), r+2)
-		} else {
-			states, want.Rounds, rep, err = model.RunRoundsStatesFaultyCtx(context.Background(), h, nil, model.GatherViews(r), r+2+256, sched)
+			states, rounds, err := model.RunRoundsStates(h, nil, model.GatherViews(r), r+2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, st := range states {
+				types[st.(*model.GatherState).Tree] = true
+			}
+			want.Rounds, want.Size = rounds, len(types)
+			break
 		}
+		trees, rounds, rep, err := model.RunGather(context.Background(), h, r, r+2+256, sched)
 		if err != nil {
 			t.Fatal(err)
 		}
-		types := map[*view.Tree]bool{}
-		for v, st := range states {
-			if rep == nil || !rep.CrashedNode(v) {
-				types[st.(*model.GatherState).Tree] = true
+		for v, tr := range trees {
+			if !rep.CrashedNode(v) {
+				types[tr] = true
 			}
 		}
-		want.Size, want.Faults = len(types), rep
+		want.Rounds, want.Size, want.Faults = rounds, len(types), rep
 	case "flood":
 		rounds := s.Rounds
 		if rounds < 1 {

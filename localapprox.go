@@ -82,17 +82,16 @@ type (
 	// SearchOptions bounds the homogeneous-construction search.
 	SearchOptions = homog.SearchOptions
 	// Engine is the batched worker-parallel round simulator: a CSR
-	// message plane sized once from the host's arcs, double-buffered
-	// arenas, an active-set worklist and persistent per-run workers.
+	// message plane of one-word payload cells sized once from the
+	// host's arcs, double-buffered arenas, an active-set worklist and
+	// persistent per-run workers.
 	Engine = model.Engine
-	// EngineAlgo is the engine-native round-algorithm form (Step
-	// writes its outbox straight into the message plane).
-	EngineAlgo = model.EngineAlgo
-	// RoundAlgo is the classical slice-returning round algorithm.
+	// RoundAlgo is the classical slice-returning round algorithm, run
+	// by the sequential specification loop RunRoundsStates.
 	RoundAlgo = model.RoundAlgo
-	// Outbox routes a node's outgoing messages into the plane.
+	// Outbox routes a node's outgoing words into the plane.
 	Outbox = model.Outbox
-	// Msg is one message on an incident arc.
+	// Msg is one message of the specification loop on an incident arc.
 	Msg = model.Msg
 	// NodeInfo is a node's initial knowledge.
 	NodeInfo = model.NodeInfo
@@ -110,7 +109,8 @@ type (
 	// sends addressed by local slot (DESIGN.md §9).
 	TypedAlgo[S any] = model.TypedAlgo[S]
 	// TypedEngine couples an Engine's message plane with a columnar
-	// state array; typed and untyped runs may alternate on one plane.
+	// state array; typed engines of different state types may
+	// alternate runs on one plane.
 	TypedEngine[S any] = model.TypedEngine[S]
 	// WordAlgo is the fully packed uint64-state typed algorithm form.
 	WordAlgo = model.WordAlgo
@@ -159,20 +159,18 @@ var (
 	RegisterFamily = host.Register
 )
 
-// Hosts and runners. RunRounds executes through the batched round
-// engine (NewEngine exposes it directly for arena reuse across runs);
-// RunRoundsReference is the retained sequential specification loop,
-// and SimulatePORounds drives a PO algorithm operationally through
-// the engine's message plane.
+// Hosts and runners. RunRoundsStates is the sequential specification
+// loop of the classical RoundAlgo form; NewEngine builds the batched
+// round engine's message plane for arena reuse across runs, and
+// SimulatePORounds drives a PO algorithm operationally through it.
 var (
 	HostFromGraph    = model.HostFromGraph
 	NewHost          = model.NewHost
 	RunPO            = model.RunPO
 	RunOI            = model.RunOI
 	RunID            = model.RunID
-	RunRounds        = model.RunRounds
+	RunRoundsStates  = model.RunRoundsStates
 	NewEngine        = model.NewEngine
-	RunRoundsRef     = model.RunRoundsReference
 	SimulatePO       = model.SimulatePO
 	SimulatePORounds = model.SimulatePORounds
 )
@@ -184,14 +182,10 @@ var (
 // the randomized matching run on; the generic forms
 // (model.RunRoundsTyped[S], model.NewTypedEngine[S], model.TypedOn[S])
 // are reachable through the aliases above for any state type.
-// SimulatePORoundsTyped gathers views over the word lane (column
-// handles to hash-consed trees) — byte-identical to SimulatePORounds.
 var (
-	NewWordEngine               = model.NewWordEngine
-	RunRoundsWord               = model.RunRoundsTyped[uint64]
-	RunRoundsWordFaulty         = model.RunRoundsTypedFaulty[uint64]
-	SimulatePORoundsTyped       = model.SimulatePORoundsTyped
-	SimulatePORoundsTypedFaulty = model.SimulatePORoundsTypedFaulty
+	NewWordEngine       = model.NewWordEngine
+	RunRoundsWord       = model.RunRoundsTyped[uint64]
+	RunRoundsWordFaulty = model.RunRoundsTypedFaulty[uint64]
 )
 
 // The sharded giant-host plane (DESIGN.md §12): NewShardedEngine
@@ -253,7 +247,6 @@ var (
 	ParseFaultProfile        = model.ParseProfile
 	MustParseFaultProfile    = model.MustParseProfile
 	FaultProfiles            = model.DescribeProfiles
-	RunRoundsFaulty          = model.RunRoundsFaulty
 	SimulatePORoundsFaulty   = model.SimulatePORoundsFaulty
 	ColeVishkinFaulty        = algorithms.ColeVishkinMISFaulty
 	RandomizedMatchingFaulty = algorithms.RandomizedMatchingFaulty
@@ -314,15 +307,15 @@ var (
 	RunAllExperiments    = experiments.RunAll
 )
 
-// Deadline-aware entry points: the *Ctx twins of the engine runners
-// and the layered sweep thread a context.Context into the round loop
-// and the sweep loop, where it is polled cooperatively — a cancelled
-// run stops at the next round barrier (sweep: the next vertex batch),
-// releases its workers and returns the wrapped context error. The
-// non-Ctx names above are the same code with no context armed.
+// Deadline-aware entry points: RunGather (each node's radius-r view
+// gathered by message passing on the engine, clean or under a
+// Schedule) and the layered sweep thread a context.Context into the
+// round loop and the sweep loop, where it is polled cooperatively — a
+// cancelled run stops at the next round barrier (sweep: the next
+// vertex batch), releases its workers and returns the wrapped context
+// error. Engine.WithContext arms any other engine run the same way.
 var (
-	RunRoundsCtx       = model.RunRoundsStatesCtx
-	RunRoundsFaultyCtx = model.RunRoundsStatesFaultyCtx
+	RunGather          = model.RunGather
 	SweepMeasureAllCtx = order.SweepMeasureAllCtx
 )
 
@@ -348,8 +341,8 @@ var NewServer = serve.New
 // OpenJobs, retry transient failures with backoff, and produce result
 // bytes identical to an uninterrupted run. Engine snapshot/resume is
 // also usable directly: Snapshot at a round barrier, Resume on a fresh
-// engine of the same host — byte-deterministic, clean and faulty,
-// untyped and typed word-lane alike.
+// typed engine of the same host — byte-deterministic, clean and
+// faulty alike.
 type (
 	// JobManager owns the worker pool, the job directory and the
 	// lifecycle (attach to a Server with AttachJobs).

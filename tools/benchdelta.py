@@ -39,21 +39,21 @@ Modes:
 Watched benchmarks (the CSR/interner/sweep/round-engine hot paths the
 repo promises not to regress): ViewEncode, CanonicalBall,
 CanonicalBallParallel, SweepMeasure, SweepMeasureAll, E14Views,
-RunRounds (the message-plane engine: one steady-state round on the
-4096-node torus at parallelism 8 — its 0 allocs/op baseline pins the
-zero-allocation round promise; par.Set(8) fixes the worker count, so
-on smaller runners the workers timeshare and the measured ns/op can
-only be conservative), RunRoundsFaulty (the same round under the
-lossy:p=0.05 fault schedule — pins both the faulty path's overhead
-and its own 0 allocs/op steady state), RunRoundsTyped and
-RunRoundsTypedFaulty (the typed word-lane engine on the same torus:
-the uint64 columnar path must hold its speedup over the boxed plane
-and its 0 allocs/op steady state, clean and faulty alike), and
-EngineMillionCycleTyped (the typed million-node round: pins the word
-lane's per-round cost at memory-bound scale; its allocs_op baseline is
-null on purpose — the benchmark amortises one run's setup over b.N
-rounds, so the per-op alloc count varies with the runner's speed and
-only the normalised ns/op is gated), ServeCachedRequest (the
+RunRoundsTyped (the message-plane engine: one steady-state round on
+the 4096-node torus at parallelism 8, states and payloads in uint64
+columns — its 0 allocs/op baseline pins the zero-allocation round
+promise; par.Set(8) fixes the worker count, so on smaller runners the
+workers timeshare and the measured ns/op can only be conservative),
+RunRoundsTypedFaulty (the same round under the lossy:p=0.05 fault
+schedule — pins both the faulty path's overhead and its own 0
+allocs/op steady state), RunRoundsCheckpointIdle (the same round with
+a checkpointer armed but idle, at 0 allocs/op), SnapshotRestore (the
+snapshot+resume round trip), EngineMillionCycleTyped (the million-node
+round: pins the word lane's per-round cost at memory-bound scale; its
+allocs_op baseline is null on purpose — the benchmark amortises one
+run's setup over b.N rounds, so the per-op alloc count varies with the
+runner's speed and only the normalised ns/op is gated),
+ServeCachedRequest (the
 localapproxd end-to-end handler path on a warm cache entry: routing,
 query parse, canonical key, FNV hash, lock-free probe, response write
 — its 0 allocs/op baseline pins the service's repeat-request promise),
@@ -76,8 +76,6 @@ WATCHED = [
     "BenchmarkSweepMeasure",
     "BenchmarkSweepMeasureAll",
     "BenchmarkE14Views",
-    "BenchmarkRunRounds",
-    "BenchmarkRunRoundsFaulty",
     "BenchmarkRunRoundsTyped",
     "BenchmarkRunRoundsTypedFaulty",
     "BenchmarkRunRoundsCheckpointIdle",
