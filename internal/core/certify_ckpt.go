@@ -103,7 +103,9 @@ func (s *CertifySnapshot) Encode() []byte {
 }
 
 // DecodeCertifySnapshot parses an Encode payload, validating structure
-// and ranges.
+// and ranges. Every count is checked against the bytes left before
+// anything is sized from it, so a short payload cannot make the
+// decoder allocate more than a small multiple of its own length.
 func DecodeCertifySnapshot(payload []byte) (*CertifySnapshot, error) {
 	r := ckpt.NewReader(payload)
 	if v := r.Uvarint(); r.Err() == nil && v != certifySnapshotVersion {
@@ -122,6 +124,10 @@ func DecodeCertifySnapshot(payload []byte) (*CertifySnapshot, error) {
 	if s.N <= 0 || s.N > maxN || s.Radius < 0 || s.Radius > maxN {
 		return nil, fmt.Errorf("core: certify snapshot geometry out of range (n=%d r=%d)", s.N, s.Radius)
 	}
+	// Each type id takes at least one byte.
+	if s.N > r.Len() {
+		return nil, fmt.Errorf("core: certify snapshot claims %d nodes in %d bytes", s.N, r.Len())
+	}
 	s.TypeOf = make([]int32, s.N)
 	for i := range s.TypeOf {
 		s.TypeOf[i] = int32(r.Uvarint())
@@ -130,8 +136,9 @@ func DecodeCertifySnapshot(payload []byte) (*CertifySnapshot, error) {
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	if types <= 0 || types > s.N {
-		return nil, fmt.Errorf("core: certify snapshot has %d types for %d nodes", types, s.N)
+	// Each type's letter count takes at least one byte.
+	if types <= 0 || types > s.N || types > r.Len() {
+		return nil, fmt.Errorf("core: certify snapshot has %d types for %d nodes in %d bytes", types, s.N, r.Len())
 	}
 	for _, t := range s.TypeOf {
 		if t < 0 || int(t) >= types {
@@ -164,6 +171,11 @@ func DecodeCertifySnapshot(payload []byte) (*CertifySnapshot, error) {
 	}
 	if s.FeasibleCount < 0 || s.Next < 0 {
 		return nil, fmt.Errorf("core: certify snapshot cursor out of range")
+	}
+	// A ratio is >= 0 or +Inf; a NaN would never compare below a later
+	// ratio and so would stick as a resumed run's bound.
+	if !(s.BestRatio >= 0) {
+		return nil, fmt.Errorf("core: certify snapshot best ratio %v out of range", s.BestRatio)
 	}
 	return s, nil
 }

@@ -3,9 +3,12 @@ package core
 import (
 	"bytes"
 	"context"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"repro/internal/ckpt"
 	"repro/internal/digraph"
 	"repro/internal/model"
 	"repro/internal/problems"
@@ -14,7 +17,7 @@ import (
 // directedPath returns the n-path 0→1→…→n−1: its radius-r views are
 // asymmetric (distance-to-end matters), so the type catalogue is
 // nontrivial and the enumeration long enough to checkpoint.
-func directedPath(t *testing.T, n int) *model.Host {
+func directedPath(t testing.TB, n int) *model.Host {
 	t.Helper()
 	b := digraph.NewBuilder(n, 1)
 	for i := 0; i < n-1; i++ {
@@ -33,7 +36,7 @@ func directedPath(t *testing.T, n int) *model.Host {
 
 // collectCertify runs a checkpointed certification and returns the
 // bound plus the encoded checkpoint stream keyed by cursor.
-func collectCertify(t *testing.T, h *model.Host, p problems.Problem, r, every int, resume *CertifySnapshot) (*LowerBound, map[int][]byte) {
+func collectCertify(t testing.TB, h *model.Host, p problems.Problem, r, every int, resume *CertifySnapshot) (*LowerBound, map[int][]byte) {
 	t.Helper()
 	stream := map[int][]byte{}
 	lb, err := CertifyPOLowerBoundOpts(h, p, r, 1<<20, CertifyOpts{
@@ -204,4 +207,100 @@ func TestCertifyDecodeCorrupt(t *testing.T) {
 	if _, err := CertifyPOLowerBoundOpts(h, problems.MinVertexCover{}, 2, 1<<20, CertifyOpts{Resume: snap}); err == nil {
 		t.Error("out-of-range resume cursor accepted")
 	}
+}
+
+// hugeClaimPayload is a 16-byte certify snapshot header claiming the
+// largest host the decoder admits, 2^28 nodes, with no type ids after
+// it.
+func hugeClaimPayload() []byte {
+	var w ckpt.Writer
+	w.Uvarint(certifySnapshotVersion)
+	w.String("min-eds")
+	w.Uvarint(1)
+	w.Uvarint(1 << 28)
+	w.Varint(3)
+	return w.Bytes()
+}
+
+// TestCertifyDecodeBoundedByPayload: a node or type count the payload
+// has no bytes for is rejected before anything is sized from it, and a
+// NaN best ratio, which no run produces, is rejected too.
+func TestCertifyDecodeBoundedByPayload(t *testing.T) {
+	payload := hugeClaimPayload()
+	if len(payload) != 16 {
+		t.Fatalf("claim payload is %d bytes, want 16", len(payload))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeCertifySnapshot(payload)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("snapshot claiming 2^28 nodes in 16 bytes accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Fatalf("rejecting a 16-byte payload allocated %d bytes", grew)
+	}
+
+	// Two nodes of type 0 claiming 2^20 types.
+	var w ckpt.Writer
+	w.Uvarint(certifySnapshotVersion)
+	w.String("min-eds")
+	w.Uvarint(1)
+	w.Uvarint(2)
+	w.Varint(3)
+	w.Uvarint(0)
+	w.Uvarint(0)
+	w.Uvarint(1 << 20)
+	if _, err := DecodeCertifySnapshot(w.Bytes()); err == nil {
+		t.Fatal("snapshot claiming 2^20 types for 2 nodes accepted")
+	}
+
+	h := directedPath(t, 12)
+	_, stream := collectCertify(t, h, problems.MinVertexCover{}, 2, 7, nil)
+	for _, p := range stream {
+		snap, err := DecodeCertifySnapshot(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.BestRatio = math.NaN()
+		if _, err := DecodeCertifySnapshot(snap.Encode()); err == nil {
+			t.Fatal("snapshot with a NaN best ratio accepted")
+		}
+		break
+	}
+}
+
+// FuzzDecodeCertifySnapshot: DecodeCertifySnapshot never panics; it
+// allocates within 32 B per payload byte plus 64 KiB, so a count the
+// payload claims but cannot hold is rejected before anything is sized
+// from it; and a payload it accepts re-encodes to bytes that decode to
+// the same snapshot. The bound covers the worst case: a type id byte
+// sizes 4 B of TypeOf, a letter-count byte a 24 B slice header, and a
+// letter's two bytes 16 B.
+func FuzzDecodeCertifySnapshot(f *testing.F) {
+	f.Add(hugeClaimPayload())
+	_, stream := collectCertify(f, directedPath(f, 12), problems.MinVertexCover{}, 2, 7, nil)
+	if len(stream[7]) == 0 {
+		f.Fatal("no certify snapshot at cursor 7 to seed with")
+	}
+	f.Add(stream[7])
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := DecodeCertifySnapshot(payload)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 32*uint64(len(payload))+64<<10 {
+			t.Fatalf("decoding %d bytes allocated %d bytes", len(payload), grew)
+		}
+		if err != nil {
+			return
+		}
+		again, err := DecodeCertifySnapshot(s.Encode())
+		if err != nil {
+			t.Fatalf("re-encoded snapshot rejected: %v", err)
+		}
+		if !reflect.DeepEqual(again, s) {
+			t.Fatalf("round trip mismatch:\n  in  %+v\n  out %+v", s, again)
+		}
+	})
 }

@@ -98,13 +98,22 @@ func (f Family) Order() *big.Int {
 // Identity returns the identity element.
 func (f Family) Identity() Elem { return make(Elem, f.Dim()) }
 
+// norm reduces x into [0, Mod) for finite families and returns it
+// unchanged for U. The coordinates mul adds are already reduced, so
+// their sums lie in [0, 2·Mod): those operands take a compare and at
+// most one subtraction, and only the others (negated coordinates,
+// unreduced input) pay for the division.
 func (f Family) norm(x int) int {
-	if f.Mod == 0 {
+	m := f.Mod
+	switch {
+	case m == 0 || 0 <= x && x < m:
 		return x
+	case x >= m && x-m < m:
+		return x - m
 	}
-	x %= f.Mod
+	x %= m
 	if x < 0 {
-		x += f.Mod
+		x += m
 	}
 	return x
 }
@@ -151,7 +160,8 @@ func (f Family) mul(dst, a, b Elem, level int) {
 	d := 1<<(level-1) - 1 // dim of each direct factor
 	x, y, z := a[:d], a[d:2*d], a[2*d]
 	xp, yp := b[:d], b[d:2*d]
-	if odd(f.norm(z)) {
+	// Mod is even or 0, so reducing z keeps its parity.
+	if odd(z) {
 		xp, yp = yp, xp
 	}
 	f.mul(dst[:d], x, xp, level-1)
@@ -174,7 +184,7 @@ func (f Family) inv(dst, a Elem, level int) {
 	}
 	d := 1<<(level-1) - 1
 	x, y, z := a[:d], a[d:2*d], a[2*d]
-	if odd(f.norm(z)) {
+	if odd(z) { // z's parity survives reduction, as in mul
 		// (x, y | z)^{-1} = (y^{-1}, x^{-1} | −z) when z is odd.
 		x, y = y, x
 	}

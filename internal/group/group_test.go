@@ -53,6 +53,24 @@ func TestIdentityAndNormalize(t *testing.T) {
 	if f.IsIdentity(Elem{4, 0, 0}) != true {
 		t.Error("4 ≡ 0 mod 4")
 	}
+	// Every branch of the reduction: reduced, in [Mod, 2·Mod), past it
+	// and negative.
+	for x := -9; x <= 13; x++ {
+		if got, want := f.Normalize(Elem{x, 0, 0})[0], (x%4+4)%4; got != want {
+			t.Errorf("normalize(%d) mod 4 = %d, want %d", x, got, want)
+		}
+	}
+	// Mul and Inv read the swap parity off the unreduced z, so
+	// unreduced operands must give the products of their reductions.
+	for _, ab := range [][2]Elem{{{-3, 9, -5}, {6, -1, -7}}, {{7, 4, -2}, {1, 2, 3}}, {{1, 6, 9}, {-4, 5, 0}}} {
+		a, b := ab[0], ab[1]
+		if got, want := f.Mul(a, b), f.Mul(f.Normalize(a), f.Normalize(b)); !got.Equal(want) {
+			t.Errorf("%v·%v = %v, want %v", a, b, got, want)
+		}
+		if got, want := f.Inv(a), f.Inv(f.Normalize(a)); !got.Equal(want) {
+			t.Errorf("%v⁻¹ = %v, want %v", a, got, want)
+		}
+	}
 }
 
 func TestMulSemidirectAction(t *testing.T) {

@@ -414,12 +414,17 @@ type ExactReport struct {
 // being the element with odometer number v and its row {v·s_ℓ, v·s_ℓ⁻¹}
 // coming from allocation-free products, and gives each vertex its
 // position in the restricted U-order in closed form, so neither a node
-// string nor a comparison sort is involved. order.SweepMeasureInto then counts every element's
-// canonical ordered ball through worker-local sweepers and tallies
-// into one shared interner, identical at every parallelism level; τ*
-// occupancy is one lookup of the interned τ* representative in the
-// merged counts. A group whose 2|S|·m^d arc slots exceed the int32
-// CSR capacity is rejected before anything is allocated.
+// string nor a comparison sort is involved. order.SweepMeasureAllInto
+// then counts every element's canonical ordered ball at radius R
+// through worker-local sweepers: the host has only a few local
+// structures, so each worker's bundle cache resolves nearly every
+// vertex with one private probe, and only a structure the worker has
+// not met before is canonicalised against the shared interner. The
+// counts are identical at every parallelism level and to the
+// single-radius order.SweepMeasureInto; τ* occupancy is one lookup of
+// the interned τ* representative in the merged counts. A group whose
+// 2|S|·m^d arc slots exceed the int32 CSR capacity is rejected before
+// anything is allocated.
 func (c *Construction) HomogeneityExact(m, maxNodes int) (*ExactReport, error) {
 	fam, err := group.NewFamily(c.Level, m)
 	if err != nil {
@@ -446,7 +451,12 @@ func (c *Construction) HomogeneityExact(m, maxNodes int) (*ExactReport, error) {
 	}
 	in := order.NewInterner()
 	tauBall = in.Canon(tauBall)
-	hm := order.SweepMeasureInto(in, und, rank, c.R)
+	var hm order.Homogeneity
+	if c.R == 0 { // the layered pass starts at radius 1
+		hm = order.SweepMeasureInto(in, und, rank, 0)
+	} else {
+		hm = order.SweepMeasureAllInto(in, und, rank, c.R)[c.R-1]
+	}
 	girth := digraph.UndirectedGirth[string](cay, []string{cay.Node(fam.Identity())}, 2*c.R+2)
 	return &ExactReport{
 		M:          m,

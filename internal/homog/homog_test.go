@@ -293,3 +293,17 @@ func TestGensAreDistinctAcrossReductions(t *testing.T) {
 		}
 	}
 }
+
+// TestHomogeneityExactRadiusZero: at R = 0 every ball is the lone
+// centre, so the scan (which the layered sweep cannot serve, its
+// radii start at 1) finds one type on every vertex.
+func TestHomogeneityExactRadiusZero(t *testing.T) {
+	c := mustSearch(t, 1, 0)
+	rep, err := c.HomogeneityExact(4, 1<<16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.TypeCount != 1 || rep.TauCount != rep.N || rep.Alpha != 1 {
+		t.Fatalf("R=0 scan: %+v, want one type on all %d vertices", rep, rep.N)
+	}
+}

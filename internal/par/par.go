@@ -2,14 +2,16 @@
 // process-wide parallelism knob plus a small deterministic fork-join
 // helper used by the embarrassingly parallel scans (homogeneity
 // measurement, view gathering, lift classification, the experiment
-// suite).
+// suite). Workers claim contiguous chunks of the index range from one
+// shared cursor (see ForScratch): one atomic add per chunk, not per
+// index.
 //
 // Design rules, enforced by the callers:
 //
 //   - work is always indexed 0..n-1 and each index writes only its own
 //     result slot, so the merge order is fixed by the index, never by
-//     goroutine scheduling — parallel and sequential runs are
-//     byte-identical;
+//     goroutine scheduling or chunk boundaries — parallel and
+//     sequential runs are byte-identical;
 //   - any randomness is drawn sequentially *before* the fork, so RNG
 //     streams do not depend on the schedule;
 //   - Set(1) is the sequential fallback: For degenerates to a plain
@@ -23,6 +25,9 @@ import (
 	"sync"
 	"sync/atomic"
 )
+
+// maxChunk caps the number of indices one ForScratch claim hands out.
+const maxChunk = 4096
 
 // limit is the current parallelism knob (number of workers For may
 // spawn). It is process-wide: the library's scans are data-parallel
@@ -58,10 +63,11 @@ func N() int { return int(limit.Load()) }
 // that nested For calls never oversubscribe: total workers across all
 // concurrent calls stay bounded by the knob, and a For issued from
 // inside another For's worker runs inline. Indices are handed out
-// dynamically (work stealing via a shared counter), so callers must
-// make fn(i) touch only state owned by index i. With N() == 1, or
-// n <= 1, or an exhausted budget, fn runs inline on the calling
-// goroutine in increasing index order.
+// dynamically, in contiguous chunks claimed from a shared cursor (see
+// ForScratch), so which goroutine runs index i depends on the
+// schedule, and callers must make fn(i) touch only state owned by
+// index i. With N() == 1, or n <= 1, or an exhausted budget, fn runs
+// inline on the calling goroutine in increasing index order.
 //
 // A panic in any fn is re-raised on the calling goroutine after all
 // workers have stopped.
@@ -78,14 +84,26 @@ func For(n int, fn func(i int)) {
 // allocated once per worker instead of once per index. The ownership
 // rule extends naturally: fn(i, s) may touch s and state owned by
 // index i, nothing else; a scratch value is never shared between two
-// goroutines. Scheduling, the worker budget, determinism and panic
-// propagation are exactly as in For.
+// goroutines, and mk runs at most min(N(), n) times (not at all when
+// n <= 0). The worker budget, determinism and panic propagation are
+// exactly as in For.
+//
+// Scheduling: each worker claims a contiguous chunk of indices with one
+// atomic add on a shared cursor and runs it in increasing index order,
+// as model.Engine's round workers claim worklist chunks. The chunk is
+// n/(16·workers), clamped to [1, 4096]: sixteen claims per worker keep
+// the tail short when per-index costs vary, the cap bounds the last
+// chunk's straggle, and below 16 indices per worker the claim is one
+// index, so a fan-out of a few expensive items (the experiment suite,
+// the generator search) still balances index by index. A claim per
+// index bounces the cursor's cache line between cores on every index,
+// which on a scan of cheap indices can cost more CPU than the work
+// itself (BenchmarkForScratchClaim, DESIGN §2).
 func ForScratch[S any](n int, mk func() S, fn func(i int, s S)) {
-	want := int(limit.Load()) - 1
-	if want > n-1 {
-		want = n - 1
+	if n <= 0 {
+		return
 	}
-	spawn := reserve(want)
+	spawn := reserve(min(int(limit.Load()), n) - 1)
 	if spawn <= 0 {
 		s := mk()
 		for i := 0; i < n; i++ {
@@ -94,6 +112,7 @@ func ForScratch[S any](n int, mk func() S, fn func(i int, s S)) {
 		return
 	}
 	defer extra.Add(-int64(spawn))
+	chunk := min(max(n/((spawn+1)*16), 1), maxChunk)
 	var (
 		next     atomic.Int64
 		wg       sync.WaitGroup
@@ -112,11 +131,13 @@ func ForScratch[S any](n int, mk func() S, fn func(i int, s S)) {
 		}()
 		s := mk()
 		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
+			lo := int(next.Add(int64(chunk))) - chunk
+			if lo >= n {
 				return
 			}
-			fn(i, s)
+			for i := lo; i < min(lo+chunk, n); i++ {
+				fn(i, s)
+			}
 		}
 	}
 	wg.Add(spawn)
@@ -144,9 +165,9 @@ func ForScratch[S any](n int, mk func() S, fn func(i int, s S)) {
 // Scratch values are merged in the order the workers registered,
 // which depends on goroutine scheduling: merge must therefore be
 // commutative and associative (count accumulation is) for the final
-// result to be deterministic. With N() == 1 exactly one scratch is
-// created and merged, so the sequential fallback is the plain loop
-// plus one merge call.
+// result to be deterministic. With N() == 1 and n > 0 exactly one
+// scratch is created and merged, so the sequential fallback is the
+// plain loop plus one merge call; n <= 0 merges nothing.
 func ForScratchMerge[S any](n int, mk func() S, fn func(i int, s S), merge func(s S)) {
 	var (
 		mu  sync.Mutex

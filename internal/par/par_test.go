@@ -7,44 +7,69 @@ import (
 	"testing"
 )
 
+// chunkSizes are scan lengths around the chunk boundaries of
+// ForScratch: 16 indices per worker at 2 workers (31–33), below which
+// every claim is one index; 4095–4097, the chunk cap as a length; and
+// 2^17+3, which 2 workers claim in capped 4096-index chunks with a
+// short last one.
+var chunkSizes = []int{0, 1, 2, 7, 31, 32, 33, 64, 500, 1000, 4095, 4096, 4097, 1<<17 + 3}
+
+// TestForCoversAllIndices: every index runs exactly once at every
+// chunk boundary, and mk runs at most once per participating
+// goroutine, min(p, n) times.
 func TestForCoversAllIndices(t *testing.T) {
-	defer Set(Set(8))
-	for _, n := range []int{0, 1, 2, 7, 64, 1000} {
-		hits := make([]int32, n)
-		For(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("n=%d: index %d visited %d times", n, i, h)
+	for _, p := range []int{2, 3, 8} {
+		defer Set(Set(p))
+		for _, n := range chunkSizes {
+			hits := make([]int32, n)
+			var mks atomic.Int32
+			ForScratch(n,
+				func() struct{} { mks.Add(1); return struct{}{} },
+				func(i int, _ struct{}) { atomic.AddInt32(&hits[i], 1) })
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("p=%d n=%d: index %d visited %d times", p, n, i, h)
+				}
+			}
+			if got := int(mks.Load()); got > min(p, n) {
+				t.Fatalf("p=%d n=%d: mk ran %d times, want at most %d", p, n, got, min(p, n))
 			}
 		}
 	}
 }
 
 // TestForScratchMergeTallies pins the worker-local tallying contract:
-// every index is counted exactly once across all merged scratches, at
-// parallelism 1 and 8, and with p=1 exactly one scratch participates.
+// every index is counted exactly once across all merged scratches, a
+// worker runs each chunk it claims in increasing index order, at most
+// min(p, n) scratches participate, and with p=1 exactly one does.
 func TestForScratchMergeTallies(t *testing.T) {
-	for _, p := range []int{1, 8} {
+	for _, p := range []int{1, 2, 3, 8} {
 		defer Set(Set(p))
-		for _, n := range []int{0, 1, 7, 500} {
+		for _, n := range chunkSizes {
 			total := 0
 			scratches := 0
+			seen := make([]bool, n)
 			ForScratchMerge(n,
 				func() *[]int { s := make([]int, 0, n); return &s },
 				func(i int, s *[]int) { *s = append(*s, i) },
 				func(s *[]int) {
 					scratches++
 					total += len(*s)
-					seen := make(map[int]bool)
-					for _, i := range *s {
+					for k, i := range *s {
 						if i < 0 || i >= n || seen[i] {
-							t.Fatalf("p=%d n=%d: bad or duplicate index %d in one scratch", p, n, i)
+							t.Fatalf("p=%d n=%d: bad or duplicate index %d", p, n, i)
+						}
+						if k > 0 && i < (*s)[k-1] {
+							t.Fatalf("p=%d n=%d: index %d ran after %d on one worker", p, n, i, (*s)[k-1])
 						}
 						seen[i] = true
 					}
 				})
 			if total != n {
 				t.Fatalf("p=%d n=%d: merged %d indices", p, n, total)
+			}
+			if scratches > min(p, n) {
+				t.Fatalf("p=%d n=%d: %d scratches, want at most %d", p, n, scratches, min(p, n))
 			}
 			if p == 1 && n > 0 && scratches != 1 {
 				t.Fatalf("sequential fallback used %d scratches", scratches)
@@ -78,15 +103,21 @@ func TestSetClamps(t *testing.T) {
 	}
 }
 
+// TestForPanicPropagates: a panic at an index in the middle of a
+// claimed chunk (4096 indices at p=4 claim 64 at a time) reaches the
+// caller after the join, with the worker budget handed back.
 func TestForPanicPropagates(t *testing.T) {
 	defer Set(Set(4))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("panic did not propagate")
 		}
+		if InUse() != 0 {
+			t.Fatalf("InUse=%d after a propagated panic", InUse())
+		}
 	}()
-	For(16, func(i int) {
-		if i == 7 {
+	For(4096, func(i int) {
+		if i == 64+37 {
 			panic("boom")
 		}
 	})
@@ -214,4 +245,19 @@ func containsAll(s string, subs ...string) bool {
 
 func errorsAs(err error, target **PanicError) bool {
 	return errors.As(err, target)
+}
+
+// BenchmarkForScratchClaim times the claim overhead of ForScratch: at
+// par 2 over 2^18 indices each fn writes only its own slot, so ns/op
+// is almost all claiming and the cache-line traffic on the shared
+// cursor.
+func BenchmarkForScratchClaim(b *testing.B) {
+	defer Set(Set(2))
+	const n = 1 << 18
+	out := make([]int32, n)
+	for range b.N {
+		ForScratch(n,
+			func() struct{} { return struct{}{} },
+			func(i int, _ struct{}) { out[i] = int32(i) })
+	}
 }
