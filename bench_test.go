@@ -624,6 +624,26 @@ func BenchmarkHomogeneityExact(b *testing.B) {
 	}
 }
 
+// BenchmarkCayleyOrderedHost times the CSR build inside one
+// BenchmarkHomogeneityExact scan on its own: the neighbour rows, the
+// U-order ranks and graph.FromCSR's sort and mirror check for
+// C(H_2(64), S).
+func BenchmarkCayleyOrderedHost(b *testing.B) {
+	c, err := homog.Search(1, 1, homog.SearchOptions{Seed: 42})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cay, err := c.HCayley(64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for b.Loop() {
+		if _, _, err := cay.OrderedHost(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkHomogeneitySample(b *testing.B) {
 	c, err := homog.Search(1, 1, homog.SearchOptions{Seed: 42})
 	if err != nil {

@@ -43,14 +43,27 @@ const digestLen = sha256.Size
 
 // Encode wraps a payload in the self-verifying container.
 func Encode(kind string, payload []byte) []byte {
+	blob, _ := encode(kind, payload)
+	return blob
+}
+
+// encode is Encode also returning Sum(blob) from the same hash pass:
+// once the trailer digest is taken, the hash state that produced it
+// is fed the digest too, which is the whole blob hashed, so the file
+// name costs 32 more bytes of hashing instead of a second pass.
+func encode(kind string, payload []byte) (blob []byte, sum string) {
 	b := make([]byte, 0, len(magic)+2*binary.MaxVarintLen64+len(kind)+len(payload)+digestLen)
 	b = append(b, magic...)
 	b = binary.AppendUvarint(b, uint64(len(kind)))
 	b = append(b, kind...)
 	b = binary.AppendUvarint(b, uint64(len(payload)))
 	b = append(b, payload...)
-	sum := sha256.Sum256(b)
-	return append(b, sum[:]...)
+	h := sha256.New()
+	h.Write(b)
+	b = h.Sum(b)
+	h.Write(b[len(b)-digestLen:])
+	var whole [digestLen]byte
+	return b, shortSum(h.Sum(whole[:0]))
 }
 
 // Decode unwraps a container, verifying the magic and the digest. The
@@ -65,24 +78,39 @@ func Decode(data []byte) (kind string, payload []byte, err error) {
 		return "", nil, fmt.Errorf("ckpt: digest mismatch (corrupt or truncated checkpoint)")
 	}
 	rest := body[len(magic):]
-	klen, n := binary.Uvarint(rest)
+	klen, n := uvarint(rest)
 	if n <= 0 || uint64(len(rest)-n) < klen {
 		return "", nil, fmt.Errorf("ckpt: malformed kind length")
 	}
 	kind, rest = string(rest[n:n+int(klen)]), rest[n+int(klen):]
-	plen, n := binary.Uvarint(rest)
+	plen, n := uvarint(rest)
 	if n <= 0 || uint64(len(rest)-n) != plen {
 		return "", nil, fmt.Errorf("ckpt: malformed payload length")
 	}
 	return kind, rest[n:], nil
 }
 
+// uvarint is binary.Uvarint refusing padded encodings (a final zero
+// byte after a continuation byte): Encode writes minimal lengths only,
+// so every container Decode accepts re-encodes to the same bytes and
+// is stored under one name.
+func uvarint(b []byte) (uint64, int) {
+	x, n := binary.Uvarint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, 0
+	}
+	return x, n
+}
+
 // Sum returns the short content hash (first 12 hex digits of sha256)
 // used in store filenames.
 func Sum(data []byte) string {
 	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:6])
+	return shortSum(sum[:])
 }
+
+// shortSum renders a sha256 digest as a store-filename hash.
+func shortSum(digest []byte) string { return hex.EncodeToString(digest[:6]) }
 
 // Store is a directory of sequence-numbered, content-addressed
 // checkpoint files. The zero Store is not usable; use NewStore.
@@ -103,17 +131,17 @@ func NewStore(dir, prefix string) (*Store, error) {
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-// name builds the content-addressed filename of a blob.
-func (s *Store) name(seq uint64, blob []byte) string {
-	return fmt.Sprintf("%s-%08d-%s.ck", s.prefix, seq, Sum(blob))
+// name builds the content-addressed filename of a blob from its Sum.
+func (s *Store) name(seq uint64, sum string) string {
+	return fmt.Sprintf("%s-%08d-%s.ck", s.prefix, seq, sum)
 }
 
 // Write encodes the payload and persists it atomically under the next
 // name: temp file in the same directory, fsync, rename. It returns the
 // final path.
 func (s *Store) Write(seq uint64, kind string, payload []byte) (string, error) {
-	blob := Encode(kind, payload)
-	final := filepath.Join(s.dir, s.name(seq, blob))
+	blob, sum := encode(kind, payload)
+	final := filepath.Join(s.dir, s.name(seq, sum))
 	tmp, err := os.CreateTemp(s.dir, ".tmp-"+s.prefix+"-*")
 	if err != nil {
 		return "", fmt.Errorf("ckpt: %w", err)

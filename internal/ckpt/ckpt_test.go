@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"os"
 	"path/filepath"
 	"strings"
@@ -145,5 +146,65 @@ func TestStoreFilenameIsContentAddressed(t *testing.T) {
 	wantHash := Sum(Encode("k", []byte("abc")))
 	if !strings.HasPrefix(base, "run-00000007-") || !strings.Contains(base, wantHash) {
 		t.Fatalf("filename %q missing seq/hash (want hash %s)", base, wantHash)
+	}
+}
+
+// engineSeed is a real engine checkpoint, kept under its store name:
+// round 16 of `localsim -algo flood -n 64 -rounds 48 -faults
+// lossy:p=0.05 -checkpoint <dir> -checkpoint-every 16`.
+const engineSeed = "testdata/localsim-00000016-c1a551b0d90f.ck"
+
+// FuzzDecode: Decode never panics on arbitrary bytes; a blob it
+// accepts re-encodes to identical bytes; and the single-pass file name
+// Store.Write uses equals Sum of the blob. The seeds are a real engine
+// snapshot, truncated and bit-flipped copies of it, and a container
+// with a padded length.
+func FuzzDecode(f *testing.F) {
+	blob, err := os.ReadFile(engineSeed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if !strings.Contains(engineSeed, Sum(blob)) {
+		f.Fatalf("seed %s hashes to %s", engineSeed, Sum(blob))
+	}
+	f.Add(blob)
+	for _, cut := range []int{0, len(magic), len(magic) + 3, len(blob) / 2, len(blob) - digestLen, len(blob) - 1} {
+		f.Add(blob[:cut])
+	}
+	for _, bit := range []int{3, 8*len(magic) + 1, 8 * (len(magic) + 2), 8 * len(blob) / 2, 8*len(blob) - 1} {
+		flipped := bytes.Clone(blob)
+		flipped[bit/8] ^= 1 << (bit % 8)
+		f.Add(flipped)
+	}
+	f.Add(paddedContainer())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		kind, payload, err := Decode(data)
+		if err != nil {
+			return
+		}
+		again, sum := encode(kind, payload)
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted blob re-encodes differently:\n  in  %x\n  out %x", data, again)
+		}
+		if want := Sum(data); sum != want {
+			t.Fatalf("single-pass name %s, Sum %s", sum, want)
+		}
+	})
+}
+
+// paddedContainer is Encode("k", "abc") with the kind length written
+// as the two-byte uvarint 0x81 0x00, under a digest that matches.
+func paddedContainer() []byte {
+	b := append([]byte(magic), 0x81, 0x00, 'k', 3, 'a', 'b', 'c')
+	sum := sha256.Sum256(b)
+	return append(b, sum[:]...)
+}
+
+// TestDecodeRejectsPaddedLength: a length uvarint with a trailing zero
+// byte decodes to the same value as the minimal one, so accepting it
+// would give one payload two containers and two store names.
+func TestDecodeRejectsPaddedLength(t *testing.T) {
+	if _, _, err := Decode(paddedContainer()); err == nil {
+		t.Fatal("padded kind length accepted")
 	}
 }

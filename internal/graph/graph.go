@@ -204,6 +204,14 @@ func FromAdjacency(adj [][]int) (*Graph, error) {
 // mirror symmetry). The slices are owned by the graph afterwards.
 // This is the zero-copy path for digraph.Underlying and the ball
 // extractors, which sit inside the per-vertex scan loops.
+//
+// The mirror check probes only the upward arcs v→w (w > v) and counts
+// the downward ones. Rows are duplicate-free by then, so mirroring maps
+// upward arcs injectively onto downward ones: when every upward arc
+// has its mirror and the two counts agree, every downward arc is a
+// mirror too. That halves the binary searches and needs no n-entry
+// array. A failed check rescans every arc in order, so the error names
+// the first arc missing its mirror.
 func FromCSR(off, nbr []int32) (*Graph, error) {
 	n := len(off) - 1
 	if n < 0 {
@@ -226,7 +234,7 @@ func FromCSR(off, nbr []int32) (*Graph, error) {
 			return nil, fmt.Errorf("graph: offsets not monotone at %d", v)
 		}
 		row := nbr[off[v]:off[v+1]]
-		slices.Sort(row)
+		sortRow(row)
 		for i, w := range row {
 			if w < 0 || int(w) >= n {
 				return nil, fmt.Errorf("graph: neighbour %d of %d out of range [0,%d)", w, v, n)
@@ -243,14 +251,52 @@ func FromCSR(off, nbr []int32) (*Graph, error) {
 		return nil, fmt.Errorf("graph: adjacency is not symmetric")
 	}
 	g := &Graph{n: n, m: len(nbr) / 2, off: off, nbr: nbr}
+	up, down := 0, 0
 	for v := 0; v < n; v++ {
 		for _, w := range g.row(v) {
+			if int(w) < v {
+				down++
+				continue
+			}
 			if !g.HasEdge(int(w), v) {
-				return nil, fmt.Errorf("graph: edge {%d,%d} missing its mirror", v, w)
+				return nil, g.missingMirror()
+			}
+			up++
+		}
+	}
+	if up != down {
+		return nil, g.missingMirror()
+	}
+	return g, nil
+}
+
+// missingMirror names the first arc, in vertex and row order, whose
+// mirror is absent; FromCSR calls it only once its check has failed.
+func (g *Graph) missingMirror() error {
+	for v := 0; v < g.n; v++ {
+		for _, w := range g.row(v) {
+			if !g.HasEdge(int(w), v) {
+				return fmt.Errorf("graph: edge {%d,%d} missing its mirror", v, w)
 			}
 		}
 	}
-	return g, nil
+	panic("graph: mirror check failed without an arc missing its mirror")
+}
+
+// sortRow sorts one CSR row in place. Host rows are short, and below
+// 13 entries an insertion loop beats the call into slices.Sort.
+func sortRow(row []int32) {
+	if len(row) > 12 {
+		slices.Sort(row)
+		return
+	}
+	for i := 1; i < len(row); i++ {
+		x, j := row[i], i
+		for ; j > 0 && row[j-1] > x; j-- {
+			row[j] = row[j-1]
+		}
+		row[j] = x
+	}
 }
 
 // row returns the sorted neighbour row of v (internal form of

@@ -103,11 +103,15 @@ func (c *Cayley) In(v string) []digraph.ArcTo[string] {
 // family by integer index: vertex v is the element with odometer
 // number v, its CSR row lists v·s_ℓ and v·s_ℓ^{-1} for every generator,
 // and rank[v] is its position in the restricted U-order, in closed
-// form (see urank). graph.FromCSR sorts the rows and rejects
-// self-loops and parallel pairs, which a simple graph cannot hold; a
-// parallel pair is a 2-cycle, which a girth certificate excludes. The
-// arc slots are counted before anything is allocated, so a group past
-// the int32 CSR capacity is an error, not a wrapped index.
+// form (see urank). Which coordinate of the right factor meets
+// coordinate k of v depends only on v's z-coordinates, so that swap
+// pattern is computed once per vertex (swapSources) and every
+// neighbour index is read straight off it (productIndex): no product
+// buffer, no recursive mul, no index pass. graph.FromCSR sorts the
+// rows and rejects self-loops and parallel pairs, which a simple graph
+// cannot hold; a parallel pair is a 2-cycle, which a girth certificate
+// excludes. The arc slots are counted before anything is allocated, so
+// a group past the int32 CSR capacity is an error, not a wrapped index.
 func (c *Cayley) OrderedHost() (*graph.Graph, []int, error) {
 	f := c.fam
 	if !f.Finite() {
@@ -123,14 +127,14 @@ func (c *Cayley) OrderedHost() (*graph.Graph, []int, error) {
 	off := make([]int32, n+1)
 	nbr := make([]int32, n*deg)
 	rank := make([]int, n)
-	e, buf := f.Identity(), f.Identity()
+	e := f.Identity()
+	src := make([]int, len(e))
 	for v := range n {
+		swapSources(src, e, 0, 0, f.Level)
 		row := nbr[v*deg : (v+1)*deg]
 		for l := range c.gens {
-			f.mul(buf, e, c.gens[l], f.Level)
-			row[2*l] = int32(f.index(buf))
-			f.mul(buf, e, c.invs[l], f.Level)
-			row[2*l+1] = int32(f.index(buf))
+			row[2*l] = int32(productIndex(e, c.gens[l], src, f.Mod))
+			row[2*l+1] = int32(productIndex(e, c.invs[l], src, f.Mod))
 		}
 		off[v+1] = int32((v + 1) * deg)
 		rank[v] = f.urank(e, f.Level)
@@ -141,6 +145,43 @@ func (c *Cayley) OrderedHost() (*graph.Graph, []int, error) {
 		return nil, nil, fmt.Errorf("group: C(%v, S) is not a simple graph: %w", f, err)
 	}
 	return g, rank, nil
+}
+
+// swapSources fills src for the block of e that starts at coordinate
+// at and has the given level: src[at+k] becomes the coordinate of the
+// right factor that mul adds to coordinate at+k of e, the matching
+// block of the right factor starting at from. An odd z swaps the two
+// direct factors, as in mul. The pattern depends on e alone, so one
+// call serves every product e·s.
+func swapSources(src []int, e Elem, at, from, level int) {
+	if level == 1 {
+		src[at] = from
+		return
+	}
+	d := 1<<(level-1) - 1
+	x, y := from, from+d
+	if odd(e[at+2*d]) {
+		x, y = y, x
+	}
+	swapSources(src, e, at, x, level-1)
+	swapSources(src, e, at+d, y, level-1)
+	src[at+2*d] = from + 2*d
+}
+
+// productIndex returns index(e·s) for e and s reduced mod m, given
+// e's swap pattern src: coordinate k of the product is e[k] + s[src[k]],
+// a sum in [0, 2m) that one conditional subtraction reduces, folded
+// into the odometer number from the most significant coordinate down.
+func productIndex(e, s Elem, src []int, m int) int {
+	v := 0
+	for k := len(e) - 1; k >= 0; k-- {
+		x := e[k] + s[src[k]]
+		if x >= m {
+			x -= m
+		}
+		v = v*m + x
+	}
+	return v
 }
 
 // EncodeElem renders a tuple as a comma-separated string. Digits are

@@ -262,7 +262,8 @@ func (f Family) Positive(w Elem) bool {
 
 // index returns the odometer number Σ e[j]·Mod^j of an element of a
 // finite family (coordinate 0 least significant), its vertex number in
-// OrderedHost.
+// OrderedHost. OrderedHost reads product indices off productIndex
+// instead; index(Mul(e, s)) is the test reference for those rows.
 func (f Family) index(e Elem) int {
 	v := 0
 	for j := len(e) - 1; j >= 0; j-- {

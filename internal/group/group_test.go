@@ -1,7 +1,9 @@
 package group
 
 import (
+	"math/big"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -254,6 +256,87 @@ func TestOrderedHostRejects(t *testing.T) {
 	if _, _, err := u.OrderedHost(); err == nil {
 		t.Error("infinite family accepted")
 	}
+}
+
+// TestOrderedHostRowsMatchMul pins OrderedHost's swap-pattern rows
+// against the products they replace: for H at levels 1–4 and m in
+// {2, 4, 6, 64} (m = 2 is W) wherever |H| <= 300,000, and random
+// generator sets with an odd top z-coordinate in the first generator,
+// the row of vertex v must be the sorted index(Mul(e, s^{±1})) of the
+// element e numbered v, and rank[v] must be urank(e). Hosts past 4,096
+// vertices are checked on 2,000 sampled vertices.
+func TestOrderedHostRowsMatchMul(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for level := 1; level <= 4; level++ {
+		for _, m := range []int{2, 4, 6, 64} {
+			f := H(level, m)
+			if f.Order().Cmp(big.NewInt(300_000)) > 0 {
+				continue
+			}
+			n := int(f.Order().Int64())
+			for k := 1; k <= 3; k++ {
+				gens := simpleGens(f, k, rng)
+				if gens == nil {
+					continue // too small a group for k generators
+				}
+				c, err := NewCayley(f, gens)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, rank, err := c.OrderedHost()
+				if err != nil {
+					t.Fatalf("%v S=%v: %v", f, gens, err)
+				}
+				for i := 0; i < min(n, 2000); i++ {
+					v := i
+					if n > 4096 {
+						v = rng.Intn(n)
+					}
+					e := f.Identity()
+					for j, x := 0, v; j < len(e); j, x = j+1, x/m {
+						e[j] = x % m
+					}
+					var want []int32
+					for _, s := range gens {
+						want = append(want, int32(f.index(f.Mul(e, s))), int32(f.index(f.Mul(e, f.Inv(s)))))
+					}
+					slices.Sort(want)
+					if got := g.Neighbors(v); !slices.Equal(got, want) {
+						t.Fatalf("%v S=%v: row of %d (%v) = %v, want %v", f, gens, v, e, got, want)
+					}
+					if rank[v] != f.urank(e, level) {
+						t.Fatalf("%v: rank[%d] = %d, want %d", f, v, rank[v], f.urank(e, level))
+					}
+				}
+			}
+		}
+	}
+}
+
+// simpleGens draws k random generators of f whose 2k elements s^{±1}
+// are distinct and not the identity, so C(f, S) is a simple graph; the
+// first has an odd top z-coordinate at levels >= 2. It returns nil
+// when 200 draws find no such set.
+func simpleGens(f Family, k int, rng *rand.Rand) []Elem {
+draw:
+	for range 200 {
+		var gens, seen []Elem
+		for i := range k {
+			s := f.Rand(rng)
+			if i == 0 && f.Level > 1 && !odd(s[len(s)-1]) {
+				s[len(s)-1]++
+			}
+			for _, x := range []Elem{s, f.Inv(s)} {
+				if f.IsIdentity(x) || slices.ContainsFunc(seen, x.Equal) {
+					continue draw
+				}
+				seen = append(seen, x)
+			}
+			gens = append(gens, s)
+		}
+		return gens
+	}
+	return nil
 }
 
 func TestCayleyArcsConsistent(t *testing.T) {

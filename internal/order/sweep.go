@@ -73,13 +73,18 @@ const maxBundles = 1 << 12
 
 // ballBundle is one cached layered structure (in BFS space, exactly
 // the fields the probe compares) and its per-radius canonical balls
-// (balls[r-1] is the radius-r representative).
+// (balls[r-1] is the radius-r representative). hits counts the
+// vertices that resolved to it in the whole-host sweep that made its
+// sweeper (sweepMeasureAll makes fresh ones per scan, and the vertex
+// that creates a bundle is its first hit), so the sweep tallies one
+// count per bundle instead of rmax map increments per vertex.
 type ballBundle struct {
 	depth []int32
 	boff  []int32
 	bnbr  []int32
 	perm  []int32
 	balls []*Ball
+	hits  int
 }
 
 // NewSweeper returns an empty sweeper; its buffers are sized on first
@@ -155,6 +160,14 @@ func (s *Sweeper) CanonicalBalls(g *graph.Graph, rank Rank, v, rmax int, in *Int
 	if rmax < 1 {
 		return nil
 	}
+	balls, _ := s.canonicalBalls(g, rank, v, rmax, in)
+	return balls
+}
+
+// canonicalBalls is CanonicalBalls (rmax >= 1) also returning the
+// cached bundle the balls came from, or nil when the structure is not
+// in the cache and the cache is full.
+func (s *Sweeper) canonicalBalls(g *graph.Graph, rank Rank, v, rmax int, in *Interner) ([]*Ball, *ballBundle) {
 	if s.bundles == nil || s.bin != in || s.brmax != rmax {
 		s.bundles = make(map[uint64][]*ballBundle)
 		s.nbund = 0
@@ -207,7 +220,7 @@ func (s *Sweeper) CanonicalBalls(g *graph.Graph, rank Rank, v, rmax int, in *Int
 	for qi, u := range s.queue {
 		s.keys = append(s.keys, uint64(rank[u])<<maxBallBits|uint64(qi))
 	}
-	slices.Sort(s.keys)
+	sortKeys(s.keys)
 	s.perm = s.perm[:0]
 	for _, key := range s.keys {
 		qi := int32(key & (1<<maxBallBits - 1))
@@ -218,21 +231,40 @@ func (s *Sweeper) CanonicalBalls(g *graph.Graph, rank Rank, v, rmax int, in *Int
 	for _, b := range s.bundles[h] {
 		if slices.Equal(b.depth, s.depth) && slices.Equal(b.boff, s.boff) &&
 			slices.Equal(b.bnbr, s.bnbr) && slices.Equal(b.perm, s.perm) {
-			return b.balls
+			return b.balls, b
 		}
 	}
 	balls := s.layerBalls(in, rmax)
-	if s.nbund < maxBundles {
-		s.bundles[h] = append(s.bundles[h], &ballBundle{
-			depth: slices.Clone(s.depth),
-			boff:  slices.Clone(s.boff),
-			bnbr:  slices.Clone(s.bnbr),
-			perm:  slices.Clone(s.perm),
-			balls: balls,
-		})
-		s.nbund++
+	if s.nbund == maxBundles {
+		return balls, nil
 	}
-	return balls
+	b := &ballBundle{
+		depth: slices.Clone(s.depth),
+		boff:  slices.Clone(s.boff),
+		bnbr:  slices.Clone(s.bnbr),
+		perm:  slices.Clone(s.perm),
+		balls: balls,
+	}
+	s.bundles[h] = append(s.bundles[h], b)
+	s.nbund++
+	return balls, b
+}
+
+// sortKeys sorts the packed rank keys in place. Balls are small on the
+// hosts a whole-host sweep can afford, and below 17 keys an insertion
+// loop beats the call into slices.Sort.
+func sortKeys(keys []uint64) {
+	if len(keys) > 16 {
+		slices.Sort(keys)
+		return
+	}
+	for i := 1; i < len(keys); i++ {
+		x, j := keys[i], i
+		for ; j > 0 && keys[j-1] > x; j-- {
+			keys[j] = keys[j-1]
+		}
+		keys[j] = x
+	}
 }
 
 // layerBalls converts the BFS-space structure to rank space (the
@@ -397,7 +429,11 @@ func SweepMeasureInto(in *Interner, g *graph.Graph, rank Rank, r int) Homogeneit
 // SweepMeasureAll computes the homogeneity of (g, rank) at every
 // radius r = 1..rmax (result[r-1]) in a single whole-host pass: one
 // BFS per vertex (Sweeper.CanonicalBalls), one shared interner, and
-// worker-local count maps per radius merged after the join. Each
+// worker-local tallies merged after the join. A vertex resolved by a
+// cached bundle bumps that bundle's count, and the merge adds each
+// bundle's count to its per-radius balls, so a homogeneous host
+// tallies as a handful of class counts; only vertices that miss a full
+// bundle cache count in the per-radius maps. Each
 // entry is identical — same counts, and the same interned majority
 // *Ball when probed through a shared interner — to a separate
 // SweepMeasure call at that radius, which is what the differential
@@ -408,8 +444,10 @@ func SweepMeasureAll(g *graph.Graph, rank Rank, rmax int) []Homogeneity {
 }
 
 // sweepTally is the worker-local tallying scratch of SweepMeasureAll:
-// one sweeper and one count map per radius per worker, plus this
-// worker's processed-vertex counter driving the cancellation poll.
+// one sweeper, whose cached bundles count the vertices they resolve,
+// and one count map per radius for the vertices no bundle holds, plus
+// this worker's processed-vertex counter driving the cancellation
+// poll.
 type sweepTally struct {
 	sw     *Sweeper
 	counts []map[*Ball]int
@@ -485,14 +523,26 @@ func sweepMeasureAll(ctx context.Context, in *Interner, g *graph.Graph, rank Ran
 				}
 				t.done++
 			}
-			for r, b := range t.sw.CanonicalBalls(g, rank, v, rmax, in) {
-				t.counts[r][b]++
+			balls, b := t.sw.canonicalBalls(g, rank, v, rmax, in)
+			if b != nil {
+				b.hits++
+				return
+			}
+			for r, ball := range balls {
+				t.counts[r][ball]++
 			}
 		},
 		func(t *sweepTally) {
 			for r, counts := range t.counts {
 				for b, c := range counts {
 					merged[r][b] += c
+				}
+			}
+			for _, chain := range t.sw.bundles {
+				for _, b := range chain {
+					for r, ball := range b.balls {
+						merged[r][ball] += b.hits
+					}
 				}
 			}
 		})

@@ -1,6 +1,7 @@
 package order
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -146,24 +147,56 @@ func TestSweepMeasureAllDifferential(t *testing.T) {
 				t.Fatalf("%s p=%d: SweepMeasureAll returned %d radii, want %d", name, p, len(all), rmax)
 			}
 			for r := 1; r <= rmax; r++ {
-				got, ref := all[r-1], refs[r-1]
-				if got.Majority != ref.Majority {
-					t.Errorf("%s p=%d r=%d: majority ball pointers differ", name, p, r)
-				}
-				if got.Alpha != ref.Alpha || got.Count != ref.Count || got.N != ref.N || got.Type != ref.Type {
-					t.Errorf("%s p=%d r=%d: layered (α=%v c=%d %q) != per-radius (α=%v c=%d %q)",
-						name, p, r, got.Alpha, got.Count, got.Type, ref.Alpha, ref.Count, ref.Type)
-				}
-				if len(got.Counts) != len(ref.Counts) {
-					t.Fatalf("%s p=%d r=%d: %d types != %d types", name, p, r, len(got.Counts), len(ref.Counts))
-				}
-				for b, c := range ref.Counts {
-					if got.Counts[b] != c {
-						t.Errorf("%s p=%d r=%d: count of %p: %d != %d", name, p, r, b, got.Counts[b], c)
-					}
-				}
+				sameHomogeneity(t, fmt.Sprintf("%s p=%d r=%d", name, p, r), all[r-1], refs[r-1])
 			}
 		}
+	}
+}
+
+// sameHomogeneity requires a layered result to equal the per-radius
+// one: the pointer-identical majority, the same α, count and type, and
+// the same count for every interned ball.
+func sameHomogeneity(t *testing.T, at string, got, ref Homogeneity) {
+	t.Helper()
+	if got.Majority != ref.Majority {
+		t.Errorf("%s: majority ball pointers differ", at)
+	}
+	if got.Alpha != ref.Alpha || got.Count != ref.Count || got.N != ref.N || got.Type != ref.Type {
+		t.Errorf("%s: layered (α=%v c=%d %q) != per-radius (α=%v c=%d %q)",
+			at, got.Alpha, got.Count, got.Type, ref.Alpha, ref.Count, ref.Type)
+	}
+	if len(got.Counts) != len(ref.Counts) {
+		t.Fatalf("%s: %d types != %d types", at, len(got.Counts), len(ref.Counts))
+	}
+	for b, c := range ref.Counts {
+		if got.Counts[b] != c {
+			t.Errorf("%s: count of %p: %d != %d", at, b, got.Counts[b], c)
+		}
+	}
+}
+
+// TestSweepMeasureAllFullBundleCache: on a host with more layered
+// structures than maxBundles, the one sequential sweeper fills its
+// cache, so its tally mixes per-bundle counts with the per-radius map
+// counts of the vertices that missed the full cache. Both must add up
+// to the per-radius engine's counts.
+func TestSweepMeasureAllFullBundleCache(t *testing.T) {
+	defer par.Set(par.Set(1))
+	const rmax = 2
+	g := graph.RandomRegular(3*maxBundles/2, 3, rand.New(rand.NewSource(22)))
+	rank := Identity(g.N())
+	in := NewInterner()
+	all := SweepMeasureAllInto(in, g, rank, rmax)
+	s, filled := NewSweeper(), false
+	for v := 0; v < g.N() && !filled; v++ {
+		s.CanonicalBalls(g, rank, v, rmax, in)
+		filled = s.nbund == maxBundles
+	}
+	if !filled {
+		t.Fatalf("the host filled only %d of %d bundle slots", s.nbund, maxBundles)
+	}
+	for r := 1; r <= rmax; r++ {
+		sameHomogeneity(t, fmt.Sprintf("r=%d", r), all[r-1], SweepMeasureInto(in, g, rank, r))
 	}
 }
 
