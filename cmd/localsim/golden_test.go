@@ -80,14 +80,54 @@ func TestScaleModeGolden(t *testing.T) {
 	}
 }
 
+// TestScaleModeFaultFamiliesGolden pins every other fault family on
+// the flat and the 2-shard Cole–Vishkin and on the matching: node
+// faults (crash-recover, churn, crash-stop with targeted drops) and
+// inbox reordering, which the lossy and crash-stop lines above never
+// exercise.
+func TestScaleModeFaultFamiliesGolden(t *testing.T) {
+	for _, prof := range []struct{ name, desc string }{
+		{"dup-reorder", "dup+reorder"},
+		{"churn", "churn:p=0.3,window=2"},
+		{"adversarial", "adversarial:p=0.1,f=3"},
+		{"crash-recover", "crash:f=40,by=8,recover=4"},
+	} {
+		for _, run := range []struct {
+			name string
+			args []string
+		}{
+			{"cole-vishkin", []string{"-algo", "cole-vishkin", "-n", "4096"}},
+			{"sharded-cole-vishkin", []string{"-algo", "cole-vishkin", "-n", "4096", "-shards", "2"}},
+			{"matching", []string{"-algo", "matching", "-n", "4096"}},
+		} {
+			name := run.name + "-" + prof.name
+			t.Run(name, func(t *testing.T) {
+				stdout, _ := runScaleMode(t, "", append(run.args, "-faults", prof.desc)...)
+				checkGolden(t, name, stdout)
+			})
+		}
+	}
+}
+
 // TestFloodCheckpointGolden pins the checkpointed flood run and its
-// resumed re-run: stdout and the checkpoint files each reports, whose
-// content-addressed names pin the snapshot bytes.
+// resumed re-run, clean and lossy: stdout and the checkpoint files
+// each reports, whose content-addressed names pin the snapshot bytes
+// (on the lossy run, the crash bitset and fault counters as well).
 func TestFloodCheckpointGolden(t *testing.T) {
-	dir := t.TempDir()
-	args := []string{"-algo", "flood", "-n", "512", "-rounds", "600", "-checkpoint", dir, "-checkpoint-every", "200"}
-	stdout, stderr := runScaleMode(t, dir, args...)
-	checkGolden(t, "flood-checkpoint", append(stdout, stderr...))
-	stdout, stderr = runScaleMode(t, dir, append(args, "-resume")...)
-	checkGolden(t, "flood-resume", append(stdout, stderr...))
+	for _, tc := range []struct {
+		prefix string
+		faults []string
+	}{
+		{"flood", nil},
+		{"flood-lossy", []string{"-faults", "lossy:p=0.05"}},
+	} {
+		t.Run(tc.prefix, func(t *testing.T) {
+			dir := t.TempDir()
+			args := append([]string{"-algo", "flood", "-n", "512", "-rounds", "600", "-checkpoint", dir, "-checkpoint-every", "200"}, tc.faults...)
+			stdout, stderr := runScaleMode(t, dir, args...)
+			checkGolden(t, tc.prefix+"-checkpoint", append(stdout, stderr...))
+			stdout, stderr = runScaleMode(t, dir, append(args, "-resume")...)
+			checkGolden(t, tc.prefix+"-resume", append(stdout, stderr...))
+		})
+	}
 }

@@ -134,12 +134,11 @@ func TestHomogeneityExactSmall(t *testing.T) {
 	// Full-scan verification of Theorem 3.2 on a materialisable
 	// instance: every vertex classified, α must meet the analytic
 	// interior bound, girth must exceed 2R+1, and the graph must be
-	// 2k-regular (automatic for Cayley graphs; checked via arcs).
+	// 2k-regular (automatic for Cayley graphs; checked on the rows of
+	// the scanned host). The seed-42 construction is at level 3, so
+	// m = 4 keeps the scan at 4^7 = 16,384 vertices.
 	c := mustSearch(t, 2, 1)
-	if c.Level > 2 {
-		t.Skipf("level %d too large for the exact scan test", c.Level)
-	}
-	m := 8
+	m := 4
 	rep, err := c.HomogeneityExact(m, 1<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -155,6 +154,22 @@ func TestHomogeneityExactSmall(t *testing.T) {
 	}
 	if rep.TauCount <= 0 || rep.TauCount > rep.N {
 		t.Errorf("τ count %d out of range", rep.TauCount)
+	}
+	cay, err := c.HCayley(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _, err := cay.OrderedHost()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.N() != rep.N {
+		t.Fatalf("OrderedHost has %d vertices, the scan %d", g.N(), rep.N)
+	}
+	for v := 0; v < g.N(); v++ {
+		if d := len(g.Neighbors(v)); d != 2*c.K {
+			t.Fatalf("vertex %d has %d neighbours, want 2K = %d", v, d, 2*c.K)
+		}
 	}
 }
 

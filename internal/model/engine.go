@@ -46,8 +46,9 @@ import (
 // the workers are persistent for the whole run — spawned once against
 // par's global budget (par.Reserve), released at the end — so a
 // steady-state round performs no allocation and no goroutine churn. A
-// clean round in which no node halted leaves the list as it was, and
-// the barrier skips its compaction.
+// round in which no node halted leaves the list as it was, and the
+// barrier skips its compaction, unless the run's fault plan has node
+// faults (faultPlan): then the barrier also removes crashed nodes.
 //
 // Determinism. Each node's Step writes only that node's state slot,
 // halt flag and outgoing message slots, so parallel and sequential
@@ -297,8 +298,11 @@ func (ob *Outbox) BroadcastWord(w uint64) {
 // per-round barrier, error surfacing, and fault-report assembly. step
 // performs the round of one chunk of the worklist (compaction, fate
 // draws and the algorithm's Step all live in the caller's closure;
-// clean steps add the nodes that halted to the worker's lane.halts).
-func (e *Engine) runCore(step func([]int32, *Outbox), sched Schedule, maxRounds int) (int, *FaultReport, error) {
+// every step adds the nodes that halted to the worker's lane.halts).
+// fp is the run's fault plan: State is asked only when the plan has
+// node faults, and otherwise the barrier compacts by the clean rule.
+func (e *Engine) runCore(step func([]int32, *Outbox), fp faultPlan, maxRounds int) (int, *FaultReport, error) {
+	sched := fp.sched
 	// A restored snapshot (snapshot.go) shifts the start round and
 	// seeds the fault counters; the worklist is then rebuilt from the
 	// restored bitsets instead of the schedule's round-0 fates, and
@@ -329,7 +333,7 @@ func (e *Engine) runCore(step func([]int32, *Outbox), sched Schedule, maxRounds 
 			if e.halted[v] || (sched != nil && e.crashed[v]) {
 				continue
 			}
-		} else if sched != nil && sched.State(0, int32(v)) == StateCrashed {
+		} else if fp.nodeFaults && sched.State(0, int32(v)) == StateCrashed {
 			e.crashed[v] = true
 			continue
 		}
@@ -445,10 +449,10 @@ func (e *Engine) runCore(step func([]int32, *Outbox), sched Schedule, maxRounds 
 			}
 		}
 		// Compact the active worklist; the spare buffer flips roles so
-		// neither list is reallocated. On the faulty path nodes whose
-		// crash round has arrived leave the worklist permanently; on the
-		// clean path a round in which no node halted leaves it as it was.
-		if sched != nil {
+		// neither list is reallocated. Under node faults nodes whose
+		// crash round has arrived leave the worklist permanently;
+		// otherwise a round in which no node halted leaves it as it was.
+		if halts := takeHalts(lanes); fp.nodeFaults {
 			nxt := e.spare[:0]
 			for _, v := range active {
 				if e.halted[v] {
@@ -461,7 +465,7 @@ func (e *Engine) runCore(step func([]int32, *Outbox), sched Schedule, maxRounds 
 				nxt = append(nxt, v)
 			}
 			e.spare, active = active[:0], nxt
-		} else if takeHalts(lanes) > 0 {
+		} else if halts > 0 {
 			nxt := e.spare[:0]
 			for _, v := range active {
 				if !e.halted[v] {

@@ -56,7 +56,10 @@ const (
 // for concurrent use and independent of call order — so that faulty
 // runs stay byte-identical across worker counts and reruns. A nil
 // Schedule is the clean profile: the engine takes its unmodified hot
-// path.
+// path. Because the answers are pure, an engine may skip a query whose
+// answer the profile fixes (the flat engine's faultPlan does so for
+// the canned profiles); a Schedule of any other type is asked every
+// query.
 type Schedule interface {
 	// String returns the profile descriptor the schedule was built
 	// from; it appears in error strings and FaultReport.Profile.
@@ -144,6 +147,13 @@ func thr53(p float64) uint64 { return uint64(math.Round(p * (1 << 53))) }
 
 func below(h, thr uint64) bool { return thr != 0 && (h>>11) < thr }
 
+// uniformDrop reports whether the delivery of the given round and
+// plane slot is dropped at threshold thr: the one drop decision behind
+// Fate and the flat engine's planned uniform drops.
+func uniformDrop(seed, thr uint64, round int, slot int32) bool {
+	return below(mix(seed, uint64(round), uint64(slot)), thr)
+}
+
 // schedule is the one implementation behind every canned profile.
 type schedule struct {
 	desc string
@@ -186,7 +196,7 @@ func (s *schedule) Fate(round int, slot int32) Fate {
 		}
 		thr += thr * uint64(r) / 8
 	}
-	if below(mix(s.fateSeed, uint64(round), uint64(slot)), thr) {
+	if uniformDrop(s.fateSeed, thr, round, slot) {
 		return Drop
 	}
 	if s.dupThr != 0 && below(mix(s.dupSeed, uint64(round), uint64(slot)), s.dupThr) {
@@ -226,6 +236,42 @@ func (s *schedule) Reorder(round int, v int32) uint64 {
 		h = 1
 	}
 	return h
+}
+
+// faultPlan is what a run's schedule can produce, derived once per
+// run so that the flat engine's step and barrier skip every query
+// whose answer the profile fixes. The sharded engine asks every query.
+type faultPlan struct {
+	// sched is the run's schedule (nil: clean).
+	sched Schedule
+	// nodeFaults: State may answer something other than StateUp. Without
+	// node faults State is never asked and the barrier compacts by the
+	// clean rule.
+	nodeFaults bool
+	// reorder: Reorder may answer a nonzero seed.
+	reorder bool
+	// uniform: every fate is Deliver or a drop decided by
+	// uniformDrop(fateSeed, dropThr, ...), so Fate is never asked.
+	uniform           bool
+	fateSeed, dropThr uint64
+}
+
+// planFaults derives the fault plan of a run under sched. A nil
+// schedule plans a clean run; a Schedule other than the canned
+// profiles' is asked every query.
+func planFaults(sched Schedule) faultPlan {
+	s, ok := sched.(*schedule)
+	if !ok {
+		return faultPlan{sched: sched, nodeFaults: sched != nil, reorder: sched != nil}
+	}
+	return faultPlan{
+		sched:      sched,
+		nodeFaults: s.crashAt != nil || s.churnThr != 0,
+		reorder:    s.shuffle,
+		uniform:    s.dropPer == nil && !s.ramp && s.dupThr == 0,
+		fateSeed:   s.fateSeed,
+		dropThr:    s.dropAll,
+	}
 }
 
 // newSchedule seeds the shared sub-streams.

@@ -18,7 +18,7 @@ const laneGuard = 128
 
 // lane is the per-worker run state both outboxes embed: the fault
 // counters summed into the run's FaultReport (sumFaults), the count of
-// nodes seen halting on clean runs (takeHalts) and the
+// nodes seen halting on flat-engine runs (takeHalts) and the
 // inbox-compaction scratch attached by newLanes.
 type lane struct {
 	dropped   int64
@@ -83,7 +83,8 @@ func sumFaults(base FaultReport, lanes []*lane) FaultReport {
 
 // takeHalts returns how many nodes the lanes' workers saw halt since
 // the last call and resets the counts. The flat engine's barrier calls
-// it on clean runs: 0 means the worklist is unchanged.
+// it every round: without node faults, 0 means the worklist is
+// unchanged.
 func takeHalts(lanes []*lane) int64 {
 	n := int64(0)
 	for _, l := range lanes {

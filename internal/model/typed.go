@@ -178,11 +178,12 @@ func (te *TypedEngine[S]) runStates(ids []int, algo TypedAlgo[S], maxRounds int,
 			return nil, 0, nil, err
 		}
 	}
+	fp := planFaults(sched)
 	step := te.stepTyped(algo)
 	if sched != nil {
-		step = te.stepTypedFaulty(algo, sched)
+		step = te.stepTypedFaulty(algo, fp)
 	}
-	rounds, rep, err := e.runCore(step, sched, maxRounds)
+	rounds, rep, err := e.runCore(step, fp, maxRounds)
 	if err != nil {
 		return nil, 0, nil, err
 	}
@@ -291,20 +292,29 @@ func (te *TypedEngine[S]) stepTyped(algo TypedAlgo[S]) func([]int32, *Outbox) {
 // liveness gating, per-(round, slot) fates (compacted into the
 // worker's double-width scratch so duplicates fit) and adversarial
 // inbox permutation, drawn from exactly the hashes the sharded engine
-// draws.
-func (te *TypedEngine[S]) stepTypedFaulty(algo TypedAlgo[S], sched Schedule) func([]int32, *Outbox) {
-	e, step := te.e, algo.Step
+// draws. The plan's loop-invariant branches skip the queries whose
+// answers the profile fixes. Halts are counted as in stepTyped, for
+// the barrier's clean compaction rule.
+//
+// It is kept out of line: inlined into runStates, its closure would be
+// compiled as a copy that calls uniformDrop instead of inlining it.
+//
+//go:noinline
+func (te *TypedEngine[S]) stepTypedFaulty(algo TypedAlgo[S], fp faultPlan) func([]int32, *Outbox) {
+	e, step, sched := te.e, algo.Step, fp.sched
 	return func(chunk []int32, ob *Outbox) {
 		off, col, halted, fd := e.off, te.col, e.halted, ob.dense
 		cur, want := e.cells[ob.nxt^1], ob.want-1
-		round := ob.round
+		round, halts := ob.round, int64(0)
 		for _, v := range chunk {
-			switch sched.State(round, v) {
-			case StateDown:
-				ob.downSteps++
-				continue
-			case StateCrashed:
-				continue
+			if fp.nodeFaults {
+				switch sched.State(round, v) {
+				case StateDown:
+					ob.downSteps++
+					continue
+				case StateCrashed:
+					continue
+				}
 			}
 			lo := off[v]
 			row := cur[lo:off[v+1]]
@@ -314,26 +324,40 @@ func (te *TypedEngine[S]) stepTypedFaulty(algo TypedAlgo[S], sched Schedule) fun
 					continue
 				}
 				m := WordMsg{W: row[i].w, Slot: int32(i)}
-				switch sched.Fate(round, lo+int32(i)) {
-				case Drop:
-					ob.dropped++
-					continue
-				case Duplicate:
-					ob.duped++
-					fd[k] = m
-					k++
+				if fp.uniform {
+					if uniformDrop(fp.fateSeed, fp.dropThr, round, lo+int32(i)) {
+						ob.dropped++
+						continue
+					}
+				} else {
+					switch sched.Fate(round, lo+int32(i)) {
+					case Drop:
+						ob.dropped++
+						continue
+					case Duplicate:
+						ob.duped++
+						fd[k] = m
+						k++
+					}
 				}
 				fd[k] = m
 				k++
 			}
 			inbox := fd[:k]
-			if seed := sched.Reorder(round, v); seed != 0 && len(inbox) > 1 {
-				shuffleWordMsgs(inbox, seed)
-				ob.reordered++
+			if fp.reorder {
+				if seed := sched.Reorder(round, v); seed != 0 && len(inbox) > 1 {
+					shuffleWordMsgs(inbox, seed)
+					ob.reordered++
+				}
 			}
 			ob.v = v
-			halted[v] = step(&col[v], round, inbox, ob)
+			done := step(&col[v], round, inbox, ob)
+			halted[v] = done
+			if done {
+				halts++
+			}
 		}
+		ob.halts += halts
 	}
 }
 
