@@ -175,5 +175,7 @@ func faultText(res *Result) string {
 	if res.Faults == nil {
 		return ""
 	}
-	return fmt.Sprintf("   crashed: %d   dropped: %d", res.Faults.NumCrashed, res.Faults.Dropped)
+	f := res.Faults
+	return fmt.Sprintf("   crashed: %d   dropped: %d   duplicated: %d   reordered: %d   down-steps: %d",
+		f.NumCrashed, f.Dropped, f.Duplicated, f.Reordered, f.DownSteps)
 }

@@ -384,7 +384,7 @@ func TestRunTrack(t *testing.T) {
 
 // Text renders each workload's report line.
 func TestText(t *testing.T) {
-	f := &model.FaultReport{NumCrashed: 1, Dropped: 2}
+	f := &model.FaultReport{NumCrashed: 1, Dropped: 2, Duplicated: 5, Reordered: 6, DownSteps: 7}
 	for _, tc := range []struct {
 		algo string
 		r    Result
@@ -392,14 +392,14 @@ func TestText(t *testing.T) {
 	}{
 		{"cole-vishkin", Result{Rounds: 12, Size: 5, N: 10}, "rounds: 12   |MIS| = 5   |MIS|/n = 0.5000"},
 		{"cole-vishkin", Result{Rounds: 12, Size: 5, N: 10, Sharded: &Sharded{}}, "rounds: 12   |MIS| = 5   |MIS|/n = 0.5000   feasible: yes"},
-		{"cole-vishkin", Result{Rounds: 12, Size: 5, Faults: f, Violations: 3, Uncovered: 4}, "rounds: 12   |MIS| = 5   crashed: 1   dropped: 2   violations: 3   uncovered: 4"},
+		{"cole-vishkin", Result{Rounds: 12, Size: 5, Faults: f, Violations: 3, Uncovered: 4}, "rounds: 12   |MIS| = 5   crashed: 1   dropped: 2   duplicated: 5   reordered: 6   down-steps: 7   violations: 3   uncovered: 4"},
 		{"matching", Result{Rounds: 2, Size: 3, N: 12}, "rounds: 2   |M| = 3   |M|/n = 0.2500"},
 		{"matching", Result{Rounds: 2, Size: 3, N: 12, Sharded: &Sharded{}}, "rounds: 2   |M| = 3   |M|/n = 0.2500   conflicts: 0"},
-		{"matching", Result{Rounds: 2, Size: 3, Faults: f}, "rounds: 2   |M| = 3   crashed: 1   dropped: 2   conflicts: 0"},
+		{"matching", Result{Rounds: 2, Size: 3, Faults: f}, "rounds: 2   |M| = 3   crashed: 1   dropped: 2   duplicated: 5   reordered: 6   down-steps: 7   conflicts: 0"},
 		{"gather", Result{Rounds: 3, Radius: 2, Size: 7}, "rounds: 3   radius-2 view types: 7"},
-		{"gather", Result{Rounds: 3, Radius: 2, Size: 7, Faults: f}, "rounds: 3   radius-2 view types: 7   crashed: 1   dropped: 2"},
+		{"gather", Result{Rounds: 3, Radius: 2, Size: 7, Faults: f}, "rounds: 3   radius-2 view types: 7   crashed: 1   dropped: 2   duplicated: 5   reordered: 6   down-steps: 7"},
 		{"flood", Result{Rounds: 9, Leader: 40, Size: 8}, "rounds: 9   leader: 40   converged@: 8"},
-		{"flood", Result{Rounds: 9, Leader: 40, Size: 8, Faults: f}, "rounds: 9   leader: 40   converged@: 8   crashed: 1   dropped: 2"},
+		{"flood", Result{Rounds: 9, Leader: 40, Size: 8, Faults: f}, "rounds: 9   leader: 40   converged@: 8   crashed: 1   dropped: 2   duplicated: 5   reordered: 6   down-steps: 7"},
 	} {
 		w, _ := Lookup(tc.algo)
 		if got := w.Text(&tc.r); got != tc.want {
