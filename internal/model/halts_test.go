@@ -51,7 +51,7 @@ func haltFold(s uint64, round int, sum uint64, k int) (uint64, bool) {
 
 // haltWordStep is the workload's step on the word planes: even rounds
 // broadcast, odd rounds send on slot round mod degree.
-func haltWordStep(state *uint64, round int, inbox []WordMsg, out WordSender) bool {
+func haltWordStep(state *uint64, round int, inbox []wordMsg, out sends) bool {
 	sum := uint64(0)
 	for _, m := range inbox {
 		sum += m.W
@@ -62,9 +62,9 @@ func haltWordStep(state *uint64, round int, inbox []WordMsg, out WordSender) boo
 		return true
 	}
 	if round%2 == 0 {
-		out.BroadcastWord(s)
+		out.Broadcast(s)
 	} else {
-		out.SendWord(round%int(s>>56), s)
+		out.Send(round%int(s>>56), s)
 	}
 	return false
 }
@@ -119,17 +119,15 @@ func haltAnyAlgo(n int) RoundAlgo {
 func haltTypedAlgo(n int) WordAlgo {
 	return WordAlgo{
 		Init: func(v int, info NodeInfo) uint64 { return haltInit(info.ID, len(info.Letters), n) },
-		Step: func(state *uint64, round int, inbox []WordMsg, out *Outbox) bool {
-			return haltWordStep(state, round, inbox, out)
-		},
-		Out: func(*uint64) Output { return Output{} },
+		Step: typedStep(haltWordStep),
+		Out:  func(*uint64) Output { return Output{} },
 	}
 }
 
 func haltShardedAlgo(n int) ShardedWordAlgo {
 	return ShardedWordAlgo{
 		Init: func(v int64, info NodeInfo) uint64 { return haltInit(info.ID, len(info.Letters), n) },
-		Step: haltWordStep,
+		Step: shardStep(haltWordStep),
 		Out:  func(*uint64) Output { return Output{} },
 	}
 }

@@ -56,8 +56,8 @@ func mixWordInit(id int, letters int) uint64 {
 	return uint64(letters)<<48 | uint64(id+1)&mixMask
 }
 
-func mixWordStep(rounds int) func(state *uint64, round int, inbox []WordMsg, out WordSender) bool {
-	return func(state *uint64, round int, inbox []WordMsg, out WordSender) bool {
+func mixWordStep(rounds int) nodeStep[uint64] {
+	return func(state *uint64, round int, inbox []wordMsg, out sends) bool {
 		s := *state
 		acc := s & mixMask
 		for _, m := range inbox {
@@ -72,29 +72,26 @@ func mixWordStep(rounds int) func(state *uint64, round int, inbox []WordMsg, out
 		// Alternate a broadcast with a targeted send, so both send
 		// paths cross shards.
 		if round%2 == 0 {
-			out.BroadcastWord(s)
+			out.Broadcast(s)
 		} else {
-			out.SendWord(round%deg, s)
+			out.Send(round%deg, s)
 		}
 		return false
 	}
 }
 
 func flatMixAlgo(rounds int) WordAlgo {
-	step := mixWordStep(rounds)
 	return WordAlgo{
 		Init: func(v int, info NodeInfo) uint64 { return mixWordInit(info.ID, len(info.Letters)) },
-		Step: func(state *uint64, round int, inbox []WordMsg, out *Outbox) bool {
-			return step(state, round, inbox, out)
-		},
-		Out: func(state *uint64) Output { return Output{} },
+		Step: typedStep(mixWordStep(rounds)),
+		Out:  func(state *uint64) Output { return Output{} },
 	}
 }
 
 func shardedMixAlgo(rounds int) ShardedWordAlgo {
 	return ShardedWordAlgo{
 		Init: func(v int64, info NodeInfo) uint64 { return mixWordInit(info.ID, len(info.Letters)) },
-		Step: mixWordStep(rounds),
+		Step: shardStep(mixWordStep(rounds)),
 		Out:  func(state *uint64) Output { return Output{} },
 	}
 }

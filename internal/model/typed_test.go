@@ -49,29 +49,34 @@ func floodTypedAlgo() TypedAlgo[floodTypedState] {
 	}
 }
 
-// floodShardedAlgo is floodTypedAlgo packed into one word for the
-// sharded engine: best in bits 32-63, id in bits 8-31 and the
-// remaining ticks in bits 0-7.
+// floodWordInit and floodWordStep are floodTypedAlgo packed into one
+// word: best in bits 32-63, id in bits 8-31 and the remaining ticks in
+// bits 0-7.
+func floodWordInit(id int) uint64 {
+	w := uint64(id)
+	return w<<32 | w<<8 | uint64(1+id%4)
+}
+
+func floodWordStep(s *uint64, round int, inbox []wordMsg, out sends) bool {
+	best, id, ticks := *s>>32, *s>>8&0xffffff, *s&0xff
+	for _, m := range inbox {
+		best = max(best, m.W)
+	}
+	if ticks == 0 {
+		*s = best<<32 | id<<8
+		return true
+	}
+	*s = best<<32 | id<<8 | (ticks - 1)
+	out.Broadcast(best)
+	return false
+}
+
+// floodShardedAlgo is the packed flood on the sharded engine.
 func floodShardedAlgo() ShardedWordAlgo {
 	return ShardedWordAlgo{
-		Init: func(v int64, info NodeInfo) uint64 {
-			id := uint64(info.ID)
-			return id<<32 | id<<8 | uint64(1+info.ID%4)
-		},
-		Step: func(s *uint64, round int, inbox []WordMsg, out WordSender) bool {
-			best, id, ticks := *s>>32, *s>>8&0xffffff, *s&0xff
-			for _, m := range inbox {
-				best = max(best, m.W)
-			}
-			if ticks == 0 {
-				*s = best<<32 | id<<8
-				return true
-			}
-			*s = best<<32 | id<<8 | (ticks - 1)
-			out.BroadcastWord(best)
-			return false
-		},
-		Out: func(s *uint64) Output { return Output{Member: *s>>32 > *s>>8&0xffffff} },
+		Init: func(v int64, info NodeInfo) uint64 { return floodWordInit(info.ID) },
+		Step: shardStep(floodWordStep),
+		Out:  func(s *uint64) Output { return Output{Member: *s>>32 > *s>>8&0xffffff} },
 	}
 }
 
