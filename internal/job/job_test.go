@@ -231,25 +231,22 @@ func TestJobCorruptSnapshotFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, m1, st.ID, "running")
+	// Drain once two checkpoints are on disk, so that one is left to
+	// fall back to whichever round the drain stops at.
+	jobDir := filepath.Join(dir, st.ID)
+	deadline := time.Now().Add(30 * time.Second)
+	for len(checkpointFiles(t, jobDir)) < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("fewer than two checkpoints written in 30 s")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	drainCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	m1.Drain(drainCtx)
 	cancel()
 
 	// Corrupt the newest checkpoint file (flip one payload byte).
-	jobDir := filepath.Join(dir, st.ID)
-	ents, err := os.ReadDir(jobDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cks []string
-	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), "ck-") && strings.HasSuffix(e.Name(), ".ck") {
-			cks = append(cks, e.Name())
-		}
-	}
-	if len(cks) < 2 {
-		t.Skipf("only %d checkpoints written before drain", len(cks))
-	}
+	cks := checkpointFiles(t, jobDir)
 	latest := cks[len(cks)-1]
 	blob, err := os.ReadFile(filepath.Join(jobDir, latest))
 	if err != nil {
@@ -269,6 +266,23 @@ func TestJobCorruptSnapshotFallback(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("result after corrupt-snapshot fallback differs from control")
 	}
+}
+
+// checkpointFiles lists the checkpoint files in a job's directory,
+// oldest first (their names carry a zero-padded sequence number).
+func checkpointFiles(t *testing.T, jobDir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(jobDir)
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	var cks []string
+	for _, e := range ents {
+		if strings.HasPrefix(e.Name(), "ck-") && strings.HasSuffix(e.Name(), ".ck") {
+			cks = append(cks, e.Name())
+		}
+	}
+	return cks
 }
 
 // TestJobRetryBackoffThenFail: a job whose host points at a transient
