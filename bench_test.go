@@ -224,15 +224,22 @@ func BenchmarkCanonicalBallParallel(b *testing.B) {
 func benchPulseWordAlgo(rounds int) model.WordAlgo {
 	return model.WordAlgo{
 		Init: func(v int, info model.NodeInfo) uint64 { return uint64(rounds) },
-		Step: func(state *uint64, round int, inbox []model.WordMsg, out *model.Outbox) bool {
-			if *state == 0 {
-				return true
-			}
-			*state--
-			out.BroadcastWord(*state)
-			return false
-		},
-		Out: func(*uint64) model.Output { return model.Output{} },
+		Step: benchPulseStep,
+		Out:  func(*uint64) model.Output { return model.Output{} },
+	}
+}
+
+// benchPulseStep is the workload's step, on both planes: each node
+// counts its state down and broadcasts it, and halts at 0.
+func benchPulseStep(c *model.Chunk, states []uint64) {
+	for c.Next() {
+		s := states[c.Node]
+		if s == 0 {
+			c.Halt()
+			continue
+		}
+		states[c.Node] = s - 1
+		c.Broadcast(s - 1)
 	}
 }
 
@@ -346,19 +353,12 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 }
 
 // benchPulseShardedAlgo is benchPulseWordAlgo in the sharded form:
-// the same countdown broadcast through the shared WordSender surface.
+// the same countdown broadcast with the same step.
 func benchPulseShardedAlgo(rounds int) model.ShardedWordAlgo {
 	return model.ShardedWordAlgo{
 		Init: func(v int64, info model.NodeInfo) uint64 { return uint64(rounds) },
-		Step: func(state *uint64, round int, inbox []model.WordMsg, out model.WordSender) bool {
-			if *state == 0 {
-				return true
-			}
-			*state--
-			out.BroadcastWord(*state)
-			return false
-		},
-		Out: func(*uint64) model.Output { return model.Output{} },
+		Step: benchPulseStep,
+		Out:  func(*uint64) model.Output { return model.Output{} },
 	}
 }
 
@@ -508,8 +508,8 @@ func BenchmarkEngineMillionCycleTyped(b *testing.B) {
 // a 65,536-node directed cycle with seeded ids at two workers, through
 // the flat typed engine clean (flat) and under lossy:p=0.05 (lossy),
 // and through the sharded engine at P=2 (sharded) — the engine runs of
-// the repository benchmark's rounds workload, for CPU profiles. Not
-// CI-gated.
+// the repository benchmark's rounds workload, for CPU profiles. Each
+// reports ns/node-round beside ns/op. Not CI-gated.
 func BenchmarkColeVishkinCycle64K(b *testing.B) {
 	defer par.Set(par.Set(2))
 	const desc = "dcycle:65536"
@@ -534,33 +534,51 @@ func BenchmarkColeVishkinCycle64K(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var rounds int
 	b.Run("flat", func(b *testing.B) {
 		for b.Loop() {
-			if _, err := algorithms.ColeVishkinMISOn(e, h, ids); err != nil {
+			res, err := algorithms.ColeVishkinMISOn(e, h, ids)
+			if err != nil {
 				b.Fatal(err)
 			}
+			rounds = res.Rounds
 		}
+		reportNodeRounds(b, n, rounds)
 	})
 	b.Run("lossy", func(b *testing.B) {
 		for b.Loop() {
-			if _, err := algorithms.ColeVishkinMISFaultyOn(e, h, ids, sched); err != nil {
+			res, err := algorithms.ColeVishkinMISFaultyOn(e, h, ids, sched)
+			if err != nil {
 				b.Fatal(err)
 			}
+			rounds = res.Rounds
 		}
+		reportNodeRounds(b, n, rounds)
 	})
 	b.Run("sharded", func(b *testing.B) {
 		for b.Loop() {
-			if _, err := algorithms.ColeVishkinMISSharded(se, idf, int(n-1)); err != nil {
+			res, err := algorithms.ColeVishkinMISSharded(se, idf, int(n-1))
+			if err != nil {
 				b.Fatal(err)
 			}
+			rounds = res.Rounds
 		}
+		reportNodeRounds(b, n, rounds)
 	})
+}
+
+// reportNodeRounds reports a whole-run benchmark's time per node and
+// round, the unit of the round engines' step loop: the time per run
+// over n nodes times the rounds of the last run.
+func reportNodeRounds(b *testing.B, n int64, rounds int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n*int64(rounds)), "ns/node-round")
 }
 
 // BenchmarkFloodCycle64K times one 512-round FloodMax run on a
 // 65,536-node cycle with seeded ids at two workers through the flat
 // typed engine — the engine path of the service workload's durable
-// flood jobs, beside BenchmarkColeVishkinCycle64K. Not CI-gated.
+// flood jobs, beside BenchmarkColeVishkinCycle64K. It reports
+// ns/node-round beside ns/op. Not CI-gated.
 func BenchmarkFloodCycle64K(b *testing.B) {
 	defer par.Set(par.Set(2))
 	h, err := workload.ResolveHost("cycle:65536")
@@ -570,11 +588,15 @@ func BenchmarkFloodCycle64K(b *testing.B) {
 	n := h.G.N()
 	ids := model.PermPrefix(rand.New(rand.NewSource(1)), 8*n, n)
 	e := model.NewWordEngine(h)
+	var rounds int
 	for b.Loop() {
-		if _, err := algorithms.FloodMaxOn(e, h, ids, 512); err != nil {
+		res, err := algorithms.FloodMaxOn(e, h, ids, 512)
+		if err != nil {
 			b.Fatal(err)
 		}
+		rounds = res.Rounds
 	}
+	reportNodeRounds(b, int64(n), rounds)
 }
 
 // BenchmarkHostEngineBuild times the set-up of a flat typed run on the

@@ -129,12 +129,9 @@ func cvPlan(h *model.Host, ids []int) (steps, last int, err error) {
 // round still halts at its next up round (identical to == on clean
 // runs).
 func coleVishkinWordAlgo(steps, last int) model.WordAlgo {
-	step := coleVishkinWordStep(steps, last)
 	return model.WordAlgo{
 		Init: func(v int, info model.NodeInfo) uint64 { return cvInit(info) },
-		Step: func(state *uint64, round int, inbox []model.WordMsg, out *model.Outbox) bool {
-			return step(state, round, inbox, out)
-		},
+		Step: cvStep(steps, last),
 		Out: func(state *uint64) model.Output {
 			return model.Output{Member: *state&cvMISBit != 0}
 		},
@@ -153,59 +150,67 @@ func cvInit(info model.NodeInfo) uint64 {
 	return w
 }
 
-// coleVishkinWordStep is the pipeline's step over the abstract send
-// surface — the one core behind both the flat WordAlgo and the
-// sharded ShardedWordAlgo, so the differential tests compare a single
-// implementation against itself across planes.
-func coleVishkinWordStep(steps, last int) func(state *uint64, round int, inbox []model.WordMsg, out model.WordSender) bool {
-	return func(state *uint64, round int, inbox []model.WordMsg, out model.WordSender) bool {
-		s := *state
-		predSlot := int32(0)
-		if s&cvPredSlot1 != 0 {
-			predSlot = 1
-		}
-		// An undelivered direction leaves the zero word: colour 0,
-		// not in the MIS — the typed image of the zero cvMsg.
-		var pred, succ uint64
-		for _, m := range inbox {
-			if m.Slot == predSlot {
-				pred = m.W
-			} else {
-				succ = m.W
+// cvStep is the pipeline's chunk step — the one step behind both the
+// flat WordAlgo and the sharded ShardedWordAlgo, so the differential
+// tests compare a single implementation against itself across planes.
+//
+// It is kept out of line: inlined into a caller, its step closure
+// would be compiled again as a copy in which the cursor methods are
+// called instead of inlined (tools/inlinecheck.sh).
+//
+//go:noinline
+func cvStep(steps, last int) func(c *model.Chunk, states []uint64) {
+	return func(c *model.Chunk, states []uint64) {
+		round := c.Round
+		for c.Next() {
+			s := states[c.Node]
+			predSlot := 0
+			if s&cvPredSlot1 != 0 {
+				predSlot = 1
 			}
-		}
-		color := s & cvColorMask
-		switch {
-		case round == 0:
-			// Nothing received yet; just broadcast below.
-		case round <= steps:
-			// Bit-parallel Cole–Vishkin reduction against the
-			// predecessor.
-			i := uint64(0)
-			if x := color ^ pred&cvColorMask; x != 0 {
-				i = uint64(bits.TrailingZeros64(x))
+			// An undelivered direction leaves the zero word: colour 0,
+			// not in the MIS — the typed image of the zero cvMsg.
+			var pred, succ uint64
+			for slot, w := range c.Inbox {
+				if slot == predSlot {
+					pred = w
+				} else {
+					succ = w
+				}
 			}
-			color = 2*i | color>>i&1
-		case round <= steps+3:
-			// Shift down 5 -> then 4 -> then 3.
-			target := uint64(5 - (round - steps - 1))
-			if color == target {
-				color = cvFreeColor(pred&cvColorMask, succ&cvColorMask)
+			color := s & cvColorMask
+			switch {
+			case round == 0:
+				// Nothing received yet; just broadcast below.
+			case round <= steps:
+				// Bit-parallel Cole–Vishkin reduction against the
+				// predecessor.
+				i := uint64(0)
+				if x := color ^ pred&cvColorMask; x != 0 {
+					i = uint64(bits.TrailingZeros64(x))
+				}
+				color = 2*i | color>>i&1
+			case round <= steps+3:
+				// Shift down 5 -> then 4 -> then 3.
+				target := uint64(5 - (round - steps - 1))
+				if color == target {
+					color = cvFreeColor(pred&cvColorMask, succ&cvColorMask)
+				}
+			default:
+				// MIS sweep for colour classes 0, 1, 2.
+				class := uint64(round - steps - 4)
+				if color == class && pred&cvMISBit == 0 && succ&cvMISBit == 0 {
+					s |= cvMISBit
+				}
 			}
-		default:
-			// MIS sweep for colour classes 0, 1, 2.
-			class := uint64(round - steps - 4)
-			if color == class && pred&cvMISBit == 0 && succ&cvMISBit == 0 {
-				s |= cvMISBit
+			s = s&^cvColorMask | color
+			states[c.Node] = s
+			if round >= last {
+				c.Halt()
+				continue
 			}
+			c.Broadcast(s &^ cvPredSlot1)
 		}
-		s = s&^cvColorMask | color
-		*state = s
-		if round >= last {
-			return true
-		}
-		out.BroadcastWord(s &^ cvPredSlot1)
-		return false
 	}
 }
 
@@ -245,31 +250,3 @@ func cvFreeColor(a, b uint64) uint64 {
 	}
 	return 0 // unreachable: two values cannot block three colours
 }
-
-// freeColor is cvFreeColor on ints, retained for the RoundAlgo
-// specification exercised by the differential tests.
-func freeColor(a, b int) int {
-	for c := 0; c <= 2; c++ {
-		if c != a && c != b {
-			return c
-		}
-	}
-	return 0 // unreachable: two values cannot block three colours
-}
-
-// lowestDifferingBit is the per-bit reference of the bit-parallel
-// XOR/trailing-zeros reduction above (0 on equal arguments).
-func lowestDifferingBit(a, b int) int {
-	x := a ^ b
-	if x == 0 {
-		return 0
-	}
-	i := 0
-	for x&1 == 0 {
-		x >>= 1
-		i++
-	}
-	return i
-}
-
-func bitOf(x, i int) int { return (x >> i) & 1 }

@@ -38,20 +38,29 @@ type FloodMaxResult struct {
 // Halting is round >= rounds (not ==) so a node transiently down at
 // its halting round halts at its next up round, like the other word
 // workloads.
+//
+// It is kept out of line: inlined into a caller, its step closure
+// would be compiled again as a copy in which the cursor methods are
+// called instead of inlined (tools/inlinecheck.sh).
+//
+//go:noinline
 func floodMaxWordAlgo(rounds int) model.WordAlgo {
 	return model.WordAlgo{
 		Init: func(v int, info model.NodeInfo) uint64 { return uint64(info.ID) },
-		Step: func(state *uint64, round int, inbox []model.WordMsg, out *model.Outbox) bool {
-			for _, m := range inbox {
-				if m.W > *state {
-					*state = m.W
+		Step: func(c *model.Chunk, states []uint64) {
+			halt := c.Round >= rounds
+			for c.Next() {
+				s := states[c.Node]
+				for _, w := range c.Inbox {
+					s = max(s, w)
 				}
+				states[c.Node] = s
+				if halt {
+					c.Halt()
+					continue
+				}
+				c.Broadcast(s)
 			}
-			if round >= rounds {
-				return true
-			}
-			out.BroadcastWord(*state)
-			return false
 		},
 		Out: func(state *uint64) model.Output { return model.Output{} },
 	}

@@ -201,17 +201,20 @@ func floodRankShardedAlgo(rounds int) model.ShardedWordAlgo {
 			id := uint64(info.ID)
 			return id<<32 | id
 		},
-		Step: func(s *uint64, round int, inbox []model.WordMsg, out model.WordSender) bool {
-			best := *s >> 32
-			for _, m := range inbox {
-				best = max(best, m.W)
+		Step: func(c *model.Chunk, states []uint64) {
+			for c.Next() {
+				s := &states[c.Node]
+				best := *s >> 32
+				for _, w := range c.Inbox {
+					best = max(best, w)
+				}
+				*s = best<<32 | *s&0xffffffff
+				if c.Round >= rounds {
+					c.Halt()
+					continue
+				}
+				c.Broadcast(best)
 			}
-			*s = best<<32 | *s&0xffffffff
-			if round >= rounds {
-				return true
-			}
-			out.BroadcastWord(best)
-			return false
 		},
 		Out: func(s *uint64) model.Output { return model.Output{Member: *s>>32 > *s&0xffffffff} },
 	}
@@ -292,17 +295,18 @@ func floodRankTypedAlgo(rounds int) model.TypedAlgo[floodRankTypedState] {
 		Init: func(v int, info model.NodeInfo) floodRankTypedState {
 			return floodRankTypedState{id: int64(info.ID), best: int64(info.ID)}
 		},
-		Step: func(s *floodRankTypedState, round int, inbox []model.WordMsg, out *model.Outbox) bool {
-			for _, m := range inbox {
-				if v := int64(m.W); v > s.best {
-					s.best = v
+		Step: func(c *model.Chunk, states []floodRankTypedState) {
+			for c.Next() {
+				s := &states[c.Node]
+				for _, w := range c.Inbox {
+					s.best = max(s.best, int64(w))
 				}
+				if c.Round >= rounds {
+					c.Halt()
+					continue
+				}
+				c.Broadcast(uint64(s.best))
 			}
-			if round >= rounds {
-				return true
-			}
-			out.BroadcastWord(uint64(s.best))
-			return false
 		},
 		Out: func(s *floodRankTypedState) model.Output {
 			return model.Output{Member: s.best > s.id}

@@ -97,33 +97,35 @@ func proposalWordAlgo(states []proposeState) model.WordAlgo {
 			}
 			return uint64(slotOf(info.Letters, states[v].letter)) | mPropose
 		},
-		Step: func(state *uint64, round int, inbox []model.WordMsg, out *model.Outbox) bool {
-			return proposalStep(state, round, inbox, out)
-		},
-		Out: func(*uint64) model.Output { return model.Output{} },
+		Step: proposalStep,
+		Out:  func(*uint64) model.Output { return model.Output{} },
 	}
 }
 
-// proposalStep is the exchange round over the abstract send surface —
-// shared by the flat WordAlgo above and the sharded port.
-func proposalStep(state *uint64, round int, inbox []model.WordMsg, out model.WordSender) bool {
-	s := *state
-	if round == 0 {
-		if s&mPropose != 0 {
-			out.SendWord(int(s&mSlotMask), 1)
-			*state = s | mSent
+// proposalStep is the exchange round's chunk step — shared by the flat
+// WordAlgo above and the sharded port. Round 0 sends the proposals;
+// round 1 matches and halts every node.
+func proposalStep(c *model.Chunk, states []uint64) {
+	round := c.Round
+	for c.Next() {
+		s := states[c.Node]
+		if round == 0 {
+			if s&mPropose != 0 {
+				c.Send(int(s&mSlotMask), 1)
+				states[c.Node] = s | mSent
+			}
+			continue
 		}
-		return false
-	}
-	if s&mPropose != 0 && s&mSent != 0 {
-		slot := int32(s & mSlotMask)
-		for _, m := range inbox {
-			if m.Slot == slot {
-				*state = s | mMatched
+		if s&mPropose != 0 && s&mSent != 0 {
+			want := int(s & mSlotMask)
+			for slot := range c.Inbox {
+				if slot == want {
+					states[c.Node] = s | mMatched
+				}
 			}
 		}
+		c.Halt()
 	}
-	return true
 }
 
 // slotOf locates l in a letter-sorted slot row (the typed NodeInfo

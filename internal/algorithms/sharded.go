@@ -9,11 +9,11 @@ import (
 )
 
 // This file ports the two flagship operational algorithms onto the
-// sharded giant-host plane (model.ShardedEngine). The round cores are
-// the exact functions the flat engine runs — coleVishkinWordStep and
-// proposalStep over the WordSender surface — so a P=1 sharded run is
-// byte-identical to the unsharded run by construction, and the
-// differential tests pin it. What changes is the bookkeeping around
+// sharded giant-host plane (model.ShardedEngine). The round steps are
+// the exact functions the flat engine runs — cvStep and proposalStep
+// over the model.Chunk cursor — so a P=1 sharded run is byte-identical
+// to the unsharded run by construction, and the differential tests pin
+// it. What changes is the bookkeeping around
 // the run: identifiers come from an IDFunc instead of a slice,
 // randomness is drawn inside the sequential Init sweep instead of a
 // pre-drawn table, and results are extracted streaming (histograms
@@ -145,12 +145,11 @@ func cvPlanSharded(se *model.ShardedEngine, ids model.IDFunc, maxID int) (steps,
 }
 
 // coleVishkinShardedAlgo is the Cole–Vishkin pipeline on the sharded
-// word lane — the same step core as coleVishkinWordAlgo.
+// word lane — the same step as coleVishkinWordAlgo.
 func coleVishkinShardedAlgo(steps, last int) model.ShardedWordAlgo {
-	step := coleVishkinWordStep(steps, last)
 	return model.ShardedWordAlgo{
 		Init: func(v int64, info model.NodeInfo) uint64 { return cvInit(info) },
-		Step: step,
+		Step: cvStep(steps, last),
 		Out: func(state *uint64) model.Output {
 			return model.Output{Member: *state&cvMISBit != 0}
 		},
@@ -249,7 +248,7 @@ func VisitShardedMatching(se *model.ShardedEngine, crashed func(int64) bool, vis
 // proposalShardedAlgo draws each node's proposal inside Init (the
 // engine guarantees Init runs sequentially in increasing global node
 // order, so the rng stream is schedule- and shard-independent) and
-// exchanges proposals with the shared proposalStep core. The drawn
+// exchanges proposals with the shared proposalStep. The drawn
 // neighbour is the rng.Intn(d)-th in ascending-id order, matching the
 // flat drawProposals over sorted CSR adjacency.
 func proposalShardedAlgo(src model.ShardSource, rng *rand.Rand) model.ShardedWordAlgo {

@@ -16,7 +16,7 @@ import (
 // cancellation.
 var neverHalt = WordAlgo{
 	Init: func(v int, info NodeInfo) uint64 { return 0 },
-	Step: func(state *uint64, round int, inbox []WordMsg, out *Outbox) bool { return false },
+	Step: chunkStep(func(state *uint64, round int, inbox []wordMsg, out sends) bool { return false }),
 	Out:  func(state *uint64) Output { return Output{} },
 }
 
@@ -86,9 +86,9 @@ func TestWithContextTypedPath(t *testing.T) {
 	te := TypedOn[uint64](NewEngine(h).WithContext(ctx))
 	stall := WordAlgo{
 		Init: func(v int, info NodeInfo) uint64 { return 0 },
-		Step: func(state *uint64, round int, inbox []WordMsg, out *Outbox) bool {
+		Step: chunkStep(func(state *uint64, round int, inbox []wordMsg, out sends) bool {
 			return false
-		},
+		}),
 		Out: func(state *uint64) Output { return Output{} },
 	}
 	_, _, err := te.RunStates(nil, stall, 64)

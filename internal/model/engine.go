@@ -25,7 +25,7 @@ import (
 // the same arc by the inverse letter at the other endpoint.
 //
 // Double buffering. Messages for round r live in arena r&1 and the
-// outboxes of round r are written into arena (r+1)&1, so a slot is
+// sends of round r are written into arena (r+1)&1, so a slot is
 // written by exactly one sender and read by exactly one receiver and
 // no round ever races with the next. Slots carry monotone int64
 // stamps instead of being cleared: a slot holds a live message for
@@ -50,11 +50,11 @@ import (
 // barrier skips its compaction, unless the run's fault plan has node
 // faults (faultPlan): then the barrier also removes crashed nodes.
 //
-// Determinism. Each node's Step writes only that node's state slot,
-// halt flag and outgoing message slots, so parallel and sequential
-// runs are byte-identical; any randomness must be drawn before the run
-// (Init is invoked sequentially in increasing node order for exactly
-// this reason).
+// Determinism. A step writes, for each node of its chunk, only that
+// node's state slot, halt flag and outgoing message slots, so parallel
+// and sequential runs are byte-identical; any randomness must be drawn
+// before the run (Init is invoked sequentially in increasing node
+// order for exactly this reason).
 //
 // An Engine may be reused for any number of runs on its host (arenas
 // warm up once), also by typed engines of different state types (the
@@ -68,8 +68,8 @@ type Engine struct {
 	letters []view.Letter
 	dest    []int32
 	// maxSlots is the widest slot row (the plane's maximum in-degree):
-	// the bound every per-worker inbox-compaction scratch is pre-sized
-	// from (2x for fault scratch, so duplicated deliveries fit).
+	// the bound the workers' identity delivery order and fault scratch
+	// are sized from (newLanes).
 	maxSlots int32
 
 	// Message plane: double-buffered cell arenas (payload and stamp
@@ -78,11 +78,10 @@ type Engine struct {
 	tick  int64
 
 	// Run state, reused across runs.
-	halted  []bool
-	active  []int32
-	spare   []int32
-	errs    []error
-	errFlag atomic.Bool
+	halted []bool
+	active []int32
+	spare  []int32
+	err    runErr
 
 	// crashed marks permanently crashed nodes on faulty runs; lazily
 	// allocated on the first faulty run so clean engines pay nothing.
@@ -182,7 +181,6 @@ func NewEngine(h *Host) *Engine {
 	e.halted = make([]bool, n)
 	e.active = make([]int32, 0, n)
 	e.spare = make([]int32, 0, n)
-	e.errs = make([]error, n)
 	e.resumeFrom = -1
 	return e
 }
@@ -206,102 +204,16 @@ func (e *Engine) slot(v int, l view.Letter) int32 {
 	return end
 }
 
-// fail records v's first send error; the run surfaces the error of
-// the smallest failing node after the round's barrier.
-func (e *Engine) fail(v int, err error) {
-	if e.errs[v] == nil {
-		e.errs[v] = err
-		e.errFlag.Store(true)
-	}
-}
-
-// Outbox routes one node's outgoing words straight into the next
-// round's arena. Each worker owns one Outbox for the whole run
-// (allocated by newLanes, cache lines apart from every other
-// worker's); the engine repoints it at the current node before every
-// Step.
-type Outbox struct {
-	e    *Engine
-	v    int32
-	nxt  int   // arena written this round
-	want int64 // stamp marking next-round messages
-
-	// The plane's rows for this run and round: the slot offsets, the
-	// routing and the arena written this round.
-	off  []int32
-	dest []int32
-	next []cell
-
-	// round and prof contextualise error strings (prof is "" on clean
-	// runs; see errf).
-	round int
-	prof  string
-
-	// This worker's fault counters and inbox-compaction scratch.
-	lane
-}
-
-// enter points the outbox at a round that reads arena cur at stamp
-// want: it writes the other arena at stamp want+1.
-func (ob *Outbox) enter(round, cur int, want int64) {
-	ob.nxt, ob.want, ob.round = cur^1, want+1, round
-	ob.next = ob.e.cells[ob.nxt]
-}
-
-// errf builds a run error carrying the round number and, on faulty
-// runs, the fault-profile descriptor.
-func (ob *Outbox) errf(format string, args ...any) error {
-	msg := fmt.Sprintf(format, args...)
-	if ob.prof != "" {
-		return fmt.Errorf("model: round %d [%s]: %s", ob.round, ob.prof, msg)
-	}
-	return fmt.Errorf("model: round %d: %s", ob.round, msg)
-}
-
-// SendWord emits the payload word w on the sender's local incident
-// slot (the letter-sorted index: info.Letters[slot] names the arc), to
-// be delivered next round. Sends on absent slots and second sends on
-// one slot in the same round are errors reported by the run. There is
-// no letter lookup at all; the slot index addresses the plane
-// directly.
-func (ob *Outbox) SendWord(slot int, w uint64) {
-	v := int(ob.v)
-	lo, hi := ob.off[v], ob.off[v+1]
-	if slot < 0 || int32(slot) >= hi-lo {
-		ob.e.fail(v, ob.errf("node %d sent on absent slot %d (node has %d)", v, slot, hi-lo))
-		return
-	}
-	c := &ob.next[ob.dest[lo+int32(slot)]]
-	if c.stamp == ob.want {
-		ob.e.fail(v, ob.errf("node %d sent twice on slot %d", v, slot))
-		return
-	}
-	*c = cell{w: w, stamp: ob.want}
-}
-
-// BroadcastWord emits w on every incident slot of the sending node —
-// the whole-row fast path: one pass over the sender's slot row, no
-// per-slot check and no double-send bookkeeping (it overwrites
-// anything already sent this round on those slots; a second
-// BroadcastWord in one Step simply wins).
-func (ob *Outbox) BroadcastWord(w uint64) {
-	v := ob.v
-	next, c := ob.next, cell{w: w, stamp: ob.want}
-	for _, d := range ob.dest[ob.off[v]:ob.off[v+1]] {
-		next[d] = c
-	}
-}
-
 // runCore is the round-loop machinery shared by the clean and faulty
 // paths: active-worklist management (including schedule-driven crash
 // removal), persistent workers with dynamic chunk handoff, the
 // per-round barrier, error surfacing, and fault-report assembly. step
-// performs the round of one chunk of the worklist (compaction, fate
-// draws and the algorithm's Step all live in the caller's closure;
-// every step adds the nodes that halted to the worker's lane.halts).
-// fp is the run's fault plan: State is asked only when the plan has
-// node faults, and otherwise the barrier compacts by the clean rule.
-func (e *Engine) runCore(step func([]int32, *Outbox), fp faultPlan, maxRounds int) (int, *FaultReport, error) {
+// performs the round of one chunk of the worklist (stepChunk: the
+// faulty preparation and the algorithm's step; Chunk.Halt counts the
+// nodes that halted). fp is the run's fault plan: State is asked only
+// when the plan has node faults, and otherwise the barrier compacts by
+// the clean rule.
+func (e *Engine) runCore(step func([]int32, *Chunk), fp *faultPlan, maxRounds int) (int, *FaultReport, error) {
 	sched := fp.sched
 	// A restored snapshot (snapshot.go) shifts the start round and
 	// seeds the fault counters; the worklist is then rebuilt from the
@@ -326,7 +238,7 @@ func (e *Engine) runCore(step func([]int32, *Outbox), fp faultPlan, maxRounds in
 			}
 		}
 	}
-	e.errFlag.Store(false)
+	e.err.err = nil
 	active := e.active[:0]
 	for v := 0; v < e.n; v++ {
 		if resumed {
@@ -362,7 +274,7 @@ func (e *Engine) runCore(step func([]int32, *Outbox), fp faultPlan, maxRounds in
 		e.tick = base + int64(round) + 2
 	}()
 
-	roundWork := func(ob *Outbox) {
+	roundWork := func(c *Chunk) {
 		defer func() {
 			if r := recover(); r != nil {
 				panicMu.Lock()
@@ -381,41 +293,40 @@ func (e *Engine) runCore(step func([]int32, *Outbox), fp faultPlan, maxRounds in
 			if hi > int64(len(active)) {
 				hi = int64(len(active))
 			}
-			step(active[lo:hi], ob)
+			step(active[lo:hi], c)
 		}
 	}
 
 	// Persistent workers: spawned once against par's global budget,
-	// released after the last round; each owns one Outbox for the run.
+	// released after the last round; each owns one Chunk for the run.
 	workers := 0
 	if e.n > 1 {
 		workers = par.Reserve(min(par.N()-1, e.n-1))
 	}
 	defer par.Release(workers)
-	// Outboxes live outside the goroutines (master's is last) so the
+	// Cursors live outside the goroutines (master's is last) so the
 	// per-worker fault counters are collectable after the run.
-	obs, lanes := newLanes(workers+1, e.maxSlots, sched != nil, func(ob *Outbox) *lane {
-		ob.e, ob.prof = e, prof
-		ob.off, ob.dest = e.off, e.dest
-		return &ob.lane
+	cs := newLanes(workers+1, e.maxSlots, fp, func(c *Chunk) {
+		c.errs, c.prof = &e.err, prof
+		c.off, c.dest, c.halted = e.off, e.dest, e.halted
 	})
 	start := make([]chan struct{}, workers)
 	for w := range start {
 		start[w] = make(chan struct{}, 1)
-		go func(ch chan struct{}, ob *Outbox) {
+		go func(ch chan struct{}, c *Chunk) {
 			for range ch {
-				ob.enter(round, curArena, curWant)
-				roundWork(ob)
+				c.enter(round, e.cells[curArena], e.cells[curArena^1], curWant)
+				roundWork(c)
 				wg.Done()
 			}
-		}(start[w], obs[w])
+		}(start[w], cs[w])
 	}
 	defer func() {
 		for _, ch := range start {
 			close(ch)
 		}
 	}()
-	masterOb := obs[workers]
+	master := cs[workers]
 
 	round = startRound
 	for ; round < maxRounds && len(active) > 0; round++ {
@@ -435,24 +346,20 @@ func (e *Engine) runCore(step func([]int32, *Outbox), fp faultPlan, maxRounds in
 		for _, ch := range start {
 			ch <- struct{}{}
 		}
-		masterOb.enter(round, curArena, curWant)
-		roundWork(masterOb)
+		master.enter(round, e.cells[curArena], e.cells[curArena^1], curWant)
+		roundWork(master)
 		wg.Wait()
 		if panicked != nil {
 			panic(panicked)
 		}
-		if e.errFlag.Load() {
-			for _, v := range active {
-				if err := e.errs[v]; err != nil {
-					return 0, nil, err
-				}
-			}
+		if err := e.err.err; err != nil {
+			return 0, nil, err
 		}
 		// Compact the active worklist; the spare buffer flips roles so
 		// neither list is reallocated. Under node faults nodes whose
 		// crash round has arrived leave the worklist permanently;
 		// otherwise a round in which no node halted leaves it as it was.
-		if halts := takeHalts(lanes); fp.nodeFaults {
+		if halts := takeHalts(cs); fp.nodeFaults {
 			nxt := e.spare[:0]
 			for _, v := range active {
 				if e.halted[v] {
@@ -480,7 +387,7 @@ func (e *Engine) runCore(step func([]int32, *Outbox), fp faultPlan, maxRounds in
 		// right at the cancellation point). The idle cost is one nil
 		// check; a finished run (empty worklist) never checkpoints.
 		if e.ck != nil && len(active) > 0 && e.ck.due(round+1) {
-			if err := e.snapshotAt(round+1, base, sched, lanes); err != nil {
+			if err := e.snapshotAt(round+1, base, sched, cs); err != nil {
 				return 0, nil, err
 			}
 		}
@@ -494,7 +401,7 @@ func (e *Engine) runCore(step func([]int32, *Outbox), fp faultPlan, maxRounds in
 	}
 	var rep *FaultReport
 	if sched != nil {
-		r := sumFaults(e.repBase, lanes)
+		r := sumFaults(e.repBase, cs)
 		r.Profile = prof
 		rep = &r
 		rep.Crashed = append([]bool(nil), e.crashed...)

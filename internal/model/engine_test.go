@@ -92,7 +92,7 @@ type floodSlotState struct {
 }
 
 // floodSlotAlgo is floodMaxAlgo on the word lane with one checked
-// SendWord per slot, where floodTypedAlgo broadcasts: the slot-indexed
+// Send per slot, where floodTypedAlgo broadcasts: the slot-indexed
 // send must reach exactly the neighbour the letter-addressed send of
 // the specification reaches.
 func floodSlotAlgo() TypedAlgo[floodSlotState] {
@@ -101,7 +101,7 @@ func floodSlotAlgo() TypedAlgo[floodSlotState] {
 			id := int32(info.ID)
 			return floodSlotState{id: id, best: id, ticks: 1 + id%4, slots: int32(len(info.Letters))}
 		},
-		Step: func(s *floodSlotState, round int, inbox []WordMsg, out *Outbox) bool {
+		Step: chunkStep(func(s *floodSlotState, round int, inbox []wordMsg, out sends) bool {
 			for _, m := range inbox {
 				if v := int32(m.W); v > s.best {
 					s.best = v
@@ -112,10 +112,10 @@ func floodSlotAlgo() TypedAlgo[floodSlotState] {
 			}
 			s.ticks--
 			for i := 0; i < int(s.slots); i++ {
-				out.SendWord(i, uint64(s.best))
+				out.Send(i, uint64(s.best))
 			}
 			return false
-		},
+		}),
 		Out: func(s *floodSlotState) Output { return Output{Member: s.best > s.id} },
 	}
 }
@@ -210,7 +210,7 @@ func TestEngineInboxLetterOrder(t *testing.T) {
 	h := HostFromGraph(graph.Torus(6, 6))
 	ordered := TypedAlgo[[]view.Letter]{
 		Init: func(v int, info NodeInfo) []view.Letter { return info.Letters },
-		Step: func(ls *[]view.Letter, round int, inbox []WordMsg, out *Outbox) bool {
+		Step: chunkStep(func(ls *[]view.Letter, round int, inbox []wordMsg, out sends) bool {
 			if round == 1 {
 				for i := 1; i < len(inbox); i++ {
 					if prev, cur := (*ls)[inbox[i-1].Slot], (*ls)[inbox[i].Slot]; !prev.Less(cur) {
@@ -219,9 +219,9 @@ func TestEngineInboxLetterOrder(t *testing.T) {
 				}
 				return true
 			}
-			out.BroadcastWord(uint64(round))
+			out.Broadcast(uint64(round))
 			return false
-		},
+		}),
 		Out: func(*[]view.Letter) Output { return Output{} },
 	}
 	if _, _, err := RunRoundsTyped(h, nil, ordered, 4); err != nil {
@@ -240,7 +240,7 @@ func TestEngineErrorsMatchReference(t *testing.T) {
 	}
 	neverWord := WordAlgo{
 		Init: func(int, NodeInfo) uint64 { return 0 },
-		Step: func(*uint64, int, []WordMsg, *Outbox) bool { return false },
+		Step: chunkStep(func(*uint64, int, []wordMsg, sends) bool { return false }),
 		Out:  func(*uint64) Output { return Output{} },
 	}
 	for _, ids := range [][]int{nil, {1, 2}} {
@@ -258,11 +258,11 @@ func TestEngineDuplicateSend(t *testing.T) {
 	h := HostFromGraph(graph.Cycle(4))
 	dup := WordAlgo{
 		Init: func(int, NodeInfo) uint64 { return 0 },
-		Step: func(st *uint64, round int, inbox []WordMsg, out *Outbox) bool {
-			out.SendWord(1, 1)
-			out.SendWord(1, 2)
+		Step: chunkStep(func(st *uint64, round int, inbox []wordMsg, out sends) bool {
+			out.Send(1, 1)
+			out.Send(1, 2)
 			return false
-		},
+		}),
 		Out: func(*uint64) Output { return Output{} },
 	}
 	for _, sched := range []Schedule{nil, MustParseProfile("lossy:p=0.5").New(h, 1)} {
@@ -275,7 +275,7 @@ func TestEngineDuplicateSend(t *testing.T) {
 
 // slotPulse is the zero-allocation steady-state workload on the
 // checked send path: every node sends its remaining round count on
-// each of its slots with SendWord for a fixed number of rounds.
+// each of its slots with Send for a fixed number of rounds.
 type slotPulse struct {
 	left, slots int32
 }
@@ -285,15 +285,18 @@ func slotPulseAlgo(rounds int) TypedAlgo[slotPulse] {
 		Init: func(v int, info NodeInfo) slotPulse {
 			return slotPulse{left: int32(rounds), slots: int32(len(info.Letters))}
 		},
-		Step: func(s *slotPulse, round int, inbox []WordMsg, out *Outbox) bool {
-			if s.left == 0 {
-				return true
+		Step: func(c *Chunk, states []slotPulse) {
+			for c.Next() {
+				s := &states[c.Node]
+				if s.left == 0 {
+					c.Halt()
+					continue
+				}
+				s.left--
+				for i := 0; i < int(s.slots); i++ {
+					c.Send(i, uint64(s.left))
+				}
 			}
-			s.left--
-			for i := 0; i < int(s.slots); i++ {
-				out.SendWord(i, uint64(s.left))
-			}
-			return false
 		},
 		Out: func(*slotPulse) Output { return Output{} },
 	}
@@ -330,18 +333,18 @@ func TestEngineReuseAfterError(t *testing.T) {
 	e := NewEngine(h)
 	bad := WordAlgo{
 		Init: func(int, NodeInfo) uint64 { return 0 },
-		Step: func(st *uint64, round int, inbox []WordMsg, out *Outbox) bool {
-			out.SendWord(99, 1)
+		Step: chunkStep(func(st *uint64, round int, inbox []wordMsg, out sends) bool {
+			out.Send(99, 1)
 			return false
-		},
+		}),
 		Out: func(*uint64) Output { return Output{} },
 	}
 	never := WordAlgo{
 		Init: func(int, NodeInfo) uint64 { return 0 },
-		Step: func(st *uint64, round int, inbox []WordMsg, out *Outbox) bool {
-			out.SendWord(0, uint64(round))
+		Step: chunkStep(func(st *uint64, round int, inbox []wordMsg, out sends) bool {
+			out.Send(0, uint64(round))
 			return false
-		},
+		}),
 		Out: func(*uint64) Output { return Output{} },
 	}
 	rng := rand.New(rand.NewSource(9))

@@ -121,7 +121,11 @@ type Profile struct {
 // coordinates, not from a shared stream, so they are independent of
 // worker scheduling and of how many other decisions were drawn.
 func mix(seed, a, b uint64) uint64 {
-	x := seed ^ a*0x9E3779B97F4A7C15 ^ b*0xC2B2AE3D27D4EB4F
+	return fmix(seed ^ a*0x9E3779B97F4A7C15 ^ b*slotMul)
+}
+
+// fmix is mix's finaliser.
+func fmix(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 27
@@ -149,9 +153,24 @@ func below(h, thr uint64) bool { return thr != 0 && (h>>11) < thr }
 
 // uniformDrop reports whether the delivery of the given round and
 // plane slot is dropped at threshold thr: the one drop decision behind
-// Fate and the flat engine's planned uniform drops.
+// Fate and the engines' planned uniform drops (Chunk.markDrops, which
+// takes dropRound out of its loop).
 func uniformDrop(seed, thr uint64, round int, slot int32) bool {
-	return below(mix(seed, uint64(round), uint64(slot)), thr)
+	return dropMixed(dropRound(seed, round), thr, uint64(slot)*slotMul)
+}
+
+// dropRound is the part of a drop decision fixed by the round: mix's
+// mixing of its first coordinate.
+func dropRound(seed uint64, round int) uint64 { return seed ^ uint64(round)*0x9E3779B97F4A7C15 }
+
+// slotMul is mix's multiplier of its second coordinate.
+const slotMul = 0xC2B2AE3D27D4EB4F
+
+// dropMixed completes the drop decision of a slot from its round's
+// dropRound and the slot times slotMul (a loop over consecutive slots
+// steps that product by slotMul): the finaliser and the threshold.
+func dropMixed(base, thr, slotMixed uint64) bool {
+	return below(fmix(base^slotMixed), thr)
 }
 
 // schedule is the one implementation behind every canned profile.
@@ -239,8 +258,8 @@ func (s *schedule) Reorder(round int, v int32) uint64 {
 }
 
 // faultPlan is what a run's schedule can produce, derived once per
-// run so that the flat engine's step and barrier skip every query
-// whose answer the profile fixes. The sharded engine asks every query.
+// run so that both engines' chunk preparation (Chunk.prepare) and
+// barriers skip every query whose answer the profile fixes.
 type faultPlan struct {
 	// sched is the run's schedule (nil: clean).
 	sched Schedule
@@ -250,6 +269,9 @@ type faultPlan struct {
 	nodeFaults bool
 	// reorder: Reorder may answer a nonzero seed.
 	reorder bool
+	// remap: Fate may duplicate a delivery or Reorder may permute an
+	// inbox, so deliveries go through the workers' delivery-order maps.
+	remap bool
 	// uniform: every fate is Deliver or a drop decided by
 	// uniformDrop(fateSeed, dropThr, ...), so Fate is never asked.
 	uniform           bool
@@ -262,12 +284,14 @@ type faultPlan struct {
 func planFaults(sched Schedule) faultPlan {
 	s, ok := sched.(*schedule)
 	if !ok {
-		return faultPlan{sched: sched, nodeFaults: sched != nil, reorder: sched != nil}
+		full := sched != nil
+		return faultPlan{sched: sched, nodeFaults: full, reorder: full, remap: full}
 	}
 	return faultPlan{
 		sched:      sched,
 		nodeFaults: s.crashAt != nil || s.churnThr != 0,
 		reorder:    s.shuffle,
+		remap:      s.dupThr != 0 || s.shuffle,
 		uniform:    s.dropPer == nil && !s.ramp && s.dupThr == 0,
 		fateSeed:   s.fateSeed,
 		dropThr:    s.dropAll,
@@ -634,10 +658,9 @@ func (p *fparams) unusedErr() error {
 	return fmt.Errorf("unused arguments %v", bad)
 }
 
-// shuffleWordMsgs applies the seeded Fisher–Yates permutation — the
-// adversarial reordering — in place. The sharded engine shuffles with
-// it too, so both engines permute an inbox identically.
-func shuffleWordMsgs(ms []WordMsg, seed uint64) {
+// shuffleOrder applies the seeded Fisher–Yates permutation — the
+// adversarial reordering — in place to a node's delivery order.
+func shuffleOrder(ms []int32, seed uint64) {
 	x := seed
 	for i := len(ms) - 1; i > 0; i-- {
 		x = mix(x, uint64(i), 0)

@@ -213,11 +213,11 @@ func TestErrorFormats(t *testing.T) {
 	}
 	dup := WordAlgo{
 		Init: func(int, NodeInfo) uint64 { return 0 },
-		Step: func(st *uint64, r int, inbox []WordMsg, out *Outbox) bool {
-			out.BroadcastWord(1)
-			out.SendWord(0, 2)
+		Step: chunkStep(func(st *uint64, r int, inbox []wordMsg, out sends) bool {
+			out.Broadcast(1)
+			out.Send(0, 2)
 			return false
-		},
+		}),
 		Out: func(*uint64) Output { return Output{} },
 	}
 	_, _, _, err = RunRoundsTypedFaulty(h, nil, dup, 3, sched)
@@ -438,31 +438,31 @@ func TestFaultyEngineReuse(t *testing.T) {
 // TestShuffleMsgs: the seeded permutation is deterministic and
 // actually permutes.
 func TestShuffleMsgs(t *testing.T) {
-	mk := func() []WordMsg {
-		ms := make([]WordMsg, 8)
+	mk := func() []int32 {
+		ms := make([]int32, 8)
 		for i := range ms {
-			ms[i].W = uint64(i)
+			ms[i] = int32(i)
 		}
 		return ms
 	}
 	a, b := mk(), mk()
-	shuffleWordMsgs(a, 12345)
-	shuffleWordMsgs(b, 12345)
+	shuffleOrder(a, 12345)
+	shuffleOrder(b, 12345)
 	if !reflect.DeepEqual(a, b) {
 		t.Error("same seed shuffled differently")
 	}
 	moved := false
 	for i := range a {
-		if a[i].W != uint64(i) {
+		if a[i] != int32(i) {
 			moved = true
 		}
 	}
 	if !moved {
 		t.Error("shuffle was the identity for seed 12345")
 	}
-	seen := map[uint64]bool{}
+	seen := map[int32]bool{}
 	for _, m := range a {
-		seen[m.W] = true
+		seen[m] = true
 	}
 	if len(seen) != 8 {
 		t.Errorf("shuffle lost elements: %v", a)

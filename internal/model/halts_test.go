@@ -116,53 +116,13 @@ func haltAnyAlgo(n int) RoundAlgo {
 	}
 }
 
-func haltTypedAlgo(n int) WordAlgo {
-	return WordAlgo{
-		Init: func(v int, info NodeInfo) uint64 { return haltInit(info.ID, len(info.Letters), n) },
-		Step: typedStep(haltWordStep),
-		Out:  func(*uint64) Output { return Output{} },
-	}
-}
-
-func haltShardedAlgo(n int) ShardedWordAlgo {
-	return ShardedWordAlgo{
-		Init: func(v int64, info NodeInfo) uint64 { return haltInit(info.ID, len(info.Letters), n) },
-		Step: shardStep(haltWordStep),
-		Out:  func(*uint64) Output { return Output{} },
-	}
-}
-
-// haltResult is one run reduced to what the engines must agree on.
-type haltResult struct {
-	words  []uint64
-	rounds int
-	rep    FaultReport
-	err    string
-}
-
-func (r haltResult) String() string {
-	return fmt.Sprintf("rounds %d err %q report %+v words %x", r.rounds, r.err, r.rep, r.words)
-}
-
-func haltOutcome(words []uint64, rounds int, rep *FaultReport, err error) haltResult {
-	if err != nil {
-		return haltResult{err: err.Error()}
-	}
-	r := haltResult{words: words, rounds: rounds}
-	if rep != nil {
-		r.rep = *rep
-		r.rep.Crashed = nil
-	}
-	return r
-}
-
 // TestHaltPatternDifferential pins the barrier's compaction skip: the
 // halting-pattern workload gives equal rounds, states, fault reports
 // and error strings on the flat engine and the sharded engine at
 // P = 1, 2 and 8, clean and under lossy:p=0.05, at par 1 and 8 — both
 // with rounds to spare and with a round budget that stops the run
-// while nodes are still live. The reference is the specification loop
-// on clean runs and the sharded engine at P=1 on faulty ones.
+// while nodes are still live. The reference is the specification loop;
+// on clean runs it must also agree with RunRoundsStates.
 func TestHaltPatternDifferential(t *testing.T) {
 	for desc, h := range shardDiffHosts() {
 		n := h.G.N()
@@ -170,63 +130,48 @@ func TestHaltPatternDifferential(t *testing.T) {
 		for v := range ids {
 			ids[v] = v
 		}
-		idf := func(v int64) int { return int(v) }
+		w := specWorkload{haltInit, haltWordStep, 0}
 		for _, budget := range []int{haltRounds, 6} {
+			w.rounds = budget
 			for _, prof := range []string{"clean", "lossy:p=0.05"} {
 				var sched Schedule
 				if prof != "clean" {
 					sched = MustParseProfile(prof).New(h, 7)
 				}
-				var want haltResult
+				want := specReference(h, ids, w, sched)
 				if sched == nil {
 					states, rounds, err := RunRoundsStates(h, ids, haltAnyAlgo(n), budget)
-					want = haltOutcome(anyWords(states), rounds, nil, err)
-					if err == nil {
-						want.rep.Profile = "clean"
+					if got := specOutcome(anyWords(states), rounds, nil, err); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s budget %d: RunRoundsStates %+v, specification loop %+v", desc, budget, got, want)
 					}
-				} else {
-					want = haltSharded(t, h, 1, idf, n, budget, sched)
 				}
-				if budget == haltRounds && (want.err != "" || want.rounds != haltRounds) {
-					t.Fatalf("%s/%s: reference run %v, want %d rounds", desc, prof, want, haltRounds)
+				if budget == haltRounds && (want.Err != "" || want.Rounds != haltRounds) {
+					t.Fatalf("%s/%s: reference run %+v, want %d rounds", desc, prof, want, haltRounds)
 				}
-				if budget < haltRounds && want.err == "" {
+				if budget < haltRounds && want.Err == "" {
 					t.Fatalf("%s/%s budget %d: the run halted", desc, prof, budget)
 				}
 				for _, workers := range []int{1, 8} {
 					old := par.Set(workers)
-					runs := map[string]haltResult{}
-					col, rounds, rep, err := NewWordEngine(h).RunStatesFaulty(ids, haltTypedAlgo(n), budget, sched)
-					runs["flat"] = haltOutcome(col, rounds, rep, err)
+					runs := map[string]specResult{"flat": specFlat(h, ids, w, sched)}
 					for _, p := range []int{1, 2, 8} {
-						runs[fmt.Sprintf("sharded P=%d", p)] = haltSharded(t, h, p, idf, n, budget, sched)
+						got, err := specSharded(h, ids, p, w, sched)
+						if err != nil {
+							par.Set(old)
+							t.Fatal(err)
+						}
+						runs[fmt.Sprintf("sharded P=%d", p)] = got
 					}
 					par.Set(old)
 					for name, got := range runs {
 						if !reflect.DeepEqual(got, want) {
-							t.Errorf("%s/%s budget %d par %d %s:\n got %v\nwant %v", desc, prof, budget, workers, name, got, want)
+							t.Errorf("%s/%s budget %d par %d %s:\n got %+v\nwant %+v", desc, prof, budget, workers, name, got, want)
 						}
 					}
 				}
 			}
 		}
 	}
-}
-
-// haltSharded runs the workload on the sharded engine at P=p.
-func haltSharded(t *testing.T, h *Host, p int, idf IDFunc, n, budget int, sched Schedule) haltResult {
-	t.Helper()
-	se, err := NewShardedEngine(SourceOf(h), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rounds, rep, err := se.RunFaulty(idf, haltShardedAlgo(n), budget, sched)
-	var words []uint64
-	if err == nil {
-		words = make([]uint64, n)
-		se.VisitStates(func(v int64, st uint64) { words[v] = st })
-	}
-	return haltOutcome(words, rounds, rep, err)
 }
 
 func anyWords(states []any) []uint64 {

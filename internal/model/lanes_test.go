@@ -9,13 +9,15 @@ import (
 )
 
 // TestWorkerLanesIsolated pins the worker-lane layout rather than its
-// timing: for 1, 2, 3 and 8 workers, on both engines, clean and
-// faulty, no 128-byte-aligned block of memory holds mutable bytes of
-// two different workers (an outbox or any of its scratch arrays), and
-// the scratch keeps its sized bounds — at least maxSlots entries on
-// clean paths and 2·maxSlots on faulty ones. The hosts' widest slot
-// rows are 2 (cycle) and 4 (torus), so the scratch arrays are 32 to
-// 256 bytes: small enough that unguarded ones share blocks.
+// timing: for 1, 2, 3 and 8 workers, on the planes of both engines,
+// clean and under profiles that need no scratch (lossy), the node-list
+// scratch (crash) and the delivery-order map too (dup+reorder), no
+// 128-byte-aligned block of memory holds mutable bytes of two
+// different workers (a cursor or any of its scratch arrays), and the
+// scratch keeps its sized bounds: pieceNodes list entries when the
+// plan filters nodes, and a map of at least twice the widest slot row
+// when it remaps deliveries. The hosts' widest slot rows are 2 (cycle)
+// and 4 (torus).
 func TestWorkerLanesIsolated(t *testing.T) {
 	hosts := []struct {
 		name     string
@@ -34,27 +36,20 @@ func TestWorkerLanesIsolated(t *testing.T) {
 		if e.maxSlots != hc.maxSlots || se.maxSlots != hc.maxSlots {
 			t.Fatalf("%s: maxSlots flat %d sharded %d, want %d", hc.name, e.maxSlots, se.maxSlots, hc.maxSlots)
 		}
-		for _, n := range []int{1, 2, 3, 8} {
-			for _, faulty := range []bool{false, true} {
-				obs, lanes := newLanes(n, e.maxSlots, faulty, func(ob *Outbox) *lane { return &ob.lane })
-				name := fmt.Sprintf("%s flat faulty=%v workers=%d", hc.name, faulty, n)
-				checkLanes(t, name, lanes, hc.maxSlots, faulty, func(w int) (uintptr, uintptr) {
-					return uintptr(unsafe.Pointer(obs[w])), unsafe.Sizeof(*obs[w])
-				})
-				sobs, slanes := newLanes(n, se.maxSlots, faulty, func(ob *ShardOutbox) *lane { return &ob.lane })
-				name = fmt.Sprintf("%s sharded faulty=%v workers=%d", hc.name, faulty, n)
-				checkLanes(t, name, slanes, hc.maxSlots, faulty, func(w int) (uintptr, uintptr) {
-					return uintptr(unsafe.Pointer(sobs[w])), unsafe.Sizeof(*sobs[w])
-				})
+		for _, prof := range []string{"clean", "lossy:p=0.1", "crash:f=2", "dup+reorder"} {
+			fp := planFaults(MustParseProfile(prof).New(hc.h, 1))
+			for _, n := range []int{1, 2, 3, 8} {
+				cs := newLanes(n, hc.maxSlots, &fp, func(*Chunk) {})
+				checkLanes(t, fmt.Sprintf("%s %s workers=%d", hc.name, prof, n), cs, hc.maxSlots, &fp)
 			}
 		}
 	}
 }
 
-// checkLanes asserts the scratch bounds of one run's lanes and that
-// every 128-byte-aligned block touched by a worker's outbox (address
-// and size from outbox) or scratch belongs to that worker alone.
-func checkLanes(t *testing.T, name string, lanes []*lane, m int32, faulty bool, outbox func(w int) (uintptr, uintptr)) {
+// checkLanes asserts the scratch bounds of one run's cursors and that
+// every 128-byte-aligned block touched by a worker's cursor or scratch
+// belongs to that worker alone.
+func checkLanes(t *testing.T, name string, cs []*Chunk, m int32, fp *faultPlan) {
 	t.Helper()
 	owner := map[uintptr]int{}
 	claim := func(w int, what string, addr, size uintptr) {
@@ -66,18 +61,31 @@ func checkLanes(t *testing.T, name string, lanes []*lane, m int32, faulty bool, 
 			owner[b] = w
 		}
 	}
-	for w, l := range lanes {
-		addr, size := outbox(w)
-		claim(w, "outbox", addr, size)
-		if c := cap(l.dense); c > 0 {
-			claim(w, "dense", uintptr(unsafe.Pointer(unsafe.SliceData(l.dense))), uintptr(c)*unsafe.Sizeof(WordMsg{}))
+	filter := fp.sched != nil && (fp.nodeFaults || fp.remap)
+	for w, c := range cs {
+		claim(w, "cursor", uintptr(unsafe.Pointer(c)), unsafe.Sizeof(*c))
+		for _, s := range []struct {
+			what string
+			row  []int32
+		}{{"keep", c.keep}, {"mOff", c.mOff}, {"maps", c.maps}} {
+			if n := cap(s.row); n > 0 {
+				claim(w, s.what, uintptr(unsafe.Pointer(unsafe.SliceData(s.row))), uintptr(n)*unsafe.Sizeof(int32(0)))
+			}
 		}
-		want := int(m)
-		if faulty {
-			want *= 2
+		if filter && cap(c.keep) != pieceNodes {
+			t.Errorf("%s: worker %d keeps %d nodes, want %d", name, w, cap(c.keep), pieceNodes)
 		}
-		if len(l.dense) < want {
-			t.Errorf("%s: worker %d dense has %d entries, want >= %d", name, w, len(l.dense), want)
+		if !filter && cap(c.keep) != 0 {
+			t.Errorf("%s: worker %d has node-list scratch the plan does not need", name, w)
+		}
+		if fp.remap && (len(c.maps) < 2*int(m) || len(c.mOff) != pieceNodes+1) {
+			t.Errorf("%s: worker %d map %d entries (want >= %d), offsets %d (want %d)", name, w, len(c.maps), 2*m, len(c.mOff), pieceNodes+1)
+		}
+		if !fp.remap && (c.maps != nil || c.mOff != nil) {
+			t.Errorf("%s: worker %d has a delivery-order map the plan does not need", name, w)
+		}
+		if !fp.remap && (len(c.order) != int(m) || m > 0 && c.order[m-1] != m-1) {
+			t.Errorf("%s: worker %d identity order has %d entries, want %d", name, w, len(c.order), m)
 		}
 	}
 }

@@ -326,7 +326,7 @@ func TestRunRoundsHaltFailure(t *testing.T) {
 	}
 	neverWord := WordAlgo{
 		Init: func(int, NodeInfo) uint64 { return 0 },
-		Step: func(*uint64, int, []WordMsg, *Outbox) bool { return false },
+		Step: chunkStep(func(*uint64, int, []wordMsg, sends) bool { return false }),
 		Out:  func(*uint64) Output { return Output{} },
 	}
 	if _, _, err := RunRoundsTyped(cycleHost(3), nil, neverWord, 5); err == nil {
@@ -367,9 +367,9 @@ func TestRunRoundsIDsDelivered(t *testing.T) {
 	// set once the node knows it is a local maximum.
 	word := WordAlgo{
 		Init: func(v int, info NodeInfo) uint64 { return uint64(info.ID) },
-		Step: func(s *uint64, round int, inbox []WordMsg, out *Outbox) bool {
+		Step: chunkStep(func(s *uint64, round int, inbox []wordMsg, out sends) bool {
 			if round == 0 {
-				out.BroadcastWord(*s)
+				out.Broadcast(*s)
 				return false
 			}
 			mx := uint64(1) << 32
@@ -380,7 +380,7 @@ func TestRunRoundsIDsDelivered(t *testing.T) {
 			}
 			*s |= mx
 			return true
-		},
+		}),
 		Out: func(s *uint64) Output { return Output{Member: *s>>32 == 1} },
 	}
 	h := cycleHost(6)

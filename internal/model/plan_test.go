@@ -13,10 +13,12 @@ import (
 	"repro/internal/par"
 )
 
-// The flat engine plans each faulty run from its schedule and skips
-// the queries whose answers the profile fixes. These tests pin that
-// plan against the full-query path: the same schedule behind a type
-// the plan cannot see through must give byte-identical runs.
+// Both engines plan each faulty run from its schedule and skip the
+// queries whose answers the profile fixes. These tests pin that plan
+// against the full-query path: the same schedule behind a type the
+// plan cannot see through must give byte-identical runs. The flood,
+// written as a per-node step, is also pinned against the
+// specification loop, which asks every query.
 
 // fullQuery forwards String, Fate, State and Reorder to the embedded
 // schedule. Its type is not the canned profiles', so the engine plans
@@ -37,11 +39,19 @@ var planProfiles = []string{
 
 // samePlanned runs run under every profile of planProfiles, at
 // parallelism 1 and 8, once with the parsed schedule and once behind
-// fullQuery, and requires the two results to be deeply equal.
-func samePlanned(t *testing.T, h *model.Host, run func(model.Schedule) (any, error)) {
+// fullQuery, and requires the two results to be deeply equal, and
+// equal to ref's result when ref is not nil.
+func samePlanned(t *testing.T, h *model.Host, run, ref func(model.Schedule) (any, error)) {
 	t.Helper()
 	for _, desc := range planProfiles {
 		sched := model.MustParseProfile(desc).New(h, 99)
+		var want any
+		if ref != nil {
+			var err error
+			if want, err = ref(sched); err != nil {
+				t.Fatalf("%s: reference run: %v", desc, err)
+			}
+		}
 		for _, p := range []int{1, 8} {
 			old := par.Set(p)
 			planned, err := run(sched)
@@ -57,32 +67,40 @@ func samePlanned(t *testing.T, h *model.Host, run func(model.Schedule) (any, err
 			if !reflect.DeepEqual(planned, full) {
 				t.Errorf("%s p=%d: planned run differs from the full-query run (reproducer: seed=99)", desc, p)
 			}
+			if ref != nil && !reflect.DeepEqual(planned, want) {
+				t.Errorf("%s p=%d: planned run differs from the specification loop (reproducer: seed=99)", desc, p)
+			}
 		}
 	}
 }
 
-// planFloodAlgo floods the largest id with staggered halting: a node
-// halts after 1+3*(id%4) rounds, so rounds without a halt lie between
-// rounds with one. State and payload are best<<8 | ticks.
+// planFloodInit and planFloodStep flood the largest id with staggered
+// halting: a node halts after 1+3*(id%4) rounds, so rounds without a
+// halt lie between rounds with one. State and payload are
+// best<<8 | ticks.
+func planFloodInit(v int, info model.NodeInfo) uint64 {
+	return uint64(info.ID)<<8 | uint64(1+3*(info.ID%4))
+}
+
+func planFloodStep(s *uint64, round int, inbox []model.SpecMsg, out model.SpecSends) bool {
+	best, ticks := *s>>8, *s&0xff
+	for _, m := range inbox {
+		best = max(best, m.W>>8)
+	}
+	if ticks == 0 {
+		*s = best << 8
+		return true
+	}
+	*s = best<<8 | (ticks - 1)
+	out.Broadcast(*s)
+	return false
+}
+
 func planFloodAlgo() model.WordAlgo {
 	return model.WordAlgo{
-		Init: func(v int, info model.NodeInfo) uint64 {
-			return uint64(info.ID)<<8 | uint64(1+3*(info.ID%4))
-		},
-		Step: func(s *uint64, round int, inbox []model.WordMsg, out *model.Outbox) bool {
-			best, ticks := *s>>8, *s&0xff
-			for _, m := range inbox {
-				best = max(best, m.W>>8)
-			}
-			if ticks == 0 {
-				*s = best << 8
-				return true
-			}
-			*s = best<<8 | (ticks - 1)
-			out.BroadcastWord(*s)
-			return false
-		},
-		Out: func(s *uint64) model.Output { return model.Output{} },
+		Init: planFloodInit,
+		Step: model.SpecStep(planFloodStep),
+		Out:  func(s *uint64) model.Output { return model.Output{} },
 	}
 }
 
@@ -109,6 +127,9 @@ func TestFaultPlanFlood(t *testing.T) {
 			samePlanned(t, h, func(sched model.Schedule) (any, error) {
 				col, rounds, rep, err := model.NewWordEngine(h).RunStatesFaulty(ids, planFloodAlgo(), 300, sched)
 				return planRun{col, rounds, rep}, err
+			}, func(sched model.Schedule) (any, error) {
+				col, rounds, rep, err := model.SpecRun(h, ids, planFloodInit, planFloodStep, 300, sched)
+				return planRun{col, rounds, rep}, err
 			})
 		})
 	}
@@ -127,14 +148,14 @@ func TestFaultPlanColeVishkin(t *testing.T) {
 	ids := planIDs(n)
 	samePlanned(t, h, func(sched model.Schedule) (any, error) {
 		return algorithms.ColeVishkinMISFaulty(h, ids, sched)
-	})
+	}, nil)
 }
 
 func TestFaultPlanMatching(t *testing.T) {
 	h := model.HostFromGraph(graph.Torus(16, 16))
 	samePlanned(t, h, func(sched model.Schedule) (any, error) {
 		return algorithms.RandomizedMatchingFaulty(h, rand.New(rand.NewSource(5)), sched)
-	})
+	}, nil)
 }
 
 func TestFaultPlanGather(t *testing.T) {
@@ -143,7 +164,7 @@ func TestFaultPlanGather(t *testing.T) {
 			samePlanned(t, h, func(sched model.Schedule) (any, error) {
 				trees, rounds, rep, err := model.RunGather(context.Background(), h, 2, 2+2+64, sched)
 				return []any{trees, rounds, rep}, err
-			})
+			}, nil)
 		})
 	}
 }

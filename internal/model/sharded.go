@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -22,11 +21,13 @@ import (
 // (off/dest and two cell arenas, exactly the Engine's word-lane layout
 // restricted to the range) and its own state column. Arcs whose
 // endpoints live in different shards are resolved at construction
-// into a compact exchange buffer: the sender's dest entry is the
-// complement (^xi) of an index into its shard's staging cells, and at
-// the round barrier each destination shard drains every staging range
-// aimed at it — the same CONS/GOSSIP boundary shape cometbft draws
-// between the consensus state machine and the gossip plane.
+// into a compact exchange buffer: the sender's dest entry points past
+// the shard's slots, into staging cells at the tail of each arena
+// (total+xi, total being the shard's slot count), so a send writes one
+// cell whether its peer is local or not, and at the round barrier each
+// destination shard drains every staging range aimed at it — the same
+// CONS/GOSSIP boundary shape cometbft draws between the consensus
+// state machine and the gossip plane.
 //
 // Determinism. Slot numbering concatenates the per-node letter-sorted
 // slot rows in global node order, so a node's slots, its inbox order
@@ -35,8 +36,8 @@ import (
 // plane, and the differential tests pin clean and faulty runs
 // byte-identical at every P. Cross-shard staging cannot disturb this:
 // every staging entry targets a unique destination slot, and inboxes
-// are compacted in slot (letter) order at the receiver regardless of
-// which shard, worker or drain pass wrote them.
+// are read in slot (letter) order at the receiver regardless of which
+// shard, worker or drain pass wrote them.
 
 // ShardArc is one labelled arc of an implicitly generated host: the
 // global id of the other endpoint plus the arc label. It aliases
@@ -79,37 +80,22 @@ func (s hostSource) AppendArcs(v int64, out, in []ShardArc) ([]ShardArc, []Shard
 	return out, in
 }
 
-// WordSender is the send surface shared by the unsharded Outbox and
-// the sharded outbox, so one packed-word algorithm core drives both
-// planes. *Outbox and *ShardOutbox both satisfy it.
-type WordSender interface {
-	// SendWord emits w on the sender's local incident slot (checked:
-	// absent slots and double sends are run errors).
-	SendWord(slot int, w uint64)
-	// BroadcastWord emits w on every incident slot (unchecked
-	// overwrite).
-	BroadcastWord(w uint64)
-}
-
-var (
-	_ WordSender = (*Outbox)(nil)
-	_ WordSender = (*ShardOutbox)(nil)
-)
-
 // ShardedWordAlgo is the packed fixed-width round algorithm of the
-// sharded plane — WordAlgo with 64-bit node indices and the send
-// surface abstracted to WordSender. Contract deltas from TypedAlgo:
-// info.Letters passed to Init aliases per-engine scratch and is valid
-// only during the call (states are uint64, so nothing can retain it
-// anyway), and Init remains sequential in increasing global node
+// sharded plane — WordAlgo with 64-bit node indices; its step is the
+// flat plane's, walking the same Chunk cursor. Contract deltas from
+// TypedAlgo: info.Letters passed to Init aliases per-engine scratch
+// and is valid only during the call (states are uint64, so nothing can
+// retain it anyway), Init remains sequential in increasing global node
 // order across all shards, so pre-drawn randomness is exactly as
-// deterministic as on the flat plane.
+// deterministic as on the flat plane, and Step is called once per
+// shard worklist with the shard's state column, so c.Node is the
+// node's index within its shard.
 type ShardedWordAlgo struct {
 	// Init returns node v's initial state; v is the global node id.
 	Init func(v int64, info NodeInfo) uint64
-	// Step consumes the inbox (receiver letter order) and returns
-	// whether the node halts.
-	Step func(state *uint64, round int, inbox []WordMsg, out WordSender) bool
+	// Step steps every node of the chunk c: states is the shard's
+	// state column, indexed by c.Node.
+	Step func(c *Chunk, states []uint64)
 	// Out extracts the final output from a state.
 	Out func(state *uint64) Output
 }
@@ -123,34 +109,35 @@ type shard struct {
 	slotBase int64 // global index of local slot 0
 
 	off  []int32 // local slot offsets, len n+1
-	dest []int32 // >= 0: local destination slot; < 0: ^x staging index
+	dest []int32 // < off[n]: local destination slot; else off[n]+x, staging entry x
 
+	// cells are the two arenas: off[n] slot cells, then one staging
+	// cell per exchange entry.
 	cells [2][]cell
 
 	col    []uint64
 	halted []bool
 	active []int32
 	spare  []int32
-	// halts counts the nodes that halted in the last clean step phase;
-	// drainAndCompact leaves the worklist as it is when it is 0.
+	// halts counts the nodes that halted in the last step phase;
+	// without node faults drainAndCompact leaves the worklist as it is
+	// when it is 0.
 	halts int
 
 	// Exchange staging, grouped by destination shard: entries
 	// xoff[d]:xoff[d+1] go to shard d. xdst holds destination-local
-	// slot indices; xcells carry the staged word and its round stamp
-	// (monotone, like the arenas — never cleared).
-	xoff   []int32
-	xdst   []int32
-	xcells []cell
+	// slot indices; the staged word and its round stamp sit in the
+	// arena written that round, at off[n]+x (monotone stamps, like the
+	// slot cells — never cleared).
+	xoff []int32
+	xdst []int32
 
 	// crashed marks permanently crashed nodes on faulty runs (lazily
 	// allocated, as on the flat plane).
 	crashed []bool
 
-	// First send error of the smallest failing local node this round.
-	errMu sync.Mutex
-	errV  int32
-	err   error
+	// First bad send of the smallest failing local node this round.
+	err runErr
 
 	// Observability: activeN is the worklist length after the last
 	// barrier, exchanged counts cross-shard words delivered into this
@@ -168,11 +155,10 @@ type ShardedEngine struct {
 	shards []*shard
 	nTotal int64
 	slots  int64
-	// maxSlots is the widest slot row of any node — per-worker inbox
-	// scratch is sized from it, and the Init letter scratch too.
+	// maxSlots is the widest slot row of any node: the workers' lanes
+	// (newLanes) and the Init letter scratch are sized from it.
 	maxSlots int32
 	tick     int64
-	errFlag  atomic.Bool
 	ctx      context.Context
 }
 
@@ -198,7 +184,7 @@ func NewShardedEngine(src ShardSource, p int) (*ShardedEngine, error) {
 	for i := 0; i < p; i++ {
 		lo := int64(i) * n / int64(p)
 		hi := int64(i+1) * n / int64(p)
-		sh := &shard{lo: lo, hi: hi, n: int32(hi - lo), slotBase: slotBase, errV: -1}
+		sh := &shard{lo: lo, hi: hi, n: int32(hi - lo), slotBase: slotBase}
 		sh.off = make([]int32, sh.n+1)
 		slots := int64(0)
 		for v := int32(0); v < sh.n; v++ {
@@ -267,18 +253,21 @@ func NewShardedEngine(src ShardSource, p int) (*ShardedEngine, error) {
 		for d := 0; d < p; d++ {
 			sh.xoff[d+1] += sh.xoff[d]
 		}
+		if int64(total)+int64(len(cross)) > math.MaxInt32 {
+			return nil, fmt.Errorf("model: shard %d/%d needs %d slots and %d exchange cells, exceeding the int32 per-shard plane capacity %d: raise the shard count",
+				i, p, total, len(cross), int64(math.MaxInt32))
+		}
 		sh.xdst = make([]int32, len(cross))
-		sh.xcells = make([]cell, len(cross))
 		fill := make([]int32, p)
 		copy(fill, sh.xoff[:p])
 		for _, x := range cross {
 			xi := fill[x.dshard]
 			fill[x.dshard]++
 			sh.xdst[xi] = x.dslot
-			sh.dest[x.slot] = ^xi
+			sh.dest[x.slot] = int32(total) + xi
 		}
 		for a := range sh.cells {
-			sh.cells[a] = make([]cell, total)
+			sh.cells[a] = make([]cell, total+len(cross))
 		}
 		sh.col = make([]uint64, sh.n)
 		sh.halted = make([]bool, sh.n)
@@ -448,85 +437,22 @@ func (se *ShardedEngine) VisitStates(fn func(v int64, state uint64)) {
 	}
 }
 
-// ShardOutbox routes one node's outgoing words into the next round's
-// arena (local destinations) or the shard's exchange staging (remote
-// destinations). Each worker owns one for the whole run (allocated by
-// newLanes, as on the flat engine); the engine repoints it at the
-// current shard and node.
-type ShardOutbox struct {
-	se   *ShardedEngine
-	sh   *shard
-	v    int32
-	nxt  int
-	want int64
-
-	// The current shard's rows for this round: slot offsets, routing,
-	// the arena written this round and the outgoing staging cells.
-	off   []int32
-	dest  []int32
-	next  []cell
-	stage []cell
-
-	round int
-	prof  string
-
-	// This worker's fault counters and inbox-compaction scratch.
-	lane
+// runErr holds the error of the smallest failing node of a round: on
+// the flat plane of the run, on the sharded plane of one shard (the
+// run surfaces the first shard's).
+type runErr struct {
+	mu  sync.Mutex
+	v   int32
+	err error
 }
 
-func (ob *ShardOutbox) errf(format string, args ...any) error {
-	msg := fmt.Sprintf(format, args...)
-	if ob.prof != "" {
-		return fmt.Errorf("model: round %d [%s]: %s", ob.round, ob.prof, msg)
+// record keeps err when v is smaller than every node recorded so far.
+func (r *runErr) record(v int32, err error) {
+	r.mu.Lock()
+	if r.err == nil || v < r.v {
+		r.v, r.err = v, err
 	}
-	return fmt.Errorf("model: round %d: %s", ob.round, msg)
-}
-
-// fail records the error of the smallest failing node in the shard;
-// the run surfaces the globally smallest one after the barrier.
-func (sh *shard) fail(se *ShardedEngine, v int32, err error) {
-	sh.errMu.Lock()
-	if sh.errV < 0 || v < sh.errV {
-		sh.errV, sh.err = v, err
-	}
-	sh.errMu.Unlock()
-	se.errFlag.Store(true)
-}
-
-// SendWord is Outbox.SendWord on the sharded plane: same checks, same
-// error strings (with global node ids), remote slots staged instead
-// of written.
-func (ob *ShardOutbox) SendWord(slot int, w uint64) {
-	v := ob.v
-	lo, hi := ob.off[v], ob.off[v+1]
-	if slot < 0 || int32(slot) >= hi-lo {
-		ob.sh.fail(ob.se, v, ob.errf("node %d sent on absent slot %d (node has %d)", ob.sh.lo+int64(v), slot, hi-lo))
-		return
-	}
-	var c *cell
-	if d := ob.dest[lo+int32(slot)]; d >= 0 {
-		c = &ob.next[d]
-	} else {
-		c = &ob.stage[^d]
-	}
-	if c.stamp == ob.want {
-		ob.sh.fail(ob.se, v, ob.errf("node %d sent twice on slot %d", ob.sh.lo+int64(v), slot))
-		return
-	}
-	*c = cell{w: w, stamp: ob.want}
-}
-
-// BroadcastWord is Outbox.BroadcastWord on the sharded plane: one
-// pass over the slot row, unchecked overwrite.
-func (ob *ShardOutbox) BroadcastWord(w uint64) {
-	next, stage, c := ob.next, ob.stage, cell{w: w, stamp: ob.want}
-	for _, d := range ob.dest[ob.off[ob.v]:ob.off[ob.v+1]] {
-		if d >= 0 {
-			next[d] = c
-		} else {
-			stage[^d] = c
-		}
-	}
+	r.mu.Unlock()
 }
 
 // IDFunc assigns the global id NodeInfo.ID carries for node v; nil
@@ -602,11 +528,11 @@ func (se *ShardedEngine) run(ids IDFunc, algo ShardedWordAlgo, maxRounds int, sc
 			sh.col[v] = algo.Init(gv, info)
 			sh.halted[v] = false
 		}
-		sh.errV, sh.err = -1, nil
+		sh.err.err = nil
 	}
-	se.errFlag.Store(false)
 
 	// Worklists (schedule-aware, as on the flat plane).
+	fp := planFaults(sched)
 	for _, sh := range se.shards {
 		if sched != nil {
 			if sh.crashed == nil {
@@ -619,7 +545,7 @@ func (se *ShardedEngine) run(ids IDFunc, algo ShardedWordAlgo, maxRounds int, sc
 		}
 		active := sh.active[:0]
 		for v := int32(0); v < sh.n; v++ {
-			if sched != nil && sched.State(0, int32(sh.lo+int64(v))) == StateCrashed {
+			if fp.nodeFaults && sched.State(0, int32(sh.lo+int64(v))) == StateCrashed {
 				sh.crashed[v] = true
 				continue
 			}
@@ -645,12 +571,7 @@ func (se *ShardedEngine) run(ids IDFunc, algo ShardedWordAlgo, maxRounds int, sc
 		se.tick = base + int64(round) + 2
 	}()
 
-	step := se.stepClean(algo)
-	if sched != nil {
-		step = se.stepFaulty(algo, sched)
-	}
-
-	phaseWork := func(ob *ShardOutbox) {
+	phaseWork := func(c *Chunk) {
 		defer func() {
 			if r := recover(); r != nil {
 				panicMu.Lock()
@@ -667,11 +588,13 @@ func (se *ShardedEngine) run(ids IDFunc, algo ShardedWordAlgo, maxRounds int, sc
 			}
 			sh := se.shards[i]
 			if phase == 0 {
-				ob.sh, ob.off, ob.dest = sh, sh.off, sh.dest
-				ob.next, ob.stage = sh.cells[ob.nxt], sh.xcells
-				step(sh, ob)
+				c.enter(round, sh.cells[curArena], sh.cells[curArena^1], curWant)
+				c.errs, c.gbase, c.off, c.dest, c.halted = &sh.err, sh.lo, sh.off, sh.dest, sh.halted
+				c.halts = 0
+				stepChunk(algo.Step, c, sh.active, sh.col, &fp, sh.slotBase, sh.lo)
+				sh.halts = int(c.halts)
 			} else {
-				se.drainAndCompact(int(i), round, curArena, curWant, sched)
+				se.drainAndCompact(int(i), round, curArena, curWant, &fp)
 			}
 		}
 	}
@@ -681,27 +604,23 @@ func (se *ShardedEngine) run(ids IDFunc, algo ShardedWordAlgo, maxRounds int, sc
 		workers = par.Reserve(min(par.N()-1, p-1))
 	}
 	defer par.Release(workers)
-	obs, lanes := newLanes(workers+1, se.maxSlots, sched != nil, func(ob *ShardOutbox) *lane {
-		ob.se, ob.prof = se, prof
-		return &ob.lane
-	})
+	cs := newLanes(workers+1, se.maxSlots, &fp, func(c *Chunk) { c.prof = prof })
 	start := make([]chan struct{}, workers)
 	for w := range start {
 		start[w] = make(chan struct{}, 1)
-		go func(ch chan struct{}, ob *ShardOutbox) {
+		go func(ch chan struct{}, c *Chunk) {
 			for range ch {
-				ob.nxt, ob.want, ob.round = curArena^1, curWant+1, round
-				phaseWork(ob)
+				phaseWork(c)
 				wg.Done()
 			}
-		}(start[w], obs[w])
+		}(start[w], cs[w])
 	}
 	defer func() {
 		for _, ch := range start {
 			close(ch)
 		}
 	}()
-	masterOb := obs[workers]
+	master := cs[workers]
 
 	runPhase := func(ph int) {
 		phase = ph
@@ -710,17 +629,13 @@ func (se *ShardedEngine) run(ids IDFunc, algo ShardedWordAlgo, maxRounds int, sc
 		for _, ch := range start {
 			ch <- struct{}{}
 		}
-		masterOb.nxt, masterOb.want, masterOb.round = curArena^1, curWant+1, round
-		phaseWork(masterOb)
+		phaseWork(master)
 		wg.Wait()
 	}
 
-	totalActive := se.nTotal
-	if sched != nil {
-		totalActive = 0
-		for _, sh := range se.shards {
-			totalActive += int64(len(sh.active))
-		}
+	totalActive := int64(0)
+	for _, sh := range se.shards {
+		totalActive += int64(len(sh.active))
 	}
 
 	for ; round < maxRounds && totalActive > 0; round++ {
@@ -739,14 +654,9 @@ func (se *ShardedEngine) run(ids IDFunc, algo ShardedWordAlgo, maxRounds int, sc
 		if panicked != nil {
 			panic(panicked)
 		}
-		if se.errFlag.Load() {
-			for _, sh := range se.shards {
-				sh.errMu.Lock()
-				err := sh.err
-				sh.errMu.Unlock()
-				if err != nil {
-					return 0, nil, err
-				}
+		for _, sh := range se.shards {
+			if err := sh.err.err; err != nil {
+				return 0, nil, err
 			}
 		}
 		runPhase(1)
@@ -771,7 +681,7 @@ func (se *ShardedEngine) run(ids IDFunc, algo ShardedWordAlgo, maxRounds int, sc
 	}
 	var rep *FaultReport
 	if sched != nil {
-		r := sumFaults(FaultReport{Profile: prof}, lanes)
+		r := sumFaults(FaultReport{Profile: prof}, cs)
 		rep = &r
 		rep.Crashed = make([]bool, se.nTotal)
 		for _, sh := range se.shards {
@@ -786,94 +696,14 @@ func (se *ShardedEngine) run(ids IDFunc, algo ShardedWordAlgo, maxRounds int, sc
 	return round, rep, nil
 }
 
-// stepClean is the clean sharded step over a shard's worklist:
-// compact each node's live slots into the worker's scratch in slot
-// (letter) order, then Step; the shard's halt count feeds the
-// barrier's compaction skip.
-func (se *ShardedEngine) stepClean(algo ShardedWordAlgo) func(*shard, *ShardOutbox) {
-	step := algo.Step
-	return func(sh *shard, ob *ShardOutbox) {
-		off, col, halted, wd := sh.off, sh.col, sh.halted, ob.dense
-		cur, want := sh.cells[ob.nxt^1], ob.want-1
-		round, halts := ob.round, 0
-		for _, v := range sh.active {
-			row := cur[off[v]:off[v+1]]
-			k := 0
-			for i := range row {
-				if row[i].stamp == want {
-					wd[k] = WordMsg{W: row[i].w, Slot: int32(i)}
-					k++
-				}
-			}
-			ob.v = v
-			done := step(&col[v], round, wd[:k], ob)
-			halted[v] = done
-			if done {
-				halts++
-			}
-		}
-		sh.halts = halts
-	}
-}
-
-// stepFaulty interposes the schedule with global coordinates: node
-// states and reorders by global node id, per-delivery fates by global
-// slot index — bit-for-bit the hashes the flat faulty path draws.
-func (se *ShardedEngine) stepFaulty(algo ShardedWordAlgo, sched Schedule) func(*shard, *ShardOutbox) {
-	step := algo.Step
-	return func(sh *shard, ob *ShardOutbox) {
-		off, col, halted, fd := sh.off, sh.col, sh.halted, ob.dense
-		cur, want := sh.cells[ob.nxt^1], ob.want-1
-		round := ob.round
-		for _, v := range sh.active {
-			gv := int32(sh.lo + int64(v))
-			switch sched.State(round, gv) {
-			case StateDown:
-				ob.downSteps++
-				continue
-			case StateCrashed:
-				continue
-			}
-			lo := off[v]
-			row := cur[lo:off[v+1]]
-			gs := sh.slotBase + int64(lo)
-			k := 0
-			for i := range row {
-				if row[i].stamp != want {
-					continue
-				}
-				m := WordMsg{W: row[i].w, Slot: int32(i)}
-				switch sched.Fate(round, int32(gs+int64(i))) {
-				case Drop:
-					ob.dropped++
-					continue
-				case Duplicate:
-					ob.duped++
-					fd[k] = m
-					k++
-				}
-				fd[k] = m
-				k++
-			}
-			inbox := fd[:k]
-			if seed := sched.Reorder(round, gv); seed != 0 && len(inbox) > 1 {
-				shuffleWordMsgs(inbox, seed)
-				ob.reordered++
-			}
-			ob.v = v
-			halted[v] = step(&col[v], round, inbox, ob)
-		}
-	}
-}
-
 // drainAndCompact is the barrier phase for destination shard d: pull
 // every staged word aimed at d out of the source shards' exchange
 // buffers into d's next-round arena, then compact d's worklist
-// (halted nodes leave; on faulty runs nodes whose crash round arrived
-// leave for good; on clean runs a shard where no node halted keeps its
-// list as it is). Each destination slot is written by exactly one
+// (halted nodes leave; under node faults nodes whose crash round
+// arrived leave for good; otherwise a shard where no node halted keeps
+// its list as it is). Each destination slot is written by exactly one
 // staging entry, so destination-parallel draining is race-free.
-func (se *ShardedEngine) drainAndCompact(d, round, curArena int, curWant int64, sched Schedule) {
+func (se *ShardedEngine) drainAndCompact(d, round, curArena int, curWant int64, fp *faultPlan) {
 	dst := se.shards[d]
 	cells := dst.cells[curArena^1]
 	want := curWant + 1
@@ -881,7 +711,8 @@ func (se *ShardedEngine) drainAndCompact(d, round, curArena int, curWant int64, 
 	for _, src := range se.shards {
 		xs, xe := src.xoff[d], src.xoff[d+1]
 		xdst := src.xdst[xs:xe]
-		for i, c := range src.xcells[xs:xe] {
+		stage := src.cells[curArena^1][src.off[src.n]:]
+		for i, c := range stage[xs:xe] {
 			if c.stamp == want {
 				cells[xdst[i]] = c
 				delivered++
@@ -891,16 +722,16 @@ func (se *ShardedEngine) drainAndCompact(d, round, curArena int, curWant int64, 
 	if delivered > 0 {
 		dst.exchanged.Add(delivered)
 	}
-	if sched == nil && dst.halts == 0 {
+	if !fp.nodeFaults && dst.halts == 0 {
 		return
 	}
 	nxtList := dst.spare[:0]
-	if sched != nil {
+	if fp.nodeFaults {
 		for _, v := range dst.active {
 			if dst.halted[v] {
 				continue
 			}
-			if sched.State(round+1, int32(dst.lo+int64(v))) == StateCrashed {
+			if fp.sched.State(round+1, int32(dst.lo+int64(v))) == StateCrashed {
 				dst.crashed[v] = true
 				continue
 			}
@@ -957,12 +788,6 @@ func splitmixModel(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// sortShardArcs label-sorts an arc row in place — for ShardSource
-// implementations whose natural generation order is not label order.
-func sortShardArcs(arcs []ShardArc) {
-	sort.Slice(arcs, func(i, j int) bool { return arcs[i].Label < arcs[j].Label })
 }
 
 // MaterializeSource builds the flat host a ShardSource generates

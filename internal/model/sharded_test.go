@@ -83,7 +83,7 @@ func mixWordStep(rounds int) nodeStep[uint64] {
 func flatMixAlgo(rounds int) WordAlgo {
 	return WordAlgo{
 		Init: func(v int, info NodeInfo) uint64 { return mixWordInit(info.ID, len(info.Letters)) },
-		Step: typedStep(mixWordStep(rounds)),
+		Step: chunkStep(mixWordStep(rounds)),
 		Out:  func(state *uint64) Output { return Output{} },
 	}
 }
@@ -91,7 +91,7 @@ func flatMixAlgo(rounds int) WordAlgo {
 func shardedMixAlgo(rounds int) ShardedWordAlgo {
 	return ShardedWordAlgo{
 		Init: func(v int64, info NodeInfo) uint64 { return mixWordInit(info.ID, len(info.Letters)) },
-		Step: shardStep(mixWordStep(rounds)),
+		Step: chunkStep(mixWordStep(rounds)),
 		Out:  func(state *uint64) Output { return Output{} },
 	}
 }
@@ -214,7 +214,7 @@ func TestShardedImplicitMatchesMaterialised(t *testing.T) {
 }
 
 // TestShardedExchangeLetterOrder pins the exchange-buffer guarantee:
-// however many source shards feed a node, its inbox is compacted in
+// however many source shards feed a node, its inbox is read in
 // slot (letter) order with each slot carrying exactly its arc peer's
 // word. Every node broadcasts its own id+1 in round 0; in round 1
 // each node checks its inbox against the expected peer table.
@@ -249,10 +249,10 @@ func TestShardedExchangeLetterOrder(t *testing.T) {
 			fail := make(chan string, 1)
 			algo := ShardedWordAlgo{
 				Init: func(v int64, info NodeInfo) uint64 { return uint64(v) },
-				Step: func(state *uint64, round int, inbox []WordMsg, out WordSender) bool {
+				Step: chunkStep(func(state *uint64, round int, inbox []wordMsg, out sends) bool {
 					v := *state
 					if round == 0 {
-						out.BroadcastWord(v + 1)
+						out.Broadcast(v + 1)
 						return false
 					}
 					want := expect[v]
@@ -273,7 +273,7 @@ func TestShardedExchangeLetterOrder(t *testing.T) {
 						}
 					}
 					return true
-				},
+				}),
 				Out: func(state *uint64) Output { return Output{} },
 			}
 			if _, err := se.Run(nil, algo, 4); err != nil {
@@ -316,29 +316,29 @@ func TestShardedErrorParity(t *testing.T) {
 
 	cases := []struct {
 		name    string
-		flat    func(state *uint64, round int, inbox []WordMsg, out WordSender) bool
+		flat    nodeStep[uint64]
 		substrs []string
 	}{
 		{
 			name: "absent slot",
-			flat: func(state *uint64, round int, inbox []WordMsg, out WordSender) bool {
-				out.SendWord(99, 1)
+			flat: func(state *uint64, round int, inbox []wordMsg, out sends) bool {
+				out.Send(99, 1)
 				return true
 			},
 			substrs: []string{"absent slot 99"},
 		},
 		{
 			name: "double send",
-			flat: func(state *uint64, round int, inbox []WordMsg, out WordSender) bool {
-				out.SendWord(0, 1)
-				out.SendWord(0, 2)
+			flat: func(state *uint64, round int, inbox []wordMsg, out sends) bool {
+				out.Send(0, 1)
+				out.Send(0, 2)
 				return true
 			},
 			substrs: []string{"sent twice on slot 0"},
 		},
 		{
 			name: "no halt",
-			flat: func(state *uint64, round int, inbox []WordMsg, out WordSender) bool {
+			flat: func(state *uint64, round int, inbox []wordMsg, out sends) bool {
 				return false
 			},
 			substrs: []string{"did not halt within 8 rounds"},
@@ -347,10 +347,8 @@ func TestShardedErrorParity(t *testing.T) {
 	for _, tc := range cases {
 		want := flatErr(WordAlgo{
 			Init: func(v int, info NodeInfo) uint64 { return 0 },
-			Step: func(state *uint64, round int, inbox []WordMsg, out *Outbox) bool {
-				return tc.flat(state, round, inbox, out)
-			},
-			Out: func(state *uint64) Output { return Output{} },
+			Step: chunkStep(tc.flat),
+			Out:  func(state *uint64) Output { return Output{} },
 		})
 		if want == "" {
 			t.Fatalf("%s: flat run did not fail", tc.name)
@@ -363,7 +361,7 @@ func TestShardedErrorParity(t *testing.T) {
 		for _, p := range []int{1, 2, 8} {
 			got := shardedErr(p, ShardedWordAlgo{
 				Init: func(v int64, info NodeInfo) uint64 { return 0 },
-				Step: tc.flat,
+				Step: chunkStep(tc.flat),
 				Out:  func(state *uint64) Output { return Output{} },
 			})
 			if got != want {

@@ -246,7 +246,7 @@ func (te *TypedEngine[S]) WithCheckpoints(ck *Checkpointer) *TypedEngine[S] {
 // and hands it to the checkpointer's sink. It runs on the master
 // goroutine between rounds (after the barrier's wg.Wait and worklist
 // compaction), so every field it reads is quiescent.
-func (e *Engine) snapshotAt(nextRound int, base int64, sched Schedule, lanes []*lane) error {
+func (e *Engine) snapshotAt(nextRound int, base int64, sched Schedule, cs []*Chunk) error {
 	snap := &Snapshot{
 		Faulty: sched != nil,
 		N:      e.n,
@@ -256,7 +256,7 @@ func (e *Engine) snapshotAt(nextRound int, base int64, sched Schedule, lanes []*
 	}
 	if sched != nil {
 		snap.Crashed = append([]bool(nil), e.crashed...)
-		f := sumFaults(e.repBase, lanes)
+		f := sumFaults(e.repBase, cs)
 		snap.Dropped, snap.Duplicated, snap.Reordered, snap.DownSteps = f.Dropped, f.Duplicated, f.Reordered, f.DownSteps
 	}
 	// Messages for round nextRound live in arena nextRound&1, stamped

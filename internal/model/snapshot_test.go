@@ -31,7 +31,7 @@ func snapFloodAlgo() TypedAlgo[snapFloodState] {
 		Init: func(v int, info NodeInfo) snapFloodState {
 			return snapFloodState{id: info.ID, best: info.ID, ticks: 1 + info.ID%4}
 		},
-		Step: func(s *snapFloodState, round int, inbox []WordMsg, out *Outbox) bool {
+		Step: chunkStep(func(s *snapFloodState, round int, inbox []wordMsg, out sends) bool {
 			for _, m := range inbox {
 				if v := int(m.W); v > s.best {
 					s.best = v
@@ -41,9 +41,9 @@ func snapFloodAlgo() TypedAlgo[snapFloodState] {
 				return true
 			}
 			s.ticks--
-			out.BroadcastWord(uint64(s.best))
+			out.Broadcast(uint64(s.best))
 			return false
-		},
+		}),
 		Out: func(s *snapFloodState) Output { return Output{Member: s.best > s.id} },
 		EncodeState: func(dst []byte, s *snapFloodState) []byte {
 			dst = binary.AppendVarint(dst, int64(s.best))
@@ -72,7 +72,7 @@ func snapWordAlgo() WordAlgo {
 		Init: func(v int, info NodeInfo) uint64 {
 			return uint64(info.ID)<<8 | uint64(1+info.ID%4)
 		},
-		Step: func(state *uint64, round int, inbox []WordMsg, out *Outbox) bool {
+		Step: chunkStep(func(state *uint64, round int, inbox []wordMsg, out sends) bool {
 			best, ticks := *state>>8, *state&0xff
 			for _, m := range inbox {
 				if b := m.W >> 8; b > best {
@@ -84,9 +84,9 @@ func snapWordAlgo() WordAlgo {
 				return true
 			}
 			*state = best<<8 | (ticks - 1)
-			out.BroadcastWord(*state)
+			out.Broadcast(*state)
 			return false
-		},
+		}),
 		Out: func(state *uint64) Output { return Output{Member: *state>>8 > 0} },
 	}
 }

@@ -24,7 +24,7 @@ type wordMsg struct {
 }
 
 // sends is the send surface of a per-node test step: the
-// specification loop's specOut, and the engines' per-node adapter.
+// specification loop's specOut, and the engines' Chunk.
 type sends interface {
 	Send(slot int, w uint64)
 	Broadcast(w uint64)
@@ -35,33 +35,21 @@ type sends interface {
 // and reports whether the node halts.
 type nodeStep[S any] func(s *S, round int, inbox []wordMsg, out sends) bool
 
-// outboxSends forwards a per-node step's sends to an engine's send
-// surface.
-type outboxSends struct{ ws WordSender }
-
-func (o outboxSends) Send(slot int, w uint64) { o.ws.SendWord(slot, w) }
-func (o outboxSends) Broadcast(w uint64)      { o.ws.BroadcastWord(w) }
-
-// wordMsgs copies an engine inbox into the per-node step's form.
-func wordMsgs(inbox []WordMsg) []wordMsg {
-	ms := make([]wordMsg, len(inbox))
-	for i, m := range inbox {
-		ms[i] = wordMsg{W: m.W, Slot: m.Slot}
-	}
-	return ms
-}
-
-// typedStep adapts a per-node step to the flat engine's step.
-func typedStep[S any](step nodeStep[S]) func(*S, int, []WordMsg, *Outbox) bool {
-	return func(s *S, round int, inbox []WordMsg, out *Outbox) bool {
-		return step(s, round, wordMsgs(inbox), outboxSends{out})
-	}
-}
-
-// shardStep adapts a per-node step to the sharded engine's step.
-func shardStep(step nodeStep[uint64]) func(*uint64, int, []WordMsg, WordSender) bool {
-	return func(s *uint64, round int, inbox []WordMsg, out WordSender) bool {
-		return step(s, round, wordMsgs(inbox), outboxSends{out})
+// chunkStep adapts a per-node step to the engines' chunk step: for
+// each node of the chunk it copies the inbox out of the cursor and
+// steps the node, with the cursor as its send surface.
+func chunkStep[S any](step nodeStep[S]) func(*Chunk, []S) {
+	return func(c *Chunk, states []S) {
+		var inbox []wordMsg
+		for c.Next() {
+			inbox = inbox[:0]
+			for slot, w := range c.Inbox {
+				inbox = append(inbox, wordMsg{W: w, Slot: int32(slot)})
+			}
+			if step(&states[c.Node], c.Round, inbox, c) {
+				c.Halt()
+			}
+		}
 	}
 }
 
@@ -329,7 +317,7 @@ func specFlat(h *Host, ids []int, w specWorkload, sched Schedule) specResult {
 	n := h.G.N()
 	algo := WordAlgo{
 		Init: func(v int, info NodeInfo) uint64 { return w.init(info.ID, len(info.Letters), n) },
-		Step: typedStep(w.step),
+		Step: chunkStep(w.step),
 		Out:  func(*uint64) Output { return Output{} },
 	}
 	col, rounds, rep, err := NewWordEngine(h).runStates(ids, algo, w.rounds, sched)
@@ -345,7 +333,7 @@ func specSharded(h *Host, ids []int, p int, w specWorkload, sched Schedule) (spe
 	}
 	algo := ShardedWordAlgo{
 		Init: func(v int64, info NodeInfo) uint64 { return w.init(info.ID, len(info.Letters), n) },
-		Step: shardStep(w.step),
+		Step: chunkStep(w.step),
 		Out:  func(*uint64) Output { return Output{} },
 	}
 	rounds, rep, err := se.run(func(v int64) int { return ids[v] }, algo, w.rounds, sched)

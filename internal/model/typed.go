@@ -15,19 +15,6 @@ import (
 // per slot). The gather below shows how a pointer-shaped payload
 // rides the word lane anyway, as a column handle.
 
-// WordMsg is one inbox entry of the typed message plane: the payload
-// word plus the receiver-local incident-slot index of the arrival arc
-// (the position of the arc in the receiver's letter-sorted slot row;
-// the letter itself is info.Letters[Slot] under the typed Init
-// contract). 16 bytes, pointer-free: compacting a typed inbox is a
-// flat copy the garbage collector never scans.
-type WordMsg struct {
-	// W is the payload word.
-	W uint64
-	// Slot is the receiver-local incident-slot index (letter order).
-	Slot int32
-}
-
 // TypedAlgo is the engine-native form of a round algorithm. Contract
 // deltas from the specification form RoundAlgo, all in service of the
 // columnar layout:
@@ -36,20 +23,22 @@ type WordMsg struct {
 //     pre-drawn per-node tables directly) and info.Letters in the
 //     letter-sorted slot order of the message plane — local slot i is
 //     named by info.Letters[i], and sends address slots, not letters.
-//   - Step mutates the state in place through *S and returns only the
-//     halt flag. The inbox aliases per-worker scratch and is valid
-//     only during the call.
-//   - Sends go through Outbox.SendWord (one slot, at most one message
-//     per slot per round) or Outbox.BroadcastWord (whole slot row,
-//     unchecked overwrite).
+//   - Step steps a whole chunk of the worklist in one call, walking
+//     it with the Chunk cursor and mutating states in place: for
+//     c.Next(), the node's state is states[c.Node], its inbox is read
+//     in place with for slot, w := range c.Inbox, and it halts with
+//     c.Halt.
+//   - Sends go through Chunk.Send (one slot, at most one message per
+//     slot per round) or Chunk.Broadcast (whole slot row, unchecked
+//     overwrite).
 type TypedAlgo[S any] struct {
 	// Init returns node v's initial state; called sequentially in
 	// increasing node order, so pre-drawn randomness stays
 	// deterministic.
 	Init func(v int, info NodeInfo) S
-	// Step consumes the inbox (receiver letter order) and returns
-	// whether the node halts.
-	Step func(state *S, round int, inbox []WordMsg, out *Outbox) bool
+	// Step steps every node of the chunk c: states is the state
+	// column, indexed by c.Node.
+	Step func(c *Chunk, states []S)
 	// Out extracts the final output from a state.
 	Out func(state *S) Output
 
@@ -124,9 +113,9 @@ func (te *TypedEngine[S]) RunStates(ids []int, algo TypedAlgo[S], maxRounds int)
 }
 
 // RunStatesFaulty is RunStates under a fault schedule: the schedule's
-// Fate is applied to every delivery at inbox-compaction time (so
-// drops, duplicates and reorderings happen between the sender's
-// SendWord or BroadcastWord and the receiver's Step), its State gates
+// Fate is applied to every delivery when the receiver's chunk is
+// prepared (so drops, duplicates and reorderings happen between the
+// sender's Send or Broadcast and the receiver's Inbox), its State gates
 // which nodes step each round (down nodes skip the round silently;
 // crashed nodes leave the worklist for good), and the returned
 // FaultReport counts what actually happened. Fates are pure hashes of
@@ -162,7 +151,6 @@ func (te *TypedEngine[S]) runStates(ids []int, algo TypedAlgo[S], maxRounds int,
 		}
 		te.col[v] = algo.Init(v, info)
 		e.halted[v] = false
-		e.errs[v] = nil
 	}
 	if e.ck != nil {
 		enc, err := te.encStates(algo)
@@ -179,11 +167,10 @@ func (te *TypedEngine[S]) runStates(ids []int, algo TypedAlgo[S], maxRounds int,
 		}
 	}
 	fp := planFaults(sched)
-	step := te.stepTyped(algo)
-	if sched != nil {
-		step = te.stepTypedFaulty(algo, fp)
-	}
-	rounds, rep, err := e.runCore(step, fp, maxRounds)
+	col, step := te.col, algo.Step
+	rounds, rep, err := e.runCore(func(list []int32, c *Chunk) {
+		stepChunk(step, c, list, col, &fp, 0, 0)
+	}, &fp, maxRounds)
 	if err != nil {
 		return nil, 0, nil, err
 	}
@@ -258,109 +245,6 @@ func (te *TypedEngine[S]) restoreTyped(snap *Snapshot, algo TypedAlgo[S], faulty
 	return nil
 }
 
-// stepTyped is the clean typed step over one chunk of the worklist:
-// compact each node's live word slots into the worker's scratch
-// (tagged with their local slot indices), then Step against the state
-// column in place.
-func (te *TypedEngine[S]) stepTyped(algo TypedAlgo[S]) func([]int32, *Outbox) {
-	e, step := te.e, algo.Step
-	return func(chunk []int32, ob *Outbox) {
-		off, col, halted, wd := e.off, te.col, e.halted, ob.dense
-		cur, want := e.cells[ob.nxt^1], ob.want-1
-		round, halts := ob.round, int64(0)
-		for _, v := range chunk {
-			row := cur[off[v]:off[v+1]]
-			k := 0
-			for i := range row {
-				if row[i].stamp == want {
-					wd[k] = WordMsg{W: row[i].w, Slot: int32(i)}
-					k++
-				}
-			}
-			ob.v = v
-			done := step(&col[v], round, wd[:k], ob)
-			halted[v] = done
-			if done {
-				halts++
-			}
-		}
-		ob.halts += halts
-	}
-}
-
-// stepTypedFaulty is stepTyped with the fault schedule interposed:
-// liveness gating, per-(round, slot) fates (compacted into the
-// worker's double-width scratch so duplicates fit) and adversarial
-// inbox permutation, drawn from exactly the hashes the sharded engine
-// draws. The plan's loop-invariant branches skip the queries whose
-// answers the profile fixes. Halts are counted as in stepTyped, for
-// the barrier's clean compaction rule.
-//
-// It is kept out of line: inlined into runStates, its closure would be
-// compiled as a copy that calls uniformDrop instead of inlining it.
-//
-//go:noinline
-func (te *TypedEngine[S]) stepTypedFaulty(algo TypedAlgo[S], fp faultPlan) func([]int32, *Outbox) {
-	e, step, sched := te.e, algo.Step, fp.sched
-	return func(chunk []int32, ob *Outbox) {
-		off, col, halted, fd := e.off, te.col, e.halted, ob.dense
-		cur, want := e.cells[ob.nxt^1], ob.want-1
-		round, halts := ob.round, int64(0)
-		for _, v := range chunk {
-			if fp.nodeFaults {
-				switch sched.State(round, v) {
-				case StateDown:
-					ob.downSteps++
-					continue
-				case StateCrashed:
-					continue
-				}
-			}
-			lo := off[v]
-			row := cur[lo:off[v+1]]
-			k := 0
-			for i := range row {
-				if row[i].stamp != want {
-					continue
-				}
-				m := WordMsg{W: row[i].w, Slot: int32(i)}
-				if fp.uniform {
-					if uniformDrop(fp.fateSeed, fp.dropThr, round, lo+int32(i)) {
-						ob.dropped++
-						continue
-					}
-				} else {
-					switch sched.Fate(round, lo+int32(i)) {
-					case Drop:
-						ob.dropped++
-						continue
-					case Duplicate:
-						ob.duped++
-						fd[k] = m
-						k++
-					}
-				}
-				fd[k] = m
-				k++
-			}
-			inbox := fd[:k]
-			if fp.reorder {
-				if seed := sched.Reorder(round, v); seed != 0 && len(inbox) > 1 {
-					shuffleWordMsgs(inbox, seed)
-					ob.reordered++
-				}
-			}
-			ob.v = v
-			done := step(&col[v], round, inbox, ob)
-			halted[v] = done
-			if done {
-				halts++
-			}
-		}
-		ob.halts += halts
-	}
-}
-
 // RunRoundsTyped executes a typed round algorithm on the host. Pass
 // ids for the ID model, nil for anonymous execution. It returns the
 // per-node outputs and the number of rounds executed, failing if some
@@ -408,6 +292,12 @@ type gatherTypedState struct {
 // extraction after the run. Assembly order, duplicate-letter dedup
 // and the starved-inbox stale-view rule mirror GatherViews exactly,
 // which the differential tests pin down.
+//
+// It is kept out of line: inlined into a caller, its step closure
+// would be compiled again as a copy in which the cursor methods are
+// called instead of inlined (tools/inlinecheck.sh).
+//
+//go:noinline
 func gatherViewsTyped(n, r int) (TypedAlgo[gatherTypedState], []*view.Tree) {
 	var trees [2][]*view.Tree
 	trees[0] = make([]*view.Tree, n)
@@ -418,35 +308,44 @@ func gatherViewsTyped(n, r int) (TypedAlgo[gatherTypedState], []*view.Tree) {
 			final[v] = view.Leaf()
 			return gatherTypedState{v: int32(v), letters: info.Letters}
 		},
-		Step: func(st *gatherTypedState, round int, inbox []WordMsg, out *Outbox) bool {
-			t := final[st.v]
-			if round > 0 && len(inbox) > 0 {
-				cur := trees[round&1]
-				children := make([]view.Child, 0, len(inbox))
-				for _, m := range inbox {
-					// Duplicated deliveries repeat a slot; keep the first.
-					dup := false
-					for _, c := range children {
-						if c.L == st.letters[m.Slot] {
-							dup = true
-							break
+		Step: func(c *Chunk, states []gatherTypedState) {
+			round := c.Round
+			cur, nxt := trees[round&1], trees[(round+1)&1]
+			for c.Next() {
+				st := &states[c.Node]
+				t := final[st.v]
+				if round > 0 {
+					var children []view.Child
+					for slot, w := range c.Inbox {
+						// Duplicated deliveries repeat a slot; keep the first.
+						l := st.letters[slot]
+						dup := false
+						for _, ch := range children {
+							if ch.L == l {
+								dup = true
+								break
+							}
 						}
+						if dup {
+							continue
+						}
+						if children == nil {
+							children = make([]view.Child, 0, len(st.letters))
+						}
+						children = append(children, view.Child{L: l, T: pruneChild(cur[w], l.Inv())})
 					}
-					if dup {
-						continue
+					if children != nil {
+						t = view.NewTree(children)
+						final[st.v] = t
 					}
-					l := st.letters[m.Slot]
-					children = append(children, view.Child{L: l, T: pruneChild(cur[m.W], l.Inv())})
 				}
-				t = view.NewTree(children)
-				final[st.v] = t
+				if round >= r {
+					c.Halt()
+					continue
+				}
+				nxt[st.v] = t
+				c.Broadcast(uint64(st.v))
 			}
-			if round >= r {
-				return true
-			}
-			trees[(round+1)&1][st.v] = t
-			out.BroadcastWord(uint64(st.v))
-			return false
 		},
 	}
 	return algo, final

@@ -30,23 +30,25 @@ func floodTypedAlgo() TypedAlgo[floodTypedState] {
 			id := int32(info.ID)
 			return floodTypedState{id: id, best: id, ticks: 1 + id%4}
 		},
-		Step: func(s *floodTypedState, round int, inbox []WordMsg, out *Outbox) bool {
-			for _, m := range inbox {
-				if v := int32(m.W); v > s.best {
-					s.best = v
-				}
-			}
-			if s.ticks == 0 {
-				return true
-			}
-			s.ticks--
-			out.BroadcastWord(uint64(s.best))
-			return false
-		},
+		Step: chunkStep(floodTypedStep),
 		Out: func(s *floodTypedState) Output {
 			return Output{Member: s.best > s.id}
 		},
 	}
+}
+
+func floodTypedStep(s *floodTypedState, round int, inbox []wordMsg, out sends) bool {
+	for _, m := range inbox {
+		if v := int32(m.W); v > s.best {
+			s.best = v
+		}
+	}
+	if s.ticks == 0 {
+		return true
+	}
+	s.ticks--
+	out.Broadcast(uint64(s.best))
+	return false
 }
 
 // floodWordInit and floodWordStep are floodTypedAlgo packed into one
@@ -71,30 +73,21 @@ func floodWordStep(s *uint64, round int, inbox []wordMsg, out sends) bool {
 	return false
 }
 
-// floodShardedAlgo is the packed flood on the sharded engine.
-func floodShardedAlgo() ShardedWordAlgo {
-	return ShardedWordAlgo{
-		Init: func(v int64, info NodeInfo) uint64 { return floodWordInit(info.ID) },
-		Step: shardStep(floodWordStep),
-		Out:  func(s *uint64) Output { return Output{Member: *s>>32 > *s>>8&0xffffff} },
-	}
-}
-
-// shardedReference runs a word algorithm on the sharded engine at
-// P=1 — the reference for faulty runs of the flat engine, whose fates
-// it draws from the same global coordinates — and returns its
-// outputs, round count and fault report.
-func shardedReference(t *testing.T, h *Host, ids []int, algo ShardedWordAlgo, maxRounds int, sched Schedule) ([]Output, int, *FaultReport) {
+// floodSpec runs floodTypedAlgo on the specification loop — the
+// reference for faulty runs of the engines — and returns its outputs,
+// round count and fault report.
+func floodSpec(t *testing.T, h *Host, ids []int, maxRounds int, sched Schedule) ([]Output, int, *FaultReport) {
 	t.Helper()
-	se, err := NewShardedEngine(SourceOf(h), 1)
+	algo := floodTypedAlgo()
+	states, rounds, rep, err := specRun(h, ids, algo.Init, floodTypedStep, maxRounds, sched)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("specification loop: %v", err)
 	}
-	rounds, rep, err := se.RunFaulty(func(v int64) int { return ids[v] }, algo, maxRounds, sched)
-	if err != nil {
-		t.Fatalf("sharded reference: %v", err)
+	outs := make([]Output, len(states))
+	for v := range states {
+		outs[v] = algo.Out(&states[v])
 	}
-	return se.Outputs(algo), rounds, rep
+	return outs, rounds, rep
 }
 
 // TestTypedDifferentialFlood pins the typed engine against the
@@ -123,17 +116,17 @@ func TestTypedDifferentialFlood(t *testing.T) {
 }
 
 // TestTypedFaultyMatchesUntyped: under every profile family, the typed
-// flat run degrades exactly like the packed-word run of the same flood
-// on the sharded engine at P=1 — same outputs, same round count, same
-// fault report — because fates are hashes of (seed, round, slot)
-// coordinates shared by both engines.
+// flat run degrades exactly like the same flood on the specification
+// loop — same outputs, same round count, same fault report — because
+// fates are hashes of (seed, round, slot) coordinates, whatever order
+// and whichever engine asks them.
 func TestTypedFaultyMatchesUntyped(t *testing.T) {
 	for _, desc := range []string{"lossy:p=0.2", "dup+reorder", "crash:f=6,by=4", "churn:p=0.3,window=2", "adversarial:p=0.1,f=3"} {
 		h := HostFromGraph(graph.Torus(8, 8))
 		n := h.G.N()
 		ids := rand.New(rand.NewSource(1)).Perm(4 * n)[:n]
 		sched := MustParseProfile(desc).New(h, 99)
-		uOuts, uRounds, uRep := shardedReference(t, h, ids, floodShardedAlgo(), 300, sched)
+		uOuts, uRounds, uRep := floodSpec(t, h, ids, 300, sched)
 		for _, p := range []int{1, 8} {
 			old := par.Set(p)
 			tOuts, tRounds, tRep, err := RunRoundsTypedFaulty(h, ids, floodTypedAlgo(), 300, sched)
@@ -142,10 +135,10 @@ func TestTypedFaultyMatchesUntyped(t *testing.T) {
 				t.Fatalf("%s p=%d: typed: %v", desc, p, err)
 			}
 			if tRounds != uRounds || !reflect.DeepEqual(tOuts, uOuts) {
-				t.Errorf("%s p=%d: typed faulty run differs from the sharded reference (reproducer: seed=99)", desc, p)
+				t.Errorf("%s p=%d: typed faulty run differs from the specification loop (reproducer: seed=99)", desc, p)
 			}
 			if !reflect.DeepEqual(tRep, uRep) {
-				t.Errorf("%s p=%d: reports differ: typed %+v sharded %+v", desc, p, tRep, uRep)
+				t.Errorf("%s p=%d: reports differ: typed %+v specification %+v", desc, p, tRep, uRep)
 			}
 		}
 	}
@@ -196,7 +189,7 @@ func TestTypedInboxSlotRouting(t *testing.T) {
 			}
 			return st{v: int32(v), letters: info.Letters}
 		},
-		Step: func(s *st, round int, inbox []WordMsg, out *Outbox) bool {
+		Step: chunkStep(func(s *st, round int, inbox []wordMsg, out sends) bool {
 			if round == 1 {
 				for i, m := range inbox {
 					if i > 0 && inbox[i-1].Slot >= m.Slot {
@@ -209,9 +202,9 @@ func TestTypedInboxSlotRouting(t *testing.T) {
 				}
 				return true
 			}
-			out.BroadcastWord(uint64(s.v))
+			out.Broadcast(uint64(s.v))
 			return false
-		},
+		}),
 		Out: func(*st) Output { return Output{} },
 	}
 	if _, _, err := RunRoundsTyped(h, nil, algo, 4); err != nil {
@@ -227,14 +220,14 @@ func TestTypedErrorFormats(t *testing.T) {
 	badAt := func(round int) WordAlgo {
 		return WordAlgo{
 			Init: func(int, NodeInfo) uint64 { return 0 },
-			Step: func(st *uint64, r int, inbox []WordMsg, out *Outbox) bool {
+			Step: chunkStep(func(st *uint64, r int, inbox []wordMsg, out sends) bool {
 				if r == round {
-					out.SendWord(99, 7)
+					out.Send(99, 7)
 					return false
 				}
-				out.BroadcastWord(uint64(r))
+				out.Broadcast(uint64(r))
 				return false
-			},
+			}),
 			Out: func(*uint64) Output { return Output{} },
 		}
 	}
@@ -252,11 +245,11 @@ func TestTypedErrorFormats(t *testing.T) {
 
 	dup := WordAlgo{
 		Init: func(int, NodeInfo) uint64 { return 0 },
-		Step: func(st *uint64, r int, inbox []WordMsg, out *Outbox) bool {
-			out.SendWord(0, 1)
-			out.SendWord(0, 2)
+		Step: chunkStep(func(st *uint64, r int, inbox []wordMsg, out sends) bool {
+			out.Send(0, 1)
+			out.Send(0, 2)
 			return false
-		},
+		}),
 		Out: func(*uint64) Output { return Output{} },
 	}
 	_, _, err = RunRoundsTyped(h, nil, dup, 3)
@@ -267,7 +260,7 @@ func TestTypedErrorFormats(t *testing.T) {
 
 	never := WordAlgo{
 		Init: func(int, NodeInfo) uint64 { return 0 },
-		Step: func(*uint64, int, []WordMsg, *Outbox) bool { return false },
+		Step: chunkStep(func(*uint64, int, []wordMsg, sends) bool { return false }),
 		Out:  func(*uint64) Output { return Output{} },
 	}
 	_, _, err = RunRoundsTyped(h, nil, never, 4)
@@ -282,12 +275,12 @@ func TestTypedErrorFormats(t *testing.T) {
 	}
 }
 
-// TestScratchPreSized: the per-worker compaction scratch bound. The
-// plane's maxSlots must equal the widest slot row, and a schedule
-// that duplicates every delivery (the worst case the 2x fault scratch
-// is sized for) must run without growing anything — pinned both by
-// the run completing and by its agreement with the sharded reference
-// under it.
+// TestScratchPreSized: the per-worker fault scratch bound. The plane's
+// maxSlots must equal the widest slot row, and a schedule that
+// duplicates every delivery (the worst case the delivery-order map,
+// at least twice the widest row, is sized for) must run without
+// growing anything — pinned both by the run completing and by its
+// agreement with the specification loop under it.
 func TestScratchPreSized(t *testing.T) {
 	for name, h := range engineHosts(t) {
 		e := NewEngine(h)
@@ -308,7 +301,7 @@ func TestScratchPreSized(t *testing.T) {
 	n := h.G.N()
 	ids := rand.New(rand.NewSource(4)).Perm(4 * n)[:n]
 	sched := MustParseProfile("dup+reorder:p=1").New(h, 7)
-	uOuts, _, uRep := shardedReference(t, h, ids, floodShardedAlgo(), 300, sched)
+	uOuts, _, uRep := floodSpec(t, h, ids, 300, sched)
 	if uRep.Duplicated == 0 {
 		t.Fatal("p=1 duplication schedule duplicated nothing")
 	}
@@ -317,22 +310,30 @@ func TestScratchPreSized(t *testing.T) {
 		t.Fatalf("typed all-duplicate run: %v", err)
 	}
 	if !reflect.DeepEqual(tOuts, uOuts) || !reflect.DeepEqual(tRep, uRep) {
-		t.Fatal("flat and sharded all-duplicate runs disagree")
+		t.Fatal("flat all-duplicate run disagrees with the specification loop")
 	}
 }
 
 // typedPulseAlgo is the typed steady-state workload: the remaining
-// round count is the whole state.
+// round count is the whole state. Its step walks the cursor itself
+// (the per-node adapter allocates), and reads its inbox, so the
+// allocation tests cover the in-place inbox too.
 func typedPulseAlgo(rounds int) WordAlgo {
 	return WordAlgo{
 		Init: func(int, NodeInfo) uint64 { return uint64(rounds) },
-		Step: func(st *uint64, round int, inbox []WordMsg, out *Outbox) bool {
-			if *st == 0 {
-				return true
+		Step: func(c *Chunk, states []uint64) {
+			for c.Next() {
+				st := states[c.Node]
+				for _, w := range c.Inbox {
+					st = min(st, w+1)
+				}
+				if st == 0 {
+					c.Halt()
+					continue
+				}
+				states[c.Node] = st - 1
+				c.Broadcast(st - 1)
 			}
-			*st--
-			out.BroadcastWord(*st)
-			return false
 		},
 		Out: func(*uint64) Output { return Output{} },
 	}
@@ -407,18 +408,18 @@ func TestTypedReuseAfterError(t *testing.T) {
 	te := NewWordEngine(h)
 	bad := WordAlgo{
 		Init: func(int, NodeInfo) uint64 { return 0 },
-		Step: func(st *uint64, r int, inbox []WordMsg, out *Outbox) bool {
-			out.SendWord(99, 1)
+		Step: chunkStep(func(st *uint64, r int, inbox []wordMsg, out sends) bool {
+			out.Send(99, 1)
 			return false
-		},
+		}),
 		Out: func(*uint64) Output { return Output{} },
 	}
 	never := WordAlgo{
 		Init: func(int, NodeInfo) uint64 { return 0 },
-		Step: func(st *uint64, r int, inbox []WordMsg, out *Outbox) bool {
-			out.BroadcastWord(uint64(r))
+		Step: chunkStep(func(st *uint64, r int, inbox []wordMsg, out sends) bool {
+			out.Broadcast(uint64(r))
 			return false
-		},
+		}),
 		Out: func(*uint64) Output { return Output{} },
 	}
 	h2 := HostFromGraph(graph.Cycle(6))
@@ -493,8 +494,8 @@ func TestSimulatePORoundsTypedFaulty(t *testing.T) {
 }
 
 // TestShuffleWordMsgsMatches pins the adversarial reorder: for every
-// seed, shuffleWordMsgs permutes an inbox of 1+seed%9 messages exactly
-// as recorded (message i moved to the position of digit i), so faulty
+// seed, shuffleOrder permutes an inbox of 1+seed%9 deliveries exactly
+// as recorded (delivery i moved to the position of digit i), so faulty
 // runs stay reproducible from their (seed, profile) reproducers.
 func TestShuffleWordMsgsMatches(t *testing.T) {
 	want := []string{
@@ -509,14 +510,14 @@ func TestShuffleWordMsgsMatches(t *testing.T) {
 	}
 	for seed := uint64(1); seed <= 64; seed++ {
 		n := 1 + int(seed)%9
-		ws := make([]WordMsg, n)
+		ws := make([]int32, n)
 		for i := range ws {
-			ws[i] = WordMsg{W: uint64(i)}
+			ws[i] = int32(i)
 		}
-		shuffleWordMsgs(ws, seed)
+		shuffleOrder(ws, seed)
 		got := make([]byte, n)
 		for i, m := range ws {
-			got[i] = byte('0' + m.W)
+			got[i] = byte('0' + m)
 		}
 		if string(got) != want[seed-1] {
 			t.Fatalf("seed %d: permutation %s, want %s", seed, got, want[seed-1])

@@ -89,8 +89,10 @@ type (
 	// RoundAlgo is the classical slice-returning round algorithm, run
 	// by the sequential specification loop RunRoundsStates.
 	RoundAlgo = model.RoundAlgo
-	// Outbox routes a node's outgoing words into the plane.
-	Outbox = model.Outbox
+	// Chunk is the cursor a typed step walks over a chunk of the
+	// worklist: per node the inbox read in place, and the sends and
+	// the halt, on both planes.
+	Chunk = model.Chunk
 	// Msg is one message of the specification loop on an incident arc.
 	Msg = model.Msg
 	// NodeInfo is a node's initial knowledge.
@@ -105,8 +107,9 @@ type (
 	// FaultReport tallies the faults a run actually injected.
 	FaultReport = model.FaultReport
 	// TypedAlgo is the typed engine-native round-algorithm form:
-	// states in a columnar []S, payloads on the uint64 word lane,
-	// sends addressed by local slot (DESIGN.md §9).
+	// states in a columnar []S, payloads on the uint64 word lane, one
+	// step per chunk walking a Chunk, sends addressed by local slot
+	// (DESIGN.md §9).
 	TypedAlgo[S any] = model.TypedAlgo[S]
 	// TypedEngine couples an Engine's message plane with a columnar
 	// state array; typed engines of different state types may
@@ -116,8 +119,6 @@ type (
 	WordAlgo = model.WordAlgo
 	// WordEngine is the uint64-state typed engine.
 	WordEngine = model.WordEngine
-	// WordMsg is one typed inbox entry: payload word + local slot.
-	WordMsg = model.WordMsg
 )
 
 // Solution kinds.
@@ -202,8 +203,8 @@ type (
 	// ShardedEngine is the P-shard round engine.
 	ShardedEngine = model.ShardedEngine
 	// ShardedWordAlgo is the sharded uint64 word-lane algorithm form
-	// (Init is sequential in global node order; Step sends through the
-	// shared WordSender interface, so one core drives both planes).
+	// (Init is sequential in global node order; Step walks the same
+	// Chunk cursor as on the flat plane, so one step drives both).
 	ShardedWordAlgo = model.ShardedWordAlgo
 	// ShardSource generates a host's topology shard-locally.
 	ShardSource = model.ShardSource
@@ -213,9 +214,6 @@ type (
 	ShardStats = model.ShardStats
 	// IDFunc assigns identifiers without materialising an id table.
 	IDFunc = model.IDFunc
-	// WordSender is the send surface shared by the flat Outbox and the
-	// sharded outbox.
-	WordSender = model.WordSender
 	// ShardedCVResult is a sharded Cole–Vishkin run's summary.
 	ShardedCVResult = algorithms.ShardedCVResult
 	// ShardedMatchingResult is a sharded matching run's summary.
