@@ -250,3 +250,31 @@ func cvFreeColor(a, b uint64) uint64 {
 	}
 	return 0 // unreachable: two values cannot block three colours
 }
+
+// freeColor is cvFreeColor on ints, retained for the RoundAlgo
+// specification exercised by the differential tests.
+func freeColor(a, b int) int {
+	for c := 0; c <= 2; c++ {
+		if c != a && c != b {
+			return c
+		}
+	}
+	return 0 // unreachable: two values cannot block three colours
+}
+
+// lowestDifferingBit is the per-bit reference of the bit-parallel
+// XOR/trailing-zeros reduction above (0 on equal arguments).
+func lowestDifferingBit(a, b int) int {
+	x := a ^ b
+	if x == 0 {
+		return 0
+	}
+	i := 0
+	for x&1 == 0 {
+		x >>= 1
+		i++
+	}
+	return i
+}
+
+func bitOf(x, i int) int { return (x >> i) & 1 }

@@ -271,30 +271,3 @@ func TestEDSOneOutOperationalDifferential(t *testing.T) {
 		}
 	}
 }
-
-// freeColor is cvFreeColor on ints, for the RoundAlgo specification.
-func freeColor(a, b int) int {
-	for c := 0; c <= 2; c++ {
-		if c != a && c != b {
-			return c
-		}
-	}
-	return 0 // unreachable: two values cannot block three colours
-}
-
-// lowestDifferingBit is the per-bit reference of cvStep's
-// bit-parallel XOR/trailing-zeros reduction (0 on equal arguments).
-func lowestDifferingBit(a, b int) int {
-	x := a ^ b
-	if x == 0 {
-		return 0
-	}
-	i := 0
-	for x&1 == 0 {
-		x >>= 1
-		i++
-	}
-	return i
-}
-
-func bitOf(x, i int) int { return (x >> i) & 1 }

@@ -207,29 +207,29 @@ func stepChunk[S any](step func(*Chunk, []S), c *Chunk, list []int32, col []S, f
 // Reorder. Down and crashed nodes leave the piece; a dropped delivery
 // is marked dead in the receiver's own row, which only this worker
 // reads this round; under a profile that duplicates or reorders, each
-// node's delivery order goes to the worker's map. A piece ends when
-// the node list or the map scratch is full; without node faults and
-// remapping it is the whole list.
+// node's delivery order goes to the worker's map. A piece holds at
+// most pieceNodes nodes of list, fewer when the map scratch fills.
 func (c *Chunk) prepare(list []int32, fp *faultPlan, gs, gv int64) []int32 {
 	nodeFaults, remap, uniform := fp.nodeFaults, fp.remap, fp.uniform
 	filter := nodeFaults || remap
-	if !filter && uniform {
-		// Pieces small enough that the step rereads the rows from L1.
-		piece := list[:min(len(list), pieceNodes)]
-		c.markDrops(piece, fp.fateSeed, fp.dropThr, gs)
-		c.list, c.k = piece, 0
-		return list[len(piece):]
-	}
 	sched, round, off, cur, want := fp.sched, c.Round, c.off, c.cur, c.want
 	keep, maps, m := c.keep[:0], c.maps, int32(0)
 	var dropped, duped, reordered, down int64
 	i := 0
-	for ; i < len(list); i++ {
-		v := list[i]
-		lo, hi := off[v], off[v+1]
-		if filter && (len(keep) == cap(keep) || remap && int(m+2*(hi-lo)) > len(maps)) {
+	for i < len(list) && i < pieceNodes {
+		// list[i:j] is prepared as one row: one node when the plan asks
+		// per-node queries, else a run of consecutive nodes, whose slot
+		// rows are consecutive too (node by node, a lossy Cole–Vishkin
+		// round cost about 30% more; DESIGN §7).
+		v, j := list[i], i+1
+		for !filter && j < min(len(list), pieceNodes) && list[j] == list[j-1]+1 {
+			j++
+		}
+		lo, hi := off[v], off[list[j-1]+1]
+		if remap && int(m+2*(hi-lo)) > len(maps) {
 			break
 		}
+		i = j
 		if nodeFaults {
 			switch sched.State(round, int32(gv+int64(v))) {
 			case StateDown:
@@ -240,28 +240,29 @@ func (c *Chunk) prepare(list []int32, fp *faultPlan, gs, gv int64) []int32 {
 			}
 		}
 		row, start, slot := cur[lo:hi], m, int32(gs+int64(lo))
-		for j := range row {
-			if row[j].stamp != want {
+		if uniform && fp.dropThr != 0 {
+			dropped += dropUniform(row, want, fp.fateSeed, fp.dropThr, round, slot)
+		}
+		for k := 0; k < len(row) && (!uniform || remap); k++ {
+			if row[k].stamp != want {
 				continue
 			}
 			fate := Deliver
 			if !uniform {
-				fate = sched.Fate(round, slot+int32(j))
-			} else if uniformDrop(fp.fateSeed, fp.dropThr, round, slot+int32(j)) {
-				fate = Drop
+				fate = sched.Fate(round, slot+int32(k))
 			}
 			if fate == Drop {
 				dropped++
-				row[j].stamp = 0
+				row[k].stamp = 0
 				continue
 			}
 			if remap {
 				if fate == Duplicate {
 					duped++
-					maps[m] = int32(j)
+					maps[m] = int32(k)
 					m++
 				}
-				maps[m] = int32(j)
+				maps[m] = int32(k)
 				m++
 			}
 		}
@@ -289,37 +290,18 @@ func (c *Chunk) prepare(list []int32, fp *faultPlan, gs, gv int64) []int32 {
 	return list[i:]
 }
 
-// markDrops is prepare under a profile whose only faults are uniform
-// drops (uniformDrop at seed and threshold thr): it decides the fate
-// of every live delivery to the nodes of list, in node and slot order,
-// and marks the dropped ones dead in place. Consecutive nodes have
-// consecutive slot rows, so each run of them is one dropRun.
-func (c *Chunk) markDrops(list []int32, seed, thr uint64, gs int64) {
-	off, base := c.off, dropRound(seed, c.Round)
-	for i := 0; i < len(list); {
-		j := i + 1
-		for j < len(list) && list[j] == list[j-1]+1 {
-			j++
-		}
-		lo, hi := off[list[i]], off[list[j-1]+1]
-		c.dropped += dropRun(c.cur[lo:hi], c.want, base, thr, int32(gs)+lo)
-		i = j
-	}
-}
-
-// dropRun marks dead the live cells of row (stamped want) whose
-// delivery the uniform drop decision drops, row starting at global
-// slot first, and returns how many it marked. It decides before it
-// looks at a cell, so only the cells it drops are loaded here; the
-// step loads the others.
-func dropRun(row []cell, want int64, base, thr uint64, first int32) int64 {
-	n, slot := int64(0), uint64(first)*slotMul
-	for j := range row {
-		if dropMixed(base, thr, slot) && row[j].stamp == want {
-			row[j].stamp = 0
+// dropUniform marks dead the live cells of row (stamped want) whose
+// delivery uniformDrop drops at seed and threshold thr, row starting
+// at plane slot first, and returns how many it marked. It decides a
+// drop before it loads the cell, so the cells it keeps are left for
+// the step to load.
+func dropUniform(row []cell, want int64, seed, thr uint64, round int, first int32) int64 {
+	n := int64(0)
+	for k := range row {
+		if uniformDrop(seed, thr, round, first+int32(k)) && row[k].stamp == want {
+			row[k].stamp = 0
 			n++
 		}
-		slot += slotMul
 	}
 	return n
 }

@@ -121,11 +121,7 @@ type Profile struct {
 // coordinates, not from a shared stream, so they are independent of
 // worker scheduling and of how many other decisions were drawn.
 func mix(seed, a, b uint64) uint64 {
-	return fmix(seed ^ a*0x9E3779B97F4A7C15 ^ b*slotMul)
-}
-
-// fmix is mix's finaliser.
-func fmix(x uint64) uint64 {
+	x := seed ^ a*0x9E3779B97F4A7C15 ^ b*0xC2B2AE3D27D4EB4F
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 27
@@ -153,24 +149,9 @@ func below(h, thr uint64) bool { return thr != 0 && (h>>11) < thr }
 
 // uniformDrop reports whether the delivery of the given round and
 // plane slot is dropped at threshold thr: the one drop decision behind
-// Fate and the engines' planned uniform drops (Chunk.markDrops, which
-// takes dropRound out of its loop).
+// Fate and the engines' planned uniform drops (Chunk.prepare).
 func uniformDrop(seed, thr uint64, round int, slot int32) bool {
-	return dropMixed(dropRound(seed, round), thr, uint64(slot)*slotMul)
-}
-
-// dropRound is the part of a drop decision fixed by the round: mix's
-// mixing of its first coordinate.
-func dropRound(seed uint64, round int) uint64 { return seed ^ uint64(round)*0x9E3779B97F4A7C15 }
-
-// slotMul is mix's multiplier of its second coordinate.
-const slotMul = 0xC2B2AE3D27D4EB4F
-
-// dropMixed completes the drop decision of a slot from its round's
-// dropRound and the slot times slotMul (a loop over consecutive slots
-// steps that product by slotMul): the finaliser and the threshold.
-func dropMixed(base, thr, slotMixed uint64) bool {
-	return below(fmix(base^slotMixed), thr)
+	return below(mix(seed, uint64(round), uint64(slot)), thr)
 }
 
 // schedule is the one implementation behind every canned profile.

@@ -164,8 +164,9 @@ type ShardedEngine struct {
 
 // NewShardedEngine partitions the source into p contiguous shards and
 // resolves every cross-shard arc into the exchange buffers. It fails
-// if any single shard's slot count would overflow the int32 per-shard
-// plane (raise p) or if the source is inconsistent.
+// if any single shard's slots plus its exchange cells would overflow
+// the int32 per-shard plane (shardPlaneFits; raise p) or if the source
+// is inconsistent.
 func NewShardedEngine(src ShardSource, p int) (*ShardedEngine, error) {
 	n := src.N()
 	if n <= 0 {
@@ -253,9 +254,8 @@ func NewShardedEngine(src ShardSource, p int) (*ShardedEngine, error) {
 		for d := 0; d < p; d++ {
 			sh.xoff[d+1] += sh.xoff[d]
 		}
-		if int64(total)+int64(len(cross)) > math.MaxInt32 {
-			return nil, fmt.Errorf("model: shard %d/%d needs %d slots and %d exchange cells, exceeding the int32 per-shard plane capacity %d: raise the shard count",
-				i, p, total, len(cross), int64(math.MaxInt32))
+		if err := shardPlaneFits(i, p, int64(total), int64(len(cross))); err != nil {
+			return nil, err
 		}
 		sh.xdst = make([]int32, len(cross))
 		fill := make([]int32, p)
@@ -275,6 +275,20 @@ func NewShardedEngine(src ShardSource, p int) (*ShardedEngine, error) {
 		sh.spare = make([]int32, 0, sh.n)
 	}
 	return se, nil
+}
+
+// shardPlaneFits reports whether shard i of p, with the given slot
+// count and cross-shard arcs, fits the int32 per-shard plane: its
+// arenas hold a cell for each slot and, at their tail, a staging cell
+// for each cross arc, all addressed by int32 dest entries. Each cross
+// arc is also a slot, so a shard whose slots all cross fits only half
+// the slots a shard without cross arcs does.
+func shardPlaneFits(i, p int, slots, cross int64) error {
+	if slots+cross > math.MaxInt32 {
+		return fmt.Errorf("model: shard %d/%d needs %d slots and %d exchange cells, exceeding the int32 per-shard plane capacity %d: raise the shard count",
+			i, p, slots, cross, int64(math.MaxInt32))
+	}
+	return nil
 }
 
 // mergeLetters merges label-sorted out- and in-arc rows into the

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -471,6 +472,28 @@ func TestShardedConstructionGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = big
+	// A shard's slots and its exchange cells share the int32 plane, so
+	// a shard whose slots all cross fits half the slots of one whose
+	// slots are all local.
+	const most = math.MaxInt32
+	for _, c := range []struct {
+		slots, cross int64
+		fits         bool
+	}{
+		{most, 0, true},
+		{most - 5, 5, true},
+		{most - 5, 6, false},
+		{most / 2, most / 2, true},
+		{most/2 + 1, most/2 + 1, false},
+	} {
+		err := shardPlaneFits(1, 4, c.slots, c.cross)
+		if (err == nil) != c.fits {
+			t.Errorf("shard with %d slots, %d cross: err %v, want fits=%v", c.slots, c.cross, err, c.fits)
+		}
+		if err != nil && !strings.Contains(err.Error(), "shard 1/4 needs") {
+			t.Errorf("capacity error %q does not name the shard", err)
+		}
+	}
 }
 
 // badSource is deliberately non-reciprocal: node 0 claims an out-arc

@@ -285,11 +285,13 @@ func specWorkloads() map[string]specWorkload {
 	}
 }
 
-// specProfiles has one profile of every family.
+// specProfiles has one profile of every family, and a reorder-only
+// one (dup+reorder:p=0), whose plan has uniform fates but remaps.
 var specProfiles = []string{
 	"clean",
 	"lossy:p=0.2",
 	"dup+reorder",
+	"dup+reorder:p=0",
 	"crash:f=4,by=3",
 	"crash:f=3,by=2,recover=4",
 	"churn:p=0.3,window=2",
@@ -357,12 +359,27 @@ func specReference(h *Host, ids []int, w specWorkload, sched Schedule) specResul
 // the sharded engine at P = 1, 2 and 8 against the specification loop:
 // equal states, rounds, fault reports and errors for every workload,
 // on every differential host, clean and under one profile of every
-// family.
+// family, and on a host whose chunks are prepared in several pieces.
 func TestSpecLoopPinsEngines(t *testing.T) {
+	type specHost struct {
+		h        *Host
+		profiles []string
+	}
+	hosts := map[string]specHost{}
 	for desc, h := range shardDiffHosts() {
+		hosts[desc] = specHost{h, specProfiles}
+	}
+	// More nodes per chunk or shard than one prepared piece lists
+	// (pieceNodes), at a degree where duplicating every delivery fills
+	// the delivery-order map (pieceMaps) first: pieces end on the node
+	// list in round 0, whose inboxes are empty, and on the map after.
+	const big = "shift-regular:d=8,n=4400,seed=3"
+	hosts[big] = specHost{mustShardDiffHost(big), []string{"dup+reorder:p=1"}}
+	for desc, sh := range hosts {
+		h := sh.h
 		ids, _ := diffIDs(h.G.N())
 		for name, w := range specWorkloads() {
-			for _, prof := range specProfiles {
+			for _, prof := range sh.profiles {
 				sched := MustParseProfile(prof).New(h, 42)
 				want := specReference(h, ids, w, sched)
 				if want.Err != "" {
