@@ -3,7 +3,7 @@ package algorithms
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/model"
 )
@@ -264,7 +264,7 @@ func proposalShardedAlgo(src model.ShardSource, rng *rand.Rand) model.ShardedWor
 			outS, inS = src.AppendArcs(v, outS[:0], inS[:0])
 			ts = mergeTargets(ts[:0], outS, inS)
 			sorted = append(sorted[:0], ts...)
-			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+			slices.Sort(sorted)
 			u := sorted[rng.Intn(d)]
 			for slot, t := range ts {
 				if t == u {

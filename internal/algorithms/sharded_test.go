@@ -208,6 +208,24 @@ func TestShardedMatchingFaultyMatchesFlat(t *testing.T) {
 	}
 }
 
+// TestProposalInitAllocs: one Init pass of the proposal matching over
+// a torus allocates a constant number of times (its scratch rows
+// growing to the widest degree), not once or twice per node as a
+// sort through sort.Slice does.
+func TestProposalInitAllocs(t *testing.T) {
+	src := model.SourceOf(model.HostFromGraph(graph.Torus(64, 64)))
+	rng := rand.New(rand.NewSource(1))
+	allocs := testing.AllocsPerRun(3, func() {
+		algo := proposalShardedAlgo(src, rng)
+		for v := int64(0); v < src.N(); v++ {
+			algo.Init(v, model.NodeInfo{ID: -1})
+		}
+	})
+	if allocs > 32 {
+		t.Errorf("one Init pass over %d nodes allocates %.0f times, want at most 32", src.N(), allocs)
+	}
+}
+
 // TestShardedCVRejectsNonCycle: the sharded plan check mirrors the
 // flat one.
 func TestShardedCVRejectsNonCycle(t *testing.T) {
