@@ -209,7 +209,7 @@ func BenchmarkCanonicalBallParallel(b *testing.B) {
 	})
 }
 
-// --- round engine (model.Engine) ---
+// --- round engine (model.WordEngine) ---
 
 // The steady-state round workload: every node broadcasts on all its
 // slots each round, for a caller-chosen number of rounds. One
@@ -218,28 +218,25 @@ func BenchmarkCanonicalBallParallel(b *testing.B) {
 // amortises to zero and allocs/op is the genuine steady-state
 // per-round allocation count.
 
-// benchPulseWordAlgo is the workload on the word lane: the
-// remaining-round counter IS the uint64 state, and the per-round
-// broadcast is one word written across the slot row.
+// benchPulseWordAlgo is the workload on the word lane, on both
+// planes: the remaining-round counter IS the uint64 state, and each
+// node counts it down and broadcasts it — one word written across the
+// slot row — and halts at 0.
 func benchPulseWordAlgo(rounds int) model.WordAlgo {
 	return model.WordAlgo{
-		Init: func(v int, info model.NodeInfo) uint64 { return uint64(rounds) },
-		Step: benchPulseStep,
-		Out:  func(*uint64) model.Output { return model.Output{} },
-	}
-}
-
-// benchPulseStep is the workload's step, on both planes: each node
-// counts its state down and broadcasts it, and halts at 0.
-func benchPulseStep(c *model.Chunk, states []uint64) {
-	for c.Next() {
-		s := states[c.Node]
-		if s == 0 {
-			c.Halt()
-			continue
-		}
-		states[c.Node] = s - 1
-		c.Broadcast(s - 1)
+		Init: func(v int64, info model.NodeInfo) uint64 { return uint64(rounds) },
+		Step: func(c *model.Chunk, states []uint64) {
+			for c.Next() {
+				s := states[c.Node]
+				if s == 0 {
+					c.Halt()
+					continue
+				}
+				states[c.Node] = s - 1
+				c.Broadcast(s - 1)
+			}
+		},
+		Out: func(*uint64) model.Output { return model.Output{} },
 	}
 }
 
@@ -352,16 +349,6 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 	}
 }
 
-// benchPulseShardedAlgo is benchPulseWordAlgo in the sharded form:
-// the same countdown broadcast with the same step.
-func benchPulseShardedAlgo(rounds int) model.ShardedWordAlgo {
-	return model.ShardedWordAlgo{
-		Init: func(v int64, info model.NodeInfo) uint64 { return uint64(rounds) },
-		Step: benchPulseStep,
-		Out:  func(*uint64) model.Output { return model.Output{} },
-	}
-}
-
 // benchShardedEngines caches the sharded engines across calibration
 // calls: the 4096-node torus at P=4 (local-heavy traffic) and a
 // 4096-node shift-regular circulant at P=8 whose seeded long-range
@@ -401,12 +388,12 @@ func BenchmarkShardedRound(b *testing.B) {
 	// overhead on local-heavy traffic, recorded in BENCH_pr10.json.
 	defer par.Set(par.Set(8))
 	se, _ := shardedBenchEngines(b)
-	if _, err := se.Run(nil, benchPulseShardedAlgo(4), 8); err != nil {
+	if _, err := se.Run(nil, benchPulseWordAlgo(4), 8); err != nil {
 		b.Fatal(err) // warm-up: arenas, exchange staging, worklists
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	if _, err := se.Run(nil, benchPulseShardedAlgo(b.N), b.N+2); err != nil {
+	if _, err := se.Run(nil, benchPulseWordAlgo(b.N), b.N+2); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -419,12 +406,12 @@ func BenchmarkShardedExchange(b *testing.B) {
 	// exchange drain per round, also at 0 allocs/op steady state.
 	defer par.Set(par.Set(8))
 	_, se := shardedBenchEngines(b)
-	if _, err := se.Run(nil, benchPulseShardedAlgo(4), 8); err != nil {
+	if _, err := se.Run(nil, benchPulseWordAlgo(4), 8); err != nil {
 		b.Fatal(err) // warm-up: arenas, exchange staging, worklists
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	if _, err := se.Run(nil, benchPulseShardedAlgo(b.N), b.N+2); err != nil {
+	if _, err := se.Run(nil, benchPulseWordAlgo(b.N), b.N+2); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -506,7 +493,7 @@ func BenchmarkEngineMillionCycleTyped(b *testing.B) {
 
 // BenchmarkColeVishkinCycle64K times one whole Cole–Vishkin MIS run on
 // a 65,536-node directed cycle with seeded ids at two workers, through
-// the flat typed engine clean (flat) and under lossy:p=0.05 (lossy),
+// the flat word engine clean (flat) and under lossy:p=0.05 (lossy),
 // and through the sharded engine at P=2 (sharded) — the engine runs of
 // the repository benchmark's rounds workload, for CPU profiles. Each
 // reports ns/node-round beside ns/op. Not CI-gated.
@@ -576,7 +563,7 @@ func reportNodeRounds(b *testing.B, n int64, rounds int) {
 
 // BenchmarkFloodCycle64K times one 512-round FloodMax run on a
 // 65,536-node cycle with seeded ids at two workers through the flat
-// typed engine — the engine path of the service workload's durable
+// word engine — the engine path of the service workload's durable
 // flood jobs, beside BenchmarkColeVishkinCycle64K. It reports
 // ns/node-round beside ns/op. Not CI-gated.
 func BenchmarkFloodCycle64K(b *testing.B) {
@@ -599,9 +586,9 @@ func BenchmarkFloodCycle64K(b *testing.B) {
 	reportNodeRounds(b, int64(n), rounds)
 }
 
-// BenchmarkHostEngineBuild times the set-up of a flat typed run on the
-// 256x256 torus, the rounds workload's matching host: the port
-// numbering (model.HostFromGraph) plus the typed engine
+// BenchmarkHostEngineBuild times the set-up of a flat engine run on
+// the 256x256 torus, the rounds workload's matching host: the port
+// numbering (model.HostFromGraph) plus the word engine
 // (model.NewWordEngine). Not CI-gated; run with -benchmem.
 func BenchmarkHostEngineBuild(b *testing.B) {
 	th, err := host.Parse("torus:256x256")

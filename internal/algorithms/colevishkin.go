@@ -19,8 +19,8 @@ type ColeVishkinResult struct {
 	Colors []int
 }
 
-// The Cole–Vishkin pipeline runs on the typed word lane: the whole
-// node state is one packed uint64 and every broadcast is the state
+// The Cole–Vishkin pipeline runs on the word lane: the whole node
+// state is one packed uint64 and every broadcast is the state
 // word with the node-local bit masked off. Layout:
 //
 //	bits 0..61  colour (initially the identifier)
@@ -49,18 +49,21 @@ const (
 // standard in the LOCAL model, the nodes know the identifier space
 // bound (poly(n)) and hence the reduction-step horizon S.
 //
-// Execution goes through the typed word-lane engine; the RoundAlgo
-// formulation survives as the specification the differential tests
-// pin this path against, byte for byte.
+// Execution goes through the word engine; the RoundAlgo formulation
+// survives as the specification the differential tests pin this path
+// against, byte for byte.
 func ColeVishkinMIS(h *model.Host, ids []int) (*ColeVishkinResult, error) {
-	return coleVishkinOn(model.NewWordEngine(h), h, ids)
+	return ColeVishkinMISOn(model.NewWordEngine(h), h, ids)
 }
 
-// coleVishkinOn is ColeVishkinMIS on a caller-provided engine, so the
-// caller can arm the engine (see ColeVishkinMISOn) and repeated trials
-// can reuse one message plane.
-func coleVishkinOn(e *model.WordEngine, h *model.Host, ids []int) (*ColeVishkinResult, error) {
-	steps, last, err := cvPlan(h, ids)
+// ColeVishkinMISOn is ColeVishkinMIS on a caller-provided engine, so
+// the caller controls how the engine is armed — WithContext for
+// cancellation, WithCheckpoints for barrier snapshots and Resume to
+// continue an interrupted run (the workload registry in
+// internal/workload does all three) — and repeated trials can reuse
+// one message plane.
+func ColeVishkinMISOn(e *model.WordEngine, h *model.Host, ids []int) (*ColeVishkinResult, error) {
+	steps, last, err := cvPlanFlat(h, ids)
 	if err != nil {
 		return nil, err
 	}
@@ -74,8 +77,8 @@ func coleVishkinOn(e *model.WordEngine, h *model.Host, ids []int) (*ColeVishkinR
 		Colors: make([]int, h.G.N()),
 	}
 	for v, w := range col {
-		c := int(w & cvColorMask)
-		res.MIS.Vertices[v] = w&cvMISBit != 0
+		c, member := CVState(w)
+		res.MIS.Vertices[v] = member
 		res.Colors[v] = c
 		if c < 0 || c > 2 {
 			return nil, fmt.Errorf("algorithms: node %d ended with colour %d", v, c)
@@ -84,12 +87,9 @@ func coleVishkinOn(e *model.WordEngine, h *model.Host, ids []int) (*ColeVishkinR
 	return res, nil
 }
 
-// cvPlan validates a Cole–Vishkin instance and returns the reduction
-// horizon (steps) and the halting round (last).
-func cvPlan(h *model.Host, ids []int) (steps, last int, err error) {
-	if !h.D.IsRegularDigraph(1) {
-		return 0, 0, fmt.Errorf("algorithms: Cole–Vishkin needs a consistently oriented cycle")
-	}
+// cvPlanFlat is cvPlan for an id table: the table must name every
+// node of h with a non-negative id, and its largest id is the bound.
+func cvPlanFlat(h *model.Host, ids []int) (steps, last int, err error) {
 	if len(ids) != h.G.N() {
 		return 0, 0, fmt.Errorf("algorithms: %d ids for %d nodes", len(ids), h.G.N())
 	}
@@ -98,19 +98,34 @@ func cvPlan(h *model.Host, ids []int) (steps, last int, err error) {
 		if id < 0 {
 			return 0, 0, fmt.Errorf("algorithms: negative id %d", id)
 		}
-		if id > maxID {
-			maxID = id
-		}
+		maxID = max(maxID, id)
+	}
+	return cvPlan(model.SourceOf(h), maxID)
+}
+
+// cvPlan validates a Cole–Vishkin instance — the source must be a
+// consistently oriented cycle (out- and in-degree 1 everywhere) and
+// the id bound must fit the colour lane — and returns the reduction
+// horizon (steps) and the halting round (last).
+func cvPlan(src model.ShardSource, maxID int) (steps, last int, err error) {
+	if maxID < 0 {
+		return 0, 0, fmt.Errorf("algorithms: negative id bound %d", maxID)
 	}
 	if uint64(maxID) > cvColorMask {
 		return 0, 0, fmt.Errorf("algorithms: id %d exceeds the %d-bit colour lane", maxID, cvColorBits)
+	}
+	for v, n := int64(0), src.N(); v < n; v++ {
+		if out, in := src.Degree(v); out != 1 || in != 1 {
+			return 0, 0, fmt.Errorf("algorithms: Cole–Vishkin needs a consistently oriented cycle")
+		}
 	}
 	steps = cvSteps(maxID)
 	return steps, steps + 6, nil
 }
 
-// coleVishkinWordAlgo is the word-lane Cole–Vishkin pipeline, shared
-// by the clean run and the fault-schedule run. Round schedule (every
+// coleVishkinWordAlgo is the word-lane Cole–Vishkin pipeline, one
+// value for both engines and for the clean and the fault-schedule
+// runs. Round schedule (every
 // live node broadcasts its colour and membership every round):
 //
 //	rounds 1..steps          — CV recolour on the predecessor's colour
@@ -130,7 +145,7 @@ func cvPlan(h *model.Host, ids []int) (steps, last int, err error) {
 // runs).
 func coleVishkinWordAlgo(steps, last int) model.WordAlgo {
 	return model.WordAlgo{
-		Init: func(v int, info model.NodeInfo) uint64 { return cvInit(info) },
+		Init: func(v int64, info model.NodeInfo) uint64 { return cvInit(info) },
 		Step: cvStep(steps, last),
 		Out: func(state *uint64) model.Output {
 			return model.Output{Member: *state&cvMISBit != 0}
@@ -150,9 +165,7 @@ func cvInit(info model.NodeInfo) uint64 {
 	return w
 }
 
-// cvStep is the pipeline's chunk step — the one step behind both the
-// flat WordAlgo and the sharded ShardedWordAlgo, so the differential
-// tests compare a single implementation against itself across planes.
+// cvStep is the pipeline's chunk step.
 //
 // It is kept out of line: inlined into a caller, its step closure
 // would be compiled again as a copy in which the cursor methods are

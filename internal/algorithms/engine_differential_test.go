@@ -43,7 +43,7 @@ func dcycleHost(t testing.TB, n int) *model.Host {
 
 // cvState and cvMsg are the boxed state and payload of the RoundAlgo
 // specification: the production pipeline packs both into one
-// uint64 on the typed word lane (see coleVishkinWordAlgo), and this
+// uint64 on the word lane (see coleVishkinWordAlgo), and this
 // pair is what the pinning below proves it equivalent to.
 type cvState struct {
 	letters []view.Letter
@@ -58,7 +58,7 @@ type cvMsg struct {
 
 // cvRoundAlgo is the classical slice-returning form of the
 // Cole–Vishkin pipeline, built from the same helpers as the engine
-// form — the executable reference the typed word-lane port is pinned
+// form — the executable reference the word-lane port is pinned
 // against.
 func cvRoundAlgo(maxID int) (model.RoundAlgo, int) {
 	steps := cvSteps(maxID)
@@ -152,8 +152,8 @@ func TestColeVishkinEngineVsReference(t *testing.T) {
 
 // TestRandomizedMatchingEngineVsReference: the engine-run proposal
 // round produces exactly the matching the classical reference loop
-// produces from the same pre-drawn proposals, on every differential
-// host, at parallelism 1 and 8.
+// produces from the same rng stream, drawn here over each node's sorted
+// neighbours, on every differential host, at parallelism 1 and 8.
 func TestRandomizedMatchingEngineVsReference(t *testing.T) {
 	const seed = 7
 	for name, h := range diffHosts(t) {
@@ -162,7 +162,23 @@ func TestRandomizedMatchingEngineVsReference(t *testing.T) {
 			sol := RandomizedMatching(h, rand.New(rand.NewSource(seed)))
 			par.Set(old)
 
-			// Reference: identical draw, classical round loop.
+			// Reference: identical draw over sorted adjacency, classical
+			// round loop. letterTo names the arc between v and its
+			// neighbour u at v.
+			letterTo := func(v, u int) view.Letter {
+				for _, a := range h.D.Out(v) {
+					if a.To == u {
+						return view.Letter{Label: a.Label}
+					}
+				}
+				for _, a := range h.D.In(v) {
+					if a.To == u {
+						return view.Letter{Label: a.Label, In: true}
+					}
+				}
+				t.Fatalf("%s: no arc between neighbours %d and %d", name, v, u)
+				return view.Letter{}
+			}
 			g := h.G
 			n := g.N()
 			rng := rand.New(rand.NewSource(seed))
@@ -172,7 +188,7 @@ func TestRandomizedMatchingEngineVsReference(t *testing.T) {
 				proposal[v] = -1
 				if d := g.Degree(v); d > 0 {
 					proposal[v] = int(g.Neighbors(v)[rng.Intn(d)])
-					letters[v] = letterTo(h, v, proposal[v])
+					letters[v] = letterTo(v, proposal[v])
 				}
 			}
 			type mst struct {

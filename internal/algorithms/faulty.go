@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/graph"
 	"repro/internal/model"
 )
 
@@ -52,13 +51,13 @@ type FaultyCVResult struct {
 // survivor-safety counts of CVSurvivorSafety. A nil schedule
 // reproduces the clean result with zero counts.
 func ColeVishkinMISFaulty(h *model.Host, ids []int, sched model.Schedule) (*FaultyCVResult, error) {
-	return coleVishkinFaultyOn(model.NewWordEngine(h), h, ids, sched)
+	return ColeVishkinMISFaultyOn(model.NewWordEngine(h), h, ids, sched)
 }
 
-// coleVishkinFaultyOn is ColeVishkinMISFaulty on a caller-provided
-// engine (see coleVishkinOn).
-func coleVishkinFaultyOn(e *model.WordEngine, h *model.Host, ids []int, sched model.Schedule) (*FaultyCVResult, error) {
-	steps, last, err := cvPlan(h, ids)
+// ColeVishkinMISFaultyOn is ColeVishkinMISFaulty on a caller-provided
+// engine (see ColeVishkinMISOn).
+func ColeVishkinMISFaultyOn(e *model.WordEngine, h *model.Host, ids []int, sched model.Schedule) (*FaultyCVResult, error) {
+	steps, last, err := cvPlanFlat(h, ids)
 	if err != nil {
 		return nil, err
 	}
@@ -131,45 +130,27 @@ type FaultyMatchingResult struct {
 }
 
 // RandomizedMatchingFaulty is RandomizedMatching under a fault
-// schedule: the same sequentially pre-drawn proposals are exchanged
+// schedule: the same sequentially drawn proposals are exchanged
 // over the faulty plane, so a dropped direction loses at most that
 // edge and the output remains a matching — losses shrink it, they
 // never corrupt it. Edges with a crashed endpoint are excluded. A nil
 // schedule reproduces the clean matching for the same rng stream.
 func RandomizedMatchingFaulty(h *model.Host, rng *rand.Rand, sched model.Schedule) (*FaultyMatchingResult, error) {
-	return randomizedMatchingFaultyOn(model.NewWordEngine(h), h, rng, sched)
+	return RandomizedMatchingFaultyOn(model.NewWordEngine(h), h, rng, sched)
 }
 
-// randomizedMatchingFaultyOn is RandomizedMatchingFaulty on a
-// caller-provided engine (see coleVishkinOn).
-func randomizedMatchingFaultyOn(e *model.WordEngine, h *model.Host, rng *rand.Rand, sched model.Schedule) (*FaultyMatchingResult, error) {
-	n := h.G.N()
-	proposal, states := drawProposals(h, rng)
-	col, rep, err := runProposalsFaulty(e, states, sched)
+// RandomizedMatchingFaultyOn is RandomizedMatchingFaulty on a
+// caller-provided engine (see ColeVishkinMISOn).
+func RandomizedMatchingFaultyOn(e *model.WordEngine, h *model.Host, rng *rand.Rand, sched model.Schedule) (*FaultyMatchingResult, error) {
+	sol, rep, err := flatMatching(e, h, rng, 3+faultSlack, sched)
 	if err != nil {
-		return nil, err
-	}
-	sol := model.NewSolution(model.EdgeKind, n)
-	for v := 0; v < n; v++ {
-		if col[v]&mMatched != 0 && !rep.CrashedNode(v) && !rep.CrashedNode(proposal[v]) {
-			sol.Edges[graph.NewEdge(v, proposal[v])] = true
-		}
+		return nil, fmt.Errorf("algorithms: faulty randomized matching: %w", err)
 	}
 	return &FaultyMatchingResult{
 		Matching:  sol,
 		Report:    rep,
-		Conflicts: MatchingConflicts(n, sol),
+		Conflicts: MatchingConflicts(h.G.N(), sol),
 	}, nil
-}
-
-// runProposalsFaulty executes the proposal round under the schedule
-// and returns the packed state column alongside the report.
-func runProposalsFaulty(e *model.WordEngine, states []proposeState, sched model.Schedule) ([]uint64, *model.FaultReport, error) {
-	col, _, rep, err := e.RunStatesFaulty(nil, proposalWordAlgo(states), 3+faultSlack, sched)
-	if err != nil {
-		return nil, nil, fmt.Errorf("algorithms: faulty randomized matching: %w", err)
-	}
-	return col, rep, nil
 }
 
 // MatchingConflicts counts vertices incident to two or more selected

@@ -13,8 +13,8 @@ import (
 // O(log* n) schedule, the horizon here is a free parameter, which is
 // what makes FloodMax the natural subject for checkpoint/resume and
 // crash-recovery drills: a run can be made arbitrarily long on any
-// host, its state is one uint64 per node (the default word codec
-// applies), and its result is a deterministic function of (host, ids,
+// host, its state is one uint64 per node (checkpointed as it is),
+// and its result is a deterministic function of (host, ids,
 // rounds, profile, seed).
 
 // floodFaultSlack mirrors the gather workloads: headroom beyond the
@@ -46,7 +46,7 @@ type FloodMaxResult struct {
 //go:noinline
 func floodMaxWordAlgo(rounds int) model.WordAlgo {
 	return model.WordAlgo{
-		Init: func(v int, info model.NodeInfo) uint64 { return uint64(info.ID) },
+		Init: func(v int64, info model.NodeInfo) uint64 { return uint64(info.ID) },
 		Step: func(c *model.Chunk, states []uint64) {
 			halt := c.Round >= rounds
 			for c.Next() {

@@ -188,15 +188,15 @@ func TestMetamorphicCVRoundsMaxID(t *testing.T) {
 	}
 }
 
-// floodRankShardedAlgo is an order-invariant engine workload for the
-// faulty metamorphic legs, packed into one word for the sharded
-// engine: every node floods the largest identifier heard (bits 32-63;
+// floodRankAlgo is an order-invariant engine workload for the faulty
+// metamorphic legs, packed into one word and run on both engines:
+// every node floods the largest identifier heard (bits 32-63;
 // its own id in bits 0-31) for a fixed number of rounds and outputs
 // whether it heard one larger than its own. Both the message pattern
 // and the output depend on identifiers only through their relative
 // order.
-func floodRankShardedAlgo(rounds int) model.ShardedWordAlgo {
-	return model.ShardedWordAlgo{
+func floodRankAlgo(rounds int) model.WordAlgo {
+	return model.WordAlgo{
 		Init: func(v int64, info model.NodeInfo) uint64 {
 			id := uint64(info.ID)
 			return id<<32 | id
@@ -222,7 +222,7 @@ func floodRankShardedAlgo(rounds int) model.ShardedWordAlgo {
 
 // runSharded runs a word algorithm on the sharded engine at P=p and
 // returns its outputs, round count and fault report.
-func runSharded(h *model.Host, p int, ids []int, algo model.ShardedWordAlgo, maxRounds int, sched model.Schedule) ([]model.Output, int, *model.FaultReport, error) {
+func runSharded(h *model.Host, p int, ids []int, algo model.WordAlgo, maxRounds int, sched model.Schedule) ([]model.Output, int, *model.FaultReport, error) {
 	se, err := model.NewShardedEngine(model.SourceOf(h), p)
 	if err != nil {
 		return nil, 0, nil, err
@@ -252,11 +252,11 @@ func TestMetamorphicFaultyOIInvariance(t *testing.T) {
 			ids1 := monotoneIDs(rank, rng)
 			ids2 := monotoneIDs(rank, rng)
 			sched := model.MustParseProfile(profile).New(h, seed)
-			o1, r1, rep1, err := runSharded(h, 2, ids1, floodRankShardedAlgo(3), 300, sched)
+			o1, r1, rep1, err := runSharded(h, 2, ids1, floodRankAlgo(3), 300, sched)
 			if err != nil {
 				t.Fatalf("ids1: %v — reproducer (seed %d, profile %q)", err, seed, profile)
 			}
-			o2, r2, rep2, err := runSharded(h, 2, ids2, floodRankShardedAlgo(3), 300, sched)
+			o2, r2, rep2, err := runSharded(h, 2, ids2, floodRankAlgo(3), 300, sched)
 			if err != nil {
 				t.Fatalf("ids2: %v — reproducer (seed %d, profile %q)", err, seed, profile)
 			}
@@ -279,48 +279,27 @@ func uniqueInts(xs []int) bool {
 	return true
 }
 
-// floodRankTypedState is floodRankShardedAlgo's packed state unpacked
-// on the typed column: identifiers only matter through their order,
-// and the word lane carries the current best id.
-type floodRankTypedState struct {
-	id   int64
-	best int64
-}
-
-// floodRankTypedAlgo is floodRankShardedAlgo on the flat engine's
-// typed column — the same order-invariant flood, states in a
-// contiguous column and payloads on the uint64 word lane.
-func floodRankTypedAlgo(rounds int) model.TypedAlgo[floodRankTypedState] {
-	return model.TypedAlgo[floodRankTypedState]{
-		Init: func(v int, info model.NodeInfo) floodRankTypedState {
-			return floodRankTypedState{id: int64(info.ID), best: int64(info.ID)}
-		},
-		Step: func(c *model.Chunk, states []floodRankTypedState) {
-			for c.Next() {
-				s := &states[c.Node]
-				for _, w := range c.Inbox {
-					s.best = max(s.best, int64(w))
-				}
-				if c.Round >= rounds {
-					c.Halt()
-					continue
-				}
-				c.Broadcast(uint64(s.best))
-			}
-		},
-		Out: func(s *floodRankTypedState) model.Output {
-			return model.Output{Member: s.best > s.id}
-		},
+// runFlat runs a word algorithm on the flat engine and returns its
+// outputs, round count and fault report.
+func runFlat(h *model.Host, ids []int, algo model.WordAlgo, maxRounds int, sched model.Schedule) ([]model.Output, int, *model.FaultReport, error) {
+	col, rounds, rep, err := model.NewWordEngine(h).RunStatesFaulty(ids, algo, maxRounds, sched)
+	if err != nil {
+		return nil, 0, nil, err
 	}
+	outs := make([]model.Output, len(col))
+	for v := range col {
+		outs[v] = algo.Out(&col[v])
+	}
+	return outs, rounds, rep, nil
 }
 
 // TestMetamorphicTypedFaultyOIInvariance extends the faulty
-// OI-invariance property to the flat typed engine, and couples it to
-// the sharded reference: on every seeded host and profile, (a) the
-// typed execution is invariant under rank-preserving relabelings, and
-// (b) it agrees byte for byte — outputs, rounds and fault reports —
-// with the packed-word execution of the same workload on the sharded
-// engine at P=1, on every reproducer seed.
+// OI-invariance property to the flat engine, and couples it to the
+// sharded reference: on every seeded host and profile, (a) the flat
+// execution is invariant under rank-preserving relabelings, and (b) it
+// agrees byte for byte — outputs, rounds and fault reports — with the
+// execution of the same workload on the sharded engine at P=1, on
+// every reproducer seed.
 func TestMetamorphicTypedFaultyOIInvariance(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		for _, profile := range []string{"lossy:p=0.15", "churn:p=0.2,window=1"} {
@@ -331,15 +310,15 @@ func TestMetamorphicTypedFaultyOIInvariance(t *testing.T) {
 			ids1 := monotoneIDs(rank, rng)
 			ids2 := monotoneIDs(rank, rng)
 			sched := model.MustParseProfile(profile).New(h, seed)
-			u1, ur1, urep1, err := runSharded(h, 1, ids1, floodRankShardedAlgo(3), 300, sched)
+			u1, ur1, urep1, err := runSharded(h, 1, ids1, floodRankAlgo(3), 300, sched)
 			if err != nil {
 				t.Fatalf("sharded ids1: %v — reproducer (seed %d, profile %q)", err, seed, profile)
 			}
-			t1, tr1, trep1, err := model.RunRoundsTypedFaulty(h, ids1, floodRankTypedAlgo(3), 300, sched)
+			t1, tr1, trep1, err := runFlat(h, ids1, floodRankAlgo(3), 300, sched)
 			if err != nil {
 				t.Fatalf("typed ids1: %v — reproducer (seed %d, profile %q)", err, seed, profile)
 			}
-			t2, tr2, trep2, err := model.RunRoundsTypedFaulty(h, ids2, floodRankTypedAlgo(3), 300, sched)
+			t2, tr2, trep2, err := runFlat(h, ids2, floodRankAlgo(3), 300, sched)
 			if err != nil {
 				t.Fatalf("typed ids2: %v — reproducer (seed %d, profile %q)", err, seed, profile)
 			}

@@ -3,10 +3,10 @@ package algorithms
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/model"
-	"repro/internal/view"
 )
 
 // RandomizedMatching is the Section 6.5 demonstration: equipping nodes
@@ -21,11 +21,11 @@ import (
 // to each other.
 //
 // The execution is genuinely operational: the proposals are drawn
-// sequentially up front (so the rng stream is schedule-independent)
-// and then exchanged in one synchronous round on the typed word lane
-// of the message-plane Engine — each node sends along the arc to its
-// chosen neighbour and an edge is matched exactly when both endpoints
-// hear a proposal on the arc they proposed along.
+// sequentially in the engine's Init pass (so the rng stream is
+// schedule-independent) and then exchanged in one synchronous round on
+// the word lane — each node sends along the arc to its chosen
+// neighbour and an edge is matched exactly when both endpoints hear a
+// proposal on the arc they proposed along.
 //
 // The returned solution is a valid matching. Each edge {u, v} is
 // matched with probability 1/(deg(u)·deg(v)), so the expected size is
@@ -34,16 +34,6 @@ import (
 // degree, which no deterministic local algorithm can achieve.
 func RandomizedMatching(h *model.Host, rng *rand.Rand) *model.Solution {
 	return randomizedMatchingOn(model.NewWordEngine(h), h, rng)
-}
-
-// proposeState is a node's pre-drawn proposal; the protocol state
-// proper (chosen slot, sent, matched) is packed into the engine's
-// uint64 state column, see the m* layout below.
-type proposeState struct {
-	// letter names the arc to the proposed neighbour.
-	letter view.Letter
-	// propose is false on isolated nodes.
-	propose bool
 }
 
 // Word layout of the proposal protocol's packed state:
@@ -61,50 +51,46 @@ const (
 	mMatched  = uint64(1) << 34
 )
 
-// drawProposals pre-draws every node's proposal sequentially, keeping
-// the rng stream off the parallel rounds (and off the fault schedule:
-// the same seed proposes identically under every profile).
-func drawProposals(h *model.Host, rng *rand.Rand) ([]int, []proposeState) {
-	g := h.G
-	n := g.N()
-	proposal := make([]int, n)
-	states := make([]proposeState, n)
-	for v := 0; v < n; v++ {
-		proposal[v] = -1
-		if d := g.Degree(v); d > 0 {
-			proposal[v] = int(g.Neighbors(v)[rng.Intn(d)])
-			states[v] = proposeState{letter: letterTo(h, v, proposal[v]), propose: true}
-		}
-	}
-	return proposal, states
-}
-
-// proposalWordAlgo is the one-round mutual-proposal exchange over
-// pre-drawn proposals, on the typed word lane. A node matches when a
-// proposal arrives on the slot it itself proposed (and sent) along;
-// on a faulty plane one or both directions may be lost, but the
-// selected edge set stays a matching because each node only ever
-// selects the single edge it proposed. The payload word is
-// irrelevant — arrival alone carries "I propose to you".
-func proposalWordAlgo(states []proposeState) model.WordAlgo {
+// proposalAlgo is the one-round mutual-proposal exchange, one value
+// for both engines. Init draws each node's proposal from rng: the
+// engines call it sequentially in increasing global node order, so
+// the rng stream is independent of the schedule, the plane and the
+// shard count. The drawn neighbour is the rng.Intn(d)-th in
+// ascending-id order, the order of sorted CSR adjacency, and the state
+// keeps the local slot of the arc to it. A node matches when a
+// proposal arrives on the slot it itself proposed (and sent) along; on
+// a faulty plane one or both directions may be lost, but the selected
+// edge set stays a matching because each node only ever selects the
+// single edge it proposed. The payload word is irrelevant — arrival
+// alone carries "I propose to you". The host must be simple (at most
+// one arc between any node pair).
+func proposalAlgo(src model.ShardSource, rng *rand.Rand) model.WordAlgo {
+	var outS, inS []model.ShardArc
+	var ts, sorted []int64
 	return model.WordAlgo{
-		// Init indexes the pre-drawn table by node, keeping every
-		// random bit off the parallel rounds, and converts the drawn
-		// letter to its local slot in the letter-sorted row.
-		Init: func(v int, info model.NodeInfo) uint64 {
-			if !states[v].propose {
+		Init: func(v int64, info model.NodeInfo) uint64 {
+			outS, inS = src.AppendArcs(v, outS[:0], inS[:0])
+			ts = mergeTargets(ts[:0], outS, inS)
+			if len(ts) == 0 {
 				return 0
 			}
-			return uint64(slotOf(info.Letters, states[v].letter)) | mPropose
+			sorted = append(sorted[:0], ts...)
+			slices.Sort(sorted)
+			u := sorted[rng.Intn(len(ts))]
+			for slot, t := range ts {
+				if t == u {
+					return uint64(slot) | mPropose
+				}
+			}
+			panic(fmt.Sprintf("algorithms: no arc between neighbours %d and %d", v, u))
 		},
 		Step: proposalStep,
 		Out:  func(*uint64) model.Output { return model.Output{} },
 	}
 }
 
-// proposalStep is the exchange round's chunk step — shared by the flat
-// WordAlgo above and the sharded port. Round 0 sends the proposals;
-// round 1 matches and halts every node.
+// proposalStep is the exchange round's chunk step. Round 0 sends the
+// proposals; round 1 matches and halts every node.
 func proposalStep(c *model.Chunk, states []uint64) {
 	round := c.Round
 	for c.Next() {
@@ -128,68 +114,69 @@ func proposalStep(c *model.Chunk, states []uint64) {
 	}
 }
 
-// slotOf locates l in a letter-sorted slot row (the typed NodeInfo
-// letter order). The caller guarantees presence: every proposal
-// letter was resolved from a real arc.
-func slotOf(letters []view.Letter, l view.Letter) int {
-	lo, hi := 0, len(letters)
-	for lo < hi {
-		mid := (lo + hi) >> 1
-		if letters[mid].Less(l) {
-			lo = mid + 1
+// mergeTargets merges label-sorted out- and in-arc rows into slot
+// (letter) order — the engine's merge, out before in on equal labels
+// — recording each slot's peer.
+func mergeTargets(ts []int64, out, in []model.ShardArc) []int64 {
+	i, j := 0, 0
+	for i < len(out) || j < len(in) {
+		if i < len(out) && (j >= len(in) || out[i].Label <= in[j].Label) {
+			ts = append(ts, out[i].To)
+			i++
 		} else {
-			hi = mid
+			ts = append(ts, in[j].To)
+			j++
 		}
 	}
-	return lo
+	return ts
 }
 
-// randomizedMatchingOn is RandomizedMatching on a caller-provided
-// engine, so repeated trials reuse one message plane.
-func randomizedMatchingOn(e *model.WordEngine, h *model.Host, rng *rand.Rand) *model.Solution {
-	sol, err := randomizedMatchingErr(e, h, rng)
-	if err != nil {
-		// Unreachable on an uncancellable engine: every slot was
-		// resolved from a real arc and each node sends at most once.
-		panic(fmt.Sprintf("algorithms: randomized matching round: %v", err))
-	}
-	return sol
-}
-
-// randomizedMatchingErr is the error-returning core of the one-round
-// proposal matching: on a context-armed engine a run can legitimately
-// fail mid-protocol (cancellation), which the service layer must see
-// as an error rather than a panic.
-func randomizedMatchingErr(e *model.WordEngine, h *model.Host, rng *rand.Rand) (*model.Solution, error) {
-	n := h.G.N()
-	proposal, states := drawProposals(h, rng)
-	col, _, err := e.RunStates(nil, proposalWordAlgo(states), 3)
+// RandomizedMatchingOn is RandomizedMatching on a caller-provided
+// engine (see ColeVishkinMISOn), error-returning: an armed context can
+// abort the run mid-protocol, which the service layer must see as an
+// error rather than a panic.
+func RandomizedMatchingOn(e *model.WordEngine, h *model.Host, rng *rand.Rand) (*model.Solution, error) {
+	sol, _, err := flatMatching(e, h, rng, 3, nil)
 	if err != nil {
 		return nil, fmt.Errorf("algorithms: randomized matching: %w", err)
-	}
-	sol := model.NewSolution(model.EdgeKind, n)
-	for v := 0; v < n; v++ {
-		if col[v]&mMatched != 0 {
-			sol.Edges[graph.NewEdge(v, proposal[v])] = true
-		}
 	}
 	return sol, nil
 }
 
-// letterTo returns the letter naming the arc between v and its
-// neighbour u at v.
-func letterTo(h *model.Host, v, u int) view.Letter {
-	for _, a := range h.D.Out(v) {
-		if a.To == u {
-			return view.Letter{Label: a.Label}
+// randomizedMatchingOn is RandomizedMatchingOn on an uncancellable
+// engine, where the round cannot fail: every proposal slot was
+// resolved from a real arc and each node sends at most once.
+func randomizedMatchingOn(e *model.WordEngine, h *model.Host, rng *rand.Rand) *model.Solution {
+	sol, err := RandomizedMatchingOn(e, h, rng)
+	if err != nil {
+		panic(err)
+	}
+	return sol
+}
+
+// flatMatching runs the proposal exchange on the flat engine, clean
+// when sched is nil, and returns the selected edges whose endpoints
+// both survived, with the run's report.
+func flatMatching(e *model.WordEngine, h *model.Host, rng *rand.Rand, maxRounds int, sched model.Schedule) (*model.Solution, *model.FaultReport, error) {
+	src := model.SourceOf(h)
+	col, _, rep, err := e.RunStatesFaulty(nil, proposalAlgo(src, rng), maxRounds, sched)
+	if err != nil {
+		return nil, nil, err
+	}
+	sol := model.NewSolution(model.EdgeKind, h.G.N())
+	var outS, inS []model.ShardArc
+	var ts []int64
+	for v, s := range col {
+		if s&mMatched == 0 || rep.CrashedNode(v) {
+			continue
+		}
+		outS, inS = src.AppendArcs(int64(v), outS[:0], inS[:0])
+		ts = mergeTargets(ts[:0], outS, inS)
+		if u := int(ts[s&mSlotMask]); !rep.CrashedNode(u) {
+			sol.Edges[graph.NewEdge(v, u)] = true
 		}
 	}
-	for _, a := range h.D.In(v) {
-		if a.To == u {
-			return view.Letter{Label: a.Label, In: true}
-		}
-	}
-	panic(fmt.Sprintf("algorithms: no arc between neighbours %d and %d", v, u))
+	return sol, rep, nil
 }
 
 // RandomizedMatchingTrials runs the one-round proposal matching many

@@ -1,24 +1,22 @@
 package algorithms
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"repro/internal/model"
 )
 
-// This file ports the two flagship operational algorithms onto the
-// sharded giant-host plane (model.ShardedEngine). The round steps are
-// the exact functions the flat engine runs — cvStep and proposalStep
-// over the model.Chunk cursor — so a P=1 sharded run is byte-identical
-// to the unsharded run by construction, and the differential tests pin
-// it. What changes is the bookkeeping around
-// the run: identifiers come from an IDFunc instead of a slice,
-// randomness is drawn inside the sequential Init sweep instead of a
-// pre-drawn table, and results are extracted streaming (histograms
-// and counts, never an n-length column), so 10^8-node hosts stay
-// within per-shard bounded memory.
+// This file runs the two flagship operational algorithms on the
+// sharded giant-host plane (model.ShardedEngine). The algorithms are
+// the very values the flat engine runs — coleVishkinWordAlgo and
+// proposalAlgo — so a P=1 sharded run is byte-identical to the
+// unsharded run by construction, and the differential tests pin it.
+// What changes is the bookkeeping around the run: identifiers come
+// from an IDFunc instead of a slice, and results are extracted
+// streaming (histograms and counts, never an n-length column), so
+// 10^8-node hosts stay within per-shard bounded memory.
 
 // ShardedCVResult reports a Cole–Vishkin run on the sharded plane.
 // Per-node colours and membership stay inside the engine (decode them
@@ -55,11 +53,14 @@ func CVState(w uint64) (color int, inMIS bool) {
 // a survivor-safety failure is an error, exactly as on the flat
 // plane.
 func ColeVishkinMISSharded(se *model.ShardedEngine, ids model.IDFunc, maxID int) (*ShardedCVResult, error) {
-	steps, last, err := cvPlanSharded(se, ids, maxID)
+	if ids == nil {
+		return nil, errNoShardedIDs
+	}
+	steps, last, err := cvPlan(se.Source(), maxID)
 	if err != nil {
 		return nil, err
 	}
-	rounds, err := se.Run(ids, coleVishkinShardedAlgo(steps, last), last+2)
+	rounds, err := se.Run(ids, coleVishkinWordAlgo(steps, last), last+2)
 	if err != nil {
 		return nil, fmt.Errorf("algorithms: sharded Cole–Vishkin: %w", err)
 	}
@@ -94,11 +95,14 @@ func ColeVishkinMISSharded(se *model.ShardedEngine, ids model.IDFunc, maxID int)
 // schedule: the run degrades instead of failing, and the result
 // reports the survivor-safety counts (see ColeVishkinMISFaulty).
 func ColeVishkinMISShardedFaulty(se *model.ShardedEngine, ids model.IDFunc, maxID int, sched model.Schedule) (*ShardedCVResult, error) {
-	steps, last, err := cvPlanSharded(se, ids, maxID)
+	if ids == nil {
+		return nil, errNoShardedIDs
+	}
+	steps, last, err := cvPlan(se.Source(), maxID)
 	if err != nil {
 		return nil, err
 	}
-	rounds, rep, err := se.RunFaulty(ids, coleVishkinShardedAlgo(steps, last), last+2+faultSlack, sched)
+	rounds, rep, err := se.RunFaulty(ids, coleVishkinWordAlgo(steps, last), last+2+faultSlack, sched)
 	if err != nil {
 		return nil, fmt.Errorf("algorithms: sharded faulty Cole–Vishkin: %w", err)
 	}
@@ -121,40 +125,9 @@ func ColeVishkinMISShardedFaulty(se *model.ShardedEngine, ids model.IDFunc, maxI
 	return res, nil
 }
 
-// cvPlanSharded validates a sharded Cole–Vishkin instance: the source
-// must be a consistently oriented cycle (out- and in-degree 1
-// everywhere) and the id bound must fit the colour lane.
-func cvPlanSharded(se *model.ShardedEngine, ids model.IDFunc, maxID int) (steps, last int, err error) {
-	if ids == nil {
-		return 0, 0, fmt.Errorf("algorithms: sharded Cole–Vishkin needs identifiers (see model.SeededIDs)")
-	}
-	if maxID < 0 {
-		return 0, 0, fmt.Errorf("algorithms: negative id bound %d", maxID)
-	}
-	if uint64(maxID) > cvColorMask {
-		return 0, 0, fmt.Errorf("algorithms: id %d exceeds the %d-bit colour lane", maxID, cvColorBits)
-	}
-	src := se.Source()
-	for v, n := int64(0), src.N(); v < n; v++ {
-		if out, in := src.Degree(v); out != 1 || in != 1 {
-			return 0, 0, fmt.Errorf("algorithms: Cole–Vishkin needs a consistently oriented cycle")
-		}
-	}
-	steps = cvSteps(maxID)
-	return steps, steps + 6, nil
-}
-
-// coleVishkinShardedAlgo is the Cole–Vishkin pipeline on the sharded
-// word lane — the same step as coleVishkinWordAlgo.
-func coleVishkinShardedAlgo(steps, last int) model.ShardedWordAlgo {
-	return model.ShardedWordAlgo{
-		Init: func(v int64, info model.NodeInfo) uint64 { return cvInit(info) },
-		Step: cvStep(steps, last),
-		Out: func(state *uint64) model.Output {
-			return model.Output{Member: *state&cvMISBit != 0}
-		},
-	}
-}
+// errNoShardedIDs rejects a sharded Cole–Vishkin run without
+// identifiers.
+var errNoShardedIDs = errors.New("algorithms: sharded Cole–Vishkin needs identifiers (see model.SeededIDs)")
 
 // CVSurvivorSafetySharded is CVSurvivorSafety streaming over a shard
 // source: violations counts surviving adjacent member pairs,
@@ -207,14 +180,12 @@ type ShardedMatchingResult struct {
 }
 
 // RandomizedMatchingSharded runs the one-round mutual-proposal
-// matching on a sharded engine. Proposals are drawn from rng inside
-// the engine's sequential global-order Init sweep — the same stream,
-// in the same order, as the flat drawProposals — and each node picks
-// uniformly among its neighbours in ascending-id order, so for the
-// same seed the selected edge set equals the flat run's. The host
-// must be simple (at most one arc between any node pair).
+// matching on a sharded engine. It runs the flat run's proposalAlgo,
+// whose Init draws from rng in global node order, so for the same seed
+// the selected edge set equals the flat run's. The host must be simple
+// (at most one arc between any node pair).
 func RandomizedMatchingSharded(se *model.ShardedEngine, rng *rand.Rand) (*ShardedMatchingResult, error) {
-	if _, err := se.Run(nil, proposalShardedAlgo(se.Source(), rng), 3); err != nil {
+	if _, err := se.Run(nil, proposalAlgo(se.Source(), rng), 3); err != nil {
 		return nil, fmt.Errorf("algorithms: sharded randomized matching: %w", err)
 	}
 	res := &ShardedMatchingResult{}
@@ -227,7 +198,7 @@ func RandomizedMatchingSharded(se *model.ShardedEngine, rng *rand.Rand) (*Sharde
 // edges with a crashed endpoint are excluded (see
 // RandomizedMatchingFaulty).
 func RandomizedMatchingShardedFaulty(se *model.ShardedEngine, rng *rand.Rand, sched model.Schedule) (*ShardedMatchingResult, error) {
-	_, rep, err := se.RunFaulty(nil, proposalShardedAlgo(se.Source(), rng), 3+faultSlack, sched)
+	_, rep, err := se.RunFaulty(nil, proposalAlgo(se.Source(), rng), 3+faultSlack, sched)
 	if err != nil {
 		return nil, fmt.Errorf("algorithms: sharded faulty randomized matching: %w", err)
 	}
@@ -243,56 +214,6 @@ func RandomizedMatchingShardedFaulty(se *model.ShardedEngine, rng *rand.Rand, sc
 // endpoint (nil crashed means every node survived).
 func VisitShardedMatching(se *model.ShardedEngine, crashed func(int64) bool, visit func(u, v int64)) {
 	shardedMatchingTally(se, crashed, visit)
-}
-
-// proposalShardedAlgo draws each node's proposal inside Init (the
-// engine guarantees Init runs sequentially in increasing global node
-// order, so the rng stream is schedule- and shard-independent) and
-// exchanges proposals with the shared proposalStep. The drawn
-// neighbour is the rng.Intn(d)-th in ascending-id order, matching the
-// flat drawProposals over sorted CSR adjacency.
-func proposalShardedAlgo(src model.ShardSource, rng *rand.Rand) model.ShardedWordAlgo {
-	var outS, inS []model.ShardArc
-	var ts, sorted []int64
-	return model.ShardedWordAlgo{
-		Init: func(v int64, info model.NodeInfo) uint64 {
-			out, in := src.Degree(v)
-			d := out + in
-			if d == 0 {
-				return 0
-			}
-			outS, inS = src.AppendArcs(v, outS[:0], inS[:0])
-			ts = mergeTargets(ts[:0], outS, inS)
-			sorted = append(sorted[:0], ts...)
-			slices.Sort(sorted)
-			u := sorted[rng.Intn(d)]
-			for slot, t := range ts {
-				if t == u {
-					return uint64(slot) | mPropose
-				}
-			}
-			panic(fmt.Sprintf("algorithms: no arc between neighbours %d and %d", v, u))
-		},
-		Step: proposalStep,
-		Out:  func(*uint64) model.Output { return model.Output{} },
-	}
-}
-
-// mergeTargets merges label-sorted out- and in-arc rows into slot
-// (letter) order — the engine's merge, out before in on equal labels
-// — recording each slot's peer.
-func mergeTargets(ts []int64, out, in []model.ShardArc) []int64 {
-	i, j := 0, 0
-	for i < len(out) || j < len(in) {
-		if i < len(out) && (j >= len(in) || out[i].Label <= in[j].Label) {
-			ts = append(ts, out[i].To)
-			i++
-		} else {
-			ts = append(ts, in[j].To)
-			j++
-		}
-	}
-	return ts
 }
 
 // shardedMatchingTally streams the matching out of the engine state:

@@ -216,7 +216,7 @@ func TestProposalInitAllocs(t *testing.T) {
 	src := model.SourceOf(model.HostFromGraph(graph.Torus(64, 64)))
 	rng := rand.New(rand.NewSource(1))
 	allocs := testing.AllocsPerRun(3, func() {
-		algo := proposalShardedAlgo(src, rng)
+		algo := proposalAlgo(src, rng)
 		for v := int64(0); v < src.N(); v++ {
 			algo.Init(v, model.NodeInfo{ID: -1})
 		}

@@ -15,7 +15,7 @@ import (
 // the active worklist forever, so a run only ends via maxRounds or
 // cancellation.
 var neverHalt = WordAlgo{
-	Init: func(v int, info NodeInfo) uint64 { return 0 },
+	Init: func(v int64, info NodeInfo) uint64 { return 0 },
 	Step: chunkStep(func(state *uint64, round int, inbox []wordMsg, out sends) bool { return false }),
 	Out:  func(state *uint64) Output { return Output{} },
 }
@@ -29,7 +29,7 @@ func TestRunCancelledByDeadline(t *testing.T) {
 	h := HostFromGraph(graph.Torus(16, 16))
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	_, _, err := TypedOn[uint64](NewEngine(h).WithContext(ctx)).RunStates(nil, neverHalt, 1<<30)
+	_, _, err := NewWordEngine(h).WithContext(ctx).RunStates(nil, neverHalt, 1<<30)
 	if err == nil {
 		t.Fatal("cancelled run returned nil error")
 	}
@@ -69,7 +69,7 @@ func TestRunCancelledFaultyCarriesProfile(t *testing.T) {
 // untouched — runs complete normally and reuse works.
 func TestWithContextNilDisarms(t *testing.T) {
 	h := HostFromGraph(graph.Cycle(12))
-	te := TypedOn[uint64](NewEngine(h).WithContext(nil))
+	te := NewWordEngine(h).WithContext(nil)
 	for i := 0; i < 2; i++ {
 		if _, _, err := te.RunStates(nil, typedPulseAlgo(2), 4); err != nil {
 			t.Fatalf("nil-ctx run %d failed: %v", i, err)
@@ -83,9 +83,9 @@ func TestWithContextTypedPath(t *testing.T) {
 	h := HostFromGraph(graph.Torus(8, 8))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	te := TypedOn[uint64](NewEngine(h).WithContext(ctx))
+	te := NewWordEngine(h).WithContext(ctx)
 	stall := WordAlgo{
-		Init: func(v int, info NodeInfo) uint64 { return 0 },
+		Init: func(v int64, info NodeInfo) uint64 { return 0 },
 		Step: chunkStep(func(state *uint64, round int, inbox []wordMsg, out sends) bool {
 			return false
 		}),

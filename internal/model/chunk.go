@@ -2,6 +2,36 @@ package model
 
 import "fmt"
 
+// WordAlgo is a round algorithm as both round engines run it, the flat
+// WordEngine and the sharded ShardedEngine: one value, unchanged on
+// either plane. A node's whole state is one uint64 word, payloads are
+// words, and the step walks a whole chunk of the worklist with the
+// Chunk cursor, mutating states in place. The contract, on both
+// planes:
+//
+//   - Init is called sequentially in increasing global node order (on
+//     the sharded plane across all shards), so randomness drawn in it
+//     stays deterministic. v is the node's global index. info.Letters
+//     names the node's arcs in the letter-sorted slot order of the
+//     message plane — local slot i is named by info.Letters[i], and
+//     sends address slots, not letters — and is valid only during the
+//     call: Init keeps what it needs in the word, or in a column of its
+//     own.
+//   - Step steps every node of the chunk c: for c.Next(), the node's
+//     state is states[c.Node], its inbox is read in place with
+//     for slot, w := range c.Inbox, it sends with c.Send (one slot, at
+//     most one message per slot per round) or c.Broadcast (the whole
+//     slot row, unchecked overwrite), and it halts with c.Halt. states
+//     is the flat engine's column or one shard's, so c.Node is a
+//     global index on the flat plane and a shard-local one on the
+//     sharded plane.
+//   - Out extracts a node's output from its final state.
+type WordAlgo struct {
+	Init func(v int64, info NodeInfo) uint64
+	Step func(c *Chunk, states []uint64)
+	Out  func(state *uint64) Output
+}
+
 // Chunk is the cursor a round algorithm's step walks: one worker's
 // view of a chunk of the worklist in one round, on either plane. The
 // engine hands the step a chunk and the states column; the step loops
@@ -186,7 +216,7 @@ func (c *Chunk) enter(round int, cur, next []cell, want int64) {
 // plane's first global slot and node (0 on the flat plane), the
 // coordinates the schedule is asked at. The first bad send, by the
 // smallest failing node since pieces keep list order, is reported.
-func stepChunk[S any](step func(*Chunk, []S), c *Chunk, list []int32, col []S, fp *faultPlan, gs, gv int64) {
+func stepChunk(step func(*Chunk, []uint64), c *Chunk, list []int32, col []uint64, fp *faultPlan, gs, gv int64) {
 	if fp.sched == nil {
 		c.list, c.k = list, 0
 		step(c, col)

@@ -11,11 +11,11 @@ import (
 	"repro/internal/view"
 )
 
-// Engine is the batched worker-parallel round simulator behind the
-// typed engines (TypedEngine): the operational analogue of the sweep
-// engine. It sizes a CSR message plane once from the host's arc
-// structure and then executes synchronous rounds with no per-round
-// slice churn at all.
+// WordEngine is the flat batched worker-parallel round engine: the
+// operational analogue of the sweep engine. It sizes a CSR message
+// plane and a state column once from the host's arc structure and then
+// executes synchronous rounds of a WordAlgo with no per-round slice
+// churn at all.
 //
 // Layout. Every incident (arc, direction) pair of every node is one
 // slot: node v's slots are off[v]:off[v+1], ordered by the letter
@@ -41,7 +41,7 @@ import (
 // Worklist. Halted nodes leave the active list and cost nothing: each
 // round is a worker-sharded sweep of the active list only (dynamic
 // chunk handoff over a shared cursor, par.ForScratch-style; each
-// claimed chunk goes to the run's step function whole, so the per-run
+// claimed chunk goes to the algorithm's step whole, so the per-run
 // columns and rows are loaded once per chunk, not once per node), and
 // the workers are persistent for the whole run — spawned once against
 // par's global budget (par.Reserve), released at the end — so a
@@ -51,16 +51,16 @@ import (
 // faults (faultPlan): then the barrier also removes crashed nodes.
 //
 // Determinism. A step writes, for each node of its chunk, only that
-// node's state slot, halt flag and outgoing message slots, so parallel
+// node's state word, halt flag and outgoing message slots, so parallel
 // and sequential runs are byte-identical; any randomness must be drawn
 // before the run (Init is invoked sequentially in increasing node
 // order for exactly this reason).
 //
-// An Engine may be reused for any number of runs on its host (arenas
-// warm up once), also by typed engines of different state types (the
-// monotone stamps keep runs from ever reading each other's messages),
-// but a single Engine must not execute two runs concurrently.
-type Engine struct {
+// A WordEngine may be reused for any number of runs on its host, of
+// any algorithms (arenas warm up once; the monotone stamps keep runs
+// from ever reading each other's messages), but must not execute two
+// runs concurrently.
+type WordEngine struct {
 	n int
 
 	// Slot layout (see above).
@@ -77,7 +77,9 @@ type Engine struct {
 	cells [2][]cell
 	tick  int64
 
-	// Run state, reused across runs.
+	// Run state, reused across runs: the state column, indexed by
+	// node, and the worklist.
+	col    []uint64
 	halted []bool
 	active []int32
 	spare  []int32
@@ -92,17 +94,14 @@ type Engine struct {
 	// wrapped context error. See WithContext.
 	ctx context.Context
 
-	// Durability (snapshot.go). ck arms barrier checkpointing; the
-	// ckEncStates closure is installed per run by the typed engine (it
-	// captures the run's codec and column). resume holds a snapshot
-	// armed for the next run; resumeFrom (-1 when disarmed) and repBase
-	// carry the restored round cursor and fault-counter bases into
-	// runCore.
-	ck          *Checkpointer
-	ckEncStates func(dst []byte) []byte
-	resume      *Snapshot
-	resumeFrom  int
-	repBase     FaultReport
+	// Durability (snapshot.go). ck arms barrier checkpointing. resume
+	// holds a snapshot armed for the next run; resumeFrom (-1 when
+	// disarmed) and repBase carry the restored round cursor and
+	// fault-counter bases into runCore.
+	ck         *Checkpointer
+	resume     *Snapshot
+	resumeFrom int
+	repBase    FaultReport
 }
 
 // WithContext arms cooperative cancellation for this engine's
@@ -118,7 +117,7 @@ type Engine struct {
 // The poll is one atomic-ish Err call per round, so the steady-state
 // round stays allocation-free. A nil ctx (the default) disarms the
 // check. Returns e for chaining.
-func (e *Engine) WithContext(ctx context.Context) *Engine {
+func (e *WordEngine) WithContext(ctx context.Context) *WordEngine {
 	e.ctx = ctx
 	return e
 }
@@ -130,13 +129,13 @@ type cell struct {
 	stamp int64
 }
 
-// NewEngine sizes a message plane for the host: one slot per incident
-// (arc, direction) pair with its letter and routing (20 B per slot)
-// and its two 16-byte arena cells, plus the halt, worklist and error
-// columns. Runs reuse everything.
-func NewEngine(h *Host) *Engine {
+// NewWordEngine sizes a flat engine for the host: one slot per
+// incident (arc, direction) pair with its letter and routing (20 B per
+// slot) and its two 16-byte arena cells, plus the state, halt and
+// worklist columns. Runs reuse everything.
+func NewWordEngine(h *Host) *WordEngine {
 	n := h.G.N()
-	e := &Engine{n: n}
+	e := &WordEngine{n: n}
 	e.off = make([]int32, n+1)
 	slots := int64(0)
 	for v := 0; v < n; v++ {
@@ -178,6 +177,7 @@ func NewEngine(h *Host) *Engine {
 	}
 	e.cells[0] = make([]cell, total)
 	e.cells[1] = make([]cell, total)
+	e.col = make([]uint64, n)
 	e.halted = make([]bool, n)
 	e.active = make([]int32, 0, n)
 	e.spare = make([]int32, 0, n)
@@ -187,7 +187,7 @@ func NewEngine(h *Host) *Engine {
 
 // slot returns the index of v's slot for letter l, or off[v+1] when v
 // has no such letter (binary search over the letter-sorted slot row).
-func (e *Engine) slot(v int, l view.Letter) int32 {
+func (e *WordEngine) slot(v int, l view.Letter) int32 {
 	lo, hi := e.off[v], e.off[v+1]
 	end := hi
 	for lo < hi {
@@ -204,16 +204,92 @@ func (e *Engine) slot(v int, l view.Letter) int32 {
 	return end
 }
 
-// runCore is the round-loop machinery shared by the clean and faulty
-// paths: active-worklist management (including schedule-driven crash
+// Run executes a word algorithm and extracts the per-node outputs.
+func (e *WordEngine) Run(ids []int, algo WordAlgo, maxRounds int) ([]Output, int, error) {
+	states, rounds, err := e.RunStates(ids, algo, maxRounds)
+	if err != nil {
+		return nil, 0, err
+	}
+	outs := make([]Output, len(states))
+	for v := range states {
+		outs[v] = algo.Out(&states[v])
+	}
+	return outs, rounds, nil
+}
+
+// RunStates executes a word algorithm and returns the final state
+// column and the number of rounds, failing if some node has not
+// halted after maxRounds. Pass ids for the ID model, nil for
+// anonymous execution. The column is owned by the engine and
+// overwritten by its next run.
+func (e *WordEngine) RunStates(ids []int, algo WordAlgo, maxRounds int) ([]uint64, int, error) {
+	col, rounds, _, err := e.run(ids, algo, maxRounds, nil)
+	return col, rounds, err
+}
+
+// RunStatesFaulty is RunStates under a fault schedule: the schedule's
+// Fate is applied to every delivery when the receiver's chunk is
+// prepared (so drops, duplicates and reorderings happen between the
+// sender's Send or Broadcast and the receiver's Inbox), its State gates
+// which nodes step each round (down nodes skip the round silently;
+// crashed nodes leave the worklist for good), and the returned
+// FaultReport counts what actually happened. Fates are pure hashes of
+// (seed, round, slot), so the sharded engine degrades identically. A
+// nil schedule is the clean profile: the run takes the engine's exact
+// clean path and the report is all-zero. Crashed nodes keep the last
+// state they reached; callers decide how to treat their outputs
+// (FaultReport.CrashedNode).
+func (e *WordEngine) RunStatesFaulty(ids []int, algo WordAlgo, maxRounds int, sched Schedule) ([]uint64, int, *FaultReport, error) {
+	col, rounds, rep, err := e.run(ids, algo, maxRounds, sched)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	if rep == nil {
+		rep = &FaultReport{Profile: "clean"}
+	}
+	return col, rounds, rep, nil
+}
+
+// run initialises the state column, restores an armed snapshot and
+// runs the round loop; the report is nil on a clean run.
+func (e *WordEngine) run(ids []int, algo WordAlgo, maxRounds int, sched Schedule) ([]uint64, int, *FaultReport, error) {
+	if ids != nil && len(ids) != e.n {
+		return nil, 0, nil, fmt.Errorf("model: RunRounds: %d ids for %d nodes", len(ids), e.n)
+	}
+	for v := 0; v < e.n; v++ {
+		// NodeInfo letters are the letter-sorted slot row itself: local
+		// slot i is info.Letters[i].
+		info := NodeInfo{ID: -1, Letters: e.letters[e.off[v]:e.off[v+1]:e.off[v+1]]}
+		if ids != nil {
+			info.ID = ids[v]
+		}
+		e.col[v] = algo.Init(int64(v), info)
+		e.halted[v] = false
+	}
+	if snap := e.resume; snap != nil {
+		e.resume = nil
+		if err := e.restore(snap, sched != nil, maxRounds); err != nil {
+			return nil, 0, nil, err
+		}
+	}
+	fp := planFaults(sched)
+	rounds, rep, err := e.runCore(algo.Step, &fp, maxRounds)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	return e.col, rounds, rep, nil
+}
+
+// runCore is the round loop shared by the clean and faulty paths:
+// active-worklist management (including schedule-driven crash
 // removal), persistent workers with dynamic chunk handoff, the
-// per-round barrier, error surfacing, and fault-report assembly. step
-// performs the round of one chunk of the worklist (stepChunk: the
-// faulty preparation and the algorithm's step; Chunk.Halt counts the
-// nodes that halted). fp is the run's fault plan: State is asked only
-// when the plan has node faults, and otherwise the barrier compacts by
-// the clean rule.
-func (e *Engine) runCore(step func([]int32, *Chunk), fp *faultPlan, maxRounds int) (int, *FaultReport, error) {
+// per-round barrier, error surfacing, and fault-report assembly. Each
+// claimed chunk of the worklist is stepped by stepChunk: the faulty
+// preparation and the algorithm's step (Chunk.Halt counts the nodes
+// that halted). fp is the run's fault plan: State is asked only when
+// the plan has node faults, and otherwise the barrier compacts by the
+// clean rule.
+func (e *WordEngine) runCore(step func(*Chunk, []uint64), fp *faultPlan, maxRounds int) (int, *FaultReport, error) {
 	sched := fp.sched
 	// A restored snapshot (snapshot.go) shifts the start round and
 	// seeds the fault counters; the worklist is then rebuilt from the
@@ -293,7 +369,7 @@ func (e *Engine) runCore(step func([]int32, *Chunk), fp *faultPlan, maxRounds in
 			if hi > int64(len(active)) {
 				hi = int64(len(active))
 			}
-			step(active[lo:hi], c)
+			stepChunk(step, c, active[lo:hi], e.col, fp, 0, 0)
 		}
 	}
 

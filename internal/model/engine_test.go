@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -33,7 +34,7 @@ func engineHosts(t *testing.T) map[string]*Host {
 // staggered halting: every node floods the largest id it has heard for
 // a node-dependent number of rounds, then reports whether it ever
 // heard an id larger than its own. The engine tests run its word-lane
-// twins (floodSlotAlgo, floodTypedAlgo) against it on the
+// twins (floodSlotAlgo, floodWordAlgo) against it on the
 // specification loop.
 func floodMaxAlgo() RoundAlgo {
 	type st struct {
@@ -85,38 +86,32 @@ func referenceOutputs(t *testing.T, h *Host, ids []int, algo RoundAlgo, maxRound
 	return outs, rounds
 }
 
-// floodSlotState is floodMaxAlgo's state on the word lane, with the
-// node's slot count for per-slot sends.
-type floodSlotState struct {
-	id, best, ticks, slots int32
-}
-
 // floodSlotAlgo is floodMaxAlgo on the word lane with one checked
-// Send per slot, where floodTypedAlgo broadcasts: the slot-indexed
+// Send per slot, where floodWordAlgo broadcasts: the slot-indexed
 // send must reach exactly the neighbour the letter-addressed send of
-// the specification reaches.
-func floodSlotAlgo() TypedAlgo[floodSlotState] {
-	return TypedAlgo[floodSlotState]{
-		Init: func(v int, info NodeInfo) floodSlotState {
-			id := int32(info.ID)
-			return floodSlotState{id: id, best: id, ticks: 1 + id%4, slots: int32(len(info.Letters))}
+// the specification reaches. Its word is floodWordAlgo's with the
+// node's slot count in bits 4-7 (the ticks, at most 4, keep bits 0-3).
+func floodSlotAlgo() WordAlgo {
+	return WordAlgo{
+		Init: func(v int64, info NodeInfo) uint64 {
+			return floodWordInit(info.ID) | uint64(len(info.Letters))<<4
 		},
-		Step: chunkStep(func(s *floodSlotState, round int, inbox []wordMsg, out sends) bool {
+		Step: chunkStep(func(s *uint64, round int, inbox []wordMsg, out sends) bool {
+			best, rest := *s>>32, *s&0xffffffff
 			for _, m := range inbox {
-				if v := int32(m.W); v > s.best {
-					s.best = v
-				}
+				best = max(best, m.W)
 			}
-			if s.ticks == 0 {
+			*s = best<<32 | rest
+			if rest&0xf == 0 {
 				return true
 			}
-			s.ticks--
-			for i := 0; i < int(s.slots); i++ {
-				out.Send(i, uint64(s.best))
+			*s--
+			for i := 0; i < int(rest>>4&0xf); i++ {
+				out.Send(i, best)
 			}
 			return false
 		}),
-		Out: func(s *floodSlotState) Output { return Output{Member: s.best > s.id} },
+		Out: floodWordOut,
 	}
 }
 
@@ -131,7 +126,7 @@ func TestEngineDifferentialFlood(t *testing.T) {
 		refOuts, refRounds := referenceOutputs(t, h, ids, floodMaxAlgo(), 16)
 		for _, p := range []int{1, 8} {
 			old := par.Set(p)
-			outs, rounds, err := RunRoundsTyped(h, ids, floodSlotAlgo(), 16)
+			outs, rounds, err := NewWordEngine(h).Run(ids, floodSlotAlgo(), 16)
 			par.Set(old)
 			if err != nil {
 				t.Fatalf("%s p=%d: engine: %v", name, p, err)
@@ -208,12 +203,19 @@ func TestSimulatePORoundsDifferential(t *testing.T) {
 func TestEngineInboxLetterOrder(t *testing.T) {
 	defer par.Set(par.Set(8))
 	h := HostFromGraph(graph.Torus(6, 6))
-	ordered := TypedAlgo[[]view.Letter]{
-		Init: func(v int, info NodeInfo) []view.Letter { return info.Letters },
-		Step: chunkStep(func(ls *[]view.Letter, round int, inbox []wordMsg, out sends) bool {
+	// The state word is the node's index; its letters, valid only
+	// during Init, are copied into a column the test closes over.
+	letters := make([][]view.Letter, h.G.N())
+	ordered := WordAlgo{
+		Init: func(v int64, info NodeInfo) uint64 {
+			letters[v] = slices.Clone(info.Letters)
+			return uint64(v)
+		},
+		Step: chunkStep(func(s *uint64, round int, inbox []wordMsg, out sends) bool {
 			if round == 1 {
+				ls := letters[*s]
 				for i := 1; i < len(inbox); i++ {
-					if prev, cur := (*ls)[inbox[i-1].Slot], (*ls)[inbox[i].Slot]; !prev.Less(cur) {
+					if prev, cur := ls[inbox[i-1].Slot], ls[inbox[i].Slot]; !prev.Less(cur) {
 						panic(fmt.Sprintf("inbox out of letter order: %v after %v", cur, prev))
 					}
 				}
@@ -222,9 +224,9 @@ func TestEngineInboxLetterOrder(t *testing.T) {
 			out.Broadcast(uint64(round))
 			return false
 		}),
-		Out: func(*[]view.Letter) Output { return Output{} },
+		Out: func(*uint64) Output { return Output{} },
 	}
-	if _, _, err := RunRoundsTyped(h, nil, ordered, 4); err != nil {
+	if _, _, err := NewWordEngine(h).Run(nil, ordered, 4); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -239,12 +241,12 @@ func TestEngineErrorsMatchReference(t *testing.T) {
 		Out:  func(any) Output { return Output{} },
 	}
 	neverWord := WordAlgo{
-		Init: func(int, NodeInfo) uint64 { return 0 },
+		Init: func(int64, NodeInfo) uint64 { return 0 },
 		Step: chunkStep(func(*uint64, int, []wordMsg, sends) bool { return false }),
 		Out:  func(*uint64) Output { return Output{} },
 	}
 	for _, ids := range [][]int{nil, {1, 2}} {
-		_, _, errE := RunRoundsTyped(h, ids, neverWord, 4)
+		_, _, errE := NewWordEngine(h).Run(ids, neverWord, 4)
 		_, _, errR := RunRoundsStates(h, ids, never, 4)
 		if errE == nil || errR == nil || errE.Error() != errR.Error() {
 			t.Errorf("ids %v: errors differ: %v vs %v", ids, errE, errR)
@@ -257,7 +259,7 @@ func TestEngineErrorsMatchReference(t *testing.T) {
 func TestEngineDuplicateSend(t *testing.T) {
 	h := HostFromGraph(graph.Cycle(4))
 	dup := WordAlgo{
-		Init: func(int, NodeInfo) uint64 { return 0 },
+		Init: func(int64, NodeInfo) uint64 { return 0 },
 		Step: chunkStep(func(st *uint64, round int, inbox []wordMsg, out sends) bool {
 			out.Send(1, 1)
 			out.Send(1, 2)
@@ -266,39 +268,37 @@ func TestEngineDuplicateSend(t *testing.T) {
 		Out: func(*uint64) Output { return Output{} },
 	}
 	for _, sched := range []Schedule{nil, MustParseProfile("lossy:p=0.5").New(h, 1)} {
-		_, _, _, err := RunRoundsTypedFaulty(h, nil, dup, 3, sched)
+		_, _, _, err := runFaulty(h, nil, dup, 3, sched)
 		if err == nil || !strings.Contains(err.Error(), "sent twice on slot 1") {
 			t.Errorf("schedule %v: duplicate send error = %v", sched, err)
 		}
 	}
 }
 
-// slotPulse is the zero-allocation steady-state workload on the
+// slotPulseAlgo is the zero-allocation steady-state workload on the
 // checked send path: every node sends its remaining round count on
-// each of its slots with Send for a fixed number of rounds.
-type slotPulse struct {
-	left, slots int32
-}
-
-func slotPulseAlgo(rounds int) TypedAlgo[slotPulse] {
-	return TypedAlgo[slotPulse]{
-		Init: func(v int, info NodeInfo) slotPulse {
-			return slotPulse{left: int32(rounds), slots: int32(len(info.Letters))}
+// each of its slots with Send for a fixed number of rounds. The word
+// holds the count in bits 32-63 and the node's slot count below.
+func slotPulseAlgo(rounds int) WordAlgo {
+	return WordAlgo{
+		Init: func(v int64, info NodeInfo) uint64 {
+			return uint64(rounds)<<32 | uint64(len(info.Letters))
 		},
-		Step: func(c *Chunk, states []slotPulse) {
+		Step: func(c *Chunk, states []uint64) {
 			for c.Next() {
-				s := &states[c.Node]
-				if s.left == 0 {
+				s := states[c.Node]
+				left, slots := s>>32, int(s&0xffffffff)
+				if left == 0 {
 					c.Halt()
 					continue
 				}
-				s.left--
-				for i := 0; i < int(s.slots); i++ {
-					c.Send(i, uint64(s.left))
+				states[c.Node] = s - 1<<32
+				for i := 0; i < slots; i++ {
+					c.Send(i, left-1)
 				}
 			}
 		},
-		Out: func(*slotPulse) Output { return Output{} },
+		Out: func(*uint64) Output { return Output{} },
 	}
 }
 
@@ -308,7 +308,7 @@ func slotPulseAlgo(rounds int) TypedAlgo[slotPulse] {
 // engine (per-run setup — closures, worker scratch — cancels exactly).
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	defer par.Set(par.Set(1))
-	te := NewTypedEngine[slotPulse](HostFromGraph(graph.Cycle(512)))
+	te := NewWordEngine(HostFromGraph(graph.Cycle(512)))
 	runFor := func(rounds int) func() {
 		return func() {
 			if _, _, err := te.RunStates(nil, slotPulseAlgo(rounds), rounds+2); err != nil {
@@ -327,12 +327,12 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 // TestEngineReuseAfterError: a run that fails mid-way (absent slot,
 // non-halt) must not poison the plane — the tick advances past every
 // stamp the failed run wrote, so the next run on the same engine, here
-// by a typed engine of another state type, reads no stale messages.
+// of another algorithm, reads no stale messages.
 func TestEngineReuseAfterError(t *testing.T) {
 	h := HostFromGraph(graph.Cycle(6))
-	e := NewEngine(h)
+	e := NewWordEngine(h)
 	bad := WordAlgo{
-		Init: func(int, NodeInfo) uint64 { return 0 },
+		Init: func(int64, NodeInfo) uint64 { return 0 },
 		Step: chunkStep(func(st *uint64, round int, inbox []wordMsg, out sends) bool {
 			out.Send(99, 1)
 			return false
@@ -340,7 +340,7 @@ func TestEngineReuseAfterError(t *testing.T) {
 		Out: func(*uint64) Output { return Output{} },
 	}
 	never := WordAlgo{
-		Init: func(int, NodeInfo) uint64 { return 0 },
+		Init: func(int64, NodeInfo) uint64 { return 0 },
 		Step: chunkStep(func(st *uint64, round int, inbox []wordMsg, out sends) bool {
 			out.Send(0, uint64(round))
 			return false
@@ -350,15 +350,14 @@ func TestEngineReuseAfterError(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	ids := rng.Perm(24)[:6]
 	want, wantRounds := referenceOutputs(t, h, ids, floodMaxAlgo(), 16)
-	words, flood := TypedOn[uint64](e), TypedOn[floodSlotState](e)
 	for i := 0; i < 3; i++ {
-		if _, _, err := words.RunStates(ids, bad, 4); err == nil {
+		if _, _, err := e.RunStates(ids, bad, 4); err == nil {
 			t.Fatal("absent slot accepted")
 		}
-		if _, _, err := words.RunStates(ids, never, 4); err == nil {
+		if _, _, err := e.RunStates(ids, never, 4); err == nil {
 			t.Fatal("non-halting run accepted")
 		}
-		outs, rounds, err := flood.Run(ids, floodSlotAlgo(), 16)
+		outs, rounds, err := e.Run(ids, floodSlotAlgo(), 16)
 		if err != nil {
 			t.Fatalf("run after errors: %v", err)
 		}
@@ -370,21 +369,19 @@ func TestEngineReuseAfterError(t *testing.T) {
 
 // TestEngineReuse: one engine executes many runs (stamps are monotone,
 // arenas are never cleared) with results identical to fresh engines,
-// also when a typed engine of another state type runs on the same
-// plane between them.
+// also when another algorithm runs on the same engine between them.
 func TestEngineReuse(t *testing.T) {
 	h := HostFromGraph(graph.Petersen())
-	e := NewEngine(h)
-	flood, pulse := TypedOn[floodTypedState](e), TypedOn[uint64](e)
+	e := NewWordEngine(h)
 	rng := rand.New(rand.NewSource(3))
 	ids := rng.Perm(40)[:10]
 	var first []Output
 	for i := 0; i < 5; i++ {
-		outs, rounds, err := flood.Run(ids, floodTypedAlgo(), 16)
+		outs, rounds, err := e.Run(ids, floodWordAlgo(), 16)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, freshRounds, err := RunRoundsTyped(h, ids, floodTypedAlgo(), 16)
+		fresh, freshRounds, err := NewWordEngine(h).Run(ids, floodWordAlgo(), 16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,7 +393,7 @@ func TestEngineReuse(t *testing.T) {
 		} else if !reflect.DeepEqual(outs, first) {
 			t.Fatalf("run %d differs from run 0", i)
 		}
-		if _, _, err := pulse.RunStates(nil, typedPulseAlgo(i+1), i+3); err != nil {
+		if _, _, err := e.RunStates(nil, typedPulseAlgo(i+1), i+3); err != nil {
 			t.Fatalf("interleaved run %d: %v", i, err)
 		}
 	}

@@ -293,7 +293,7 @@ func newSchedule(desc string, seed int64) *schedule {
 
 // planeSlots recomputes the engine's slot layout boundaries: slot rows
 // follow h.D's incident (arc, direction) pairs exactly as
-// NewEngine lays them out, so receiver-targeted thresholds line up
+// NewWordEngine lays them out, so receiver-targeted thresholds line up
 // with the plane.
 func planeSlots(h *Host) []int32 {
 	n := h.G.N()

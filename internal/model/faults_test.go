@@ -145,7 +145,7 @@ func TestCleanFaultyPinsReference(t *testing.T) {
 		n := h.G.N()
 		ids := rand.New(rand.NewSource(int64(n))).Perm(4 * n)[:n]
 		refOuts, refRounds := referenceOutputs(t, h, ids, floodMaxAlgo(), 16)
-		outs, rounds, rep, err := RunRoundsTypedFaulty(h, ids, floodSlotAlgo(), 16, nil)
+		outs, rounds, rep, err := runFaulty(h, ids, floodSlotAlgo(), 16, nil)
 		if err != nil {
 			t.Fatalf("%s: faulty-clean: %v", name, err)
 		}
@@ -165,7 +165,7 @@ func TestCleanFaultyPinsReference(t *testing.T) {
 		Step: func(st any, round int, inbox []Msg) (any, []Msg, bool) { return st, nil, false },
 		Out:  func(any) Output { return Output{} },
 	}
-	_, _, _, errF := RunRoundsTypedFaulty(h, nil, typedPulseAlgo(8), 3, nil)
+	_, _, _, errF := runFaulty(h, nil, typedPulseAlgo(8), 3, nil)
 	_, _, errR := RunRoundsStates(h, nil, never, 3)
 	if errF == nil || errR == nil || errF.Error() != errR.Error() {
 		t.Errorf("non-halt errors differ: %v vs %v", errF, errR)
@@ -206,13 +206,13 @@ func TestErrorFormats(t *testing.T) {
 		t.Errorf("reference non-halt error = %v, want %q", err, want)
 	}
 	sched := MustParseProfile("lossy:p=0").New(h, 1)
-	_, _, _, err = RunRoundsTypedFaulty(h, nil, typedPulseAlgo(8), 4, sched)
+	_, _, _, err = runFaulty(h, nil, typedPulseAlgo(8), 4, sched)
 	want = "model: node 0 did not halt within 4 rounds [lossy:p=0]"
 	if err == nil || err.Error() != want {
 		t.Errorf("faulty non-halt error = %v, want %q", err, want)
 	}
 	dup := WordAlgo{
-		Init: func(int, NodeInfo) uint64 { return 0 },
+		Init: func(int64, NodeInfo) uint64 { return 0 },
 		Step: chunkStep(func(st *uint64, r int, inbox []wordMsg, out sends) bool {
 			out.Broadcast(1)
 			out.Send(0, 2)
@@ -220,7 +220,7 @@ func TestErrorFormats(t *testing.T) {
 		}),
 		Out: func(*uint64) Output { return Output{} },
 	}
-	_, _, _, err = RunRoundsTypedFaulty(h, nil, dup, 3, sched)
+	_, _, _, err = runFaulty(h, nil, dup, 3, sched)
 	if err == nil || !strings.HasPrefix(err.Error(), "model: round 0 [lossy:p=0]: node ") ||
 		!strings.Contains(err.Error(), "sent twice on slot 0") {
 		t.Errorf("faulty double-send error lacks round and profile: %v", err)
@@ -244,7 +244,7 @@ func TestFaultyDeterministicAcrossWorkers(t *testing.T) {
 		var results [2]result
 		for i, p := range []int{1, 8} {
 			old := par.Set(p)
-			outs, rounds, rep, err := RunRoundsTypedFaulty(h, ids, floodTypedAlgo(), 300, sched)
+			outs, rounds, rep, err := runFaulty(h, ids, floodWordAlgo(), 300, sched)
 			par.Set(old)
 			if err != nil {
 				t.Fatalf("%s p=%d: %v (reproducer: seed=99, profile=%s)", desc, p, err, desc)
@@ -264,7 +264,7 @@ func TestFaultyDeterministicAcrossWorkers(t *testing.T) {
 func TestCrashProfiles(t *testing.T) {
 	h := HostFromGraph(graph.Cycle(64))
 	ids := rand.New(rand.NewSource(5)).Perm(256)[:64]
-	_, _, rep, err := RunRoundsTypedFaulty(h, ids, floodTypedAlgo(), 300, MustParseProfile("crash:f=7,by=3").New(h, 3))
+	_, _, rep, err := runFaulty(h, ids, floodWordAlgo(), 300, MustParseProfile("crash:f=7,by=3").New(h, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestCrashProfiles(t *testing.T) {
 		t.Errorf("Crashed marks %d nodes, want 7", count)
 	}
 
-	_, _, rep, err = RunRoundsTypedFaulty(h, ids, floodTypedAlgo(), 300, MustParseProfile("crash:f=7,by=3,recover=2").New(h, 3))
+	_, _, rep, err = runFaulty(h, ids, floodWordAlgo(), 300, MustParseProfile("crash:f=7,by=3,recover=2").New(h, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestLossyGatherDegrades(t *testing.T) {
 // RunStatesFaulty still allocates nothing per steady-state round.
 func TestEngineSteadyStateAllocsFaultyClean(t *testing.T) {
 	defer par.Set(par.Set(1))
-	te := NewTypedEngine[slotPulse](HostFromGraph(graph.Cycle(512)))
+	te := NewWordEngine(HostFromGraph(graph.Cycle(512)))
 	runFor := func(rounds int) func() {
 		return func() {
 			if _, _, _, err := te.RunStatesFaulty(nil, slotPulseAlgo(rounds), rounds+2, nil); err != nil {
@@ -417,15 +417,15 @@ func TestEngineSteadyStateAllocsFaultyClean(t *testing.T) {
 // to the specification's.
 func TestFaultyEngineReuse(t *testing.T) {
 	h := HostFromGraph(graph.Petersen())
-	te := NewTypedEngine[floodTypedState](h)
+	te := NewWordEngine(h)
 	ids := rand.New(rand.NewSource(3)).Perm(40)[:10]
 	want, wantRounds := referenceOutputs(t, h, ids, floodMaxAlgo(), 16)
 	sched := MustParseProfile("lossy:p=0.4").New(h, 8)
 	for i := 0; i < 4; i++ {
-		if _, _, _, err := te.RunStatesFaulty(ids, floodTypedAlgo(), 300, sched); err != nil {
+		if _, _, _, err := te.RunStatesFaulty(ids, floodWordAlgo(), 300, sched); err != nil {
 			t.Fatalf("faulty run %d: %v", i, err)
 		}
-		outs, rounds, err := te.Run(ids, floodTypedAlgo(), 16)
+		outs, rounds, err := te.Run(ids, floodWordAlgo(), 16)
 		if err != nil {
 			t.Fatalf("clean run %d: %v", i, err)
 		}

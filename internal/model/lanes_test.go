@@ -28,7 +28,7 @@ func TestWorkerLanesIsolated(t *testing.T) {
 		{"torus", HostFromGraph(graph.Torus(8, 8)), 4},
 	}
 	for _, hc := range hosts {
-		e := NewEngine(hc.h)
+		e := NewWordEngine(hc.h)
 		se, err := NewShardedEngine(SourceOf(hc.h), 2)
 		if err != nil {
 			t.Fatal(err)

@@ -325,11 +325,11 @@ func TestRunRoundsHaltFailure(t *testing.T) {
 		t.Error("non-halting algorithm accepted by the specification loop")
 	}
 	neverWord := WordAlgo{
-		Init: func(int, NodeInfo) uint64 { return 0 },
+		Init: func(int64, NodeInfo) uint64 { return 0 },
 		Step: chunkStep(func(*uint64, int, []wordMsg, sends) bool { return false }),
 		Out:  func(*uint64) Output { return Output{} },
 	}
-	if _, _, err := RunRoundsTyped(cycleHost(3), nil, neverWord, 5); err == nil {
+	if _, _, err := NewWordEngine(cycleHost(3)).Run(nil, neverWord, 5); err == nil {
 		t.Error("non-halting algorithm accepted by the engine")
 	}
 }
@@ -366,7 +366,7 @@ func TestRunRoundsIDsDelivered(t *testing.T) {
 	// The same on the engine: the state word is the id, with bit 32
 	// set once the node knows it is a local maximum.
 	word := WordAlgo{
-		Init: func(v int, info NodeInfo) uint64 { return uint64(info.ID) },
+		Init: func(v int64, info NodeInfo) uint64 { return uint64(info.ID) },
 		Step: chunkStep(func(s *uint64, round int, inbox []wordMsg, out sends) bool {
 			if round == 0 {
 				out.Broadcast(*s)
@@ -389,7 +389,7 @@ func TestRunRoundsIDsDelivered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, wordRounds, err := RunRoundsTyped(h, ids, word, 10)
+	outs, wordRounds, err := NewWordEngine(h).Run(ids, word, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

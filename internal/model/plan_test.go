@@ -78,7 +78,7 @@ func samePlanned(t *testing.T, h *model.Host, run, ref func(model.Schedule) (any
 // halting: a node halts after 1+3*(id%4) rounds, so rounds without a
 // halt lie between rounds with one. State and payload are
 // best<<8 | ticks.
-func planFloodInit(v int, info model.NodeInfo) uint64 {
+func planFloodInit(v int64, info model.NodeInfo) uint64 {
 	return uint64(info.ID)<<8 | uint64(1+3*(info.ID%4))
 }
 

@@ -12,13 +12,13 @@ import (
 	"repro/internal/view"
 )
 
-// This file is the sharded giant-host round engine: the typed word
-// lane of the Engine (see typed.go) partitioned into P shards so that
+// This file is the sharded giant-host round engine: the word lane of
+// the flat WordEngine (see engine.go) partitioned into P shards so that
 // hosts past the int32 flat-CSR capacity — or simply past what one
 // contiguous plane should hold — run with per-shard bounded memory.
 //
 // Each shard owns a contiguous global node range, its own slot plane
-// (off/dest and two cell arenas, exactly the Engine's word-lane layout
+// (off/dest and two cell arenas, exactly the WordEngine's layout
 // restricted to the range) and its own state column. Arcs whose
 // endpoints live in different shards are resolved at construction
 // into a compact exchange buffer: the sender's dest entry points past
@@ -32,7 +32,7 @@ import (
 // Determinism. Slot numbering concatenates the per-node letter-sorted
 // slot rows in global node order, so a node's slots, its inbox order
 // and the global (round, slot) fault coordinates are all identical to
-// the unsharded Engine's — with P=1 the sharded plane IS the Engine
+// the flat WordEngine's — with P=1 the sharded plane IS the flat
 // plane, and the differential tests pin clean and faulty runs
 // byte-identical at every P. Cross-shard staging cannot disturb this:
 // every staging entry targets a unique destination slot, and inboxes
@@ -78,26 +78,6 @@ func (s hostSource) AppendArcs(v int64, out, in []ShardArc) ([]ShardArc, []Shard
 		in = append(in, ShardArc{To: int64(a.To), Label: a.Label})
 	}
 	return out, in
-}
-
-// ShardedWordAlgo is the packed fixed-width round algorithm of the
-// sharded plane — WordAlgo with 64-bit node indices; its step is the
-// flat plane's, walking the same Chunk cursor. Contract deltas from
-// TypedAlgo: info.Letters passed to Init aliases per-engine scratch
-// and is valid only during the call (states are uint64, so nothing can
-// retain it anyway), Init remains sequential in increasing global node
-// order across all shards, so pre-drawn randomness is exactly as
-// deterministic as on the flat plane, and Step is called once per
-// shard worklist with the shard's state column, so c.Node is the
-// node's index within its shard.
-type ShardedWordAlgo struct {
-	// Init returns node v's initial state; v is the global node id.
-	Init func(v int64, info NodeInfo) uint64
-	// Step steps every node of the chunk c: states is the shard's
-	// state column, indexed by c.Node.
-	Step func(c *Chunk, states []uint64)
-	// Out extracts the final output from a state.
-	Out func(state *uint64) Output
 }
 
 // shard is one partition of the sharded plane: a contiguous global
@@ -146,8 +126,8 @@ type shard struct {
 	exchanged atomic.Int64
 }
 
-// ShardedEngine runs packed-word round algorithms over P shards. Like
-// the Engine it may be reused for any number of runs (arenas warm up
+// ShardedEngine runs word algorithms over P shards. Like the
+// WordEngine it may be reused for any number of runs (arenas warm up
 // once, stamps stay monotone), but must not execute two runs
 // concurrently.
 type ShardedEngine struct {
@@ -293,7 +273,7 @@ func shardPlaneFits(i, p int, slots, cross int64) error {
 
 // mergeLetters merges label-sorted out- and in-arc rows into the
 // letter-sorted slot row (out before in on equal labels — exactly the
-// Engine's merge), recording each slot's letter and peer.
+// WordEngine's merge), recording each slot's letter and peer.
 func mergeLetters(ls []view.Letter, ts []int64, out, in []ShardArc) ([]view.Letter, []int64) {
 	i, j := 0, 0
 	for i < len(out) || j < len(in) {
@@ -474,9 +454,9 @@ func (r *runErr) record(v int32, err error) {
 // assignment that needs no materialised table.
 type IDFunc func(v int64) int
 
-// Run executes a sharded word algorithm and streams no outputs:
+// Run executes a word algorithm and streams no outputs:
 // consume results with VisitStates (or Outputs for small hosts).
-func (se *ShardedEngine) Run(ids IDFunc, algo ShardedWordAlgo, maxRounds int) (int, error) {
+func (se *ShardedEngine) Run(ids IDFunc, algo WordAlgo, maxRounds int) (int, error) {
 	rounds, _, err := se.run(ids, algo, maxRounds, nil)
 	return rounds, err
 }
@@ -487,7 +467,7 @@ func (se *ShardedEngine) Run(ids IDFunc, algo ShardedWordAlgo, maxRounds int) (i
 // run degrades identically to the unsharded run of the same
 // algorithm. Faulty runs require the global node and slot counts to
 // fit int32 (the Schedule coordinate width); clean runs do not.
-func (se *ShardedEngine) RunFaulty(ids IDFunc, algo ShardedWordAlgo, maxRounds int, sched Schedule) (int, *FaultReport, error) {
+func (se *ShardedEngine) RunFaulty(ids IDFunc, algo WordAlgo, maxRounds int, sched Schedule) (int, *FaultReport, error) {
 	rounds, rep, err := se.run(ids, algo, maxRounds, sched)
 	if err != nil {
 		return 0, nil, err
@@ -500,7 +480,7 @@ func (se *ShardedEngine) RunFaulty(ids IDFunc, algo ShardedWordAlgo, maxRounds i
 
 // Outputs extracts every node's output into a slice — small hosts
 // and differential tests only (it materialises n entries).
-func (se *ShardedEngine) Outputs(algo ShardedWordAlgo) []Output {
+func (se *ShardedEngine) Outputs(algo WordAlgo) []Output {
 	outs := make([]Output, se.nTotal)
 	se.VisitStates(func(v int64, st uint64) {
 		outs[int(v)] = algo.Out(&st)
@@ -513,7 +493,7 @@ func (se *ShardedEngine) Outputs(algo ShardedWordAlgo) []Output {
 // shard's active sweep is sequential within it) and a barrier phase
 // (exchange drain + worklist compaction, again shard-parallel), with
 // error surfacing between them.
-func (se *ShardedEngine) run(ids IDFunc, algo ShardedWordAlgo, maxRounds int, sched Schedule) (int, *FaultReport, error) {
+func (se *ShardedEngine) run(ids IDFunc, algo WordAlgo, maxRounds int, sched Schedule) (int, *FaultReport, error) {
 	p := len(se.shards)
 	if sched != nil {
 		if se.nTotal > math.MaxInt32 || se.slots > math.MaxInt32 {

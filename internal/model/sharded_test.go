@@ -12,7 +12,7 @@ import (
 )
 
 // The sharded differential suite: for every workload the sharded
-// plane must be byte-identical to the flat typed engine — same final
+// plane must be byte-identical to the flat word engine — same final
 // states, same round counts, same fault reports, same error strings —
 // at P=1 (where the sharded plane IS the flat plane) and at P=2 and
 // P=8 (where cross-shard staging and the exchange drain carry a large
@@ -83,14 +83,14 @@ func mixWordStep(rounds int) nodeStep[uint64] {
 
 func flatMixAlgo(rounds int) WordAlgo {
 	return WordAlgo{
-		Init: func(v int, info NodeInfo) uint64 { return mixWordInit(info.ID, len(info.Letters)) },
+		Init: func(v int64, info NodeInfo) uint64 { return mixWordInit(info.ID, len(info.Letters)) },
 		Step: chunkStep(mixWordStep(rounds)),
 		Out:  func(state *uint64) Output { return Output{} },
 	}
 }
 
-func shardedMixAlgo(rounds int) ShardedWordAlgo {
-	return ShardedWordAlgo{
+func shardedMixAlgo(rounds int) WordAlgo {
+	return WordAlgo{
 		Init: func(v int64, info NodeInfo) uint64 { return mixWordInit(info.ID, len(info.Letters)) },
 		Step: chunkStep(mixWordStep(rounds)),
 		Out:  func(state *uint64) Output { return Output{} },
@@ -248,7 +248,7 @@ func TestShardedExchangeLetterOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 			fail := make(chan string, 1)
-			algo := ShardedWordAlgo{
+			algo := WordAlgo{
 				Init: func(v int64, info NodeInfo) uint64 { return uint64(v) },
 				Step: chunkStep(func(state *uint64, round int, inbox []wordMsg, out sends) bool {
 					v := *state
@@ -303,7 +303,7 @@ func TestShardedErrorParity(t *testing.T) {
 		}
 		return err.Error()
 	}
-	shardedErr := func(p int, algo ShardedWordAlgo) string {
+	shardedErr := func(p int, algo WordAlgo) string {
 		se, err := NewShardedEngine(src, p)
 		if err != nil {
 			t.Fatal(err)
@@ -347,7 +347,7 @@ func TestShardedErrorParity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		want := flatErr(WordAlgo{
-			Init: func(v int, info NodeInfo) uint64 { return 0 },
+			Init: func(v int64, info NodeInfo) uint64 { return 0 },
 			Step: chunkStep(tc.flat),
 			Out:  func(state *uint64) Output { return Output{} },
 		})
@@ -360,7 +360,7 @@ func TestShardedErrorParity(t *testing.T) {
 			}
 		}
 		for _, p := range []int{1, 2, 8} {
-			got := shardedErr(p, ShardedWordAlgo{
+			got := shardedErr(p, WordAlgo{
 				Init: func(v int64, info NodeInfo) uint64 { return 0 },
 				Step: chunkStep(tc.flat),
 				Out:  func(state *uint64) Output { return Output{} },

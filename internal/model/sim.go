@@ -33,8 +33,8 @@ type NodeInfo struct {
 // node updates its state on the messages received, emits messages for
 // the next round, and may halt. A halted node keeps its state and
 // sends nothing further. RunRoundsStates executes it; it is the
-// specification the round engines (TypedAlgo, ShardedWordAlgo) are
-// differentially tested against.
+// specification the round engines' WordAlgo runs are differentially
+// tested against.
 type RoundAlgo struct {
 	// Init returns the initial state.
 	Init func(info NodeInfo) any
@@ -183,6 +183,99 @@ func GatherViews(r int) RoundAlgo {
 		},
 		Out: func(state any) Output { return Output{} },
 	}
+}
+
+// gatherAlgo is GatherViews on the engine's word lane, for the flat
+// engine e: the lane carries column handles — each message word is the
+// sender's node index — and the hash-consed trees live in two
+// round-parity columns (the round-r assembly reads trees[r&1], which
+// round r-1's senders wrote, and publishes into trees[(r+1)&1];
+// distinct parities keep same-round reads and writes on different
+// arrays, so workers never race). final[v] tracks node v's latest
+// assembled view for extraction after the run. The step reads each
+// node's slot letters from the engine's own rows and indexes the tree
+// columns by c.Node, so the state word is unused. Assembly order,
+// duplicate-letter dedup and the starved-inbox stale-view rule mirror
+// GatherViews exactly, which the differential tests pin down.
+//
+// It is kept out of line: inlined into a caller, its step closure
+// would be compiled again as a copy in which the cursor methods are
+// called instead of inlined (tools/inlinecheck.sh).
+//
+//go:noinline
+func gatherAlgo(e *WordEngine, r int) (WordAlgo, []*view.Tree) {
+	var trees [2][]*view.Tree
+	trees[0] = make([]*view.Tree, e.n)
+	trees[1] = make([]*view.Tree, e.n)
+	final := make([]*view.Tree, e.n)
+	off, letters := e.off, e.letters
+	algo := WordAlgo{
+		Init: func(v int64, info NodeInfo) uint64 {
+			final[v] = view.Leaf()
+			return 0
+		},
+		Step: func(c *Chunk, _ []uint64) {
+			round := c.Round
+			cur, nxt := trees[round&1], trees[(round+1)&1]
+			for c.Next() {
+				v := c.Node
+				t := final[v]
+				if round > 0 {
+					row := letters[off[v]:off[v+1]]
+					var children []view.Child
+					for slot, w := range c.Inbox {
+						// Duplicated deliveries repeat a slot; keep the first.
+						l := row[slot]
+						dup := false
+						for _, ch := range children {
+							if ch.L == l {
+								dup = true
+								break
+							}
+						}
+						if dup {
+							continue
+						}
+						if children == nil {
+							children = make([]view.Child, 0, len(row))
+						}
+						children = append(children, view.Child{L: l, T: pruneChild(cur[w], l.Inv())})
+					}
+					if children != nil {
+						t = view.NewTree(children)
+						final[v] = t
+					}
+				}
+				if round >= r {
+					c.Halt()
+					continue
+				}
+				nxt[v] = t
+				c.Broadcast(uint64(v))
+			}
+		},
+	}
+	return algo, final
+}
+
+// RunGather gathers every node's radius-r view tree by message passing
+// on the word lane (GatherViews' rounds, with tree payloads carried as
+// column handles) and returns the trees, the number of rounds run and,
+// when sched is non-nil, the fault report. Under a schedule each tree
+// is whatever fragments survived it; crashed nodes keep the tree they
+// had assembled when they crashed. maxRounds bounds the run: r+2
+// suffices on a clean run, and a schedule that keeps nodes transiently
+// down needs slack beyond it, since a down node halts only at its
+// first up round at or after r. The run polls ctx at every round
+// barrier.
+func RunGather(ctx context.Context, h *Host, r, maxRounds int, sched Schedule) ([]*view.Tree, int, *FaultReport, error) {
+	e := NewWordEngine(h).WithContext(ctx)
+	algo, final := gatherAlgo(e, r)
+	_, rounds, rep, err := e.run(nil, algo, maxRounds, sched)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	return final, rounds, rep, nil
 }
 
 // pruneChild returns t without its child labelled drop (t itself when

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 
@@ -29,12 +30,9 @@ import (
 // runs are strictly below its tick, so a restored message can never
 // be confused with a leftover one.
 //
-// Codecs. Payloads are words and are stored as they are. The engine
-// cannot serialise an arbitrary state type, so checkpointable
-// algorithms either provide self-delimiting EncodeState/DecodeState on
-// their TypedAlgo or — for the uint64 word instantiation that every
-// packed workload uses — get the fixed-width little-endian default for
-// free.
+// Encoding. States and payloads are words: the state column is stored
+// as 8 little-endian bytes per node, payloads as they are, so every
+// word algorithm is checkpointable with no codec of its own.
 
 // SnapshotKind is the ckpt container kind of an encoded engine
 // Snapshot.
@@ -45,7 +43,7 @@ const snapshotVersion = 1
 
 // Snapshot is a run's resumable state at a round barrier. It is
 // produced by a Checkpointer sink, serialised with Encode, and
-// consumed (once) by TypedEngine.Resume. All fields are deterministic
+// consumed (once) by WordEngine.Resume. All fields are deterministic
 // functions of the run's state — no timestamps, no map order — so
 // equal run states encode to equal bytes.
 type Snapshot struct {
@@ -72,8 +70,8 @@ type Snapshot struct {
 	// in increasing slot order; Words carries their payloads.
 	Pending []int32
 	Words   []uint64
-	// States is the encoded state column (per-node encodings
-	// concatenated in increasing node order).
+	// States is the state column: each node's word, 8 bytes
+	// little-endian, in increasing node order.
 	States []byte
 
 	// consumed rejects resuming one in-memory snapshot twice: the
@@ -186,7 +184,7 @@ func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 }
 
 // Checkpointer arms barrier checkpointing on an engine (see
-// TypedEngine.WithCheckpoints). At each round barrier where a
+// WordEngine.WithCheckpoints). At each round barrier where a
 // checkpoint is due — every Every rounds, or once after RequestNow —
 // the engine builds a Snapshot and hands it to Sink; a Sink error
 // aborts the run.
@@ -219,34 +217,33 @@ func (ck *Checkpointer) due(nextRound int) bool {
 	return ck.Every > 0 && nextRound%ck.Every == 0
 }
 
-// Resume arms the typed engine to resume its next run from snap
-// instead of starting at round 0: the run's Init pass executes as
-// usual (so callers regenerate ids and pre-drawn randomness exactly as
-// the original run did), then states, halt/crash bitsets, pending
-// messages and fault counters are restored from the snapshot and the
-// round loop starts at snap.Round. The snapshot must match the run it
-// is applied to (plane geometry, clean/faulty) and is consumed:
-// resuming one snapshot twice is rejected. Returns te for chaining.
-func (te *TypedEngine[S]) Resume(snap *Snapshot) *TypedEngine[S] {
-	te.e.resume = snap
-	return te
+// Resume arms the engine to resume its next run from snap instead of
+// starting at round 0: the run's Init pass executes as usual (so
+// callers regenerate ids and pre-drawn randomness exactly as the
+// original run did), then states, halt/crash bitsets, pending messages
+// and fault counters are restored from the snapshot and the round loop
+// starts at snap.Round. The snapshot must match the run it is applied
+// to (plane geometry, clean/faulty, a round within the run's budget)
+// and is consumed: resuming one snapshot twice is rejected. A rejected
+// snapshot leaves the engine as it was. Returns e for chaining.
+func (e *WordEngine) Resume(snap *Snapshot) *WordEngine {
+	e.resume = snap
+	return e
 }
 
 // WithCheckpoints arms barrier checkpointing for this engine's
 // subsequent runs (clean and faulty alike — the hook lives in
-// runCore). The run errors up front if the algorithm lacks the state
-// codec checkpointing needs. A nil ck disarms. Returns te for
-// chaining.
-func (te *TypedEngine[S]) WithCheckpoints(ck *Checkpointer) *TypedEngine[S] {
-	te.e.ck = ck
-	return te
+// runCore). A nil ck disarms. Returns e for chaining.
+func (e *WordEngine) WithCheckpoints(ck *Checkpointer) *WordEngine {
+	e.ck = ck
+	return e
 }
 
 // snapshotAt builds the Snapshot for the barrier entering nextRound
 // and hands it to the checkpointer's sink. It runs on the master
 // goroutine between rounds (after the barrier's wg.Wait and worklist
 // compaction), so every field it reads is quiescent.
-func (e *Engine) snapshotAt(nextRound int, base int64, sched Schedule, cs []*Chunk) error {
+func (e *WordEngine) snapshotAt(nextRound int, base int64, sched Schedule, cs []*Chunk) error {
 	snap := &Snapshot{
 		Faulty: sched != nil,
 		N:      e.n,
@@ -269,7 +266,10 @@ func (e *Engine) snapshotAt(nextRound int, base int64, sched Schedule, cs []*Chu
 			snap.Words = append(snap.Words, c.w)
 		}
 	}
-	snap.States = e.ckEncStates(nil)
+	snap.States = make([]byte, 0, 8*e.n)
+	for _, w := range e.col {
+		snap.States = binary.LittleEndian.AppendUint64(snap.States, w)
+	}
 	if e.ck.Sink == nil {
 		return nil
 	}
@@ -279,27 +279,34 @@ func (e *Engine) snapshotAt(nextRound int, base int64, sched Schedule, cs []*Chu
 	return nil
 }
 
-// restoreCommon validates a snapshot against the run being started and
-// restores the plane-level state: halt/crash bitsets, pending-slot
-// stamps (re-based on this engine's tick), the resume round and the
-// fault-counter bases. Payload and state-column restoration stay with
-// the typed caller.
-func (e *Engine) restoreCommon(snap *Snapshot, faulty bool) error {
-	if snap.consumed {
+// restore validates a snapshot against the run being started and,
+// only when every check passes, restores it: the halt/crash bitsets,
+// the state column, the pending payloads with their stamps re-based on
+// this engine's tick, the resume round and the fault-counter bases.
+func (e *WordEngine) restore(snap *Snapshot, faulty bool, maxRounds int) error {
+	switch {
+	case snap.consumed:
 		return fmt.Errorf("model: resume: snapshot already resumed (double resume rejected)")
-	}
-	if snap.Faulty != faulty {
-		if snap.Faulty {
-			return fmt.Errorf("model: resume: snapshot is from a faulty run; pass the same schedule")
-		}
+	case snap.Faulty && !faulty:
+		return fmt.Errorf("model: resume: snapshot is from a faulty run; pass the same schedule")
+	case !snap.Faulty && faulty:
 		return fmt.Errorf("model: resume: snapshot is from a clean run; drop the schedule")
-	}
-	if snap.N != e.n || snap.Slots != len(e.letters) {
+	case snap.N != e.n || snap.Slots != len(e.letters):
 		return fmt.Errorf("model: resume: snapshot geometry (n=%d slots=%d) does not match host (n=%d slots=%d)",
 			snap.N, snap.Slots, e.n, len(e.letters))
-	}
-	if len(snap.Halted) != e.n || (snap.Faulty && len(snap.Crashed) != e.n) {
+	case len(snap.Halted) != e.n || (snap.Faulty && len(snap.Crashed) != e.n):
 		return fmt.Errorf("model: resume: snapshot bitset length mismatch")
+	case len(snap.States) != 8*e.n:
+		return fmt.Errorf("model: resume: state column is %d bytes (want %d)", len(snap.States), 8*e.n)
+	case len(snap.Words) != len(snap.Pending):
+		return fmt.Errorf("model: resume: %d payload words for %d pending slots", len(snap.Words), len(snap.Pending))
+	case snap.Round < 0 || snap.Round > maxRounds:
+		return fmt.Errorf("model: resume: snapshot round %d outside the run's %d rounds", snap.Round, maxRounds)
+	}
+	for _, s := range snap.Pending {
+		if s < 0 || int(s) >= len(e.letters) {
+			return fmt.Errorf("model: resume: pending slot %d out of range", s)
+		}
 	}
 	snap.consumed = true
 	copy(e.halted, snap.Halted)
@@ -309,7 +316,13 @@ func (e *Engine) restoreCommon(snap *Snapshot, faulty bool) error {
 		}
 		copy(e.crashed, snap.Crashed)
 	}
-	e.setPendingStamps(snap, e.tick+int64(snap.Round)+1)
+	for v := range e.col {
+		e.col[v] = binary.LittleEndian.Uint64(snap.States[8*v:])
+	}
+	cells, stamp := e.cells[snap.Round&1], e.tick+int64(snap.Round)+1
+	for i, s := range snap.Pending {
+		cells[s] = cell{w: snap.Words[i], stamp: stamp}
+	}
 	e.resumeFrom = snap.Round
 	e.repBase = FaultReport{
 		Dropped:    snap.Dropped,
@@ -318,26 +331,4 @@ func (e *Engine) restoreCommon(snap *Snapshot, faulty bool) error {
 		DownSteps:  snap.DownSteps,
 	}
 	return nil
-}
-
-// setPendingStamps writes stamp into the snapshot's pending slots of
-// arena snap.Round&1. Slots past the plane are skipped: failedResume
-// also runs for snapshots restoreCommon rejected for their geometry.
-func (e *Engine) setPendingStamps(snap *Snapshot, stamp int64) {
-	cells := e.cells[snap.Round&1]
-	for _, s := range snap.Pending {
-		if int(s) < len(cells) {
-			cells[s].stamp = stamp
-		}
-	}
-}
-
-// failedResume rolls back a partially applied restore so the engine
-// is safe for ordinary runs again: the resume cursor and report bases
-// are cleared and any restored stamps are zeroed (0 is never a live
-// want, which is base+round+1 >= 1).
-func (e *Engine) failedResume(snap *Snapshot) {
-	e.resumeFrom = -1
-	e.repBase = FaultReport{}
-	e.setPendingStamps(snap, 0)
 }

@@ -2,8 +2,6 @@ package model
 
 import (
 	"context"
-	"encoding/binary"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -15,61 +13,12 @@ import (
 	"repro/internal/par"
 )
 
-// snapFloodState is a checkpointable flood state that is not a word:
-// id is static context reconstructed by Init on resume; best and ticks
-// are the dynamic fields the codec carries.
-type snapFloodState struct {
-	id    int
-	best  int
-	ticks int
-}
-
-// snapFloodAlgo is floodMaxAlgo on the word lane with a state codec:
-// states carry two varints.
-func snapFloodAlgo() TypedAlgo[snapFloodState] {
-	return TypedAlgo[snapFloodState]{
-		Init: func(v int, info NodeInfo) snapFloodState {
-			return snapFloodState{id: info.ID, best: info.ID, ticks: 1 + info.ID%4}
-		},
-		Step: chunkStep(func(s *snapFloodState, round int, inbox []wordMsg, out sends) bool {
-			for _, m := range inbox {
-				if v := int(m.W); v > s.best {
-					s.best = v
-				}
-			}
-			if s.ticks == 0 {
-				return true
-			}
-			s.ticks--
-			out.Broadcast(uint64(s.best))
-			return false
-		}),
-		Out: func(s *snapFloodState) Output { return Output{Member: s.best > s.id} },
-		EncodeState: func(dst []byte, s *snapFloodState) []byte {
-			dst = binary.AppendVarint(dst, int64(s.best))
-			return binary.AppendVarint(dst, int64(s.ticks))
-		},
-		DecodeState: func(src []byte, s *snapFloodState) ([]byte, error) {
-			best, n := binary.Varint(src)
-			if n <= 0 {
-				return nil, fmt.Errorf("bad best")
-			}
-			ticks, m := binary.Varint(src[n:])
-			if m <= 0 {
-				return nil, fmt.Errorf("bad ticks")
-			}
-			s.best, s.ticks = int(best), int(ticks)
-			return src[n+m:], nil
-		},
-	}
-}
-
-// snapWordAlgo is the packed flood twin: state packs best<<8 | ticks
-// in one word (so the default uint64 codec applies), messages carry
-// the packed state.
+// snapWordAlgo is floodMaxAlgo packed for the snapshot tests: the
+// state packs best<<8 | ticks in one word, and messages carry the
+// packed state.
 func snapWordAlgo() WordAlgo {
 	return WordAlgo{
-		Init: func(v int, info NodeInfo) uint64 {
+		Init: func(v int64, info NodeInfo) uint64 {
 			return uint64(info.ID)<<8 | uint64(1+info.ID%4)
 		},
 		Step: chunkStep(func(state *uint64, round int, inbox []wordMsg, out sends) bool {
@@ -129,68 +78,12 @@ func boxedPayload() []byte {
 	return w.Bytes()
 }
 
-// TestSnapshotResumeCodec pins resume byte-identical for a state that
-// needs the algorithm's codec: for every host, clean and under two
-// fault profiles, resuming from each checkpoint round reproduces the
-// uninterrupted run's final states, round count, fault report AND
-// every later checkpoint's encoded bytes (content addressing makes
-// that last check equivalent to whole-state equality at every
-// subsequent barrier).
-func TestSnapshotResumeCodec(t *testing.T) {
-	defer par.Set(par.Set(4))
-	for _, prof := range []string{"", "lossy:p=0.2", "crash:f=5,by=2"} {
-		for name, h := range snapHosts() {
-			n := h.G.N()
-			ids := rand.New(rand.NewSource(int64(n))).Perm(4 * n)[:n]
-			var sched Schedule
-			if prof != "" {
-				sched = MustParseProfile(prof).New(h, 99)
-			}
-			control := map[int][]byte{}
-			e1 := NewTypedEngine[snapFloodState](h).WithCheckpoints(snapSink(control))
-			col1, rounds1, rep1, err := e1.RunStatesFaulty(ids, snapFloodAlgo(), 64, sched)
-			if err != nil {
-				t.Fatalf("%s/%s: control: %v", name, prof, err)
-			}
-			final1 := append([]snapFloodState(nil), col1...)
-			if len(control) == 0 {
-				t.Fatalf("%s/%s: control run took no checkpoints", name, prof)
-			}
-			for k, payload := range control {
-				snap, err := DecodeSnapshot(payload)
-				if err != nil {
-					t.Fatalf("%s/%s: decode round %d: %v", name, prof, k, err)
-				}
-				resumed := map[int][]byte{}
-				e2 := NewTypedEngine[snapFloodState](h).WithCheckpoints(snapSink(resumed)).Resume(snap)
-				col2, rounds2, rep2, err := e2.RunStatesFaulty(ids, snapFloodAlgo(), 64, sched)
-				if err != nil {
-					t.Fatalf("%s/%s: resume from %d: %v", name, prof, k, err)
-				}
-				if rounds2 != rounds1 {
-					t.Errorf("%s/%s: resume from %d: %d rounds (control %d)", name, prof, k, rounds2, rounds1)
-				}
-				if !reflect.DeepEqual(col2, final1) {
-					t.Errorf("%s/%s: resume from %d: final states differ", name, prof, k)
-				}
-				if !reflect.DeepEqual(rep1, rep2) {
-					t.Errorf("%s/%s: resume from %d: fault report differs:\n  control %+v\n  resumed %+v", name, prof, k, rep1, rep2)
-				}
-				for j, want := range control {
-					if j <= k {
-						continue
-					}
-					if got, ok := resumed[j]; !ok || string(got) != string(want) {
-						t.Errorf("%s/%s: resume from %d: checkpoint at %d not byte-identical to control (present=%v)", name, prof, k, j, ok)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestSnapshotResumeTyped is the packed-word twin, exercising the
-// default uint64 state codec.
+// TestSnapshotResumeTyped pins resume byte-identical: for every host,
+// clean and under two fault profiles, resuming from each checkpoint
+// round reproduces the uninterrupted run's final states, round count,
+// fault report AND every later checkpoint's encoded bytes (content
+// addressing makes that last check equivalent to whole-state equality
+// at every subsequent barrier).
 func TestSnapshotResumeTyped(t *testing.T) {
 	defer par.Set(par.Set(4))
 	for _, prof := range []string{"", "lossy:p=0.2", "crash:f=5,by=2"} {
@@ -268,9 +161,7 @@ func TestSnapshotRequestNowCancel(t *testing.T) {
 		cancel()
 		return nil
 	}}
-	e2 := NewWordEngine(h)
-	e2.Engine().WithContext(ctx)
-	e2.WithCheckpoints(ck)
+	e2 := NewWordEngine(h).WithContext(ctx).WithCheckpoints(ck)
 	ck.RequestNow()
 	if _, _, err := e2.RunStates(ids, snapWordAlgo(), 64); err == nil {
 		t.Fatal("cancelled run succeeded")

@@ -120,7 +120,7 @@ func (sp *spec) fail(v, round int, msg string) {
 // next round for each node still live. It shares no code with the
 // engines but the schedule, and returns the final states, the rounds
 // run and the fault report (nil when sched is nil).
-func specRun[S any](h *Host, ids []int, init func(v int, info NodeInfo) S, step nodeStep[S], maxRounds int, sched Schedule) ([]S, int, *FaultReport, error) {
+func specRun[S any](h *Host, ids []int, init func(v int64, info NodeInfo) S, step nodeStep[S], maxRounds int, sched Schedule) ([]S, int, *FaultReport, error) {
 	n := h.G.N()
 	if ids != nil && len(ids) != n {
 		return nil, 0, nil, fmt.Errorf("model: RunRounds: %d ids for %d nodes", len(ids), n)
@@ -157,7 +157,7 @@ func specRun[S any](h *Host, ids []int, init func(v int, info NodeInfo) S, step 
 		if ids != nil {
 			info.ID = ids[v]
 		}
-		states[v] = init(v, info)
+		states[v] = init(int64(v), info)
 	}
 	halted, crashed := make([]bool, n), make([]bool, n)
 	var rep FaultReport
@@ -314,15 +314,19 @@ func specOutcome(words []uint64, rounds int, rep *FaultReport, err error) specRe
 	return specResult{Words: words, Rounds: rounds, Rep: rep}
 }
 
-// specFlat runs a workload on the flat engine.
-func specFlat(h *Host, ids []int, w specWorkload, sched Schedule) specResult {
-	n := h.G.N()
-	algo := WordAlgo{
-		Init: func(v int, info NodeInfo) uint64 { return w.init(info.ID, len(info.Letters), n) },
+// specAlgo is a workload as both engines run it, on a host of n
+// nodes.
+func specAlgo(n int, w specWorkload) WordAlgo {
+	return WordAlgo{
+		Init: func(v int64, info NodeInfo) uint64 { return w.init(info.ID, len(info.Letters), n) },
 		Step: chunkStep(w.step),
 		Out:  func(*uint64) Output { return Output{} },
 	}
-	col, rounds, rep, err := NewWordEngine(h).runStates(ids, algo, w.rounds, sched)
+}
+
+// specFlat runs a workload on the flat engine.
+func specFlat(h *Host, ids []int, w specWorkload, sched Schedule) specResult {
+	col, rounds, rep, err := NewWordEngine(h).run(ids, specAlgo(h.G.N(), w), w.rounds, sched)
 	return specOutcome(slices.Clone(col), rounds, rep, err)
 }
 
@@ -333,12 +337,7 @@ func specSharded(h *Host, ids []int, p int, w specWorkload, sched Schedule) (spe
 	if err != nil {
 		return specResult{}, err
 	}
-	algo := ShardedWordAlgo{
-		Init: func(v int64, info NodeInfo) uint64 { return w.init(info.ID, len(info.Letters), n) },
-		Step: chunkStep(w.step),
-		Out:  func(*uint64) Output { return Output{} },
-	}
-	rounds, rep, err := se.run(func(v int64) int { return ids[v] }, algo, w.rounds, sched)
+	rounds, rep, err := se.run(func(v int64) int { return ids[v] }, specAlgo(n, w), w.rounds, sched)
 	if err != nil {
 		return specOutcome(nil, 0, nil, err), nil
 	}
@@ -349,9 +348,7 @@ func specSharded(h *Host, ids []int, p int, w specWorkload, sched Schedule) (spe
 
 // specReference runs a workload on the specification loop.
 func specReference(h *Host, ids []int, w specWorkload, sched Schedule) specResult {
-	n := h.G.N()
-	init := func(v int, info NodeInfo) uint64 { return w.init(info.ID, len(info.Letters), n) }
-	states, rounds, rep, err := specRun(h, ids, init, w.step, w.rounds, sched)
+	states, rounds, rep, err := specRun(h, ids, specAlgo(h.G.N(), w).Init, w.step, w.rounds, sched)
 	return specOutcome(states, rounds, rep, err)
 }
 

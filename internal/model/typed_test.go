@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,47 +14,24 @@ import (
 	"repro/internal/view"
 )
 
-// floodTypedState mirrors floodMaxAlgo's state as a typed column
-// entry (a non-trivial S exercising the generic path).
-type floodTypedState struct {
-	id    int32
-	best  int32
-	ticks int32
-}
-
-// floodTypedAlgo is floodMaxAlgo on the word lane: same staggered
+// floodWordAlgo is floodMaxAlgo on the word lane: same staggered
 // halting, same flood-the-best-id traffic, with the id riding the
 // word lane. Outputs must match the specification byte for byte.
-func floodTypedAlgo() TypedAlgo[floodTypedState] {
-	return TypedAlgo[floodTypedState]{
-		Init: func(v int, info NodeInfo) floodTypedState {
-			id := int32(info.ID)
-			return floodTypedState{id: id, best: id, ticks: 1 + id%4}
-		},
-		Step: chunkStep(floodTypedStep),
-		Out: func(s *floodTypedState) Output {
-			return Output{Member: s.best > s.id}
-		},
+func floodWordAlgo() WordAlgo {
+	return WordAlgo{
+		Init: func(v int64, info NodeInfo) uint64 { return floodWordInit(info.ID) },
+		Step: chunkStep(floodWordStep),
+		Out:  floodWordOut,
 	}
 }
 
-func floodTypedStep(s *floodTypedState, round int, inbox []wordMsg, out sends) bool {
-	for _, m := range inbox {
-		if v := int32(m.W); v > s.best {
-			s.best = v
-		}
-	}
-	if s.ticks == 0 {
-		return true
-	}
-	s.ticks--
-	out.Broadcast(uint64(s.best))
-	return false
-}
+// floodWordOut reports whether the node heard an id larger than its
+// own.
+func floodWordOut(s *uint64) Output { return Output{Member: *s>>32 > *s>>8&0xffffff} }
 
-// floodWordInit and floodWordStep are floodTypedAlgo packed into one
-// word: best in bits 32-63, id in bits 8-31 and the remaining ticks in
-// bits 0-7.
+// floodWordInit and floodWordStep are floodMaxAlgo's state packed into
+// one word: best in bits 32-63, id in bits 8-31 and the remaining
+// ticks in bits 0-7.
 func floodWordInit(id int) uint64 {
 	w := uint64(id)
 	return w<<32 | w<<8 | uint64(1+id%4)
@@ -73,13 +51,27 @@ func floodWordStep(s *uint64, round int, inbox []wordMsg, out sends) bool {
 	return false
 }
 
-// floodSpec runs floodTypedAlgo on the specification loop — the
+// runFaulty runs algo on a fresh word engine under sched (clean when
+// nil) and extracts every node's output.
+func runFaulty(h *Host, ids []int, algo WordAlgo, maxRounds int, sched Schedule) ([]Output, int, *FaultReport, error) {
+	col, rounds, rep, err := NewWordEngine(h).RunStatesFaulty(ids, algo, maxRounds, sched)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	outs := make([]Output, len(col))
+	for v := range col {
+		outs[v] = algo.Out(&col[v])
+	}
+	return outs, rounds, rep, nil
+}
+
+// floodSpec runs floodWordAlgo on the specification loop — the
 // reference for faulty runs of the engines — and returns its outputs,
 // round count and fault report.
 func floodSpec(t *testing.T, h *Host, ids []int, maxRounds int, sched Schedule) ([]Output, int, *FaultReport) {
 	t.Helper()
-	algo := floodTypedAlgo()
-	states, rounds, rep, err := specRun(h, ids, algo.Init, floodTypedStep, maxRounds, sched)
+	algo := floodWordAlgo()
+	states, rounds, rep, err := specRun(h, ids, algo.Init, floodWordStep, maxRounds, sched)
 	if err != nil {
 		t.Fatalf("specification loop: %v", err)
 	}
@@ -90,7 +82,7 @@ func floodSpec(t *testing.T, h *Host, ids []int, maxRounds int, sched Schedule) 
 	return outs, rounds, rep
 }
 
-// TestTypedDifferentialFlood pins the typed engine against the
+// TestTypedDifferentialFlood pins the flat engine against the
 // specification loop: identical outputs and round counts on every
 // differential host, at parallelism 1 and 8.
 func TestTypedDifferentialFlood(t *testing.T) {
@@ -100,7 +92,7 @@ func TestTypedDifferentialFlood(t *testing.T) {
 		refOuts, refRounds := referenceOutputs(t, h, ids, floodMaxAlgo(), 16)
 		for _, p := range []int{1, 8} {
 			old := par.Set(p)
-			outs, rounds, err := RunRoundsTyped(h, ids, floodTypedAlgo(), 16)
+			outs, rounds, err := NewWordEngine(h).Run(ids, floodWordAlgo(), 16)
 			par.Set(old)
 			if err != nil {
 				t.Fatalf("%s p=%d: typed: %v", name, p, err)
@@ -129,7 +121,7 @@ func TestTypedFaultyMatchesUntyped(t *testing.T) {
 		uOuts, uRounds, uRep := floodSpec(t, h, ids, 300, sched)
 		for _, p := range []int{1, 8} {
 			old := par.Set(p)
-			tOuts, tRounds, tRep, err := RunRoundsTypedFaulty(h, ids, floodTypedAlgo(), 300, sched)
+			tOuts, tRounds, tRep, err := runFaulty(h, ids, floodWordAlgo(), 300, sched)
 			par.Set(old)
 			if err != nil {
 				t.Fatalf("%s p=%d: typed: %v", desc, p, err)
@@ -150,11 +142,11 @@ func TestTypedCleanFaultyPins(t *testing.T) {
 	h := HostFromGraph(graph.Torus(6, 6))
 	n := h.G.N()
 	ids := rand.New(rand.NewSource(2)).Perm(4 * n)[:n]
-	want, wantRounds, err := RunRoundsTyped(h, ids, floodTypedAlgo(), 16)
+	want, wantRounds, err := NewWordEngine(h).Run(ids, floodWordAlgo(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, rounds, rep, err := RunRoundsTypedFaulty(h, ids, floodTypedAlgo(), 16, nil)
+	outs, rounds, rep, err := runFaulty(h, ids, floodWordAlgo(), 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,47 +159,47 @@ func TestTypedCleanFaultyPins(t *testing.T) {
 	}
 }
 
-// TestTypedInboxSlotRouting: typed inboxes arrive in strictly
-// increasing slot order whatever the worker schedule, every slot
-// index names the letter the typed Init contract promises, and the
-// payload proves the routing — each word is the sender's index, and
+// TestTypedInboxSlotRouting: inboxes arrive in strictly increasing
+// slot order whatever the worker schedule, every slot index names the
+// letter the Init contract promises, and the payload proves the
+// routing — each word is the sender's index, and
 // the slot's letter at the receiver must resolve back to exactly that
 // sender.
 func TestTypedInboxSlotRouting(t *testing.T) {
 	defer par.Set(par.Set(8))
 	h := HostFromGraph(graph.Torus(6, 6))
-	type st struct {
-		v       int32
-		letters []view.Letter
-	}
-	algo := TypedAlgo[st]{
-		Init: func(v int, info NodeInfo) st {
+	// The state word is the node's index; its letters, valid only
+	// during Init, are copied into a column the test closes over.
+	letters := make([][]view.Letter, h.G.N())
+	algo := WordAlgo{
+		Init: func(v int64, info NodeInfo) uint64 {
 			for i := 1; i < len(info.Letters); i++ {
 				if !info.Letters[i-1].Less(info.Letters[i]) {
-					t.Errorf("node %d: typed info letters not letter-sorted at %d", v, i)
+					t.Errorf("node %d: info letters not letter-sorted at %d", v, i)
 				}
 			}
-			return st{v: int32(v), letters: info.Letters}
+			letters[v] = slices.Clone(info.Letters)
+			return uint64(v)
 		},
-		Step: chunkStep(func(s *st, round int, inbox []wordMsg, out sends) bool {
+		Step: chunkStep(func(s *uint64, round int, inbox []wordMsg, out sends) bool {
 			if round == 1 {
 				for i, m := range inbox {
 					if i > 0 && inbox[i-1].Slot >= m.Slot {
-						t.Errorf("node %d: inbox out of slot order", s.v)
+						t.Errorf("node %d: inbox out of slot order", *s)
 					}
-					from, ok := resolveLetter(h, int(s.v), s.letters[m.Slot])
+					from, ok := resolveLetter(h, int(*s), letters[*s][m.Slot])
 					if !ok || uint64(from) != m.W {
-						t.Errorf("node %d slot %d: word %d, letter resolves to %d", s.v, m.Slot, m.W, from)
+						t.Errorf("node %d slot %d: word %d, letter resolves to %d", *s, m.Slot, m.W, from)
 					}
 				}
 				return true
 			}
-			out.Broadcast(uint64(s.v))
+			out.Broadcast(*s)
 			return false
 		}),
-		Out: func(*st) Output { return Output{} },
+		Out: func(*uint64) Output { return Output{} },
 	}
-	if _, _, err := RunRoundsTyped(h, nil, algo, 4); err != nil {
+	if _, _, err := NewWordEngine(h).Run(nil, algo, 4); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -219,7 +211,7 @@ func TestTypedErrorFormats(t *testing.T) {
 	h := HostFromGraph(graph.Cycle(5))
 	badAt := func(round int) WordAlgo {
 		return WordAlgo{
-			Init: func(int, NodeInfo) uint64 { return 0 },
+			Init: func(int64, NodeInfo) uint64 { return 0 },
 			Step: chunkStep(func(st *uint64, r int, inbox []wordMsg, out sends) bool {
 				if r == round {
 					out.Send(99, 7)
@@ -231,20 +223,20 @@ func TestTypedErrorFormats(t *testing.T) {
 			Out: func(*uint64) Output { return Output{} },
 		}
 	}
-	_, _, err := RunRoundsTyped(h, nil, badAt(2), 6)
+	_, _, err := NewWordEngine(h).Run(nil, badAt(2), 6)
 	want := "model: round 2: node 0 sent on absent slot 99 (node has 2)"
 	if err == nil || err.Error() != want {
 		t.Errorf("clean absent-slot error = %v, want %q", err, want)
 	}
 	sched := MustParseProfile("lossy:p=0").New(h, 1)
-	_, _, _, err = RunRoundsTypedFaulty(h, nil, badAt(2), 6, sched)
+	_, _, _, err = runFaulty(h, nil, badAt(2), 6, sched)
 	want = "model: round 2 [lossy:p=0]: node 0 sent on absent slot 99 (node has 2)"
 	if err == nil || err.Error() != want {
 		t.Errorf("faulty absent-slot error = %v, want %q", err, want)
 	}
 
 	dup := WordAlgo{
-		Init: func(int, NodeInfo) uint64 { return 0 },
+		Init: func(int64, NodeInfo) uint64 { return 0 },
 		Step: chunkStep(func(st *uint64, r int, inbox []wordMsg, out sends) bool {
 			out.Send(0, 1)
 			out.Send(0, 2)
@@ -252,24 +244,24 @@ func TestTypedErrorFormats(t *testing.T) {
 		}),
 		Out: func(*uint64) Output { return Output{} },
 	}
-	_, _, err = RunRoundsTyped(h, nil, dup, 3)
+	_, _, err = NewWordEngine(h).Run(nil, dup, 3)
 	if err == nil || !strings.HasPrefix(err.Error(), "model: round 0: node ") ||
 		!strings.Contains(err.Error(), "sent twice on slot 0") {
 		t.Errorf("typed double-send error lacks round prefix: %v", err)
 	}
 
 	never := WordAlgo{
-		Init: func(int, NodeInfo) uint64 { return 0 },
+		Init: func(int64, NodeInfo) uint64 { return 0 },
 		Step: chunkStep(func(*uint64, int, []wordMsg, sends) bool { return false }),
 		Out:  func(*uint64) Output { return Output{} },
 	}
-	_, _, err = RunRoundsTyped(h, nil, never, 4)
+	_, _, err = NewWordEngine(h).Run(nil, never, 4)
 	want = "model: node 0 did not halt within 4 rounds"
 	if err == nil || err.Error() != want {
 		t.Errorf("typed non-halt error = %v, want %q", err, want)
 	}
 
-	if _, _, err := RunRoundsTyped(h, []int{1, 2}, never, 4); err == nil ||
+	if _, _, err := NewWordEngine(h).Run([]int{1, 2}, never, 4); err == nil ||
 		!strings.Contains(err.Error(), "2 ids for 5 nodes") {
 		t.Errorf("typed ids-length error = %v", err)
 	}
@@ -283,7 +275,7 @@ func TestTypedErrorFormats(t *testing.T) {
 // agreement with the specification loop under it.
 func TestScratchPreSized(t *testing.T) {
 	for name, h := range engineHosts(t) {
-		e := NewEngine(h)
+		e := NewWordEngine(h)
 		want := int32(0)
 		for v := 0; v < h.G.N(); v++ {
 			if w := int32(len(h.D.Out(v)) + len(h.D.In(v))); w > want {
@@ -305,7 +297,7 @@ func TestScratchPreSized(t *testing.T) {
 	if uRep.Duplicated == 0 {
 		t.Fatal("p=1 duplication schedule duplicated nothing")
 	}
-	tOuts, _, tRep, err := RunRoundsTypedFaulty(h, ids, floodTypedAlgo(), 300, sched)
+	tOuts, _, tRep, err := runFaulty(h, ids, floodWordAlgo(), 300, sched)
 	if err != nil {
 		t.Fatalf("typed all-duplicate run: %v", err)
 	}
@@ -320,7 +312,7 @@ func TestScratchPreSized(t *testing.T) {
 // allocation tests cover the in-place inbox too.
 func typedPulseAlgo(rounds int) WordAlgo {
 	return WordAlgo{
-		Init: func(int, NodeInfo) uint64 { return uint64(rounds) },
+		Init: func(int64, NodeInfo) uint64 { return uint64(rounds) },
 		Step: func(c *Chunk, states []uint64) {
 			for c.Next() {
 				st := states[c.Node]
@@ -407,7 +399,7 @@ func TestTypedReuseAfterError(t *testing.T) {
 	h := HostFromGraph(graph.Cycle(6))
 	te := NewWordEngine(h)
 	bad := WordAlgo{
-		Init: func(int, NodeInfo) uint64 { return 0 },
+		Init: func(int64, NodeInfo) uint64 { return 0 },
 		Step: chunkStep(func(st *uint64, r int, inbox []wordMsg, out sends) bool {
 			out.Send(99, 1)
 			return false
@@ -415,7 +407,7 @@ func TestTypedReuseAfterError(t *testing.T) {
 		Out: func(*uint64) Output { return Output{} },
 	}
 	never := WordAlgo{
-		Init: func(int, NodeInfo) uint64 { return 0 },
+		Init: func(int64, NodeInfo) uint64 { return 0 },
 		Step: chunkStep(func(st *uint64, r int, inbox []wordMsg, out sends) bool {
 			out.Broadcast(uint64(r))
 			return false

@@ -90,7 +90,7 @@ func For(n int, fn func(i int)) {
 //
 // Scheduling: each worker claims a contiguous chunk of indices with one
 // atomic add on a shared cursor and runs it in increasing index order,
-// as model.Engine's round workers claim worklist chunks. The chunk is
+// as model.WordEngine's round workers claim worklist chunks. The chunk is
 // n/(16·workers), clamped to [1, 4096]: sixteen claims per worker keep
 // the tail short when per-index costs vary, the cap bounds the last
 // chunk's straggle, and below 16 indices per worker the claim is one
@@ -190,7 +190,7 @@ func ForScratchMerge[S any](n int, mk func() S, fn func(i int, s S), merge func(
 // Reserve claims up to want extra-worker slots from the process-wide
 // budget of N()-1 and returns how many it got; the caller must hand
 // every claimed slot back with Release. It exists for engines that
-// manage their own persistent workers (model.Engine keeps one
+// manage their own persistent workers (model.WordEngine keeps one
 // goroutine per slot alive across a whole run instead of forking per
 // round) while still respecting the global knob: For, ForScratch and
 // Reserve all draw from the one budget, so nested use degrades to

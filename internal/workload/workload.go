@@ -344,7 +344,7 @@ func (r *run) ids() []int {
 // wordEngine builds the flat word-lane engine, armed with the run's
 // context and the surface's checkpointer and resume snapshot.
 func (r *run) wordEngine() *model.WordEngine {
-	e := model.TypedOn[uint64](model.NewEngine(r.h).WithContext(r.ctx))
+	e := model.NewWordEngine(r.h).WithContext(r.ctx)
 	if r.arm.Checkpointer != nil {
 		e = e.WithCheckpoints(r.arm.Checkpointer)
 	}

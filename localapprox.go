@@ -81,15 +81,10 @@ type (
 	Sweeper = order.Sweeper
 	// SearchOptions bounds the homogeneous-construction search.
 	SearchOptions = homog.SearchOptions
-	// Engine is the batched worker-parallel round simulator: a CSR
-	// message plane of one-word payload cells sized once from the
-	// host's arcs, double-buffered arenas, an active-set worklist and
-	// persistent per-run workers.
-	Engine = model.Engine
 	// RoundAlgo is the classical slice-returning round algorithm, run
 	// by the sequential specification loop RunRoundsStates.
 	RoundAlgo = model.RoundAlgo
-	// Chunk is the cursor a typed step walks over a chunk of the
+	// Chunk is the cursor a step walks over a chunk of the
 	// worklist: per node the inbox read in place, and the sends and
 	// the halt, on both planes.
 	Chunk = model.Chunk
@@ -106,18 +101,15 @@ type (
 	FaultProfile = model.Profile
 	// FaultReport tallies the faults a run actually injected.
 	FaultReport = model.FaultReport
-	// TypedAlgo is the typed engine-native round-algorithm form:
-	// states in a columnar []S, payloads on the uint64 word lane, one
-	// step per chunk walking a Chunk, sends addressed by local slot
+	// WordAlgo is the round-algorithm form both engines run: one
+	// uint64 state per node, payloads on the uint64 word lane, one step
+	// per chunk walking a Chunk, sends addressed by local slot
 	// (DESIGN.md §9).
-	TypedAlgo[S any] = model.TypedAlgo[S]
-	// TypedEngine couples an Engine's message plane with a columnar
-	// state array; typed engines of different state types may
-	// alternate runs on one plane.
-	TypedEngine[S any] = model.TypedEngine[S]
-	// WordAlgo is the fully packed uint64-state typed algorithm form.
 	WordAlgo = model.WordAlgo
-	// WordEngine is the uint64-state typed engine.
+	// WordEngine is the flat batched worker-parallel round engine: a
+	// CSR message plane of one-word payload cells and a state column
+	// sized once from the host's arcs, double-buffered arenas, an
+	// active-set worklist and persistent per-run workers.
 	WordEngine = model.WordEngine
 )
 
@@ -161,9 +153,9 @@ var (
 )
 
 // Hosts and runners. RunRoundsStates is the sequential specification
-// loop of the classical RoundAlgo form; NewEngine builds the batched
-// round engine's message plane for arena reuse across runs, and
-// SimulatePORounds drives a PO algorithm operationally through it.
+// loop of the classical RoundAlgo form; NewWordEngine builds the
+// batched round engine (DESIGN.md §9) for arena reuse across runs,
+// and SimulatePORounds drives a PO algorithm operationally through it.
 var (
 	HostFromGraph    = model.HostFromGraph
 	NewHost          = model.NewHost
@@ -171,22 +163,9 @@ var (
 	RunOI            = model.RunOI
 	RunID            = model.RunID
 	RunRoundsStates  = model.RunRoundsStates
-	NewEngine        = model.NewEngine
+	NewWordEngine    = model.NewWordEngine
 	SimulatePO       = model.SimulatePO
 	SimulatePORounds = model.SimulatePORounds
-)
-
-// The typed columnar path (DESIGN.md §9): states live in contiguous
-// []S columns and payloads in the plane's fixed-width uint64 word
-// lane — no interface boxing on the hot loop. RunRoundsWord and
-// NewWordEngine are the packed uint64 instantiations Cole–Vishkin and
-// the randomized matching run on; the generic forms
-// (model.RunRoundsTyped[S], model.NewTypedEngine[S], model.TypedOn[S])
-// are reachable through the aliases above for any state type.
-var (
-	NewWordEngine       = model.NewWordEngine
-	RunRoundsWord       = model.RunRoundsTyped[uint64]
-	RunRoundsWordFaulty = model.RunRoundsTypedFaulty[uint64]
 )
 
 // The sharded giant-host plane (DESIGN.md §12): NewShardedEngine
@@ -196,16 +175,13 @@ var (
 // describes the topology one node at a time, so implicit shard-capable
 // families (ParseShardHost: cycle, dcycle, torus, shift-regular) run
 // hosts past the flat int32 capacity in bounded resident memory; any
-// materialised host runs sharded through SourceOf. P=1 sharded output
-// is byte-identical to the flat Engine, clean and faulty alike (fault
+// materialised host runs sharded through SourceOf. It runs the same
+// WordAlgo values as the flat engine, and P=1 sharded output is
+// byte-identical to the flat engine's, clean and faulty alike (fault
 // coordinates stay global).
 type (
 	// ShardedEngine is the P-shard round engine.
 	ShardedEngine = model.ShardedEngine
-	// ShardedWordAlgo is the sharded uint64 word-lane algorithm form
-	// (Init is sequential in global node order; Step walks the same
-	// Chunk cursor as on the flat plane, so one step drives both).
-	ShardedWordAlgo = model.ShardedWordAlgo
 	// ShardSource generates a host's topology shard-locally.
 	ShardSource = model.ShardSource
 	// ShardArc is one labelled arc emitted by a ShardSource.
@@ -311,7 +287,7 @@ var (
 // round loop and the sweep loop, where it is polled cooperatively — a
 // cancelled run stops at the next round barrier (sweep: the next
 // vertex batch), releases its workers and returns the wrapped context
-// error. Engine.WithContext arms any other engine run the same way.
+// error. WordEngine.WithContext arms any other engine run the same way.
 var (
 	RunGather          = model.RunGather
 	SweepMeasureAllCtx = order.SweepMeasureAllCtx
@@ -339,7 +315,7 @@ var NewServer = serve.New
 // OpenJobs, retry transient failures with backoff, and produce result
 // bytes identical to an uninterrupted run. Engine snapshot/resume is
 // also usable directly: Snapshot at a round barrier, Resume on a fresh
-// typed engine of the same host — byte-deterministic, clean and
+// word engine of the same host — byte-deterministic, clean and
 // faulty alike.
 type (
 	// JobManager owns the worker pool, the job directory and the
@@ -352,7 +328,7 @@ type (
 	JobSpec = job.Spec
 	// JobStatus is the externally visible job record.
 	JobStatus = job.Status
-	// Snapshot is a round-barrier capture of an Engine's state.
+	// Snapshot is a round-barrier capture of a WordEngine's state.
 	Snapshot = model.Snapshot
 	// Checkpointer arms an engine with a periodic (or on-demand)
 	// snapshot sink.

@@ -21,7 +21,7 @@ steps=(
 	"internal/algorithms/colevishkin.go cvStep"
 	"internal/algorithms/random.go proposalStep"
 	"internal/algorithms/floodmax.go floodMaxWordAlgo"
-	"internal/model/typed.go gatherViewsTyped"
+	"internal/model/sim.go gatherAlgo"
 )
 pkgs=(./internal/model ./internal/algorithms)
 
