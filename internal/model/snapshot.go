@@ -3,6 +3,7 @@ package model
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/ckpt"
@@ -131,10 +132,16 @@ func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 	s.Faulty = r.Bool()
 	s.N = int(r.Uvarint())
 	s.Slots = int(r.Uvarint())
-	s.Round = int(r.Uvarint())
+	round := r.Uvarint()
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
+	// A round past the int range would decode as a negative round,
+	// which a resumed run would mistake for no round at all.
+	if round > math.MaxInt {
+		return nil, fmt.Errorf("model: snapshot round %d out of range", round)
+	}
+	s.Round = int(round)
 	if s.N < 0 || s.N > 1<<31 || s.Slots < 0 || s.Slots > 1<<31 {
 		return nil, fmt.Errorf("model: snapshot geometry out of range (n=%d slots=%d)", s.N, s.Slots)
 	}

@@ -2,9 +2,11 @@ package model
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -273,6 +275,61 @@ func TestSnapshotDecodeCorrupt(t *testing.T) {
 	if _, err := DecodeSnapshot(bad); err == nil {
 		t.Error("wrong version decoded")
 	}
+	// Round fields past the int range, which would decode as negative
+	// rounds.
+	for _, round := range []uint64{1 << 63, math.MaxUint64} {
+		snap, err := DecodeSnapshot(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.Round = int(round)
+		if got, err := DecodeSnapshot(snap.Encode()); err == nil {
+			t.Errorf("round field %d decoded as round %d", round, got.Round)
+		}
+	}
+}
+
+// FuzzResumeSnapshot resumes hostile but decodable snapshots. Seeded
+// with real clean and lossy checkpoints of torus:6x6, it resumes every
+// payload that decodes on that host's WordEngine, under the lossy
+// schedule when the snapshot says faulty. The resume must not panic,
+// the run either fails or reports at least the snapshot's round, and
+// the engine's next plain run equals a fresh engine's run.
+func FuzzResumeSnapshot(f *testing.F) {
+	h := HostFromGraph(graph.Torus(6, 6))
+	n := h.G.N()
+	ids := rand.New(rand.NewSource(5)).Perm(4 * n)[:n]
+	lossy := MustParseProfile("lossy:p=0.2").New(h, 99)
+	for _, sched := range []Schedule{nil, lossy} {
+		ck := &Checkpointer{Every: 1, Sink: func(s *Snapshot) error { f.Add(s.Encode()); return nil }}
+		if _, _, _, err := NewWordEngine(h).WithCheckpoints(ck).RunStatesFaulty(ids, snapWordAlgo(), 64, sched); err != nil {
+			f.Fatal(err)
+		}
+	}
+	want, wantRounds, err := NewWordEngine(h).RunStates(ids, snapWordAlgo(), 64)
+	if err != nil {
+		f.Fatal(err)
+	}
+	want = slices.Clone(want)
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		snap, err := DecodeSnapshot(payload)
+		if err != nil {
+			return
+		}
+		var sched Schedule
+		if snap.Faulty {
+			sched = lossy
+		}
+		e := NewWordEngine(h)
+		if _, rounds, _, err := e.Resume(snap).RunStatesFaulty(ids, snapWordAlgo(), 64, sched); err == nil && rounds < snap.Round {
+			t.Fatalf("resumed run reports %d rounds, before the snapshot's round %d", rounds, snap.Round)
+		}
+		got, rounds, err := e.RunStates(ids, snapWordAlgo(), 64)
+		if err != nil || rounds != wantRounds || !slices.Equal(got, want) {
+			t.Fatalf("plain run after the resume: %d rounds, error %v, states equal %v; a fresh engine's run: %d rounds",
+				rounds, err, slices.Equal(got, want), wantRounds)
+		}
+	})
 }
 
 // FuzzDecodeSnapshot: DecodeSnapshot never panics; a payload it
@@ -314,6 +371,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		if s.Round < 0 {
+			t.Fatalf("accepted a negative round %d", s.Round)
 		}
 		again, err := DecodeSnapshot(s.Encode())
 		if err != nil {
