@@ -219,24 +219,30 @@ func BenchmarkCanonicalBallParallel(b *testing.B) {
 // per-round allocation count.
 
 // benchPulseWordAlgo is the workload on the word lane, on both
-// planes: the remaining-round counter IS the uint64 state, and each
-// node counts it down and broadcasts it — one word written across the
-// slot row — and halts at 0.
+// planes: the remaining-round counter IS the uint64 state, and the
+// per-round broadcast is one word written across the slot row.
 func benchPulseWordAlgo(rounds int) model.WordAlgo {
 	return model.WordAlgo{
 		Init: func(v int64, info model.NodeInfo) uint64 { return uint64(rounds) },
-		Step: func(c *model.Chunk, states []uint64) {
-			for c.Next() {
-				s := states[c.Node]
-				if s == 0 {
-					c.Halt()
-					continue
-				}
-				states[c.Node] = s - 1
-				c.Broadcast(s - 1)
-			}
-		},
-		Out: func(*uint64) model.Output { return model.Output{} },
+		Step: benchPulseStep,
+		Out:  func(*uint64) model.Output { return model.Output{} },
+	}
+}
+
+// benchPulseStep is the workload's step: each node counts its state
+// down and broadcasts it, and halts at 0. It is a top-level function
+// so that the cursor methods inline into it: a step closure inside a
+// constructor that a caller inlines is compiled again without them
+// (DESIGN §7).
+func benchPulseStep(c *model.Chunk, states []uint64) {
+	for c.Next() {
+		s := states[c.Node]
+		if s == 0 {
+			c.Halt()
+			continue
+		}
+		states[c.Node] = s - 1
+		c.Broadcast(s - 1)
 	}
 }
 
