@@ -252,6 +252,56 @@ func TestSnapshotMismatchRejected(t *testing.T) {
 	}
 }
 
+// TestSnapshotRestoreRejects: a resume checks every field it applies
+// before it applies any, so each malformed snapshot is rejected and
+// leaves the engine as it was: its next plain run equals a fresh
+// engine's.
+func TestSnapshotRestoreRejects(t *testing.T) {
+	h := HostFromGraph(graph.Torus(6, 6))
+	n := h.G.N()
+	ids := rand.New(rand.NewSource(5)).Perm(4 * n)[:n]
+	var payload []byte
+	ck := &Checkpointer{Every: 2, Sink: func(s *Snapshot) error {
+		if payload == nil {
+			payload = s.Encode()
+		}
+		return nil
+	}}
+	if _, _, err := NewWordEngine(h).WithCheckpoints(ck).RunStates(ids, snapWordAlgo(), 64); err != nil {
+		t.Fatal(err)
+	}
+	want, wantRounds, err := NewWordEngine(h).RunStates(ids, snapWordAlgo(), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = slices.Clone(want)
+	for _, c := range []struct {
+		name, err string
+		spoil     func(s *Snapshot)
+	}{
+		{"bitset", "bitset length mismatch", func(s *Snapshot) { s.Halted = s.Halted[1:] }},
+		{"states", "state column is 280 bytes (want 288)", func(s *Snapshot) { s.States = s.States[8:] }},
+		{"words", "payload words for", func(s *Snapshot) { s.Words = append(s.Words, 1) }},
+		{"negative round", "round -1 outside the run's 64 rounds", func(s *Snapshot) { s.Round = -1 }},
+		{"round past budget", "round 65 outside the run's 64 rounds", func(s *Snapshot) { s.Round = 65 }},
+		{"pending slot", "pending slot 144 out of range", func(s *Snapshot) { s.Pending[len(s.Pending)-1] = int32(s.Slots) }},
+	} {
+		snap, err := DecodeSnapshot(payload)
+		if err != nil || len(snap.Pending) == 0 {
+			t.Fatalf("checkpoint: %v, %d pending slots", err, len(snap.Pending))
+		}
+		c.spoil(snap)
+		e := NewWordEngine(h)
+		if _, _, err := e.Resume(snap).RunStates(ids, snapWordAlgo(), 64); err == nil || !strings.Contains(err.Error(), c.err) {
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.err)
+		}
+		got, rounds, err := e.RunStates(ids, snapWordAlgo(), 64)
+		if err != nil || rounds != wantRounds || !slices.Equal(got, want) {
+			t.Errorf("%s: plain run after the rejected resume differs from a fresh engine's (error %v)", c.name, err)
+		}
+	}
+}
+
 // TestSnapshotDecodeCorrupt: truncations and bit flips never decode.
 func TestSnapshotDecodeCorrupt(t *testing.T) {
 	h := HostFromGraph(graph.Torus(6, 6))
