@@ -55,9 +55,9 @@ const (
 // for both engines. Init draws each node's proposal from rng: the
 // engines call it sequentially in increasing global node order, so
 // the rng stream is independent of the schedule, the plane and the
-// shard count. The drawn neighbour is the rng.Intn(d)-th in
-// ascending-id order, the order of sorted CSR adjacency, and the state
-// keeps the local slot of the arc to it. A node matches when a
+// shard count. A node of degree d draws the rng.Intn(d)-th of its
+// neighbours in ascending-id order, the order of sorted CSR adjacency,
+// and its state keeps the local slot of the arc to it. A node matches when a
 // proposal arrives on the slot it itself proposed (and sent) along; on
 // a faulty plane one or both directions may be lost, but the selected
 // edge set stays a matching because each node only ever selects the

@@ -180,10 +180,10 @@ type ShardedMatchingResult struct {
 }
 
 // RandomizedMatchingSharded runs the one-round mutual-proposal
-// matching on a sharded engine. It runs the flat run's proposalAlgo,
-// whose Init draws from rng in global node order, so for the same seed
-// the selected edge set equals the flat run's. The host must be simple
-// (at most one arc between any node pair).
+// matching on a sharded engine. It runs proposalAlgo, as the flat
+// entries do, whose Init draws from rng in global node order, so for
+// the same seed the selected edge set equals the flat run's. The host
+// must be simple (at most one arc between any node pair).
 func RandomizedMatchingSharded(se *model.ShardedEngine, rng *rand.Rand) (*ShardedMatchingResult, error) {
 	if _, err := se.Run(nil, proposalAlgo(se.Source(), rng), 3); err != nil {
 		return nil, fmt.Errorf("algorithms: sharded randomized matching: %w", err)
