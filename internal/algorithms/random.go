@@ -57,13 +57,13 @@ const (
 // the rng stream is independent of the schedule, the plane and the
 // shard count. A node of degree d draws the rng.Intn(d)-th of its
 // neighbours in ascending-id order, the order of sorted CSR adjacency,
-// and its state keeps the local slot of the arc to it. A node matches when a
-// proposal arrives on the slot it itself proposed (and sent) along; on
-// a faulty plane one or both directions may be lost, but the selected
-// edge set stays a matching because each node only ever selects the
-// single edge it proposed. The payload word is irrelevant — arrival
-// alone carries "I propose to you". The host must be simple (at most
-// one arc between any node pair).
+// and its state keeps the local slot of the arc to it. A node matches
+// when a proposal arrives on the slot it itself proposed (and sent)
+// along; on a faulty plane one or both directions may be lost, but the
+// selected edge set stays a matching because each node only ever
+// selects the single edge it proposed. The payload word is irrelevant
+// — arrival alone carries "I propose to you". The host must be simple
+// (at most one arc between any node pair).
 func proposalAlgo(src model.ShardSource, rng *rand.Rand) model.WordAlgo {
 	var outS, inS []model.ShardArc
 	var ts, sorted []int64
@@ -77,12 +77,7 @@ func proposalAlgo(src model.ShardSource, rng *rand.Rand) model.WordAlgo {
 			sorted = append(sorted[:0], ts...)
 			slices.Sort(sorted)
 			u := sorted[rng.Intn(len(ts))]
-			for slot, t := range ts {
-				if t == u {
-					return uint64(slot) | mPropose
-				}
-			}
-			panic(fmt.Sprintf("algorithms: no arc between neighbours %d and %d", v, u))
+			return uint64(slices.Index(ts, u)) | mPropose
 		},
 		Step: proposalStep,
 		Out:  func(*uint64) model.Output { return model.Output{} },
