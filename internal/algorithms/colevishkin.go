@@ -145,24 +145,23 @@ func cvPlan(src model.ShardSource, maxID int) (steps, last int, err error) {
 // runs).
 func coleVishkinWordAlgo(steps, last int) model.WordAlgo {
 	return model.WordAlgo{
-		Init: func(v int64, info model.NodeInfo) uint64 { return cvInit(info) },
+		Init: func(v int64, info model.NodeInfo) uint64 {
+			// The identifier in the colour lane plus the in-arc slot
+			// marker: exactly one of the two letter-sorted slots is the
+			// in-arc (the predecessor on the oriented cycle). Fields are
+			// read in place: copying the seven-word info cost more than
+			// the rest of Init.
+			w := uint64(info.ID)
+			if info.Letters[1].In {
+				w |= cvPredSlot1
+			}
+			return w
+		},
 		Step: cvStep(steps, last),
 		Out: func(state *uint64) model.Output {
 			return model.Output{Member: *state&cvMISBit != 0}
 		},
 	}
-}
-
-// cvInit packs a node's starting state: the identifier in the colour
-// lane plus the in-arc slot marker. Exactly one of the two
-// letter-sorted slots is the in-arc (the predecessor on the oriented
-// cycle); remember which.
-func cvInit(info model.NodeInfo) uint64 {
-	w := uint64(info.ID)
-	if info.Letters[1].In {
-		w |= cvPredSlot1
-	}
-	return w
 }
 
 // cvStep is the pipeline's chunk step.

@@ -56,28 +56,25 @@ const (
 // engines call it sequentially in increasing global node order, so
 // the rng stream is independent of the schedule, the plane and the
 // shard count. A node of degree d draws the rng.Intn(d)-th of its
-// neighbours in ascending-id order, the order of sorted CSR adjacency,
-// and its state keeps the local slot of the arc to it. A node matches
-// when a proposal arrives on the slot it itself proposed (and sent)
-// along; on a faulty plane one or both directions may be lost, but the
-// selected edge set stays a matching because each node only ever
-// selects the single edge it proposed. The payload word is irrelevant
-// — arrival alone carries "I propose to you". The host must be simple
-// (at most one arc between any node pair).
-func proposalAlgo(src model.ShardSource, rng *rand.Rand) model.WordAlgo {
-	var outS, inS []model.ShardArc
-	var ts, sorted []int64
+// neighbours (info.Peers) in ascending-id order, the order of sorted
+// CSR adjacency, and its state keeps the local slot of the arc to it.
+// A node matches when a proposal arrives on the slot it itself
+// proposed (and sent) along; on a faulty plane one or both directions
+// may be lost, but the selected edge set stays a matching because each
+// node only ever selects the single edge it proposed. The payload word
+// is irrelevant — arrival alone carries "I propose to you". The host
+// must be simple (at most one arc between any node pair).
+func proposalAlgo(rng *rand.Rand) model.WordAlgo {
+	var sorted []int64
 	return model.WordAlgo{
 		Init: func(v int64, info model.NodeInfo) uint64 {
-			outS, inS = src.AppendArcs(v, outS[:0], inS[:0])
-			ts = mergeTargets(ts[:0], outS, inS)
-			if len(ts) == 0 {
+			if len(info.Peers) == 0 {
 				return 0
 			}
-			sorted = append(sorted[:0], ts...)
+			sorted = append(sorted[:0], info.Peers...)
 			slices.Sort(sorted)
-			u := sorted[rng.Intn(len(ts))]
-			return uint64(slices.Index(ts, u)) | mPropose
+			u := sorted[rng.Intn(len(sorted))]
+			return uint64(slices.Index(info.Peers, u)) | mPropose
 		},
 		Step: proposalStep,
 		Out:  func(*uint64) model.Output { return model.Output{} },
@@ -151,10 +148,11 @@ func randomizedMatchingOn(e *model.WordEngine, h *model.Host, rng *rand.Rand) *m
 
 // flatMatching runs the proposal exchange on the flat engine, clean
 // when sched is nil, and returns the selected edges whose endpoints
-// both survived, with the run's report.
+// both survived, with the run's report. An edge whose endpoints both
+// matched is added once, at its smaller endpoint.
 func flatMatching(e *model.WordEngine, h *model.Host, rng *rand.Rand, maxRounds int, sched model.Schedule) (*model.Solution, *model.FaultReport, error) {
 	src := model.SourceOf(h)
-	col, _, rep, err := e.RunStatesFaulty(nil, proposalAlgo(src, rng), maxRounds, sched)
+	col, _, rep, err := e.RunStatesFaulty(nil, proposalAlgo(rng), maxRounds, sched)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -167,7 +165,8 @@ func flatMatching(e *model.WordEngine, h *model.Host, rng *rand.Rand, maxRounds 
 		}
 		outS, inS = src.AppendArcs(int64(v), outS[:0], inS[:0])
 		ts = mergeTargets(ts[:0], outS, inS)
-		if u := int(ts[s&mSlotMask]); !rep.CrashedNode(u) {
+		u := int(ts[s&mSlotMask])
+		if !rep.CrashedNode(u) && (v < u || col[u]&mMatched == 0) {
 			sol.Edges[graph.NewEdge(v, u)] = true
 		}
 	}

@@ -185,7 +185,7 @@ type ShardedMatchingResult struct {
 // the same seed the selected edge set equals the flat run's. The host
 // must be simple (at most one arc between any node pair).
 func RandomizedMatchingSharded(se *model.ShardedEngine, rng *rand.Rand) (*ShardedMatchingResult, error) {
-	if _, err := se.Run(nil, proposalAlgo(se.Source(), rng), 3); err != nil {
+	if _, err := se.Run(nil, proposalAlgo(rng), 3); err != nil {
 		return nil, fmt.Errorf("algorithms: sharded randomized matching: %w", err)
 	}
 	res := &ShardedMatchingResult{}
@@ -198,7 +198,7 @@ func RandomizedMatchingSharded(se *model.ShardedEngine, rng *rand.Rand) (*Sharde
 // edges with a crashed endpoint are excluded (see
 // RandomizedMatchingFaulty).
 func RandomizedMatchingShardedFaulty(se *model.ShardedEngine, rng *rand.Rand, sched model.Schedule) (*ShardedMatchingResult, error) {
-	_, rep, err := se.RunFaulty(nil, proposalAlgo(se.Source(), rng), 3+faultSlack, sched)
+	_, rep, err := se.RunFaulty(nil, proposalAlgo(rng), 3+faultSlack, sched)
 	if err != nil {
 		return nil, fmt.Errorf("algorithms: sharded faulty randomized matching: %w", err)
 	}

@@ -3,6 +3,7 @@ package algorithms
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -209,20 +210,42 @@ func TestShardedMatchingFaultyMatchesFlat(t *testing.T) {
 }
 
 // TestProposalInitAllocs: one Init pass of the proposal matching over
-// a torus allocates a constant number of times (its scratch rows
-// growing to the widest degree), not once or twice per node as a
+// a torus, fed the rows a flat engine hands Init, draws a proposal at
+// every node and allocates a constant number of times (its scratch
+// row growing to the widest degree), not once or twice per node as a
 // sort through sort.Slice does.
 func TestProposalInitAllocs(t *testing.T) {
-	src := model.SourceOf(model.HostFromGraph(graph.Torus(64, 64)))
+	h := model.HostFromGraph(graph.Torus(64, 64))
+	infos := make([]model.NodeInfo, h.G.N())
+	record := model.WordAlgo{
+		Init: func(v int64, info model.NodeInfo) uint64 {
+			infos[v] = model.NodeInfo{ID: info.ID, Letters: slices.Clone(info.Letters), Peers: slices.Clone(info.Peers)}
+			return 0
+		},
+		Step: func(c *model.Chunk, _ []uint64) {
+			for c.Next() {
+				c.Halt()
+			}
+		},
+	}
+	if _, _, err := model.NewWordEngine(h).RunStates(nil, record, 1); err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(1))
+	missed := 0
 	allocs := testing.AllocsPerRun(3, func() {
-		algo := proposalAlgo(src, rng)
-		for v := int64(0); v < src.N(); v++ {
-			algo.Init(v, model.NodeInfo{ID: -1})
+		algo := proposalAlgo(rng)
+		for v, info := range infos {
+			if algo.Init(int64(v), info)&mPropose == 0 {
+				missed++
+			}
 		}
 	})
+	if missed != 0 {
+		t.Errorf("%d Init calls drew no proposal on a 4-regular host", missed)
+	}
 	if allocs > 32 {
-		t.Errorf("one Init pass over %d nodes allocates %.0f times, want at most 32", src.N(), allocs)
+		t.Errorf("one Init pass over %d nodes allocates %.0f times, want at most 32", len(infos), allocs)
 	}
 }
 

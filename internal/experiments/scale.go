@@ -65,7 +65,7 @@ func scaleRounds(cvSizes []int, matchHosts []string) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"Cole–Vishkin rounds stay log*-flat while n grows 100x: the measured count is the colour-reduction horizon of the 8n identifier space plus the constant cleanup",
 		"matching rows are one engine trial each (seeded); on d-regular hosts E[selected]/n = 1/(2d) — the §6.5 guarantee at 10^6 nodes",
-		"both workloads execute worker-parallel on the batched message plane (model.Engine); exact optima are skipped at this scale, feasibility is verified in full",
+		"both workloads execute worker-parallel on the batched message plane (model.WordEngine); exact optima are skipped at this scale, feasibility is verified in full",
 	)
 	return t, nil
 }

@@ -14,9 +14,11 @@ import "fmt"
 //     stays deterministic. v is the node's global index. info.Letters
 //     names the node's arcs in the letter-sorted slot order of the
 //     message plane — local slot i is named by info.Letters[i], and
-//     sends address slots, not letters — and is valid only during the
-//     call: Init keeps what it needs in the word, or in a column of its
-//     own.
+//     sends address slots, not letters — and info.Peers[i] is the
+//     global index of the node at the other end of slot i. Both planes
+//     build them into scratch per node, so they are valid only during
+//     the call: Init keeps what it needs in the word, or in a column of
+//     its own.
 //   - Step steps every node of the chunk c: for c.Next(), the node's
 //     state is states[c.Node], its inbox is read in place with
 //     for slot, w := range c.Inbox, it sends with c.Send (one slot, at

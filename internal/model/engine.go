@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/par"
-	"repro/internal/view"
 )
 
 // WordEngine is the flat batched worker-parallel round engine: the
@@ -22,7 +21,9 @@ import (
 // naming the arc at v (view.Letter.Less), so an inbox is always
 // delivered in the receiver's letter order regardless of worker
 // schedule. dest[s] maps a send on slot s's letter to the slot naming
-// the same arc by the inverse letter at the other endpoint.
+// the same arc by the inverse letter at the other endpoint. The
+// letters themselves are not kept: like the sharded plane, the engine
+// rebuilds a node's row from its source when Init needs it.
 //
 // Double buffering. Messages for round r live in arena r&1 and the
 // sends of round r are written into arena (r+1)&1, so a slot is
@@ -63,13 +64,13 @@ import (
 type WordEngine struct {
 	n int
 
-	// Slot layout (see above).
-	off     []int32
-	letters []view.Letter
-	dest    []int32
+	// Slot layout (see above) and the source rows are rebuilt from.
+	src  ShardSource
+	off  []int32
+	dest []int32
 	// maxSlots is the widest slot row (the plane's maximum in-degree):
 	// the bound the workers' identity delivery order and fault scratch
-	// are sized from (newLanes).
+	// (newLanes) and the row scratch (rows) are sized from.
 	maxSlots int32
 
 	// Message plane: double-buffered cell arenas (payload and stamp
@@ -82,7 +83,6 @@ type WordEngine struct {
 	col    []uint64
 	halted []bool
 	active []int32
-	spare  []int32
 	err    runErr
 
 	// crashed marks permanently crashed nodes on faulty runs; lazily
@@ -130,12 +130,14 @@ type cell struct {
 }
 
 // NewWordEngine sizes a flat engine for the host: one slot per
-// incident (arc, direction) pair with its letter and routing (20 B per
-// slot) and its two 16-byte arena cells, plus the state, halt and
-// worklist columns. Runs reuse everything.
+// incident (arc, direction) pair with its routing (4 B per slot) and
+// its two 16-byte arena cells, plus the offsets and the state, halt
+// and worklist columns. It resolves dest row by row from the host's
+// arc rows, as NewShardedEngine does, and keeps no letters. Runs reuse
+// everything.
 func NewWordEngine(h *Host) *WordEngine {
 	n := h.G.N()
-	e := &WordEngine{n: n}
+	e := &WordEngine{n: n, src: SourceOf(h)}
 	e.off = make([]int32, n+1)
 	slots := int64(0)
 	for v := 0; v < n; v++ {
@@ -150,58 +152,25 @@ func NewWordEngine(h *Host) *WordEngine {
 		}
 	}
 	total := int(e.off[n])
-	e.letters = make([]view.Letter, total)
 	e.dest = make([]int32, total)
-	for v := 0; v < n; v++ {
-		// Merge the label-sorted out- and in-rows into letter order;
-		// dest holds each slot's far endpoint until every row is
-		// lettered.
-		outs, ins := h.D.Out(v), h.D.In(v)
-		i, j := 0, 0
-		for s := e.off[v]; s < e.off[v+1]; s++ {
-			takeOut := i < len(outs) &&
-				(j >= len(ins) || outs[i].Label <= ins[j].Label)
-			if takeOut {
-				e.letters[s] = view.Letter{Label: outs[i].Label}
-				e.dest[s] = int32(outs[i].To)
-				i++
-			} else {
-				e.letters[s] = view.Letter{Label: ins[j].Label, In: true}
-				e.dest[s] = int32(ins[j].To)
-				j++
+	rows := newRows(e.src, e.maxSlots)
+	for v := int64(0); v < int64(n); v++ {
+		letters, peers := rows.row(v)
+		for k, u := range peers {
+			ds, err := rows.peerSlot(u, letters[k], v)
+			if err != nil {
+				panic(fmt.Errorf("model: host inconsistent at arc (%d,%d) letter %v: %w", v, u, letters[k], err))
 			}
+			e.dest[e.off[v]+int32(k)] = e.off[u] + ds
 		}
-	}
-	for s, u := range e.dest {
-		e.dest[s] = e.slot(int(u), e.letters[s].Inv())
 	}
 	e.cells[0] = make([]cell, total)
 	e.cells[1] = make([]cell, total)
 	e.col = make([]uint64, n)
 	e.halted = make([]bool, n)
 	e.active = make([]int32, 0, n)
-	e.spare = make([]int32, 0, n)
 	e.resumeFrom = -1
 	return e
-}
-
-// slot returns the index of v's slot for letter l, or off[v+1] when v
-// has no such letter (binary search over the letter-sorted slot row).
-func (e *WordEngine) slot(v int, l view.Letter) int32 {
-	lo, hi := e.off[v], e.off[v+1]
-	end := hi
-	for lo < hi {
-		mid := (lo + hi) >> 1
-		if e.letters[mid].Less(l) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < end && e.letters[lo] == l {
-		return lo
-	}
-	return end
 }
 
 // Run executes a word algorithm and extracts the per-node outputs.
@@ -256,10 +225,12 @@ func (e *WordEngine) run(ids []int, algo WordAlgo, maxRounds int, sched Schedule
 	if ids != nil && len(ids) != e.n {
 		return nil, 0, nil, fmt.Errorf("model: RunRounds: %d ids for %d nodes", len(ids), e.n)
 	}
+	// Sequential Init in increasing node order, each node's row built
+	// into one reusable scratch, as on the sharded plane.
+	rows := newRows(e.src, e.maxSlots)
 	for v := 0; v < e.n; v++ {
-		// NodeInfo letters are the letter-sorted slot row itself: local
-		// slot i is info.Letters[i].
-		info := NodeInfo{ID: -1, Letters: e.letters[e.off[v]:e.off[v+1]:e.off[v+1]]}
+		letters, peers := rows.row(int64(v))
+		info := NodeInfo{ID: -1, Letters: letters, Peers: peers}
 		if ids != nil {
 			info.ID = ids[v]
 		}
@@ -431,31 +402,12 @@ func (e *WordEngine) runCore(step func(*Chunk, []uint64), fp *faultPlan, maxRoun
 		if err := e.err.err; err != nil {
 			return 0, nil, err
 		}
-		// Compact the active worklist; the spare buffer flips roles so
-		// neither list is reallocated. Under node faults nodes whose
-		// crash round has arrived leave the worklist permanently;
-		// otherwise a round in which no node halted leaves it as it was.
-		if halts := takeHalts(cs); fp.nodeFaults {
-			nxt := e.spare[:0]
-			for _, v := range active {
-				if e.halted[v] {
-					continue
-				}
-				if sched.State(round+1, v) == StateCrashed {
-					e.crashed[v] = true
-					continue
-				}
-				nxt = append(nxt, v)
-			}
-			e.spare, active = active[:0], nxt
-		} else if halts > 0 {
-			nxt := e.spare[:0]
-			for _, v := range active {
-				if !e.halted[v] {
-					nxt = append(nxt, v)
-				}
-			}
-			e.spare, active = active[:0], nxt
+		// Compact the active worklist in place: the workers are
+		// stopped. Under node faults nodes whose crash round has arrived
+		// leave the worklist permanently; otherwise a round in which no
+		// node halted leaves it as it was.
+		if halts := takeHalts(cs); fp.nodeFaults || halts > 0 {
+			active = compact(active, e.halted, e.crashed, fp, round, 0)
 		}
 		// Barrier checkpoint: after compaction (so crashes landing at
 		// round+1 are in the bitsets) and before the next round's
@@ -488,4 +440,23 @@ func (e *WordEngine) runCore(step func(*Chunk, []uint64), fp *faultPlan, maxRoun
 		}
 	}
 	return round, rep, nil
+}
+
+// compact filters a worklist in place after round: halted nodes leave
+// it, and under node faults so do nodes whose crash round has come
+// (marked in crashed). Entries index a column starting at global node
+// gbase; the schedule is asked at the global node.
+func compact(list []int32, halted, crashed []bool, fp *faultPlan, round int, gbase int64) []int32 {
+	keep := list[:0]
+	for _, v := range list {
+		if halted[v] {
+			continue
+		}
+		if fp.nodeFaults && fp.sched.State(round+1, int32(gbase+int64(v))) == StateCrashed {
+			crashed[v] = true
+			continue
+		}
+		keep = append(keep, v)
+	}
+	return keep
 }

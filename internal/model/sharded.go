@@ -98,7 +98,6 @@ type shard struct {
 	col    []uint64
 	halted []bool
 	active []int32
-	spare  []int32
 	// halts counts the nodes that halted in the last step phase;
 	// without node faults drainAndCompact leaves the worklist as it is
 	// when it is 0.
@@ -136,7 +135,7 @@ type ShardedEngine struct {
 	nTotal int64
 	slots  int64
 	// maxSlots is the widest slot row of any node: the workers' lanes
-	// (newLanes) and the Init letter scratch are sized from it.
+	// (newLanes) and the row scratch (rows) are sized from it.
 	maxSlots int32
 	tick     int64
 	ctx      context.Context
@@ -191,9 +190,7 @@ func NewShardedEngine(src ShardSource, p int) (*ShardedEngine, error) {
 	// staging entry. Staging entries are discovered in slot order and
 	// then bucketed by destination shard (counting sort), so xoff
 	// ranges are contiguous and construction is deterministic.
-	var outS, inS, pOut, pIn []ShardArc
-	letters := make([]view.Letter, 0, se.maxSlots)
-	targets := make([]int64, 0, se.maxSlots)
+	rows := newRows(src, se.maxSlots)
 	type xent struct {
 		dshard int32
 		dslot  int32
@@ -205,17 +202,14 @@ func NewShardedEngine(src ShardSource, p int) (*ShardedEngine, error) {
 		var cross []xent
 		for v := int32(0); v < sh.n; v++ {
 			gv := sh.lo + int64(v)
-			outS, inS = se.src.AppendArcs(gv, outS[:0], inS[:0])
-			letters, targets = mergeLetters(letters[:0], targets[:0], outS, inS)
-			for k, l := range letters {
+			letters, peers := rows.row(gv)
+			for k, u := range peers {
 				s := sh.off[v] + int32(k)
-				u := targets[k]
 				uj := se.shardOf(u)
 				ush := se.shards[uj]
-				pOut, pIn = se.src.AppendArcs(u, pOut[:0], pIn[:0])
-				ds, err := peerSlot(pOut, pIn, l.Inv(), gv)
+				ds, err := rows.peerSlot(u, letters[k], gv)
 				if err != nil {
-					return nil, fmt.Errorf("model: shard source inconsistent at arc (%d,%d) letter %v: %w", gv, u, l, err)
+					return nil, fmt.Errorf("model: shard source inconsistent at arc (%d,%d) letter %v: %w", gv, u, letters[k], err)
 				}
 				uv := int32(u - ush.lo)
 				dslot := ush.off[uv] + ds
@@ -252,7 +246,6 @@ func NewShardedEngine(src ShardSource, p int) (*ShardedEngine, error) {
 		sh.col = make([]uint64, sh.n)
 		sh.halted = make([]bool, sh.n)
 		sh.active = make([]int32, 0, sh.n)
-		sh.spare = make([]int32, 0, sh.n)
 	}
 	return se, nil
 }
@@ -271,19 +264,66 @@ func shardPlaneFits(i, p int, slots, cross int64) error {
 	return nil
 }
 
+// rows builds nodes' slot rows from a source into reusable scratch, on
+// both planes: construction routes each slot from them and every run
+// hands them to Init as NodeInfo.Letters and Peers. Over a
+// materialised host (SourceOf) it merges the digraph's CSR rows
+// directly instead of copying them out through AppendArcs.
+type rows struct {
+	src                ShardSource
+	d                  *digraph.Digraph
+	out, in, pOut, pIn []ShardArc
+	letters            []view.Letter
+	peers              []int64
+}
+
+// newRows sizes the scratch for rows of at most width slots, the
+// widest row the source's Degree reports.
+func newRows(src ShardSource, width int32) *rows {
+	r := &rows{src: src, letters: make([]view.Letter, 0, width), peers: make([]int64, 0, width)}
+	if hs, ok := src.(hostSource); ok {
+		r.d = hs.h.D
+	}
+	return r
+}
+
+// row builds node v's slot row: the letter naming each slot and the
+// slot's far endpoint, valid until the next call. It returns the row
+// rather than leave it in fields for the caller to read back, which
+// made a row on the cycle cost half as much again.
+func (r *rows) row(v int64) ([]view.Letter, []int64) {
+	if r.d != nil {
+		return mergeLetters(r, r.d.Out(int(v)), r.d.In(int(v)))
+	}
+	r.out, r.in = r.src.AppendArcs(v, r.out[:0], r.in[:0])
+	return mergeLetters(r, r.out, r.in)
+}
+
+// peerSlot returns the local slot at u of the arc v names by letter l.
+func (r *rows) peerSlot(u int64, l view.Letter, v int64) (int32, error) {
+	if r.d != nil {
+		return peerSlot(r.d.Out(int(u)), r.d.In(int(u)), l.Inv(), v)
+	}
+	r.pOut, r.pIn = r.src.AppendArcs(u, r.pOut[:0], r.pIn[:0])
+	return peerSlot(r.pOut, r.pIn, l.Inv(), v)
+}
+
 // mergeLetters merges label-sorted out- and in-arc rows into the
-// letter-sorted slot row (out before in on equal labels — exactly the
-// WordEngine's merge), recording each slot's letter and peer.
-func mergeLetters(ls []view.Letter, ts []int64, out, in []ShardArc) ([]view.Letter, []int64) {
+// letter-sorted slot row (out before in on equal labels), writing each
+// slot's letter and peer into r's scratch. It takes r rather than its
+// two slices so that its arguments fit in registers.
+func mergeLetters[V int | int64](r *rows, out, in []digraph.ArcTo[V]) ([]view.Letter, []int64) {
+	n := len(out) + len(in)
+	ls, ts := r.letters[:n], r.peers[:n]
 	i, j := 0, 0
-	for i < len(out) || j < len(in) {
+	for k := range ls {
 		if i < len(out) && (j >= len(in) || out[i].Label <= in[j].Label) {
-			ls = append(ls, view.Letter{Label: out[i].Label})
-			ts = append(ts, out[i].To)
+			ls[k] = view.Letter{Label: out[i].Label}
+			ts[k] = int64(out[i].To)
 			i++
 		} else {
-			ls = append(ls, view.Letter{Label: in[j].Label, In: true})
-			ts = append(ts, in[j].To)
+			ls[k] = view.Letter{Label: in[j].Label, In: true}
+			ts[k] = int64(in[j].To)
 			j++
 		}
 	}
@@ -292,53 +332,46 @@ func mergeLetters(ls []view.Letter, ts []int64, out, in []ShardArc) ([]view.Lett
 
 // peerSlot returns the local slot index of letter l at a node with
 // the given arc rows, verifying the arc at that letter really leads
-// back to the expected endpoint.
-func peerSlot(out, in []ShardArc, l view.Letter, back int64) (int32, error) {
-	idx := int32(0)
+// back to the expected endpoint. The rows are label-sorted, so two
+// binary searches place the letter: a construction over a node of
+// degree d costs O(d log d), not O(d²).
+func peerSlot[V int | int64](out, in []digraph.ArcTo[V], l view.Letter, back int64) (int32, error) {
+	i, j := labelRank(out, l.Label), labelRank(in, l.Label)
 	if l.In {
-		for _, a := range out {
-			if a.Label <= l.Label {
-				idx++
-			} else {
-				break
-			}
+		if j == len(in) || in[j].Label != l.Label {
+			return 0, fmt.Errorf("no in-arc labelled %d", l.Label)
 		}
-		for _, a := range in {
-			if a.Label < l.Label {
-				idx++
-				continue
-			}
-			if a.Label == l.Label {
-				if a.To != back {
-					return 0, fmt.Errorf("in-arc labelled %d comes from %d, not %d", l.Label, a.To, back)
-				}
-				return idx, nil
-			}
-			break
+		if int64(in[j].To) != back {
+			return 0, fmt.Errorf("in-arc labelled %d comes from %d, not %d", l.Label, in[j].To, back)
 		}
-		return 0, fmt.Errorf("no in-arc labelled %d", l.Label)
+		// An out-arc of the same label sorts before the in-arc.
+		if i < len(out) && out[i].Label == l.Label {
+			i++
+		}
+		return int32(i + j), nil
 	}
-	for _, a := range out {
-		if a.Label < l.Label {
-			idx++
-			continue
-		}
-		if a.Label == l.Label {
-			for _, b := range in {
-				if b.Label < l.Label {
-					idx++
-				} else {
-					break
-				}
-			}
-			if a.To != back {
-				return 0, fmt.Errorf("out-arc labelled %d goes to %d, not %d", l.Label, a.To, back)
-			}
-			return idx, nil
-		}
-		break
+	if i == len(out) || out[i].Label != l.Label {
+		return 0, fmt.Errorf("no out-arc labelled %d", l.Label)
 	}
-	return 0, fmt.Errorf("no out-arc labelled %d", l.Label)
+	if int64(out[i].To) != back {
+		return 0, fmt.Errorf("out-arc labelled %d goes to %d, not %d", l.Label, out[i].To, back)
+	}
+	return int32(i + j), nil
+}
+
+// labelRank returns the number of arcs of a label-sorted row whose
+// label is below label.
+func labelRank[V int | int64](row []digraph.ArcTo[V], label int) int {
+	lo, hi := 0, len(row)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if row[mid].Label < label {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // shardOf returns the shard index owning global node v. Ranges are
@@ -505,17 +538,14 @@ func (se *ShardedEngine) run(ids IDFunc, algo WordAlgo, maxRounds int, sched Sch
 		prof = sched.String()
 	}
 
-	// Sequential Init in increasing global node order, letters built
-	// into one reusable scratch row.
-	letters := make([]view.Letter, 0, se.maxSlots)
-	targets := make([]int64, 0, se.maxSlots)
-	var outS, inS []ShardArc
+	// Sequential Init in increasing global node order, each node's row
+	// built into one reusable scratch.
+	rows := newRows(se.src, se.maxSlots)
 	for _, sh := range se.shards {
 		for v := int32(0); v < sh.n; v++ {
 			gv := sh.lo + int64(v)
-			outS, inS = se.src.AppendArcs(gv, outS[:0], inS[:0])
-			letters, targets = mergeLetters(letters[:0], targets[:0], outS, inS)
-			info := NodeInfo{ID: -1, Letters: letters}
+			letters, peers := rows.row(gv)
+			info := NodeInfo{ID: -1, Letters: letters, Peers: peers}
 			if ids != nil {
 				info.ID = ids(gv)
 			}
@@ -696,7 +726,9 @@ func (se *ShardedEngine) run(ids IDFunc, algo WordAlgo, maxRounds int, sched Sch
 // (halted nodes leave; under node faults nodes whose crash round
 // arrived leave for good; otherwise a shard where no node halted keeps
 // its list as it is). Each destination slot is written by exactly one
-// staging entry, so destination-parallel draining is race-free.
+// staging entry, so destination-parallel draining is race-free, and
+// the one worker draining d owns d's worklist, so compact filters it
+// in place.
 func (se *ShardedEngine) drainAndCompact(d, round, curArena int, curWant int64, fp *faultPlan) {
 	dst := se.shards[d]
 	cells := dst.cells[curArena^1]
@@ -719,28 +751,8 @@ func (se *ShardedEngine) drainAndCompact(d, round, curArena int, curWant int64, 
 	if !fp.nodeFaults && dst.halts == 0 {
 		return
 	}
-	nxtList := dst.spare[:0]
-	if fp.nodeFaults {
-		for _, v := range dst.active {
-			if dst.halted[v] {
-				continue
-			}
-			if fp.sched.State(round+1, int32(dst.lo+int64(v))) == StateCrashed {
-				dst.crashed[v] = true
-				continue
-			}
-			nxtList = append(nxtList, v)
-		}
-	} else {
-		for _, v := range dst.active {
-			if !dst.halted[v] {
-				nxtList = append(nxtList, v)
-			}
-		}
-	}
-	dst.spare = dst.active[:0]
-	dst.active = nxtList
-	dst.activeN.Store(int64(len(nxtList)))
+	dst.active = compact(dst.active, dst.halted, dst.crashed, fp, round, dst.lo)
+	dst.activeN.Store(int64(len(dst.active)))
 }
 
 // SeededIDs returns an IDFunc computing a seeded permutation of

@@ -24,8 +24,15 @@ type NodeInfo struct {
 	// ID is the node's unique identifier, or -1 in anonymous models.
 	ID int
 	// Letters names the node's incident arcs: one letter per out-arc
-	// (In=false) and per in-arc (In=true).
+	// (In=false) and per in-arc (In=true). The round engines hand
+	// WordAlgo.Init the letter-sorted slot row, so local slot i is
+	// Letters[i].
 	Letters []view.Letter
+	// Peers is the far endpoint of each slot, in slot order: the
+	// global index of the node a send on slot i reaches. Only the
+	// round engines set it. Like Letters there, it is scratch the
+	// engine rebuilds per node, valid only during Init.
+	Peers []int64
 }
 
 // RoundAlgo is a synchronous message-passing algorithm: the classical
@@ -192,9 +199,10 @@ func GatherViews(r int) RoundAlgo {
 // round r-1's senders wrote, and publishes into trees[(r+1)&1];
 // distinct parities keep same-round reads and writes on different
 // arrays, so workers never race). final[v] tracks node v's latest
-// assembled view for extraction after the run. The step reads each
-// node's slot letters from the engine's own rows and indexes the tree
-// columns by c.Node, so the state word is unused. Assembly order,
+// assembled view for extraction after the run. Init copies each
+// node's slot letters into a table of the gather's own, 16 B per slot
+// that only gather runs pay; the step reads them there and indexes the
+// tree columns by c.Node, so the state word is unused. Assembly order,
 // duplicate-letter dedup and the starved-inbox stale-view rule mirror
 // GatherViews exactly, which the differential tests pin down.
 //
@@ -208,9 +216,10 @@ func gatherAlgo(e *WordEngine, r int) (WordAlgo, []*view.Tree) {
 	trees[0] = make([]*view.Tree, e.n)
 	trees[1] = make([]*view.Tree, e.n)
 	final := make([]*view.Tree, e.n)
-	off, letters := e.off, e.letters
+	off, letters := e.off, make([]view.Letter, e.off[e.n])
 	algo := WordAlgo{
 		Init: func(v int64, info NodeInfo) uint64 {
+			copy(letters[off[v]:], info.Letters)
 			final[v] = view.Leaf()
 			return 0
 		},

@@ -254,7 +254,7 @@ func (e *WordEngine) snapshotAt(nextRound int, base int64, sched Schedule, cs []
 	snap := &Snapshot{
 		Faulty: sched != nil,
 		N:      e.n,
-		Slots:  len(e.letters),
+		Slots:  int(e.off[e.n]),
 		Round:  nextRound,
 		Halted: append([]bool(nil), e.halted...),
 	}
@@ -298,9 +298,9 @@ func (e *WordEngine) restore(snap *Snapshot, faulty bool, maxRounds int) error {
 		return fmt.Errorf("model: resume: snapshot is from a faulty run; pass the same schedule")
 	case !snap.Faulty && faulty:
 		return fmt.Errorf("model: resume: snapshot is from a clean run; drop the schedule")
-	case snap.N != e.n || snap.Slots != len(e.letters):
+	case snap.N != e.n || snap.Slots != int(e.off[e.n]):
 		return fmt.Errorf("model: resume: snapshot geometry (n=%d slots=%d) does not match host (n=%d slots=%d)",
-			snap.N, snap.Slots, e.n, len(e.letters))
+			snap.N, snap.Slots, e.n, e.off[e.n])
 	case len(snap.Halted) != e.n || (snap.Faulty && len(snap.Crashed) != e.n):
 		return fmt.Errorf("model: resume: snapshot bitset length mismatch")
 	case len(snap.States) != 8*e.n:
@@ -311,7 +311,7 @@ func (e *WordEngine) restore(snap *Snapshot, faulty bool, maxRounds int) error {
 		return fmt.Errorf("model: resume: snapshot round %d outside the run's %d rounds", snap.Round, maxRounds)
 	}
 	for _, s := range snap.Pending {
-		if s < 0 || int(s) >= len(e.letters) {
+		if s < 0 || s >= e.off[e.n] {
 			return fmt.Errorf("model: resume: pending slot %d out of range", s)
 		}
 	}

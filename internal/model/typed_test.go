@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -159,37 +160,50 @@ func TestTypedCleanFaultyPins(t *testing.T) {
 	}
 }
 
-// TestTypedInboxSlotRouting: inboxes arrive in strictly increasing
-// slot order whatever the worker schedule, every slot index names the
-// letter the Init contract promises, and the payload proves the
-// routing — each word is the sender's index, and
-// the slot's letter at the receiver must resolve back to exactly that
-// sender.
+// TestTypedInboxSlotRouting: on the flat plane and the sharded one at
+// P=1 and P=2, over a torus and over K9 (degree 8, so the routing's
+// peer search takes several steps), inboxes arrive in strictly
+// increasing slot order whatever the worker schedule, every slot index
+// names the letter and the peer the Init contract promises, and the
+// payload proves the routing — each word is the sender's index, the
+// slot's letter at the receiver must resolve back to exactly that
+// sender, and the slot's peer must be that sender.
 func TestTypedInboxSlotRouting(t *testing.T) {
 	defer par.Set(par.Set(8))
-	h := HostFromGraph(graph.Torus(6, 6))
-	// The state word is the node's index; its letters, valid only
-	// during Init, are copied into a column the test closes over.
-	letters := make([][]view.Letter, h.G.N())
+	// The state word is the node's index; its letters and peers, valid
+	// only during Init, are copied into columns the test closes over.
+	var (
+		h       *Host
+		plane   string
+		letters [][]view.Letter
+		peers   [][]int64
+	)
 	algo := WordAlgo{
 		Init: func(v int64, info NodeInfo) uint64 {
 			for i := 1; i < len(info.Letters); i++ {
 				if !info.Letters[i-1].Less(info.Letters[i]) {
-					t.Errorf("node %d: info letters not letter-sorted at %d", v, i)
+					t.Errorf("%s node %d: info letters not letter-sorted at %d", plane, v, i)
 				}
 			}
+			if len(info.Peers) != len(info.Letters) {
+				t.Errorf("%s node %d: %d peers for %d letters", plane, v, len(info.Peers), len(info.Letters))
+			}
 			letters[v] = slices.Clone(info.Letters)
+			peers[v] = slices.Clone(info.Peers)
 			return uint64(v)
 		},
 		Step: chunkStep(func(s *uint64, round int, inbox []wordMsg, out sends) bool {
 			if round == 1 {
 				for i, m := range inbox {
 					if i > 0 && inbox[i-1].Slot >= m.Slot {
-						t.Errorf("node %d: inbox out of slot order", *s)
+						t.Errorf("%s node %d: inbox out of slot order", plane, *s)
 					}
 					from, ok := resolveLetter(h, int(*s), letters[*s][m.Slot])
 					if !ok || uint64(from) != m.W {
-						t.Errorf("node %d slot %d: word %d, letter resolves to %d", *s, m.Slot, m.W, from)
+						t.Errorf("%s node %d slot %d: word %d, letter resolves to %d", plane, *s, m.Slot, m.W, from)
+					}
+					if p := peers[*s][m.Slot]; uint64(p) != m.W {
+						t.Errorf("%s node %d slot %d: word %d, peer %d", plane, *s, m.Slot, m.W, p)
 					}
 				}
 				return true
@@ -199,8 +213,25 @@ func TestTypedInboxSlotRouting(t *testing.T) {
 		}),
 		Out: func(*uint64) Output { return Output{} },
 	}
-	if _, _, err := NewWordEngine(h).Run(nil, algo, 4); err != nil {
-		t.Fatal(err)
+	for name, g := range map[string]*graph.Graph{"torus6x6": graph.Torus(6, 6), "K9": graph.Complete(9)} {
+		h = HostFromGraph(g)
+		for _, p := range []int{0, 1, 2} {
+			letters, peers = make([][]view.Letter, h.G.N()), make([][]int64, h.G.N())
+			var err error
+			if p == 0 {
+				plane = name + " flat"
+				_, _, err = NewWordEngine(h).Run(nil, algo, 4)
+			} else {
+				plane = name + " sharded P=" + strconv.Itoa(p)
+				var se *ShardedEngine
+				if se, err = NewShardedEngine(SourceOf(h), p); err == nil {
+					_, err = se.Run(nil, algo, 4)
+				}
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", plane, err)
+			}
+		}
 	}
 }
 
@@ -369,9 +400,9 @@ func TestTypedSteadyStateAllocs(t *testing.T) {
 }
 
 // TestWordEngineBytesPerSlot: a word engine allocates the plane —
-// letters, routing and the two cell arenas — and its per-node
-// columns: on torus:64x64 (16,384 slots) 52 B per slot plus the
-// columns, about 61 B per slot in all.
+// routing and the two cell arenas, no letters — and its per-node
+// columns: on torus:64x64 (16,384 slots) 36 B per slot plus the
+// columns, about 40 B per slot in all.
 func TestWordEngineBytesPerSlot(t *testing.T) {
 	h := HostFromGraph(graph.Torus(64, 64))
 	slots := 0
@@ -388,8 +419,8 @@ func TestWordEngineBytesPerSlot(t *testing.T) {
 	}
 	per := float64(least) / float64(slots)
 	t.Logf("NewWordEngine: %.1f B per slot (%d B for %d slots)", per, least, slots)
-	if per > 72 {
-		t.Errorf("NewWordEngine allocates %.1f B per slot, want at most 72", per)
+	if per > 44 {
+		t.Errorf("NewWordEngine allocates %.1f B per slot, want at most 44", per)
 	}
 }
 

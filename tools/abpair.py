@@ -2,11 +2,13 @@
 """Paired A/B runs of the repository benchmark: parent against change.
 
     python3 tools/abpair.py --workload rounds --seed0 2401
-        [--metric cpu_ms_per_op] [--base HEAD]
+        [--metric cpu_ms_per_op] [--base HEAD | --parent-dir DIR]
 
 Run it from the repository root. It checks out --base (default HEAD,
 the parent of an uncommitted change; pass HEAD~1 once the change is
-committed) as a detached git worktree under .bench_build/, and runs
+committed) as a detached git worktree under .bench_build/, or runs
+the parent from DIR, which must hold --base's files (say, a git
+archive of it), and runs
 
     bash perfbench/run.sh --workload W --seed S --seconds T --trace 0
 
@@ -18,12 +20,14 @@ the machine hits both sides alike. The worktree is removed on every
 exit path, interrupts included.
 
 It prints every pair's value of the claimed metric, the wins of B,
-each side's median and quartiles, the medians of the other end-to-end
-metrics of BENCHMARK.json, every run's fail_ratio, and last one line
-for CHANGES.md with the verdict of the claim rule: B wins at least
-9 pairs in 10, and B's median is below A's by more than A's
-interquartile range. Every end-to-end metric of BENCHMARK.json is
-lower-is-better, and the rule here assumes it. A run that fails
+each side's median and quartiles for every end-to-end metric of
+BENCHMARK.json, every run's fail_ratio, and last one line for
+CHANGES.md with the verdict of the claim rule: B wins at least 9
+pairs in 10, and B's median is below A's by more than A's
+interquartile range. Each metric it does not claim gets a regression
+verdict against its BENCHMARK.json bound, a ratio of A's median (see
+regression). Every end-to-end metric of BENCHMARK.json is
+lower-is-better, and both rules here assume it. A run that fails
 (non-zero exit, no result line, or a fail_ratio above 0) is named,
 and no claim passes with one.
 """
@@ -76,6 +80,29 @@ def summarize(pairs):
     res.update(a=a, b=b, gap=gap, iqr=iqr)
     res["passed"] = not failed and wins >= WINS and gap > iqr
     return res
+
+
+def regression(a, b, bound):
+    """The verdict on a metric the comparison does not claim.
+
+    a and b are the parent's and the change's runs of a lower-is-better
+    metric, bound the worsening BENCHMARK.json allows, as a ratio of
+    the parent's median. Returns "no regression" when every run of the
+    change beats every run of the parent; otherwise "unresolved" when
+    the parent's IQR is wider than the bound, since the runs then
+    spread too widely to tell; otherwise "regression" when the change's
+    median exceeds the parent's by more than the bound, and "no
+    regression" when it does not.
+    """
+    qa, qb = quartiles(a), quartiles(b)
+    allowed = bound * qa[1]
+    if max(b) < min(a):
+        return "no regression"
+    if qa[2] - qa[0] > allowed:
+        return "unresolved"
+    if qb[1] - qa[1] > allowed:
+        return "regression"
+    return "no regression"
 
 
 def fmt(x):
@@ -145,6 +172,7 @@ def main():
     ap.add_argument("--seed0", type=int, required=True, help="seed of the first pair (use fresh seeds)")
     ap.add_argument("--metric", default="cpu_ms_per_op", help="the claimed end-to-end metric")
     ap.add_argument("--base", default="HEAD", help="the parent revision (default HEAD)")
+    ap.add_argument("--parent-dir", help="run the parent in this copy of --base instead of a worktree")
     args = ap.parse_args()
 
     root = git(".", "rev-parse", "--show-toplevel")
@@ -159,8 +187,12 @@ def main():
     if e2e[args.metric]["better"] != "lower":
         ap.error("metric %s is not lower-is-better; the claim rule here assumes it is" % args.metric)
     wt = os.path.join(root, ".bench_build", "abpair-" + base[:12])
+    if args.parent_dir:
+        wt = os.path.abspath(args.parent_dir)
 
     def cleanup():
+        if args.parent_dir:
+            return
         if os.path.isdir(wt):
             subprocess.run(["git", "-C", root, "worktree", "remove", "--force", wt],
                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
@@ -174,8 +206,9 @@ def main():
     signal.signal(signal.SIGHUP, on_signal)
     cleanup()
     try:
-        os.makedirs(os.path.dirname(wt), exist_ok=True)
-        git(root, "worktree", "add", "--detach", wt, base)
+        if not args.parent_dir:
+            os.makedirs(os.path.dirname(wt), exist_ok=True)
+            git(root, "worktree", "add", "--detach", wt, base)
         seeds = [args.seed0 + k for k in range(PAIRS)]
         pairs, runs = [], []
         for k, seed in enumerate(seeds):
@@ -198,9 +231,11 @@ def main():
         if not side[0] or not side[1]:
             continue
         qa, qb = quartiles(side[0]), quartiles(side[1])
-        print("%-14s A median %s (IQR %s–%s)  B median %s (IQR %s–%s) %s, ×%.3f" % (
-            name, fmt(qa[1]), fmt(qa[0]), fmt(qa[2]), fmt(qb[1]), fmt(qb[0]), fmt(qb[2]),
-            m["unit"], qb[1] / qa[1] if qa[1] else float("nan")))
+        verdict = "claimed" if name == args.metric else "bound ×%g of A's median: %s" % (
+            1 + m["bound"], regression(side[0], side[1], m["bound"]))
+        print("%s %-14s A median %s (IQR %s–%s)  B median %s (IQR %s–%s) %s, ×%.3f; %s" % (
+            args.workload, name, fmt(qa[1]), fmt(qa[0]), fmt(qa[2]), fmt(qb[1]), fmt(qb[0]),
+            fmt(qb[2]), m["unit"], qb[1] / qa[1] if qa[1] else float("nan"), verdict))
     print("fail_ratio per run: " + ", ".join("%s%d=%g" % (s, seed, r) for s, seed, r in runs))
     s = summarize(pairs)
     print(verdict_line(args.workload, args.metric, e2e[args.metric]["unit"], seeds,

@@ -95,5 +95,26 @@ class ClaimRule(unittest.TestCase):
         self.assertAlmostEqual(q3, 88.425)
 
 
+class RegressionRule(unittest.TestCase):
+    # PARENT's median is 102 and its IQR 2, so a bound of 0.25 allows
+    # 25.5 and a bound of 0.01 allows 1.02, less than the IQR.
+
+    def test_median_within_bound_is_no_regression(self):
+        change = [v + 20 for v in PARENT]
+        self.assertEqual(abpair.regression(PARENT, change, 0.25), "no regression")
+
+    def test_median_past_bound_is_regression(self):
+        change = [v + 30 for v in PARENT]
+        self.assertEqual(abpair.regression(PARENT, change, 0.25), "regression")
+
+    def test_spread_wider_than_bound_is_unresolved(self):
+        change = [v + 0.5 for v in PARENT]
+        self.assertEqual(abpair.regression(PARENT, change, 0.01), "unresolved")
+
+    def test_every_change_run_better_resolves_a_wide_spread(self):
+        change = [v - 10 for v in PARENT]
+        self.assertEqual(abpair.regression(PARENT, change, 0.01), "no regression")
+
+
 if __name__ == "__main__":
     unittest.main()
