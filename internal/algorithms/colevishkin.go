@@ -149,8 +149,8 @@ func coleVishkinWordAlgo(steps, last int) model.WordAlgo {
 			// The identifier in the colour lane plus the in-arc slot
 			// marker: exactly one of the two letter-sorted slots is the
 			// in-arc (the predecessor on the oriented cycle). Fields are
-			// read in place: copying the seven-word info cost more than
-			// the rest of Init.
+			// read in place: copying the seven-word info costs more
+			// than the rest of Init.
 			w := uint64(info.ID)
 			if info.Letters[1].In {
 				w |= cvPredSlot1

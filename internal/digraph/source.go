@@ -36,7 +36,10 @@ type Source interface {
 
 // SourceArc is one labelled arc of an implicitly generated digraph:
 // the global id of the other endpoint plus the arc label.
-type SourceArc = ArcTo[int64]
+type SourceArc struct {
+	To    int64
+	Label int
+}
 
 // FromSource materialises the digraph src generates, writing the CSR
 // arrays directly: one counting pass sizes the out-rows from Degree,

@@ -21,9 +21,9 @@ import (
 // naming the arc at v (view.Letter.Less), so an inbox is always
 // delivered in the receiver's letter order regardless of worker
 // schedule. dest[s] maps a send on slot s's letter to the slot naming
-// the same arc by the inverse letter at the other endpoint. The
-// letters themselves are not kept: like the sharded plane, the engine
-// rebuilds a node's row from its source when Init needs it.
+// the same arc by the inverse letter at the other endpoint. A node's
+// letters and peers are built from the host's arc rows (rows) when
+// construction or Init needs them.
 //
 // Double buffering. Messages for round r live in arena r&1 and the
 // sends of round r are written into arena (r+1)&1, so a slot is
@@ -64,7 +64,7 @@ import (
 type WordEngine struct {
 	n int
 
-	// Slot layout (see above) and the source rows are rebuilt from.
+	// Slot layout (see above) and the source rows are built from.
 	src  ShardSource
 	off  []int32
 	dest []int32
@@ -133,8 +133,7 @@ type cell struct {
 // incident (arc, direction) pair with its routing (4 B per slot) and
 // its two 16-byte arena cells, plus the offsets and the state, halt
 // and worklist columns. It resolves dest row by row from the host's
-// arc rows, as NewShardedEngine does, and keeps no letters. Runs reuse
-// everything.
+// arc rows, as NewShardedEngine does. Runs reuse everything.
 func NewWordEngine(h *Host) *WordEngine {
 	n := h.G.N()
 	e := &WordEngine{n: n, src: SourceOf(h)}

@@ -266,12 +266,9 @@ func shardPlaneFits(i, p int, slots, cross int64) error {
 
 // rows builds nodes' slot rows from a source into reusable scratch, on
 // both planes: construction routes each slot from them and every run
-// hands them to Init as NodeInfo.Letters and Peers. Over a
-// materialised host (SourceOf) it merges the digraph's CSR rows
-// directly instead of copying them out through AppendArcs.
+// hands them to Init as NodeInfo.Letters and Peers.
 type rows struct {
 	src                ShardSource
-	d                  *digraph.Digraph
 	out, in, pOut, pIn []ShardArc
 	letters            []view.Letter
 	peers              []int64
@@ -280,30 +277,18 @@ type rows struct {
 // newRows sizes the scratch for rows of at most width slots, the
 // widest row the source's Degree reports.
 func newRows(src ShardSource, width int32) *rows {
-	r := &rows{src: src, letters: make([]view.Letter, 0, width), peers: make([]int64, 0, width)}
-	if hs, ok := src.(hostSource); ok {
-		r.d = hs.h.D
-	}
-	return r
+	return &rows{src: src, letters: make([]view.Letter, 0, width), peers: make([]int64, 0, width)}
 }
 
 // row builds node v's slot row: the letter naming each slot and the
-// slot's far endpoint, valid until the next call. It returns the row
-// rather than leave it in fields for the caller to read back, which
-// made a row on the cycle cost half as much again.
+// slot's far endpoint, valid until the next call.
 func (r *rows) row(v int64) ([]view.Letter, []int64) {
-	if r.d != nil {
-		return mergeLetters(r, r.d.Out(int(v)), r.d.In(int(v)))
-	}
 	r.out, r.in = r.src.AppendArcs(v, r.out[:0], r.in[:0])
 	return mergeLetters(r, r.out, r.in)
 }
 
 // peerSlot returns the local slot at u of the arc v names by letter l.
 func (r *rows) peerSlot(u int64, l view.Letter, v int64) (int32, error) {
-	if r.d != nil {
-		return peerSlot(r.d.Out(int(u)), r.d.In(int(u)), l.Inv(), v)
-	}
 	r.pOut, r.pIn = r.src.AppendArcs(u, r.pOut[:0], r.pIn[:0])
 	return peerSlot(r.pOut, r.pIn, l.Inv(), v)
 }
@@ -312,18 +297,18 @@ func (r *rows) peerSlot(u int64, l view.Letter, v int64) (int32, error) {
 // letter-sorted slot row (out before in on equal labels), writing each
 // slot's letter and peer into r's scratch. It takes r rather than its
 // two slices so that its arguments fit in registers.
-func mergeLetters[V int | int64](r *rows, out, in []digraph.ArcTo[V]) ([]view.Letter, []int64) {
+func mergeLetters(r *rows, out, in []ShardArc) ([]view.Letter, []int64) {
 	n := len(out) + len(in)
 	ls, ts := r.letters[:n], r.peers[:n]
 	i, j := 0, 0
 	for k := range ls {
 		if i < len(out) && (j >= len(in) || out[i].Label <= in[j].Label) {
 			ls[k] = view.Letter{Label: out[i].Label}
-			ts[k] = int64(out[i].To)
+			ts[k] = out[i].To
 			i++
 		} else {
 			ls[k] = view.Letter{Label: in[j].Label, In: true}
-			ts[k] = int64(in[j].To)
+			ts[k] = in[j].To
 			j++
 		}
 	}
@@ -333,15 +318,14 @@ func mergeLetters[V int | int64](r *rows, out, in []digraph.ArcTo[V]) ([]view.Le
 // peerSlot returns the local slot index of letter l at a node with
 // the given arc rows, verifying the arc at that letter really leads
 // back to the expected endpoint. The rows are label-sorted, so two
-// binary searches place the letter: a construction over a node of
-// degree d costs O(d log d), not O(d²).
-func peerSlot[V int | int64](out, in []digraph.ArcTo[V], l view.Letter, back int64) (int32, error) {
+// binary searches place the letter.
+func peerSlot(out, in []ShardArc, l view.Letter, back int64) (int32, error) {
 	i, j := labelRank(out, l.Label), labelRank(in, l.Label)
 	if l.In {
 		if j == len(in) || in[j].Label != l.Label {
 			return 0, fmt.Errorf("no in-arc labelled %d", l.Label)
 		}
-		if int64(in[j].To) != back {
+		if in[j].To != back {
 			return 0, fmt.Errorf("in-arc labelled %d comes from %d, not %d", l.Label, in[j].To, back)
 		}
 		// An out-arc of the same label sorts before the in-arc.
@@ -353,7 +337,7 @@ func peerSlot[V int | int64](out, in []digraph.ArcTo[V], l view.Letter, back int
 	if i == len(out) || out[i].Label != l.Label {
 		return 0, fmt.Errorf("no out-arc labelled %d", l.Label)
 	}
-	if int64(out[i].To) != back {
+	if out[i].To != back {
 		return 0, fmt.Errorf("out-arc labelled %d goes to %d, not %d", l.Label, out[i].To, back)
 	}
 	return int32(i + j), nil
@@ -361,7 +345,7 @@ func peerSlot[V int | int64](out, in []digraph.ArcTo[V], l view.Letter, back int
 
 // labelRank returns the number of arcs of a label-sorted row whose
 // label is below label.
-func labelRank[V int | int64](row []digraph.ArcTo[V], label int) int {
+func labelRank(row []ShardArc, label int) int {
 	lo, hi := 0, len(row)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)

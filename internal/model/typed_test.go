@@ -400,9 +400,9 @@ func TestTypedSteadyStateAllocs(t *testing.T) {
 }
 
 // TestWordEngineBytesPerSlot: a word engine allocates the plane —
-// routing and the two cell arenas, no letters — and its per-node
-// columns: on torus:64x64 (16,384 slots) 36 B per slot plus the
-// columns, about 40 B per slot in all.
+// routing and the two cell arenas — and its per-node columns: on
+// torus:64x64 (16,384 slots) 36 B per slot plus the columns, about
+// 40 B per slot in all.
 func TestWordEngineBytesPerSlot(t *testing.T) {
 	h := HostFromGraph(graph.Torus(64, 64))
 	slots := 0

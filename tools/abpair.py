@@ -2,22 +2,20 @@
 """Paired A/B runs of the repository benchmark: parent against change.
 
     python3 tools/abpair.py --workload rounds --seed0 2401
-        [--metric cpu_ms_per_op] [--base HEAD | --parent-dir DIR]
+        [--metric cpu_ms_per_op] [--base HEAD]
 
-Run it from the repository root. It checks out --base (default HEAD,
-the parent of an uncommitted change; pass HEAD~1 once the change is
-committed) as a detached git worktree under .bench_build/, or runs
-the parent from DIR, which must hold --base's files (say, a git
-archive of it), and runs
+Run it from the repository root. It extracts the files of --base
+(default HEAD, the parent of an uncommitted change; pass HEAD~1 once
+the change is committed) with git archive into .bench_build/, and runs
 
     bash perfbench/run.sh --workload W --seed S --seconds T --trace 0
 
-in that worktree (A, the parent) and in the working tree (B, the
+in that copy (A, the parent) and in the working tree (B, the
 change), T being BENCHMARK.json's run_seconds, over the 10 pairs the
 claim rule counts. Pair k uses seed seed0+k for both sides; even
 pairs run A first and odd pairs B first (ABBA order), so a drift of
-the machine hits both sides alike. The worktree is removed on every
-exit path, interrupts included.
+the machine hits both sides alike. The copy is removed on every exit
+path, interrupts included.
 
 It prints every pair's value of the claimed metric, the wins of B,
 each side's median and quartiles for every end-to-end metric of
@@ -166,13 +164,24 @@ def git(root, *args):
                           stdout=subprocess.PIPE, text=True).stdout.strip()
 
 
+def extract(root, rev, dest):
+    """Writes the files of revision rev of the repository at root into
+    the new directory dest (git archive piped into tar)."""
+    os.makedirs(dest)
+    archive = subprocess.Popen(["git", "-C", root, "archive", "--format=tar", rev],
+                               stdout=subprocess.PIPE)
+    tar = subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout)
+    archive.stdout.close()
+    if archive.wait() != 0 or tar.returncode != 0:
+        raise RuntimeError("extracting %s into %s failed" % (rev, dest))
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed0", type=int, required=True, help="seed of the first pair (use fresh seeds)")
     ap.add_argument("--metric", default="cpu_ms_per_op", help="the claimed end-to-end metric")
     ap.add_argument("--base", default="HEAD", help="the parent revision (default HEAD)")
-    ap.add_argument("--parent-dir", help="run the parent in this copy of --base instead of a worktree")
     args = ap.parse_args()
 
     root = git(".", "rev-parse", "--show-toplevel")
@@ -186,18 +195,10 @@ def main():
             args.metric, ", ".join(sorted(e2e))))
     if e2e[args.metric]["better"] != "lower":
         ap.error("metric %s is not lower-is-better; the claim rule here assumes it is" % args.metric)
-    wt = os.path.join(root, ".bench_build", "abpair-" + base[:12])
-    if args.parent_dir:
-        wt = os.path.abspath(args.parent_dir)
+    parent = os.path.join(root, ".bench_build", "abpair-" + base[:12])
 
     def cleanup():
-        if args.parent_dir:
-            return
-        if os.path.isdir(wt):
-            subprocess.run(["git", "-C", root, "worktree", "remove", "--force", wt],
-                           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-            shutil.rmtree(wt, ignore_errors=True)
-        subprocess.run(["git", "-C", root, "worktree", "prune"])
+        shutil.rmtree(parent, ignore_errors=True)
 
     def on_signal(signum, frame):
         raise SystemExit(128 + signum)
@@ -206,13 +207,11 @@ def main():
     signal.signal(signal.SIGHUP, on_signal)
     cleanup()
     try:
-        if not args.parent_dir:
-            os.makedirs(os.path.dirname(wt), exist_ok=True)
-            git(root, "worktree", "add", "--detach", wt, base)
+        extract(root, base, parent)
         seeds = [args.seed0 + k for k in range(PAIRS)]
         pairs, runs = [], []
         for k, seed in enumerate(seeds):
-            order = [("A", wt), ("B", root)] if k % 2 == 0 else [("B", root), ("A", wt)]
+            order = [("A", parent), ("B", root)] if k % 2 == 0 else [("B", root), ("A", parent)]
             got = {}
             for side, checkout in order:
                 metrics, ratio = run_bench(checkout, args.workload, seed, seconds)

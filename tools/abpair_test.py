@@ -4,7 +4,9 @@
     python3 tools/abpair_test.py
 """
 import os
+import subprocess
 import sys
+import tempfile
 import unittest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -114,6 +116,31 @@ class RegressionRule(unittest.TestCase):
     def test_every_change_run_better_resolves_a_wide_spread(self):
         change = [v - 10 for v in PARENT]
         self.assertEqual(abpair.regression(PARENT, change, 0.01), "no regression")
+
+
+class Extract(unittest.TestCase):
+    def test_copy_holds_the_revision_not_the_working_tree(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            repo = os.path.join(tmp, "repo")
+            os.makedirs(os.path.join(repo, "sub"))
+            with open(os.path.join(repo, "sub", "f.txt"), "w") as f:
+                f.write("committed\n")
+            git = ["git", "-C", repo, "-c", "user.name=t", "-c", "user.email=t@example.com"]
+            for args in (["init", "-q"], ["add", "."], ["commit", "-q", "-m", "one"]):
+                subprocess.run(git + args, check=True)
+            with open(os.path.join(repo, "sub", "f.txt"), "w") as f:
+                f.write("edited\n")
+            dest = os.path.join(tmp, "copy")
+            abpair.extract(repo, "HEAD", dest)
+            with open(os.path.join(dest, "sub", "f.txt")) as f:
+                self.assertEqual(f.read(), "committed\n")
+            self.assertFalse(os.path.exists(os.path.join(dest, ".git")))
+
+    def test_unknown_revision_fails(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            subprocess.run(["git", "-C", tmp, "init", "-q"], check=True)
+            with self.assertRaises(RuntimeError):
+                abpair.extract(tmp, "no-such-rev", os.path.join(tmp, "copy"))
 
 
 if __name__ == "__main__":
